@@ -12,18 +12,18 @@
  * thin-but-static, and Footprint should be both thin and adaptive
  * (Fig. 2(d)).
  *
- * The transient view comes from the telemetry hub: each run samples
- * the hotspot router's footprint-lane count and buffered flits every
- * 10 cycles, and the harness reports when the tree reached its final
- * extent (formation time) alongside the end-state snapshot.
+ * The transient view: each run reads the hotspot router's
+ * footprint-lane count and buffered flits every 10 cycles (and at the
+ * final cycle), and the harness reports when the tree reached its
+ * final extent (formation time) alongside the end-state snapshot.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "metrics/congestion_tree.hpp"
 #include "network/network.hpp"
-#include "obs/telemetry.hpp"
 
 namespace {
 
@@ -36,6 +36,15 @@ struct Flow
 };
 
 constexpr int kHotspot = 13;  ///< the oversubscribed endpoint
+constexpr std::int64_t kCycles = 300;
+
+/** The hotspot router's gauges at one cycle. */
+struct Reading
+{
+    std::int64_t cycle;
+    int fpOcc;  ///< occupied output VCs (footprint lanes)
+    int vcOcc;  ///< flits buffered in input VCs
+};
 
 /** Drive the Fig. 2 flows at full rate for a while, then snapshot. */
 void
@@ -50,20 +59,11 @@ runScenario(const std::string& label, const std::string& algo,
     cfg.setInt("fp_vc_cap", fp_vc_cap);
     Network net(cfg);
 
-    // In-memory telemetry: per-router channels, sampled every 10
-    // cycles, no file sinks.
-    TelemetryConfig tc;
-    tc.keepInMemory = true;
-    tc.sampleInterval = 10;
-    TelemetryHub hub(tc);
-    net.attachTelemetry(hub);
-    hub.beginPhase("measure", 0);
-
     const Flow flows[] = {{0, 10}, {1, 15}, {4, kHotspot},
                           {12, kHotspot}};
+    std::vector<Reading> readings;
     std::uint64_t id = 0;
-    std::int64_t cycle = 0;
-    for (; cycle < 300; ++cycle) {
+    for (std::int64_t cycle = 0; cycle < kCycles; ++cycle) {
         // Persistent flows: keep every source backlogged.
         for (const Flow& f : flows) {
             if (net.endpoint(f.src).sourceBacklogFlits() < 8) {
@@ -77,32 +77,32 @@ runScenario(const std::string& label, const std::string& algo,
             }
         }
         net.step(cycle);
-        hub.tick(cycle);
+        if (cycle % 10 == 0 || cycle == kCycles - 1) {
+            const Router& r = net.router(kHotspot);
+            readings.push_back(
+                {cycle, r.occupiedOutVcs(), r.inputBufferedFlits()});
+        }
         for (int n = 0; n < 16; ++n)
             (void)net.endpoint(n).drainEjected();
     }
-    hub.finish(cycle - 1);
 
     const CongestionTree hotspot = extractCongestionTree(net, kHotspot);
     const int all_flows_vcs =
         totalCongestionVcs(net, {10, 15, kHotspot});
 
     // Formation time of the hotspot's congestion tree, read off the
-    // sampled footprint-lane series of the hotspot router: the first
-    // sample at which the lane count reached its steady value.
-    const std::string fp_chan =
-        "r" + std::to_string(kHotspot) + ".fp_occ";
-    const auto& series = hub.series(fp_chan);
+    // hotspot router's footprint-lane readings: the first reading at
+    // which the lane count reached its final value.
     std::int64_t formed = -1;
-    if (!series.empty()) {
-        const double steady = series.back().value;
-        for (const Sample& s : series) {
-            if (s.value >= steady) {
-                formed = s.cycle;
-                break;
-            }
+    for (const Reading& r : readings) {
+        if (r.fpOcc >= readings.back().fpOcc) {
+            formed = r.cycle;
+            break;
         }
     }
+    double occ_sum = 0.0;
+    for (const Reading& r : readings)
+        occ_sum += static_cast<double>(r.vcOcc);
 
     std::printf("%-18s endpoint-tree(n13): %2d branches, %2d VCs, "
                 "avg thickness %.2f, max %d | all-flow VCs: %d | "
@@ -111,9 +111,7 @@ runScenario(const std::string& label, const std::string& algo,
                 hotspot.totalVcs(), hotspot.avgThickness(),
                 hotspot.maxThickness(), all_flows_vcs,
                 static_cast<long long>(formed),
-                hub.meanInPhase(
-                    "r" + std::to_string(kHotspot) + ".vc_occ",
-                    "measure"));
+                occ_sum / static_cast<double>(readings.size()));
 }
 
 } // namespace

@@ -8,16 +8,16 @@
  * shrinking for transpose (33% at 2 VCs to 22% at 16).
  *
  * Alongside the saturation ladder, each (algorithm, VC count) cell
- * runs once near its saturation point with the telemetry hub attached
- * and reports the measured per-router VC occupancy (mean buffered
- * flits during the measurement phase) — the queueing-state view the
- * ladder alone cannot show.
+ * runs once near its saturation point with the flight recorder keeping
+ * 50-cycle windows in memory and reports the measured per-router VC
+ * occupancy (mean buffered flits at the window closes of the
+ * measurement phase) — the queueing-state view the ladder alone cannot
+ * show.
  */
 
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "obs/telemetry.hpp"
 
 namespace {
 
@@ -25,25 +25,31 @@ using namespace footprint;
 
 /**
  * Mean flits buffered per router over the measurement phase at
- * @p rate, sampled through an in-memory telemetry hub (aggregate
- * channels only).
+ * @p rate, read from the flight recorder's in-memory windows (an empty
+ * timeseries_out keeps them off disk).
  */
 double
 meanRouterOccupancy(SimConfig cfg, double rate)
 {
     cfg.setDouble("injection_rate", rate);
+    cfg.setBool("timeseries", true);
+    cfg.set("timeseries_out", "");
+    cfg.setInt("timeseries_interval", 50);
+    const std::int64_t begin = cfg.getInt("warmup_cycles");
+    const std::int64_t end = begin + cfg.getInt("measure_cycles");
     const int nodes = static_cast<int>(cfg.getInt("mesh_width")
                                        * cfg.getInt("mesh_height"));
-    TelemetryConfig tc;
-    tc.keepInMemory = true;
-    tc.sampleInterval = 50;
-    tc.perRouter = false;
-    TelemetryHub hub(tc);
-    TrafficManager tm(cfg);
-    tm.attachTelemetry(&hub);
-    tm.run();
-    return hub.meanInPhase("net.vc_occ", "measure")
-        / static_cast<double>(nodes);
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (const WindowRecord& w : runExperiment(cfg).windows) {
+        if (w.startCycle >= begin && w.endCycle <= end) {
+            sum += static_cast<double>(w.vcOcc);
+            ++n;
+        }
+    }
+    return n == 0 ? 0.0
+                  : sum / static_cast<double>(n)
+            / static_cast<double>(nodes);
 }
 
 } // namespace

@@ -8,13 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <sstream>
+#include <memory>
 
 #include "network/network.hpp"
-#include "network/traffic_manager.hpp"
-#include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
 #include "router/allocators.hpp"
 #include "routing/routing.hpp"
@@ -85,74 +82,21 @@ BM_NetworkCycle(benchmark::State& state)
 }
 BENCHMARK(BM_NetworkCycle)->Arg(10)->Arg(30)->Arg(45);
 
-/**
- * Shared body of the telemetry-overhead benchmarks: a whole-network
- * cycle at 30% load with a hub in the given state. The "Idle" variant
- * (attached but with sampling and tracing disabled) against plain
- * BM_NetworkCycle/30 is the overhead gate of the CI workflow: the two
- * must stay within 2% of each other, i.e. disabled telemetry must
- * cost no more than its guard branches.
- */
-void
-runTelemetryCycle(benchmark::State& state, TelemetryHub* hub)
-{
-    SimConfig cfg = netConfig("footprint");
-    setQuiet(true);
-    Network net(cfg);
-    if (hub)
-        net.attachTelemetry(*hub);
-    Rng gen(7);
-    std::uint64_t id = 0;
-    std::int64_t cycle = 0;
-    for (auto _ : state) {
-        for (int n = 0; n < 64; ++n) {
-            if (gen.nextBool(0.30)) {
-                Packet p;
-                p.id = ++id;
-                p.src = n;
-                p.dest = static_cast<int>(gen.nextBounded(64));
-                if (p.dest == n)
-                    continue;
-                p.size = 1;
-                p.createTime = cycle;
-                net.endpoint(n).enqueue(p);
-            }
-        }
-        net.step(cycle);
-        if (hub)
-            hub->tick(cycle);
-        ++cycle;
-        for (int n = 0; n < 64; ++n)
-            (void)net.endpoint(n).drainEjected();
-    }
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-
-void
-BM_NetworkCycleTelemetryIdle(benchmark::State& state)
-{
-    // Compiled in, attached, but disabled: the hot path sees only the
-    // null-tracer and sampling-off branches.
-    TelemetryHub hub;
-    runTelemetryCycle(state, &hub);
-}
-BENCHMARK(BM_NetworkCycleTelemetryIdle);
-
 void
 BM_NetworkCycleObsIdle(benchmark::State& state)
 {
-    // Profiler/heatmap/flight-recorder observability compiled in but
+    // Profiler/flight-recorder observability compiled in but
     // disabled: a disabled profiler attach detaches (the stepping hot
-    // path keeps its null profiler pointer) and the heatmap/recorder
-    // null checks mirror TrafficManager's per-cycle gates. Against
+    // path keeps its null profiler pointer) and the recorder null
+    // check (which also covers the heatmap and the chrome counters)
+    // mirrors TrafficManager's per-cycle gate. Against
     // BM_NetworkCycle/30 this is the ≤2% disabled-overhead CI gate
-    // (check_telemetry_overhead.py --obs).
+    // (check_telemetry_overhead.py).
     SimConfig cfg = netConfig("footprint");
     setQuiet(true);
     Network net(cfg);
     Profiler prof(false);
     net.attachProfiler(&prof);
-    std::unique_ptr<HeatmapCollector> heatmap;    // disabled => null
     std::unique_ptr<FlightRecorder> recorder;     // disabled => null
     Rng gen(7);
     std::uint64_t id = 0;
@@ -172,11 +116,8 @@ BM_NetworkCycleObsIdle(benchmark::State& state)
             }
         }
         net.step(cycle);
-        if (heatmap)
-            heatmap->tick(cycle);
         if (recorder)
             recorder->tick(cycle);
-        benchmark::DoNotOptimize(heatmap);
         benchmark::DoNotOptimize(recorder);
         ++cycle;
         for (int n = 0; n < 64; ++n)
@@ -185,20 +126,6 @@ BM_NetworkCycleObsIdle(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_NetworkCycleObsIdle);
-
-void
-BM_NetworkCycleTelemetryActive(benchmark::State& state)
-{
-    // Full per-router sampling into an in-memory CSV sink at the
-    // given interval.
-    std::ostringstream ts;
-    TelemetryConfig tc;
-    tc.sampleInterval = state.range(0);
-    TelemetryHub hub(tc);
-    hub.addSink(std::make_unique<CsvSink>(ts));
-    runTelemetryCycle(state, &hub);
-}
-BENCHMARK(BM_NetworkCycleTelemetryActive)->Arg(100)->Arg(10);
 
 void
 BM_RoutingFunction(benchmark::State& state)

@@ -9,10 +9,7 @@
  *   e.g. simulate config=examples/configs/hotspot.cfg routing=dbar
  *        simulate traffic=shuffle injection_rate=0.42 num_vcs=8
  *
- * Telemetry flags (sugar over the telemetry_* config keys):
- *   --telemetry-out FILE    per-interval time series (CSV by default)
- *   --telemetry-format FMT  csv | jsonl
- *   --sample-interval N     cycles between samples (default 100)
+ * Packet-trace flags (sugar over the trace_* config keys):
  *   --trace-packets N       JSONL lifecycle trace of packets 1..N
  *   --trace-out FILE        trace path (default trace.jsonl)
  *
@@ -27,8 +24,13 @@
  *                           tools/render_heatmap.py)
  *   --timeseries            windowed flight-recorder JSONL stream
  *                           (timeseries.jsonl, footprint.timeseries/1;
- *                           render with tools/render_timeseries.py)
+ *                           render with tools/render_timeseries.py);
+ *                           with --chrome-trace its window aggregates
+ *                           also land as counter tracks
  *   --console               live rate-limited status line on stderr
+ *
+ * Both windowed artifacts share one window length,
+ * timeseries_interval (default 1000 cycles).
  *
  * Steady state (DESIGN.md §15): the flight recorder's online detector
  * reports the convergence cycle and flags measurement windows that
@@ -258,14 +260,6 @@ main(int argc, char** argv)
                     stats.counters.vcAllocFail));
     std::printf("purity of blocking       : %.3f (HoL degree %.0f)\n",
                 stats.counters.purity(), stats.counters.holDegree());
-    const std::string ts_out = cfg.getStr("telemetry_out");
-    if (!ts_out.empty()) {
-        std::printf("telemetry time series    : %s (every %lld "
-                    "cycles)\n",
-                    ts_out.c_str(),
-                    static_cast<long long>(
-                        cfg.getInt("sample_interval")));
-    }
     if (cfg.getInt("trace_packets") > 0) {
         const std::string trace_out = cfg.getStr("trace_out");
         std::printf("packet lifecycle trace   : %s (packets 1..%lld)\n",
@@ -293,8 +287,9 @@ main(int argc, char** argv)
         std::printf("stall classification     : %s\n",
                     stats.stallClass.c_str());
     }
-    // The recorder ran (timeseries stream and/or warmup=auto): report
-    // the detector verdict and any tree-saturation onset it saw.
+    // The run asked for the recorder's verdict (timeseries stream
+    // and/or warmup=auto): report the detector verdict and any
+    // tree-saturation onset it saw.
     if (cfg.getBool("timeseries")
         || cfg.getStr("warmup") == "auto") {
         if (stats.steadyStateCycle >= 0) {

@@ -14,7 +14,7 @@
  * SweepRunner) produce bit-identical results for any jobs value as
  * long as each task is itself deterministic — which simulation jobs
  * are, because every one owns its private SimConfig, RNG streams, and
- * telemetry sinks.
+ * output artifacts.
  */
 
 #ifndef FOOTPRINT_EXEC_EXEC_CONTEXT_HPP

@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "exec/exec_context.hpp"
 #include "network/traffic_manager.hpp"
@@ -24,8 +25,8 @@ namespace footprint {
 namespace {
 
 /**
- * "out.csv" -> "out.job3.csv": per-job artifact paths, so parallel
- * jobs with telemetry enabled never clobber one another's files.
+ * "out.json" -> "out.job3.json": per-job artifact paths, so parallel
+ * jobs with artifacts enabled never clobber one another's files.
  */
 std::string
 jobSuffixedPath(const std::string& path, std::size_t job)
@@ -40,18 +41,15 @@ jobSuffixedPath(const std::string& path, std::size_t job)
 }
 
 /**
- * Isolate every output artifact a job's config could write. Telemetry
+ * Isolate every output artifact a job's config could write. Trace
  * defaults that are empty but implicitly enabled (trace_out with
  * trace_packets > 0, chrome_trace_out with chrome_trace) are pinned to
- * explicit per-job paths too.
+ * explicit per-job paths too. An empty timeseries_out means "windows
+ * in memory only" and stays empty.
  */
 void
 isolateArtifactPaths(SimConfig& cfg, std::size_t job)
 {
-    if (cfg.contains("telemetry_out")
-        && !cfg.getStr("telemetry_out").empty())
-        cfg.set("telemetry_out",
-                jobSuffixedPath(cfg.getStr("telemetry_out"), job));
     if (cfg.contains("trace_packets")
         && cfg.getInt("trace_packets") > 0) {
         const std::string base = cfg.contains("trace_out")
@@ -70,12 +68,14 @@ isolateArtifactPaths(SimConfig& cfg, std::size_t job)
     if (cfg.contains("dump_on_abort") && cfg.getBool("dump_on_abort"))
         cfg.set("dump_path",
                 jobSuffixedPath(cfg.getStr("dump_path"), job));
-    if (cfg.contains("timeseries") && cfg.getBool("timeseries")) {
-        const std::string base = cfg.contains("timeseries_out")
-                && !cfg.getStr("timeseries_out").empty()
-            ? cfg.getStr("timeseries_out")
-            : std::string("timeseries.jsonl");
-        cfg.set("timeseries_out", jobSuffixedPath(base, job));
+    const std::pair<const char*, const char*> switched[] = {
+        {"timeseries", "timeseries_out"},
+        {"profile", "profile_out"},
+        {"heatmap", "heatmap_out"}};
+    for (const auto& [on, out] : switched) {
+        if (cfg.contains(on) && cfg.getBool(on) && cfg.contains(out)
+            && !cfg.getStr(out).empty())
+            cfg.set(out, jobSuffixedPath(cfg.getStr(out), job));
     }
 }
 
@@ -370,7 +370,7 @@ benchResultsJson(const SweepSpec& spec, const SweepResult& result,
     os << "  \"schema\": \"footprint.bench/1\",\n";
 
     // Uniform self-describing header shared by every artifact family
-    // (same shape as the CSV/JSONL/profile/heatmap/timeseries meta).
+    // (same shape as the profile/heatmap/timeseries meta).
     os << "  \"meta\": " << meta.toJson() << ",\n";
 
     // Deterministic run identity.

@@ -8,7 +8,7 @@
  * replicates). expand() flattens it, in a fixed row-major order, into
  * SimJobs; each job owns a private SimConfig, an RNG seed derived via
  * SplitMix64 from the base seed and the job index, and its own
- * telemetry artifact paths. run() executes the jobs on an ExecContext
+ * artifact paths. run() executes the jobs on an ExecContext
  * and reassembles results in job order, so the output — including the
  * exported footprint.bench/1 JSON, minus wall-clock metadata — is
  * bit-identical for any thread count or schedule.

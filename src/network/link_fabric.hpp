@@ -15,7 +15,7 @@
  *  - the horizon's next-arrival query is one branch-light min over the
  *    contiguous head-arrival lane (padding slots hold kNoArrival, the
  *    identity of min);
- *  - telemetry/heatmap sent-counter sweeps walk one flat array
+ *  - recorder/heatmap sent-counter sweeps walk one flat array
  *    (padding slots hold 0, the identity of +).
  *
  * Flit channels occupy the front region of the combined lanes, credit

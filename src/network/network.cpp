@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
+#include "obs/packet_tracer.hpp"
 #include "obs/profiler.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/log.hpp"
 
 namespace footprint {
@@ -87,12 +88,30 @@ Network::Network(const SimConfig& cfg)
         : 0;
     if (shard_cfg < 0)
         fatal("shards must be >= 0 (0 = one per thread)");
+    // The router and link fabric assert on these; as user input they
+    // are rejected here instead.
+    if (params_.numVcs < 1 || params_.numVcs > 64) {
+        fatal("num_vcs must be in [1, 64], got "
+              + std::to_string(params_.numVcs));
+    }
+    const int ejection_rate =
+        static_cast<int>(cfg.getInt("ejection_rate"));
+    const std::pair<const char*, int> positive[] = {
+        {"vc_buf_size", params_.vcBufSize},
+        {"output_fifo_size", params_.outputFifoSize},
+        {"internal_speedup", params_.internalSpeedup},
+        {"ejection_rate", ejection_rate}};
+    for (const auto& [key, value] : positive) {
+        if (value < 1) {
+            fatal(std::string(key) + " must be >= 1, got "
+                  + std::to_string(value));
+        }
+    }
 
     const int n = topo_.numNodes();
     const auto seed = static_cast<std::uint64_t>(cfg.getInt("seed"));
 
     status_.init(n);
-    nodeOutChannels_.resize(static_cast<std::size_t>(n));
     // One descriptor segment per source endpoint, created up front so
     // parallel phases never grow the segment table.
     pool_.initSegments(n);
@@ -100,7 +119,7 @@ Network::Network(const SimConfig& cfg)
     EndpointParams ep;
     ep.numVcs = params_.numVcs;
     ep.vcBufSize = params_.vcBufSize;
-    ep.ejectionRate = static_cast<int>(cfg.getInt("ejection_rate"));
+    ep.ejectionRate = ejection_rate;
     ep.atomicVcAlloc = routing_->atomicVcAlloc();
 
     routers_.reserve(static_cast<std::size_t>(n));
@@ -221,7 +240,6 @@ Network::Network(const SimConfig& cfg)
         case LinkRecord::Kind::RouterToRouter:
             router(p.srcNode).connectOutput(p.srcPort, f, c);
             router(p.dstNode).connectInput(p.dstPort, f, c);
-            nodeOutChannels_[idx(p.srcNode)].push_back(f);
             break;
         case LinkRecord::Kind::EndpointToRouter:
             router(p.dstNode).connectInput(p.dstPort, f, c);
@@ -230,7 +248,6 @@ Network::Network(const SimConfig& cfg)
             break;
         case LinkRecord::Kind::RouterToEndpoint:
             router(p.srcNode).connectOutput(p.srcPort, f, c);
-            nodeOutChannels_[idx(p.srcNode)].push_back(f);
             ep_wiring[idx(p.dstNode)][2] = f;
             ep_wiring[idx(p.dstNode)][3] = c;
             break;
@@ -848,104 +865,14 @@ Network::attachProfiler(Profiler* profiler)
 }
 
 void
-Network::attachTelemetry(TelemetryHub& hub)
+Network::attachTracer(PacketTracer* tracer)
 {
-    if (!hub.enabled())
-        return;
-
-    if (PacketTracer* tracer = hub.tracer()) {
-        tracer->setPool(&pool_);
-        for (auto& r : routers_)
-            r->setTracer(tracer);
-        for (auto& e : endpoints_)
-            e->setTracer(tracer);
-        tracerAttached_ = true;
-    }
-    if (!hub.samplingEnabled())
-        return;
-
-    const int n = topo_.numNodes();
-
-    // Network-wide aggregates.
-    hub.addChannel("net.flits_in_flight", ChannelKind::Gauge,
-                   [this] {
-                       return static_cast<double>(totalFlitsInFlight());
-                   });
-    hub.addChannel("net.vc_occ", ChannelKind::Gauge, [this] {
-        double total = 0.0;
-        for (const auto& r : routers_)
-            total += r->inputBufferedFlits();
-        return total;
-    });
-    hub.addChannel("net.link_util", ChannelKind::Rate, [this] {
-        return static_cast<double>(totalFlitsSent())
-            / static_cast<double>(fabric_.flitCount());
-    });
-    hub.addChannel("net.va_grants", ChannelKind::Counter, [this] {
-        double total = 0.0;
-        for (const auto& r : routers_)
-            total += static_cast<double>(r->counters().vcAllocSuccess);
-        return total;
-    });
-    hub.addChannel("net.va_stalls", ChannelKind::Counter, [this] {
-        double total = 0.0;
-        for (const auto& r : routers_)
-            total += static_cast<double>(r->counters().vcAllocFail);
-        return total;
-    });
-    hub.addChannel("net.fp_occ", ChannelKind::Gauge, [this] {
-        double total = 0.0;
-        for (const auto& r : routers_)
-            total += r->occupiedOutVcs();
-        return total;
-    });
-    hub.addChannel("net.inj_backlog", ChannelKind::Gauge, [this] {
-        double total = 0.0;
-        for (const auto& e : endpoints_)
-            total += static_cast<double>(e->sourceBacklogFlits());
-        return total;
-    });
-
-    if (!hub.config().perRouter)
-        return;
-
-    for (int node = 0; node < n; ++node) {
-        std::string r = "r";
-        r += std::to_string(node);
-        r += '.';
-        Router* router = routers_[idx(node)].get();
-        hub.addChannel(r + "vc_occ", ChannelKind::Gauge, [router] {
-            return static_cast<double>(router->inputBufferedFlits());
-        });
-        hub.addChannel(r + "credits", ChannelKind::Gauge, [router] {
-            return static_cast<double>(router->totalOutputCredits());
-        });
-        hub.addChannel(r + "fp_occ", ChannelKind::Gauge, [router] {
-            return static_cast<double>(router->occupiedOutVcs());
-        });
-        hub.addChannel(r + "va_grants", ChannelKind::Counter, [router] {
-            return static_cast<double>(
-                router->counters().vcAllocSuccess);
-        });
-        hub.addChannel(r + "va_stalls", ChannelKind::Counter, [router] {
-            return static_cast<double>(router->counters().vcAllocFail);
-        });
-        const auto& links = nodeOutChannels_[idx(node)];
-        hub.addChannel(r + "link_util", ChannelKind::Rate, [&links] {
-            double sent = 0.0;
-            for (const FlitChannel* ch : links)
-                sent += static_cast<double>(ch->sentCount());
-            return sent / static_cast<double>(links.size());
-        });
-
-        std::string e = "ep";
-        e += std::to_string(node);
-        e += '.';
-        Endpoint* ep = endpoints_[idx(node)].get();
-        hub.addChannel(e + "inj_q", ChannelKind::Gauge, [ep] {
-            return static_cast<double>(ep->sourceBacklogFlits());
-        });
-    }
+    tracer->setPool(&pool_);
+    for (auto& r : routers_)
+        r->setTracer(tracer);
+    for (auto& e : endpoints_)
+        e->setTracer(tracer);
+    tracerAttached_ = true;
 }
 
 } // namespace footprint

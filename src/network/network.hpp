@@ -27,8 +27,8 @@
 
 namespace footprint {
 
+class PacketTracer;
 class Profiler;
-class TelemetryHub;
 
 /**
  * Per-router status table: routers publish idle-VC counts during
@@ -150,14 +150,12 @@ class Network
     void resetCounters();
 
     /**
-     * Register this network's probes with @p hub and wire its packet
-     * tracer into every router and endpoint. Registers network-wide
-     * aggregate channels always, and per-router / per-endpoint
-     * channels when the hub's config asks for them (see DESIGN.md
-     * "Observability" for the channel name schema). No-op on a
-     * disabled hub.
+     * Wire a packet-lifecycle tracer (borrowed; must outlive the
+     * network's stepping) into every router and endpoint. The tracer
+     * records from hooks inside the step phases, so sharded stepping
+     * falls back to serial activity stepping while one is attached.
      */
-    void attachTelemetry(TelemetryHub& hub);
+    void attachTracer(PacketTracer* tracer);
 
     /** Flits ever sent on any flit channel (links + endpoint links). */
     std::uint64_t totalFlitsSent() const;
@@ -256,8 +254,6 @@ class Network
     std::vector<std::unique_ptr<Endpoint>> endpoints_;
     /** Every link pipe + the flat lanes behind the batched queries. */
     LinkFabric fabric_;
-    /** Outgoing flit channels per node (router outputs incl. local). */
-    std::vector<std::vector<const FlitChannel*>> nodeOutChannels_;
     std::vector<LinkRecord> links_;
 
     // Activity-driven stepping state. The wake graph maps each

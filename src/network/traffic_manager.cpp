@@ -11,11 +11,12 @@
 #include "obs/auditor.hpp"
 #include "obs/console.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/packet_tracer.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_metadata.hpp"
 #include "obs/state_dump.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/trace_event.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/horizon.hpp"
 #include "sim/log.hpp"
@@ -118,25 +119,48 @@ TrafficManager::run()
     // terminals sharing its endpoint.
     const int num_terminals = topo.numTerminals();
 
-    // Telemetry: an externally attached hub wins; otherwise build one
-    // from the config's telemetry_* keys when they enable anything.
-    // `hub` stays nullptr on untelemetered runs, so the per-cycle cost
-    // of the subsystem being compiled in is a single null check.
-    std::unique_ptr<TelemetryHub> owned_hub;
-    TelemetryHub* hub = externalHub_;
-    if (!hub) {
-        const TelemetryConfig tc = TelemetryHub::configFromSim(cfg_);
-        if (tc.anyEnabled()) {
-            owned_hub = std::make_unique<TelemetryHub>(tc);
-            hub = owned_hub.get();
-        }
-    }
-    if (hub)
-        net.attachTelemetry(*hub);
-
     const RunMetadata meta = RunMetadata::fromConfig(cfg_);
-    if (owned_hub)
-        owned_hub->setRunMetadata(meta);
+
+    // Trace artifacts: the chrome trace-event timeline (chrome_trace*)
+    // and the packet lifecycle tracer (trace_*). The timeline is fed
+    // from packet lifecycles, so it implies a tracer even when no
+    // JSONL trace was asked for; a generous default packet budget
+    // keeps the timeline representative. Both stay null on untraced
+    // runs, so the hot-path hooks cost one null check.
+    std::unique_ptr<ChromeTraceWriter> chrome;
+    if (cfg_.getBool("chrome_trace")) {
+        const std::string out = cfg_.getStr("chrome_trace_out");
+        chrome = std::make_unique<ChromeTraceWriter>(
+            out.empty() ? "trace.json" : out);
+        chrome->setMeta(meta);
+        chrome->processName(1, "packets");
+    }
+    const std::int64_t trace_packets = cfg_.getInt("trace_packets");
+    if (trace_packets < 0)
+        fatal("trace_packets must be non-negative");
+    const std::string trace_out = cfg_.getStr("trace_out");
+    const std::uint64_t trace_budget = trace_packets > 0
+        ? static_cast<std::uint64_t>(trace_packets)
+        : chrome ? 20000 : 0;
+    std::unique_ptr<PacketTracer> tracer;
+    if (trace_budget > 0) {
+        if (trace_packets > 0 || !trace_out.empty()) {
+            tracer = std::make_unique<PacketTracer>(
+                trace_out.empty() ? "trace.jsonl" : trace_out,
+                trace_budget);
+        } else {
+            tracer = std::make_unique<PacketTracer>(trace_budget);
+        }
+        tracer->setMeta(meta);
+        tracer->setChromeTrace(chrome.get());
+        net.attachTracer(tracer.get());
+    }
+    auto close_traces = [&] {
+        if (tracer)
+            tracer->flush();
+        if (chrome)
+            chrome->close();
+    };
 
     // Self-profiler and spatial observatory (DESIGN.md §14). Both stay
     // null/disabled unless their config key asks for them; the profiler
@@ -154,16 +178,20 @@ TrafficManager::run()
     if (hm_cfg.enabled)
         heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
 
-    // Flight recorder (DESIGN.md §15): streams windowed throughput /
-    // latency / regime records and feeds the steady-state detector.
-    // Built whenever the stream or warmup=auto needs it; like every
-    // other collector it only reads network state from this serial
-    // loop, so determinism is untouched, and when off it costs one
-    // null check per cycle.
+    // Flight recorder (DESIGN.md §15): the run's one window clock. It
+    // streams windowed throughput / latency / regime / occupancy
+    // records, feeds the steady-state detector, and closes the
+    // heatmap's windows. Built whenever the stream, warmup=auto or the
+    // heatmap needs it; like every other collector it only reads
+    // network state from this serial loop, so determinism is
+    // untouched, and when off it costs one null check per cycle.
     const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg_);
     std::unique_ptr<FlightRecorder> recorder;
-    if (ts_cfg.active())
+    if (ts_cfg.active() || heatmap) {
         recorder = std::make_unique<FlightRecorder>(net, ts_cfg, &meta);
+        recorder->attachHeatmap(heatmap.get());
+        recorder->attachChromeTrace(chrome.get());
+    }
 
     // Live status line (display-only, rate-limited, off by default).
     std::unique_ptr<RunConsole> console;
@@ -186,8 +214,7 @@ TrafficManager::run()
         wp.interval = cfg_.getInt("watchdog_interval");
         wp.maxHops = static_cast<int>(cfg_.getInt("watchdog_max_hops"));
         wp.maxAge = cfg_.getInt("watchdog_max_age");
-        watchdog = std::make_unique<Watchdog>(
-            net, hub ? hub->tracer() : nullptr, wp);
+        watchdog = std::make_unique<Watchdog>(net, tracer.get(), wp);
     }
     if (recorder)
         recorder->setWatchdog(watchdog.get());
@@ -241,7 +268,8 @@ TrafficManager::run()
     const bool is_trace = mode == "trace";
     const bool is_hotspot = mode == "hotspot";
     if (is_trace) {
-        trace = std::make_unique<TraceReader>(cfg_.getStr("trace_file"));
+        trace = std::make_unique<TraceReader>(cfg_.getStr("trace_file"),
+                                              n);
         pending = trace->next();
     } else if (is_hotspot) {
         hotspot_flows = defaultHotspotFlows(mesh);
@@ -301,19 +329,19 @@ TrafficManager::run()
 
     const char* abort_reason = nullptr;
 
-    if (hub)
-        hub->beginPhase("warmup", 0);
+    if (chrome)
+        chrome->instantEvent("phase: warmup", 0);
     if (prof)
         prof->beginRun();
     try {
     for (; cycle < hard_limit; ++cycle) {
         const bool measuring = cycle >= warmup
             && cycle < warmup + measure;
-        if (hub) {
+        if (chrome) {
             if (cycle == warmup)
-                hub->beginPhase("measure", cycle);
+                chrome->instantEvent("phase: measure", cycle);
             else if (cycle == warmup + measure)
-                hub->beginPhase("drain", cycle);
+                chrome->instantEvent("phase: drain", cycle);
         }
 
         // Generate traffic.
@@ -386,10 +414,6 @@ TrafficManager::run()
         }
 
         net.step(cycle);
-        if (heatmap)
-            heatmap->tick(cycle);
-        if (hub)
-            hub->tick(cycle);
         if (auditor)
             auditor->tick(cycle);
         if (watchdog) {
@@ -442,7 +466,9 @@ TrafficManager::run()
 
         // The recorder ticks after the collect loop so a window close
         // sees the cycle's ejections in both the latency histogram and
-        // the accepted-flit delta.
+        // the accepted-flit delta. Collecting only drains completion
+        // records, so the heatmap gauges it samples here read the same
+        // router and source-queue state as right after the step.
         if (recorder) {
             recorder->tick(cycle);
             // warmup=auto: end warmup at the first steady window.
@@ -502,14 +528,15 @@ TrafficManager::run()
         // --- Event-horizon fast path (DESIGN.md §16). ---
         // A fully quiescent network cannot change state until an
         // external event: fold every upcoming event cycle into a
-        // horizon and jump the clock there in one step. Periodic
-        // observers are clamped so the jump lands exactly on their
+        // horizon and jump the clock there in one step. The auditor
+        // and watchdog are clamped so the jump lands exactly on their
         // due cycle (a late re-arm would shift their schedule); the
-        // flight recorder and heatmap are instead jump-aware and are
-        // caught up to horizon-1 here, on the frozen pre-landing
-        // state, before the landing cycle steps. The drain-stall
-        // heuristic needs no clamp: idle + generation done implies
-        // fully drained, which already broke out above.
+        // flight recorder, the one windowed observer, is instead
+        // jump-aware and is caught up to horizon-1 here (with its
+        // heatmap), on the frozen pre-landing state, before the
+        // landing cycle steps. The drain-stall heuristic needs no
+        // clamp: idle + generation done implies fully drained, which
+        // already broke out above.
         if (skip_ahead) {
             ProfileScope skip_ps(prof, ProfPhase::Skip);
             if (net.idle()) {
@@ -532,16 +559,12 @@ TrafficManager::run()
                     hz.clamp(auditor->nextDueCycle());
                 if (watchdog)
                     hz.clamp(watchdog->nextDueCycle());
-                if (hub)
-                    hz.clamp(hub->nextSampleCycle(cycle + 1));
                 if (hz.skips()) {
                     const std::int64_t target = hz.cycle();
                     net.skipTo(target);
                     stats.cyclesSkipped += target - (cycle + 1);
                     if (recorder)
                         recorder->tick(target - 1);
-                    if (heatmap)
-                        heatmap->tick(target - 1);
                     cycle = target - 1;
                 }
             }
@@ -550,8 +573,7 @@ TrafficManager::run()
     } catch (const InvariantError& e) {
         // A violated runtime invariant: close trace artifacts, write
         // the forensic dump, and let the error propagate.
-        if (hub)
-            hub->finish(cycle);
+        close_traces();
         if (dump_on_abort) {
             StateDumpContext ctx;
             ctx.cycle = cycle;
@@ -566,19 +588,25 @@ TrafficManager::run()
         throw;
     }
 
-    if (hub)
-        hub->finish(cycle);
+    // The recorder's last window writes counter tracks: finish it
+    // before the chrome trace closes.
+    if (recorder)
+        recorder->finish(cycle);
+    close_traces();
 
     if (console)
         console->close();
     stats.cyclesRun = cycle;
     stats.saturated = !stats.drained;
     stats.warmupUsed = warmup;
-    if (recorder) {
-        recorder->finish(cycle);
+    if (recorder)
+        stats.windows = recorder->windows();
+    // The steady-state verdict belongs to runs that asked for the
+    // recorder; a heatmap-only run borrows its clock and nothing else.
+    if (ts_cfg.active()) {
         stats.steadyStateCycle = recorder->steadyCycle();
         stats.saturationOnsetCycle = recorder->saturationOnsetCycle();
-        if (ts_cfg.enabled)
+        if (ts_cfg.enabled && !ts_cfg.outPath.empty())
             stats.timeseriesPath = ts_cfg.outPath;
         // Flag measurement windows that opened before convergence:
         // their statistics may carry warmup bias.
@@ -666,7 +694,6 @@ TrafficManager::run()
             warn("could not write profile document to " + out);
     }
     if (heatmap) {
-        heatmap->finish(cycle);
         if (heatmap->writeTo(hm_cfg.outPath, &meta))
             stats.heatmapPath = hm_cfg.outPath;
         else

@@ -10,15 +10,15 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "obs/hdr_histogram.hpp"
+#include "obs/timeseries.hpp"
 #include "router/router.hpp"
 #include "sim/config.hpp"
 #include "sim/stats.hpp"
 
 namespace footprint {
-
-class TelemetryHub;
 
 /** Aggregate results of one simulation run. */
 struct RunStats
@@ -74,17 +74,24 @@ struct RunStats
     std::string timeseriesPath;
 
     /**
+     * The flight recorder's closed windows, whenever it ran
+     * (timeseries, warmup=auto or heatmap); empty otherwise.
+     */
+    std::vector<WindowRecord> windows;
+
+    /**
      * Cycle at which the steady-state detector converged (end cycle
-     * of the first steady window); -1 when the flight recorder was
-     * off or the run never reached steady state.
+     * of the first steady window); -1 unless timeseries or
+     * warmup=auto asked for the verdict, or when the run never
+     * reached steady state.
      */
     std::int64_t steadyStateCycle = -1;
 
     /**
      * Start cycle of the first sustained window where accepted
      * throughput lagged offered while the in-flight backlog grew
-     * (tree-saturation onset); -1 when the recorder was off or no
-     * onset was seen.
+     * (tree-saturation onset); -1 unless timeseries or warmup=auto
+     * asked for the verdict, or when no onset was seen.
      */
     std::int64_t saturationOnsetCycle = -1;
 
@@ -94,7 +101,7 @@ struct RunStats
     /**
      * True when the measurement window opened before the detector
      * had converged — the measured statistics may carry warmup bias.
-     * Only meaningful when the flight recorder ran.
+     * Only meaningful under timeseries or warmup=auto.
      */
     bool measuredBeforeSteady = false;
 
@@ -129,20 +136,11 @@ class TrafficManager
   public:
     explicit TrafficManager(const SimConfig& cfg);
 
-    /**
-     * Use an externally owned telemetry hub instead of building one
-     * from the config's telemetry_* keys. Call before run(); pass
-     * nullptr to revert to config-driven telemetry. The hub must
-     * outlive run().
-     */
-    void attachTelemetry(TelemetryHub* hub) { externalHub_ = hub; }
-
     /** Execute the run and return its statistics. */
     RunStats run();
 
   private:
     SimConfig cfg_;
-    TelemetryHub* externalHub_ = nullptr;
 };
 
 /** Convenience wrapper: construct, run, return. */

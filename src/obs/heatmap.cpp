@@ -5,6 +5,7 @@
 
 #include "network/network.hpp"
 #include "obs/run_metadata.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 
 namespace footprint {
@@ -17,12 +18,9 @@ HeatmapConfig::fromSim(const SimConfig& cfg)
     if (cfg.contains("heatmap_out")
         && !cfg.getStr("heatmap_out").empty())
         hc.outPath = cfg.getStr("heatmap_out");
-    if (cfg.contains("heatmap_window"))
-        hc.window = cfg.getInt("heatmap_window");
+    hc.window = TimeseriesConfig::fromSim(cfg).interval;
     if (cfg.contains("heatmap_sample_interval"))
         hc.sampleInterval = cfg.getInt("heatmap_sample_interval");
-    if (hc.window < 1)
-        hc.window = 1;
     if (hc.sampleInterval < 1)
         hc.sampleInterval = 1;
     if (hc.sampleInterval > hc.window)
@@ -73,16 +71,15 @@ HeatmapCollector::sampleGauges()
 }
 
 void
-HeatmapCollector::closeWindow(std::int64_t end_cycle)
+HeatmapCollector::closeWindow(std::int64_t start, std::int64_t end)
 {
     HeatmapWindow w;
-    w.startCycle = windowStart_;
-    w.endCycle = end_cycle;
+    w.startCycle = start;
+    w.endCycle = end;
     w.samples = samples_;
 
     const auto n = static_cast<std::size_t>(nodes_);
-    const double cycles =
-        static_cast<double>(end_cycle - windowStart_);
+    const double cycles = static_cast<double>(end - start);
     const double inv_samples =
         samples_ > 0 ? 1.0 / static_cast<double>(samples_) : 0.0;
 
@@ -127,18 +124,8 @@ HeatmapCollector::closeWindow(std::int64_t end_cycle)
     }
 
     windows_.push_back(std::move(w));
-    windowStart_ = end_cycle;
     samples_ = 0;
-}
-
-void
-HeatmapCollector::finish(std::int64_t cycle)
-{
-    if (!cfg_.enabled)
-        return;
-    // Close a partial trailing window if it saw any cycles.
-    if (cycle > windowStart_)
-        closeWindow(cycle);
+    nextSample_ = end;
 }
 
 namespace {

@@ -9,9 +9,12 @@
  * Collection cost model: link utilization is computed from flit-channel
  * sent-counter deltas at window boundaries only (exact and nearly
  * free); occupancy-style gauges are sampled every sampleInterval
- * cycles and averaged per window. The collector is strictly read-only
- * over Network state and runs from the serial driver loop, so enabling
- * it cannot change simulation results in any step mode.
+ * cycles and averaged per window. The collector does not keep a window
+ * clock of its own: the FlightRecorder it is attached to decides where
+ * every window starts and ends (timeseries_interval) and closes the
+ * heatmap window from its own window close. The collector is strictly
+ * read-only over Network state and runs from the serial driver loop,
+ * so enabling it cannot change simulation results in any step mode.
  *
  * Export is a schema-versioned footprint.heatmap/1 JSON document with
  * a run-metadata header; tools/render_heatmap.py turns it into ASCII
@@ -38,12 +41,15 @@ struct HeatmapConfig
     bool enabled = false;
     /** Output path of the footprint.heatmap/1 document. */
     std::string outPath = "heatmap.json";
-    /** Cycles per aggregation window. */
+    /**
+     * Cycles per window: the recorder's timeseries_interval, kept here
+     * for the document header and the sampleInterval clamp.
+     */
     std::int64_t window = 1000;
     /** Cycles between occupancy-gauge samples within a window. */
     std::int64_t sampleInterval = 8;
 
-    /** Read the heatmap_* keys of @p cfg. */
+    /** Read the heatmap_* keys and timeseries_interval of @p cfg. */
     static HeatmapConfig fromSim(const SimConfig& cfg);
 };
 
@@ -73,13 +79,19 @@ struct HeatmapWindow
     std::vector<double> injBacklog;
 };
 
+/**
+ * Samples per-node gauges and differences per-link sent counters,
+ * driven by a FlightRecorder (FlightRecorder::attachHeatmap): the
+ * recorder's tick calls sampleThrough and its window close calls
+ * closeWindow.
+ */
 class HeatmapCollector
 {
   public:
     /**
      * @param net network to observe; must outlive the collector. The
-     *        collector holds per-link sent-count baselines, so attach
-     *        before the first observed cycle.
+     *        collector holds per-link sent-count baselines, so build
+     *        it before the first observed cycle.
      */
     HeatmapCollector(const Network& net, const HeatmapConfig& cfg);
 
@@ -87,47 +99,26 @@ class HeatmapCollector
     const HeatmapConfig& config() const { return cfg_; }
 
     /**
-     * Per-cycle hook; call after Network::step. Samples gauges on the
-     * sample interval and closes the window on its boundary.
-     *
-     * Jump-aware: @p cycle may be far past the previous tick (the
-     * skip-ahead fast path jumps quiescent spans). The elapsed span is
-     * replayed event by event — every sample boundary and window close
-     * in order, a sample before a coincident close, exactly as ticking
-     * each cycle would have — against the network's current (frozen)
-     * state. The driver catches collectors up to horizon-1 *before*
-     * stepping the landing cycle, so replayed samples read the same
-     * quiescent state the skipped cycles held.
+     * Take every gauge sample due at or before @p cycle (the network
+     * has stepped through @p cycle). Samples fall every sampleInterval
+     * cycles from the start of the current window. Jump-aware: after a
+     * skip-ahead jump the elapsed samples are replayed against the
+     * network's frozen quiescent state, exactly as ticking each cycle
+     * would have taken them.
      */
     void
-    tick(std::int64_t cycle)
+    sampleThrough(std::int64_t cycle)
     {
-        if (!cfg_.enabled)
-            return;
-        std::int64_t x = lastTick_ + 1;
-        lastTick_ = cycle;
-        while (x <= cycle) {
-            const std::int64_t close_at =
-                windowStart_ + cfg_.window - 1;
-            const std::int64_t rem =
-                (x - windowStart_) % cfg_.sampleInterval;
-            const std::int64_t next_sample =
-                rem == 0 ? x : x + (cfg_.sampleInterval - rem);
-            const std::int64_t next =
-                next_sample < close_at ? next_sample : close_at;
-            if (next > cycle)
-                break;
-            x = next;
-            if (x == next_sample)
-                sampleGauges();
-            if (x == close_at)
-                closeWindow(x + 1);
-            ++x;
-        }
+        for (; nextSample_ <= cycle; nextSample_ += cfg_.sampleInterval)
+            sampleGauges();
     }
 
-    /** Close any partial window at end of run. */
-    void finish(std::int64_t cycle);
+    /**
+     * Close the window [@p start, @p end): the FlightRecorder calls
+     * this from its own window close, after sampleThrough(end - 1).
+     * The next window's sampling grid starts at @p end.
+     */
+    void closeWindow(std::int64_t start, std::int64_t end);
 
     const std::vector<HeatmapWindow>& windows() const
     {
@@ -143,7 +134,6 @@ class HeatmapCollector
 
   private:
     void sampleGauges();
-    void closeWindow(std::int64_t end_cycle);
 
     const Network& net_;
     HeatmapConfig cfg_;
@@ -152,9 +142,8 @@ class HeatmapCollector
     int nodes_ = 0;
     int escapeVcs_ = 0;
 
-    std::int64_t windowStart_ = 0;
-    std::int64_t samples_ = 0;
-    std::int64_t lastTick_ = -1;  ///< last cycle tick() replayed up to
+    std::int64_t samples_ = 0;     ///< gauge samples in this window
+    std::int64_t nextSample_ = 0;  ///< cycle of the next gauge sample
 
     // Gauge accumulators (sums over samples, divided at window close).
     std::vector<double> vcOccSum_;

@@ -73,7 +73,7 @@ class PacketTracer
      * Attach the pool holding per-packet constants (size, timestamps,
      * flow class) that flits reference by Flit::desc; without a pool
      * those record fields keep null-descriptor defaults. Network
-     * wires this automatically in attachTelemetry().
+     * wires this automatically in attachTracer().
      */
     void setPool(const PacketPool* pool) { pool_ = pool; }
 

@@ -16,7 +16,7 @@
  *
  * Overhead contract: a Network with no profiler attached pays one
  * never-taken branch per phase; TrafficManager pays one null check per
- * cycle section. The CI gate (check_telemetry_overhead.py --obs)
+ * cycle section. The CI gate (check_telemetry_overhead.py)
  * holds the disabled configuration within 2% of the bare cycle loop.
  */
 

@@ -68,12 +68,4 @@ RunMetadata::toJson() const
         + std::to_string(startCycle) + "}";
 }
 
-std::string
-RunMetadata::toKeyValue() const
-{
-    return "seed=" + std::to_string(seed) + " config_hash="
-        + configHash + " git=" + gitDescribe + " start_cycle="
-        + std::to_string(startCycle);
-}
-
 } // namespace footprint

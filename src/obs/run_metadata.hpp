@@ -1,9 +1,9 @@
 /**
  * @file
- * Run metadata stamped onto every exported artifact (CSV/JSONL time
- * series, packet traces, chrome trace timelines, state dumps) so each
- * file is self-describing: which code, which configuration, and which
- * seed produced it.
+ * Run metadata stamped onto every exported artifact (timeseries
+ * streams, heatmap/profile/bench documents, packet traces, chrome
+ * trace timelines, state dumps) so each file is self-describing: which
+ * code, which configuration, and which seed produced it.
  */
 
 #ifndef FOOTPRINT_OBS_RUN_METADATA_HPP
@@ -47,9 +47,6 @@ struct RunMetadata
      * unexpected machine shape.
      */
     std::string toJson() const;
-
-    /** "seed=S config_hash=H git=G start_cycle=C" (CSV comments). */
-    std::string toKeyValue() const;
 };
 
 /** FNV-1a 64-bit hash of @p s, rendered as 16 hex digits. */

@@ -3,9 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/run_metadata.hpp"
-#include "sim/log.hpp"
-
 namespace footprint {
 
 std::string
@@ -43,74 +40,6 @@ formatTelemetryValue(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.6g", v);
     return buf;
-}
-
-StreamSink::StreamSink(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get())
-{
-    if (!*owned_)
-        fatal("cannot open telemetry output file: " + path);
-}
-
-void
-CsvSink::writeMeta(const RunMetadata& meta)
-{
-    os() << "# footprint.telemetry/1 " << meta.toKeyValue() << '\n';
-}
-
-void
-JsonlSink::writeMeta(const RunMetadata& meta)
-{
-    os() << "{\"schema\":\"footprint.telemetry/1\",\"meta\":"
-         << meta.toJson() << "}\n";
-}
-
-void
-CsvSink::writeHeader(const std::vector<std::string>& columns)
-{
-    columns_ = columns;
-    os() << "cycle,phase";
-    for (const std::string& c : columns)
-        os() << ',' << c;
-    os() << '\n';
-}
-
-void
-CsvSink::writeRow(std::int64_t cycle, const std::string& phase,
-                  const std::vector<double>& values)
-{
-    FP_ASSERT(values.size() == columns_.size(),
-              "telemetry row width mismatch");
-    os() << cycle << ',' << phase;
-    for (const double v : values)
-        os() << ',' << formatTelemetryValue(v);
-    os() << '\n';
-}
-
-void
-JsonlSink::writeHeader(const std::vector<std::string>& columns)
-{
-    escaped_.clear();
-    escaped_.reserve(columns.size());
-    for (const std::string& c : columns)
-        escaped_.push_back(jsonEscape(c));
-}
-
-void
-JsonlSink::writeRow(std::int64_t cycle, const std::string& phase,
-                    const std::vector<double>& values)
-{
-    FP_ASSERT(values.size() == escaped_.size(),
-              "telemetry row width mismatch");
-    os() << "{\"cycle\":" << cycle << ",\"phase\":\""
-         << jsonEscape(phase) << "\",\"metrics\":{";
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i > 0)
-            os() << ',';
-        os() << '"' << escaped_[i]
-             << "\":" << formatTelemetryValue(values[i]);
-    }
-    os() << "}}\n";
 }
 
 } // namespace footprint

@@ -1,26 +1,15 @@
 /**
  * @file
- * Structured-export sinks for the telemetry subsystem: a common
- * time-series row interface with CSV and JSONL implementations, plus
- * the JSON string-escaping helper shared with the packet tracer.
- *
- * Sinks either borrow an external stream (tests write into a
- * stringstream) or own a file stream opened from a path.
+ * Text-formatting helpers shared by the JSON artifact writers: string
+ * escaping and compact numeric rendering.
  */
 
 #ifndef FOOTPRINT_OBS_SINK_HPP
 #define FOOTPRINT_OBS_SINK_HPP
 
-#include <cstdint>
-#include <fstream>
-#include <memory>
-#include <ostream>
 #include <string>
-#include <vector>
 
 namespace footprint {
-
-struct RunMetadata;
 
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string& s);
@@ -30,93 +19,6 @@ std::string jsonEscape(const std::string& s);
  * decimal point, others with up to six significant digits.
  */
 std::string formatTelemetryValue(double v);
-
-/**
- * One row of the sampled time series: the sample cycle, the simulation
- * phase active at that cycle, and one value per registered channel.
- */
-class TimeSeriesSink
-{
-  public:
-    virtual ~TimeSeriesSink() = default;
-
-    /**
-     * Stamp run metadata onto the artifact, before the header. Sinks
-     * that have no self-describing representation may ignore it.
-     */
-    virtual void writeMeta(const RunMetadata& meta) { (void)meta; }
-
-    /** Called once, before any row, with the channel names. */
-    virtual void writeHeader(const std::vector<std::string>& columns) = 0;
-
-    /** Append one sample row; values align with the header columns. */
-    virtual void writeRow(std::int64_t cycle, const std::string& phase,
-                          const std::vector<double>& values) = 0;
-
-    virtual void flush() = 0;
-};
-
-/**
- * Base for sinks that write text lines to a borrowed or owned stream.
- */
-class StreamSink : public TimeSeriesSink
-{
-  public:
-    /** Borrow @p os; the caller keeps it alive past the sink. */
-    explicit StreamSink(std::ostream& os) : os_(&os) {}
-
-    /** Open @p path for writing; fatal() if it cannot be opened. */
-    explicit StreamSink(const std::string& path);
-
-    void flush() override { os_->flush(); }
-
-  protected:
-    std::ostream& os() { return *os_; }
-
-  private:
-    std::unique_ptr<std::ofstream> owned_;
-    std::ostream* os_;
-};
-
-/**
- * CSV time series: a "cycle,phase,<channel...>" header line followed
- * by one comma-separated row per sample.
- */
-class CsvSink : public StreamSink
-{
-  public:
-    using StreamSink::StreamSink;
-
-    /** "# footprint.telemetry/1 seed=... config_hash=..." comment. */
-    void writeMeta(const RunMetadata& meta) override;
-
-    void writeHeader(const std::vector<std::string>& columns) override;
-    void writeRow(std::int64_t cycle, const std::string& phase,
-                  const std::vector<double>& values) override;
-
-  private:
-    std::vector<std::string> columns_;
-};
-
-/**
- * JSONL time series: one JSON object per sample,
- * {"cycle":C,"phase":"p","metrics":{"name":value,...}}.
- */
-class JsonlSink : public StreamSink
-{
-  public:
-    using StreamSink::StreamSink;
-
-    /** {"meta":{...},"schema":"footprint.telemetry/1"} first record. */
-    void writeMeta(const RunMetadata& meta) override;
-
-    void writeHeader(const std::vector<std::string>& columns) override;
-    void writeRow(std::int64_t cycle, const std::string& phase,
-                  const std::vector<double>& values) override;
-
-  private:
-    std::vector<std::string> escaped_;  ///< pre-escaped channel names
-};
 
 } // namespace footprint
 

@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "network/network.hpp"
 #include "obs/run_metadata.hpp"
+#include "obs/trace_event.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/config.hpp"
+#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -27,8 +30,7 @@ TimeseriesConfig::fromSim(const SimConfig& cfg)
     TimeseriesConfig tc;
     tc.enabled =
         cfg.contains("timeseries") && cfg.getBool("timeseries");
-    if (cfg.contains("timeseries_out")
-        && !cfg.getStr("timeseries_out").empty())
+    if (cfg.contains("timeseries_out"))
         tc.outPath = cfg.getStr("timeseries_out");
     if (cfg.contains("timeseries_interval"))
         tc.interval = cfg.getInt("timeseries_interval");
@@ -136,6 +138,7 @@ FlightRecorder::FlightRecorder(const Network& net,
     const Router::Counters agg = net.aggregateCounters();
     vaGrantBase_ = agg.vaGrantsByPriority;
     vaFailBase_ = agg.vcAllocFail;
+    sentBase_ = net.linkFabric().totalFlitsSent();
 
     headerCache_ = "{\"schema\":\"footprint.timeseries/1\"";
     if (meta) {
@@ -163,6 +166,24 @@ FlightRecorder::FlightRecorder(const Network& net,
 }
 
 void
+FlightRecorder::attachHeatmap(HeatmapCollector* heatmap)
+{
+    heatmap_ = heatmap && heatmap->enabled() ? heatmap : nullptr;
+    FP_ASSERT(!heatmap_ || heatmap_->config().window == cfg_.interval,
+              "heatmap window " << heatmap_->config().window
+                                << " != recorder interval "
+                                << cfg_.interval);
+}
+
+void
+FlightRecorder::attachChromeTrace(ChromeTraceWriter* writer)
+{
+    chrome_ = writer;
+    if (chrome_)
+        chrome_->processName(2, "network");
+}
+
+void
 FlightRecorder::onCountersReset()
 {
     // Network::resetCounters() zeroed the per-router counters; the
@@ -179,6 +200,11 @@ FlightRecorder::onCountersReset()
 void
 FlightRecorder::closeWindow(std::int64_t end_cycle)
 {
+    if (heatmap_) {
+        heatmap_->sampleThrough(end_cycle - 1);
+        heatmap_->closeWindow(windowStart_, end_cycle);
+    }
+
     WindowRecord w;
     w.index = windowIndex_++;
     w.startCycle = windowStart_;
@@ -202,11 +228,20 @@ FlightRecorder::closeWindow(std::int64_t end_cycle)
     w.flitsInFlight = net_.totalFlitsInFlight();
     int active = 0;
     for (int node = 0; node < nodes_; ++node) {
-        if (net_.router(node).hasPendingWork()
-            || net_.endpoint(node).hasPendingWork())
+        const Router& r = net_.router(node);
+        const Endpoint& e = net_.endpoint(node);
+        if (r.hasPendingWork() || e.hasPendingWork())
             ++active;
+        w.vcOcc += r.inputBufferedFlits();
+        w.fpOcc += r.occupiedOutVcs();
+        w.injBacklog += e.sourceBacklogFlits();
     }
     w.activeNodes = active;
+    const std::uint64_t sent = net_.linkFabric().totalFlitsSent();
+    w.linkUtil = static_cast<double>(sent - sentBase_)
+        / (static_cast<double>(net_.linkFabric().flitCount())
+           * static_cast<double>(end_cycle - windowStart_));
+    sentBase_ = sent;
 
     const Router::Counters agg = net_.aggregateCounters();
     for (int p = 0; p < kNumVaRegimes; ++p) {
@@ -228,6 +263,16 @@ FlightRecorder::closeWindow(std::int64_t end_cycle)
     if (stream_) {
         *stream_ << windowJson(w) << '\n';
         stream_->flush();
+    }
+    if (chrome_) {
+        const std::pair<const char*, double> counters[] = {
+            {"in_flight", static_cast<double>(w.flitsInFlight)},
+            {"vc_occ", static_cast<double>(w.vcOcc)},
+            {"fp_occ", static_cast<double>(w.fpOcc)},
+            {"inj_backlog", static_cast<double>(w.injBacklog)},
+            {"link_util", w.linkUtil}};
+        for (const auto& [name, value] : counters)
+            chrome_->counterEvent(name, 2, w.endCycle, value);
     }
     windows_.push_back(w);
 
@@ -323,7 +368,11 @@ FlightRecorder::windowJson(const WindowRecord& w) const
     out += "}";
     out += ",\"va_fails\":" + std::to_string(w.vaFails)
         + ",\"watchdog_events\":" + std::to_string(w.watchdogEvents)
-        + "}";
+        + ",\"vc_occ\":" + std::to_string(w.vcOcc)
+        + ",\"fp_occ\":" + std::to_string(w.fpOcc)
+        + ",\"inj_backlog\":" + std::to_string(w.injBacklog);
+    std::snprintf(buf, sizeof(buf), ",\"link_util\":%.6g}", w.linkUtil);
+    out += buf;
     return out;
 }
 

@@ -5,11 +5,18 @@
  * offered/accepted throughput, windowed latency percentiles (per-window
  * mergeable HdrHistogram), in-flight flits, active-node count, the
  * per-regime VC-allocation grant counts that make Footprint's
- * Algorithm-1 regime transitions visible over time, and watchdog stall
- * pressure — and appends it as one self-contained JSONL record to a
- * schema-versioned footprint.timeseries/1 stream. Append-per-window
- * with an immediate flush means a multi-hour run can be watched with
- * `tail -f` and a crashed run leaves every closed window intact.
+ * Algorithm-1 regime transitions visible over time, watchdog stall
+ * pressure, and the network-wide occupancy gauges (buffered flits,
+ * footprint lanes, source backlog, link utilization) — and appends it
+ * as one self-contained JSONL record to a schema-versioned
+ * footprint.timeseries/1 stream. Append-per-window with an immediate
+ * flush means a multi-hour run can be watched with `tail -f` and a
+ * crashed run leaves every closed window intact.
+ *
+ * The recorder is the simulator's only window clock: an attached
+ * HeatmapCollector closes its spatial window inside the recorder's
+ * window close, and an attached chrome trace receives each window's
+ * aggregates as counter tracks.
  *
  * On top of the window stream sit two consumers:
  *  - SteadyStateDetector: an online windowed-mean convergence test
@@ -44,9 +51,11 @@
 #include <vector>
 
 #include "obs/hdr_histogram.hpp"
+#include "obs/heatmap.hpp"
 
 namespace footprint {
 
+class ChromeTraceWriter;
 class Network;
 class SimConfig;
 class Watchdog;
@@ -61,10 +70,13 @@ const char* vaRegimeName(int priority);
 /** Flight-recorder parameters (timeseries_* / steady_* config keys). */
 struct TimeseriesConfig
 {
-    /** Stream windows to outPath as footprint.timeseries/1 JSONL. */
+    /**
+     * Stream windows to outPath as footprint.timeseries/1 JSONL; an
+     * empty outPath records the windows in memory only.
+     */
     bool enabled = false;
     std::string outPath = "timeseries.jsonl";
-    /** Cycles per window. */
+    /** Cycles per window (the heatmap's windows too). */
     std::int64_t interval = 1000;
 
     // Steady-state detector (active whenever the recorder runs).
@@ -120,6 +132,16 @@ struct WindowRecord
 
     /** Watchdog detections (stalls + livelock suspects) in window. */
     std::uint64_t watchdogEvents = 0;
+
+    // Network-wide gauges read at window close, like flitsInFlight.
+    /** Flits buffered in router input VCs. */
+    std::int64_t vcOcc = 0;
+    /** Occupied output VCs over all routers (footprint lanes). */
+    std::int64_t fpOcc = 0;
+    /** Flits waiting in endpoint source queues. */
+    std::int64_t injBacklog = 0;
+    /** Flits sent per flit channel per cycle over the window. */
+    double linkUtil = 0.0;
 
     bool operator==(const WindowRecord&) const = default;
 
@@ -193,6 +215,20 @@ class FlightRecorder
         watchdog_ = watchdog;
     }
 
+    /**
+     * Drive @p heatmap from this recorder's window clock: its gauge
+     * samples on every tick, its window close inside every window
+     * close. The collector's window must equal this recorder's
+     * interval. A null or disabled collector detaches.
+     */
+    void attachHeatmap(HeatmapCollector* heatmap);
+
+    /**
+     * Write each closed window's network-wide aggregates onto
+     * @p writer (borrowed; null detaches) as counter tracks.
+     */
+    void attachChromeTrace(ChromeTraceWriter* writer);
+
     /** A packet of @p flits flits entered a source queue. */
     void onOffered(int flits)
     {
@@ -222,13 +258,16 @@ class FlightRecorder
      * boundary closes in order at its exact boundary cycle — skipped
      * spans contribute empty windows (zero offered/accepted, counter
      * deltas of zero, gauges of the frozen state), byte-identical to
-     * ticking through the span cycle by cycle.
+     * ticking through the span cycle by cycle. An attached heatmap
+     * takes the gauge samples due before each boundary first.
      */
     void
     tick(std::int64_t cycle)
     {
         while (cycle + 1 - windowStart_ >= cfg_.interval)
             closeWindow(windowStart_ + cfg_.interval);
+        if (heatmap_)
+            heatmap_->sampleThrough(cycle);
     }
 
     /** First cycle at which tick() would close a window. */
@@ -279,6 +318,8 @@ class FlightRecorder
     const Network& net_;
     TimeseriesConfig cfg_;
     const Watchdog* watchdog_ = nullptr;
+    HeatmapCollector* heatmap_ = nullptr;
+    ChromeTraceWriter* chrome_ = nullptr;
     int nodes_ = 0;
     int width_ = 0;
     int height_ = 0;
@@ -297,6 +338,7 @@ class FlightRecorder
     std::array<std::uint64_t, kNumVaRegimes> vaGrantBase_{};
     std::uint64_t vaFailBase_ = 0;
     std::uint64_t watchdogBase_ = 0;
+    std::uint64_t sentBase_ = 0;
 
     SteadyStateDetector detector_;
     std::vector<WindowRecord> windows_;

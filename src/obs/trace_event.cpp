@@ -105,26 +105,4 @@ ChromeTraceWriter::close()
     os_->flush();
 }
 
-void
-ChromeCounterSink::writeHeader(const std::vector<std::string>& columns)
-{
-    columns_ = columns;
-    forwarded_.clear();
-    forwarded_.reserve(columns.size());
-    for (const std::string& c : columns)
-        forwarded_.push_back(c.rfind("net.", 0) == 0);
-}
-
-void
-ChromeCounterSink::writeRow(std::int64_t cycle,
-                            const std::string& phase,
-                            const std::vector<double>& values)
-{
-    (void)phase;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i < forwarded_.size() && forwarded_[i])
-            writer_->counterEvent(columns_[i], 2, cycle, values[i]);
-    }
-}
-
 } // namespace footprint

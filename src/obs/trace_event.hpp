@@ -12,9 +12,9 @@
  *  - PacketTracer re-emits completed packet lifecycles as "X"
  *    (complete) slices — one per hop, on a per-packet track — so the
  *    journey of a packet through the mesh renders as a flame chart.
- *  - TelemetryHub emits phase transitions as global "i" (instant)
- *    events, and ChromeCounterSink adapts sampled telemetry rows into
- *    "C" (counter) tracks.
+ *  - TrafficManager emits phase transitions as global "i" (instant)
+ *    events, and FlightRecorder writes each closed window's
+ *    network-wide aggregates as "C" (counter) tracks.
  */
 
 #ifndef FOOTPRINT_OBS_TRACE_EVENT_HPP
@@ -25,7 +25,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/run_metadata.hpp"
 #include "obs/sink.hpp"
@@ -85,30 +84,6 @@ class ChromeTraceWriter
     std::uint64_t events_ = 0;
     bool hasMeta_ = false;
     RunMetadata meta_;
-};
-
-/**
- * TimeSeriesSink adapter: forwards every sampled telemetry row into
- * counter tracks of a ChromeTraceWriter (borrowed, not owned). Only
- * network-aggregate channels ("net.*") are forwarded; per-router
- * counter tracks would swamp the timeline.
- */
-class ChromeCounterSink : public TimeSeriesSink
-{
-  public:
-    explicit ChromeCounterSink(ChromeTraceWriter* writer)
-        : writer_(writer)
-    {}
-
-    void writeHeader(const std::vector<std::string>& columns) override;
-    void writeRow(std::int64_t cycle, const std::string& phase,
-                  const std::vector<double>& values) override;
-    void flush() override {}
-
-  private:
-    ChromeTraceWriter* writer_;
-    std::vector<std::string> columns_;
-    std::vector<bool> forwarded_;  ///< per-column "net.*" filter
 };
 
 } // namespace footprint

@@ -193,7 +193,7 @@ class Pipe
     bool empty() const { return size_ == 0; }
     std::size_t inFlightCount() const { return size_; }
 
-    /** Items ever sent (telemetry link-utilisation counter). */
+    /** Items ever sent (link-utilisation counter). */
     std::uint64_t sentCount() const { return *sent_; }
 
     /**

@@ -182,7 +182,7 @@ class Router : public RouterView
     /** Total flits buffered in the router (for drain checks). */
     int totalBufferedFlits() const;
 
-    // Telemetry probes (sampled off the critical path).
+    // Occupancy gauges (read by observers off the critical path).
 
     /** Flits buffered in input VCs only (the "VC occupancy" probe). */
     int inputBufferedFlits() const;
@@ -397,7 +397,7 @@ class Router : public RouterView
         destConvergence_;  ///< input VCs holding flits per destination
     std::vector<int> destWaitTouched_;  ///< dests to clear next cycle
 
-    // Incrementally maintained totals backing the telemetry probes and
+    // Incrementally maintained totals backing the occupancy gauges and
     // hasPendingWork() without walking every VC each cycle.
     int bufferedFlits_ = 0;  ///< flits across all input VCs
     int fifoFlits_ = 0;      ///< flits across all output FIFOs

@@ -33,12 +33,11 @@ constexpr std::array kKnownKeys = {
     "warmup_cycles", "measure_cycles", "drain_cycles", "seed",
     "step_mode", "threads", "shards", "shard_partition",
     "skip_ahead",
-    // Telemetry.
-    "telemetry_out", "telemetry_format", "sample_interval",
-    "telemetry_per_router", "trace_out", "trace_packets",
+    // Packet lifecycle tracer.
+    "trace_out", "trace_packets",
     // Self-profiler / spatial heatmap observatory (DESIGN.md §14).
     "profile", "profile_out", "heatmap", "heatmap_out",
-    "heatmap_window", "heatmap_sample_interval",
+    "heatmap_sample_interval",
     // Flight recorder / steady-state detector / console (DESIGN.md
     // §15).
     "timeseries", "timeseries_out", "timeseries_interval",
@@ -331,11 +330,7 @@ defaultConfig()
     // (bit-identical results; skip_ahead=false forces per-cycle
     // ticking, mainly for equivalence tests and benchmarks).
     cfg.setBool("skip_ahead", true);
-    // Telemetry / observability (see DESIGN.md "Observability").
-    cfg.set("telemetry_out", "");       // empty = no time series
-    cfg.set("telemetry_format", "csv"); // or "jsonl"
-    cfg.setInt("sample_interval", 100); // cycles between samples
-    cfg.setBool("telemetry_per_router", true);
+    // Packet lifecycle tracer (see DESIGN.md "Observability").
     cfg.set("trace_out", "");           // default "trace.jsonl"
     cfg.setInt("trace_packets", 0);     // trace packet ids [1, N]
     // Self-profiler / spatial heatmap observatory (DESIGN.md §14).
@@ -343,12 +338,11 @@ defaultConfig()
     cfg.set("profile_out", "profile.json");
     cfg.setBool("heatmap", false);      // windowed spatial heatmaps
     cfg.set("heatmap_out", "heatmap.json");
-    cfg.setInt("heatmap_window", 1000); // cycles per window
     cfg.setInt("heatmap_sample_interval", 8); // gauge sampling stride
     // Flight recorder / steady-state detector / console (§15).
     cfg.setBool("timeseries", false);   // windowed JSONL stream
-    cfg.set("timeseries_out", "timeseries.jsonl");
-    cfg.setInt("timeseries_interval", 1000); // cycles per window
+    cfg.set("timeseries_out", "timeseries.jsonl"); // "" = in memory
+    cfg.setInt("timeseries_interval", 1000); // window: both artifacts
     cfg.setInt("steady_windows", 8);    // trailing means compared
     cfg.setDouble("steady_tolerance", 0.02); // relative half-width
     cfg.set("warmup", "");              // "auto" = detector-driven

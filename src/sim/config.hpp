@@ -74,7 +74,7 @@ class SimConfig
     /**
      * warn() (through the log sink) about every unrecognized key, with
      * the closest known key suggested when one is plausibly a typo.
-     * A typo'd "telemetry_*" / "audit_*" key silently disabling a
+     * A typo'd "timeseries_*" / "audit_*" key silently disabling a
      * subsystem is exactly the failure mode this catches.
      *
      * @return the number of unknown keys warned about.

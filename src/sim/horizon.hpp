@@ -6,7 +6,7 @@
  * flit or credit is in flight) nothing can change until an external
  * event arrives: the next scheduled packet injection, a driver-side
  * phase boundary (end of warmup / measurement), a periodic observer
- * (auditor, watchdog, telemetry sample), or the run's hard limit. A
+ * (auditor, watchdog), or the run's hard limit. A
  * HorizonTracker folds those candidate cycles into the earliest one,
  * and the stepping loop jumps the clock there in a single skipTo()
  * instead of ticking through the dead span.

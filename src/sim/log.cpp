@@ -15,9 +15,9 @@ std::atomic<bool> quietFlag{false};
  * Guards the process-wide sink pointer and serializes writes through
  * it, so concurrent sweep jobs logging warnings never interleave
  * half-formed lines or race a setLogSink() swap. The global sink is a
- * convenience for single-run tools; parallel runs should prefer
- * per-job sinks (an isolated TelemetryHub per SimJob) and leave the
- * global one alone.
+ * convenience for single-run tools; parallel runs should prefer the
+ * per-job artifact files (isolated output paths per SimJob) and leave
+ * the global one alone.
  */
 std::mutex&
 sinkMutex()

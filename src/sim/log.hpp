@@ -71,7 +71,7 @@ void setQuiet(bool quiet);
 
 /**
  * Redirect warn()/inform() to @p sink instead of std::cerr; pass
- * nullptr to restore std::cerr. Lets tests and telemetry runs capture
+ * nullptr to restore std::cerr. Lets tests and single-run tools capture
  * status output instead of only silencing it. panic()/fatal() always
  * write to std::cerr. The caller keeps @p sink alive until it is
  * replaced or reset.
@@ -79,9 +79,9 @@ void setQuiet(bool quiet);
  * Thread safety: the sink pointer and every write through it are
  * serialized by an internal mutex, so concurrent sweep jobs cannot
  * interleave partial lines or race a sink swap. The pointer is still
- * process-global state — parallel experiment code should prefer
- * per-job sinks (each SimJob's isolated TelemetryHub) and reserve
- * setLogSink for single-run tools and tests.
+ * process-global state — parallel experiment code should prefer the
+ * per-job artifact files (each SimJob's isolated output paths) and
+ * reserve setLogSink for single-run tools and tests.
  */
 void setLogSink(std::ostream* sink);
 

@@ -31,8 +31,9 @@ TraceWriter::append(const TraceEvent& event)
          << event.size << "\n";
 }
 
-TraceReader::TraceReader(const std::string& path)
-    : in_(path), path_(path), lastCycle_(-1), lineNo_(0)
+TraceReader::TraceReader(const std::string& path, int num_nodes)
+    : in_(path), path_(path), numNodes_(num_nodes), lastCycle_(-1),
+      lineNo_(0)
 {
     if (!in_)
         fatal("cannot open trace file for reading: " + path);
@@ -52,9 +53,20 @@ TraceReader::next()
             fatal("malformed trace line " + std::to_string(lineNo_)
                   + " in " + path_);
         }
-        if (ev.cycle < lastCycle_) {
-            fatal("trace not sorted by cycle at line "
-                  + std::to_string(lineNo_) + " in " + path_);
+        const std::string where =
+            " at line " + std::to_string(lineNo_) + " in " + path_;
+        if (ev.cycle < lastCycle_)
+            fatal("trace not sorted by cycle" + where);
+        for (const int node : {ev.src, ev.dest}) {
+            if (numNodes_ > 0 && (node < 0 || node >= numNodes_)) {
+                fatal("trace node id " + std::to_string(node)
+                      + " outside [0, " + std::to_string(numNodes_)
+                      + ")" + where);
+            }
+        }
+        if (ev.size < 1) {
+            fatal("trace packet size " + std::to_string(ev.size)
+                  + " below 1" + where);
         }
         lastCycle_ = ev.cycle;
         return ev;

@@ -5,7 +5,9 @@
  *
  * Format: '#'-prefixed comment lines, then one event per line:
  *   <cycle> <src> <dest> <size>
- * Events must be sorted by cycle (the reader enforces this).
+ * Events must be sorted by cycle and carry packets of at least one
+ * flit; the reader enforces both, and node ids against the network
+ * size when it is given one.
  */
 
 #ifndef FOOTPRINT_TRAFFIC_TRACE_HPP
@@ -53,7 +55,11 @@ class TraceWriter
 class TraceReader
 {
   public:
-    explicit TraceReader(const std::string& path);
+    /**
+     * @param num_nodes network size: src/dest outside [0, num_nodes)
+     *        are fatal. 0 skips the node-range check.
+     */
+    explicit TraceReader(const std::string& path, int num_nodes = 0);
 
     /** @return next event, or nullopt at end of trace. */
     std::optional<TraceEvent> next();
@@ -64,6 +70,7 @@ class TraceReader
   private:
     std::ifstream in_;
     std::string path_;
+    int numNodes_;
     std::int64_t lastCycle_;
     std::uint64_t lineNo_;
 };

@@ -248,26 +248,49 @@ TEST(UnknownKeys, DefaultConfigHasNone)
 TEST(UnknownKeys, DetectsTypodSubsystemKey)
 {
     SimConfig cfg = defaultConfig();
-    cfg.set("telemetr_out", "x.csv");  // typo'd telemetry_out
-    cfg.set("audit_intrval", "500");   // typo'd audit_interval
+    cfg.set("timeseris_out", "x.jsonl");  // typo'd timeseries_out
+    cfg.set("audit_intrval", "500");      // typo'd audit_interval
     const auto unknown = cfg.unknownKeys();
     ASSERT_EQ(unknown.size(), 2u);
     EXPECT_EQ(unknown[0], "audit_intrval");
-    EXPECT_EQ(unknown[1], "telemetr_out");
+    EXPECT_EQ(unknown[1], "timeseris_out");
 }
 
 TEST(UnknownKeys, WarnSuggestsClosestKnownKey)
 {
     SimConfig cfg = defaultConfig();
-    cfg.set("telemetr_out", "x.csv");
+    cfg.set("timeseris_out", "x.jsonl");
     std::ostringstream sink;
     setLogSink(&sink);
     const std::size_t n = cfg.warnUnknownKeys();
     setLogSink(nullptr);
     EXPECT_EQ(n, 1u);
-    EXPECT_NE(sink.str().find("telemetr_out"), std::string::npos);
-    EXPECT_NE(sink.str().find("did you mean 'telemetry_out'"),
+    EXPECT_NE(sink.str().find("timeseris_out"), std::string::npos);
+    EXPECT_NE(sink.str().find("did you mean 'timeseries_out'"),
               std::string::npos);
+}
+
+TEST(UnknownKeys, RemovedSamplerKeysWarn)
+{
+    // The periodic-sampler keys are gone (the flight recorder's
+    // timeseries_* keys replace them): setting one must warn rather
+    // than be silently ignored.
+    for (const char* key :
+         {"telemetry_out", "telemetry_format", "sample_interval",
+          "telemetry_per_router", "heatmap_window"}) {
+        EXPECT_FALSE(SimConfig::isKnownKey(key)) << key;
+        SimConfig cfg = defaultConfig();
+        EXPECT_FALSE(cfg.contains(key)) << key;
+        cfg.set(key, "1");
+        std::ostringstream sink;
+        setLogSink(&sink);
+        EXPECT_EQ(cfg.warnUnknownKeys(), 1u) << key;
+        setLogSink(nullptr);
+        EXPECT_NE(sink.str().find(std::string("unrecognized config key '")
+                                  + key + "'"),
+                  std::string::npos)
+            << key;
+    }
 }
 
 TEST(UnknownKeys, CleanConfigWarnsNothing)
@@ -335,7 +358,6 @@ TEST(UnknownKeys, AcceptsProfilerAndHeatmapKeys)
     cfg.set("profile_out", "p.json");
     cfg.set("heatmap", "true");
     cfg.set("heatmap_out", "h.json");
-    cfg.set("heatmap_window", "500");
     cfg.set("heatmap_sample_interval", "4");
     std::ostringstream sink;
     setLogSink(&sink);
@@ -353,7 +375,6 @@ TEST(DefaultConfig, ProfilerAndHeatmapDefaultOff)
     EXPECT_FALSE(cfg.getBool("heatmap"));
     EXPECT_EQ(cfg.getStr("profile_out"), "profile.json");
     EXPECT_EQ(cfg.getStr("heatmap_out"), "heatmap.json");
-    EXPECT_EQ(cfg.getInt("heatmap_window"), 1000);
     EXPECT_EQ(cfg.getInt("heatmap_sample_interval"), 8);
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the spatial heatmap observatory: config clamping,
- * window tiling, grid geometry, link-utilization delta math on a tiny
- * mesh with a known traffic pattern, and the footprint.heatmap/1
- * document shape.
+ * window tiling on the flight recorder's window clock, grid geometry,
+ * link-utilization delta math on a tiny mesh with a known traffic
+ * pattern, and the footprint.heatmap/1 document shape.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
 
@@ -34,7 +35,7 @@ TEST(HeatmapConfig, FromSimClampsDegenerateValues)
 {
     SimConfig cfg = defaultConfig();
     cfg.setBool("heatmap", true);
-    cfg.setInt("heatmap_window", 0);
+    cfg.setInt("timeseries_interval", 0);
     cfg.setInt("heatmap_sample_interval", -3);
     HeatmapConfig hc = HeatmapConfig::fromSim(cfg);
     EXPECT_TRUE(hc.enabled);
@@ -43,11 +44,24 @@ TEST(HeatmapConfig, FromSimClampsDegenerateValues)
 
     // A sample interval longer than the window degrades to one
     // sample per window, not zero.
-    cfg.setInt("heatmap_window", 10);
+    cfg.setInt("timeseries_interval", 10);
     cfg.setInt("heatmap_sample_interval", 50);
     hc = HeatmapConfig::fromSim(cfg);
     EXPECT_EQ(hc.window, 10);
     EXPECT_EQ(hc.sampleInterval, 10);
+}
+
+/** A stream-less recorder whose window clock drives @p col. */
+FlightRecorder
+recorderFor(const Network& net, HeatmapCollector& col)
+{
+    TimeseriesConfig tc;
+    tc.enabled = true;
+    tc.outPath = "";
+    tc.interval = col.config().window;
+    FlightRecorder rec(net, tc, nullptr);
+    rec.attachHeatmap(&col);
+    return rec;
 }
 
 TEST(HeatmapCollector, DisabledCollectorRecordsNothing)
@@ -57,11 +71,12 @@ TEST(HeatmapCollector, DisabledCollectorRecordsNothing)
     HeatmapConfig hc;  // enabled = false
     HeatmapCollector col(net, hc);
     EXPECT_FALSE(col.enabled());
+    FlightRecorder rec = recorderFor(net, col);
     for (std::int64_t cycle = 0; cycle < 50; ++cycle) {
         net.step(cycle);
-        col.tick(cycle);
+        rec.tick(cycle);
     }
-    col.finish(50);
+    rec.finish(50);
     EXPECT_TRUE(col.windows().empty());
 }
 
@@ -70,6 +85,7 @@ void
 driveUniform(Network& net, HeatmapCollector& col, std::int64_t cycles,
              double load)
 {
+    FlightRecorder rec = recorderFor(net, col);
     const int nodes = net.mesh().numNodes();
     Rng gen(17);
     std::uint64_t id = 0;
@@ -88,11 +104,11 @@ driveUniform(Network& net, HeatmapCollector& col, std::int64_t cycles,
             }
         }
         net.step(cycle);
-        col.tick(cycle);
+        rec.tick(cycle);
         for (int n = 0; n < nodes; ++n)
             net.endpoint(n).drainEjected();
     }
-    col.finish(cycles);
+    rec.finish(cycles);
 }
 
 TEST(HeatmapCollector, WindowsTileTheRunAndCountSamples)
@@ -102,7 +118,7 @@ TEST(HeatmapCollector, WindowsTileTheRunAndCountSamples)
     HeatmapConfig hc;
     hc.enabled = true;
     hc.window = 100;
-    hc.sampleInterval = 4;
+    hc.sampleInterval = 3;
     HeatmapCollector col(net, hc);
     driveUniform(net, col, 250, 0.05);
 
@@ -115,11 +131,12 @@ TEST(HeatmapCollector, WindowsTileTheRunAndCountSamples)
     EXPECT_EQ(w[1].endCycle, 200);
     EXPECT_EQ(w[2].startCycle, 200);
     EXPECT_EQ(w[2].endCycle, 250);
-    // Samples at offsets 0, 4, ..., 96 -> 25 per full window; the
-    // 50-cycle tail samples offsets 0, 4, ..., 48 -> 13.
-    EXPECT_EQ(w[0].samples, 25);
-    EXPECT_EQ(w[1].samples, 25);
-    EXPECT_EQ(w[2].samples, 13);
+    // Samples at offsets 0, 3, ..., 99 -> 34 per full window (the
+    // last one on the window's closing cycle, taken before the
+    // close); the 50-cycle tail samples offsets 0, 3, ..., 48 -> 17.
+    EXPECT_EQ(w[0].samples, 34);
+    EXPECT_EQ(w[1].samples, 34);
+    EXPECT_EQ(w[2].samples, 17);
 
     const auto nodes =
         static_cast<std::size_t>(net.mesh().numNodes());
@@ -162,6 +179,7 @@ TEST(HeatmapCollector, EastboundPacketLandsOnEastLinkGrid)
     hc.window = 60;
     hc.sampleInterval = 1;
     HeatmapCollector col(net, hc);
+    FlightRecorder rec = recorderFor(net, col);
 
     Packet p;
     p.id = 1;
@@ -173,10 +191,10 @@ TEST(HeatmapCollector, EastboundPacketLandsOnEastLinkGrid)
     std::uint64_t drained = 0;
     for (std::int64_t cycle = 0; cycle < 60; ++cycle) {
         net.step(cycle);
-        col.tick(cycle);
+        rec.tick(cycle);
         drained += net.endpoint(1).drainEjected().size();
     }
-    col.finish(60);
+    rec.finish(60);
     ASSERT_EQ(drained, 1u);
 
     ASSERT_EQ(col.windows().size(), 1u);

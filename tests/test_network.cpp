@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 
 #include "network/network.hpp"
 #include "sim/config.hpp"
@@ -218,6 +220,25 @@ TEST(Network, TooFewVcsForDuatoIsFatal)
     SimConfig cfg = smallConfig("footprint");
     cfg.setInt("num_vcs", 1);
     EXPECT_EXIT(Network{cfg}, testing::ExitedWithCode(1), "more VCs");
+}
+
+TEST(Network, OutOfRangeRouterParametersAreFatal)
+{
+    // User input the router and link fabric would otherwise trip an
+    // internal assert on: each must end in fatal(), not a panic.
+    const std::pair<const char*, int> bad[] = {
+        {"num_vcs", 65},
+        {"vc_buf_size", 0},
+        {"output_fifo_size", 0},
+        {"internal_speedup", 0},
+        {"ejection_rate", 0}};
+    for (const auto& [key, value] : bad) {
+        SimConfig cfg = defaultConfig();
+        cfg.setInt(key, value);
+        EXPECT_EXIT(Network{cfg}, testing::ExitedWithCode(1),
+                    std::string("fatal: ") + key)
+            << key << "=" << value;
+    }
 }
 
 TEST(Network, RoutersSeeNeighborStatus)

@@ -20,6 +20,7 @@
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
+#include "obs/timeseries.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
 #include "sim/horizon.hpp"
@@ -60,8 +61,16 @@ runSignature(const std::string& routing, double load,
     hm_cfg.window = 100;
     hm_cfg.sampleInterval = 4;
     std::unique_ptr<HeatmapCollector> hm;
-    if (heatmap)
+    std::unique_ptr<FlightRecorder> rec;  ///< the heatmap's window clock
+    if (heatmap) {
         hm = std::make_unique<HeatmapCollector>(net, hm_cfg);
+        TimeseriesConfig tc;
+        tc.enabled = true;
+        tc.outPath = "";
+        tc.interval = hm_cfg.window;
+        rec = std::make_unique<FlightRecorder>(net, tc, nullptr);
+        rec->attachHeatmap(hm.get());
+    }
 
     Rng gen(99);
     std::unique_ptr<InjectionSchedule> sched;
@@ -92,8 +101,8 @@ runSignature(const std::string& routing, double load,
             }
         }
         net.step(cycle);
-        if (hm)
-            hm->tick(cycle);
+        if (rec)
+            rec->tick(cycle);
         for (int n = 0; n < nodes; ++n) {
             for (const EjectedPacket& p :
                  net.endpoint(n).drainEjected()) {
@@ -109,8 +118,8 @@ runSignature(const std::string& routing, double load,
                 hz.clamp(sched->nextFireCycle());
             if (hz.skips()) {
                 net.skipTo(hz.cycle());
-                if (hm)
-                    hm->tick(hz.cycle() - 1);
+                if (rec)
+                    rec->tick(hz.cycle() - 1);
                 cycle = hz.cycle() - 1;
             }
         }

@@ -7,8 +7,8 @@
  * event), injection landing exactly on the horizon, jump-aware window
  * closing in the flight recorder (empty windows, exact boundaries,
  * byte-identical stream records), and full TrafficManager runs —
- * serial and sharded — whose statistics and timeseries bytes must not
- * depend on skip_ahead.
+ * serial and sharded — whose statistics, timeseries bytes and
+ * recorder-clocked heatmap documents must not depend on skip_ahead.
  */
 
 #include <gtest/gtest.h>
@@ -20,10 +20,13 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "heatmap_doc.hpp"
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
+#include "obs/heatmap.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/horizon.hpp"
@@ -303,13 +306,23 @@ TEST(SkipAhead, JumpedWindowRecordsAreByteIdenticalToPerCycleOnes)
 {
     // Same network, same (absent) traffic: one recorder ticked every
     // cycle, one ticked once at the end of the span. The serialized
-    // window records must match byte for byte.
+    // window records must match byte for byte, and so must the
+    // heatmaps they clock: the jump replays every gauge sample due
+    // before each boundary it crosses.
     SimConfig cfg = defaultConfig();
     cfg.setInt("mesh_width", 2);
     cfg.setInt("mesh_height", 2);
     Network net(cfg);
+    HeatmapConfig hc;
+    hc.enabled = true;
+    hc.window = 50;
+    hc.sampleInterval = 7;
+    HeatmapCollector per_cycle_hm(net, hc);
+    HeatmapCollector jumped_hm(net, hc);
     auto per_cycle = makeRecorder(net);
     auto jumped = makeRecorder(net);
+    per_cycle->attachHeatmap(&per_cycle_hm);
+    jumped->attachHeatmap(&jumped_hm);
 
     for (std::int64_t c = 0; c <= 374; ++c)
         per_cycle->tick(c);
@@ -321,6 +334,9 @@ TEST(SkipAhead, JumpedWindowRecordsAreByteIdenticalToPerCycleOnes)
         EXPECT_EQ(per_cycle->windowJson(per_cycle->windows()[i]),
                   jumped->windowJson(jumped->windows()[i]));
     }
+    ASSERT_EQ(jumped_hm.windows().size(), 7u);
+    EXPECT_EQ(jumped_hm.windows()[0].samples, 8);  // offsets 0..49
+    EXPECT_EQ(per_cycle_hm.toJson(nullptr), jumped_hm.toJson(nullptr));
 }
 
 /** Read a whole file; empty string when it cannot be opened. */
@@ -370,19 +386,23 @@ TEST(SkipAhead, TrafficManagerRunIsInvariantUnderSkipAndTimeseries)
 {
     // Full end-to-end invariance at the driver level: the measured
     // statistics AND the streamed timeseries bytes (window boundaries
-    // fall inside jumped spans at this load) must be identical with
-    // skip-ahead on and off; the skip run must actually skip.
-    SimConfig off = lowLoadRunConfig("activity", false);
-    off.setBool("timeseries", true);
-    off.setInt("timeseries_interval", 300);
-    off.set("timeseries_out", "skip_ts_off.jsonl");
-    const RunStats s_off = runExperiment(off);
-
-    SimConfig on = lowLoadRunConfig("activity", true);
-    on.setBool("timeseries", true);
-    on.setInt("timeseries_interval", 300);
-    on.set("timeseries_out", "skip_ts_on.jsonl");
-    const RunStats s_on = runExperiment(on);
+    // fall inside jumped spans at this load) AND the heatmap document
+    // closed on those windows (its gauge samples replayed inside the
+    // jumps) must be identical with skip-ahead on and off; the skip
+    // run must actually skip.
+    auto run = [](bool skip, const char* ts_path, const char* hm_path) {
+        SimConfig cfg = lowLoadRunConfig("activity", skip);
+        cfg.setBool("timeseries", true);
+        cfg.setInt("timeseries_interval", 300);
+        cfg.set("timeseries_out", ts_path);
+        cfg.setBool("heatmap", true);
+        cfg.setInt("heatmap_sample_interval", 7);
+        cfg.set("heatmap_out", hm_path);
+        return runExperiment(cfg);
+    };
+    const RunStats s_off =
+        run(false, "skip_ts_off.jsonl", "skip_hm_off.json");
+    const RunStats s_on = run(true, "skip_ts_on.jsonl", "skip_hm_on.json");
 
     EXPECT_EQ(s_off.cyclesSkipped, 0);
     EXPECT_GT(s_on.cyclesSkipped, 0);
@@ -400,6 +420,19 @@ TEST(SkipAhead, TrafficManagerRunIsInvariantUnderSkipAndTimeseries)
     EXPECT_EQ(records(bytes_off), records(bytes_on));
     std::remove("skip_ts_off.jsonl");
     std::remove("skip_ts_on.jsonl");
+
+    const std::string hm_off = slurp("skip_hm_off.json");
+    const std::string hm_on = slurp("skip_hm_on.json");
+    ASSERT_FALSE(hm_off.empty());
+    EXPECT_EQ(heatmapWithoutMeta(hm_off), heatmapWithoutMeta(hm_on));
+    // The heatmap's windows are the recorder's windows.
+    std::vector<std::pair<std::int64_t, std::int64_t>> recorder;
+    for (const WindowRecord& w : s_on.windows)
+        recorder.emplace_back(w.startCycle, w.endCycle);
+    EXPECT_EQ(heatmapWindowBounds(hm_on), recorder);
+    EXPECT_EQ(heatmapWindowBounds(hm_off), recorder);
+    std::remove("skip_hm_off.json");
+    std::remove("skip_hm_on.json");
 }
 
 TEST(SkipAhead, ShardedSkipMatchesFullPerCycleStepping)

@@ -93,23 +93,32 @@ TEST(SweepExpand, ExpansionIsReproducible)
 TEST(SweepExpand, IsolatesPerJobArtifactPaths)
 {
     SweepSpec spec = tinySpec();
-    spec.base.set("telemetry_out", "ts.csv");
+    spec.base.setBool("profile", true);
+    spec.base.setBool("heatmap", true);
     spec.base.setInt("trace_packets", 5);
     spec.base.setBool("dump_on_abort", true);
+    // An empty timeseries_out means in-memory windows: it stays empty.
+    spec.base.setBool("timeseries", true);
+    spec.base.set("timeseries_out", "");
     const std::vector<SimJob> jobs = SweepRunner::expand(spec);
-    std::set<std::string> telemetry;
+    std::set<std::string> profiles;
+    std::set<std::string> heatmaps;
     std::set<std::string> traces;
     std::set<std::string> dumps;
     for (const SimJob& job : jobs) {
-        telemetry.insert(job.cfg.getStr("telemetry_out"));
+        profiles.insert(job.cfg.getStr("profile_out"));
+        heatmaps.insert(job.cfg.getStr("heatmap_out"));
         traces.insert(job.cfg.getStr("trace_out"));
         dumps.insert(job.cfg.getStr("dump_path"));
+        EXPECT_EQ(job.cfg.getStr("timeseries_out"), "");
     }
     // Every job writes its own files — no clobbering across threads.
-    EXPECT_EQ(telemetry.size(), jobs.size());
+    EXPECT_EQ(profiles.size(), jobs.size());
+    EXPECT_EQ(heatmaps.size(), jobs.size());
     EXPECT_EQ(traces.size(), jobs.size());
     EXPECT_EQ(dumps.size(), jobs.size());
-    EXPECT_EQ(jobs[3].cfg.getStr("telemetry_out"), "ts.job3.csv");
+    EXPECT_EQ(jobs[3].cfg.getStr("profile_out"), "profile.job3.json");
+    EXPECT_EQ(jobs[3].cfg.getStr("heatmap_out"), "heatmap.job3.json");
     EXPECT_EQ(jobs[3].cfg.getStr("trace_out"), "trace.job3.jsonl");
 }
 

@@ -1,11 +1,9 @@
 /**
  * @file
- * Tests for the telemetry subsystem: sink formatting (golden CSV and
- * JSONL strings), channel-kind semantics (Gauge/Counter/Rate,
- * counter-reset handling), TelemetryHub sampling cadence and phase
- * accounting, the packet lifecycle tracer's JSONL records, and the
- * end-to-end TrafficManager integration through the telemetry_*
- * config keys.
+ * Tests for the shared JSON formatting helpers, the packet lifecycle
+ * tracer's JSONL records, and the end-to-end TrafficManager
+ * integration: the config-driven packet trace and the flight
+ * recorder's in-memory windows.
  */
 
 #include <gtest/gtest.h>
@@ -13,15 +11,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "expect_panic.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/packet_tracer.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/sink.hpp"
 #include "router/packet_pool.hpp"
 #include "sim/config.hpp"
 #include "sim/log.hpp"
@@ -47,221 +42,6 @@ TEST(Sink, FormatTelemetryValue)
     EXPECT_EQ(formatTelemetryValue(-3.0), "-3");
     EXPECT_EQ(formatTelemetryValue(0.5), "0.5");
     EXPECT_EQ(formatTelemetryValue(0.123456789), "0.123457");
-}
-
-TEST(Sink, CsvGolden)
-{
-    std::ostringstream out;
-    CsvSink sink(out);
-    sink.writeHeader({"a.gauge", "b.rate"});
-    sink.writeRow(0, "warmup", {3.0, 0.0});
-    sink.writeRow(100, "measure", {1.5, 0.25});
-    sink.flush();
-    EXPECT_EQ(out.str(),
-              "cycle,phase,a.gauge,b.rate\n"
-              "0,warmup,3,0\n"
-              "100,measure,1.5,0.25\n");
-}
-
-TEST(Sink, JsonlGolden)
-{
-    std::ostringstream out;
-    JsonlSink sink(out);
-    sink.writeHeader({"a.gauge", "b.rate"});
-    sink.writeRow(0, "warmup", {3.0, 0.0});
-    sink.writeRow(100, "measure", {1.5, 0.25});
-    sink.flush();
-    EXPECT_EQ(out.str(),
-              "{\"cycle\":0,\"phase\":\"warmup\","
-              "\"metrics\":{\"a.gauge\":3,\"b.rate\":0}}\n"
-              "{\"cycle\":100,\"phase\":\"measure\","
-              "\"metrics\":{\"a.gauge\":1.5,\"b.rate\":0.25}}\n");
-}
-
-// -------------------------------------------------------------- sampler
-
-TEST(Sampler, GaugeEmitsInstantaneousValue)
-{
-    double v = 7.0;
-    Sampler s;
-    s.setKeepInMemory(true);
-    s.addChannel("g", ChannelKind::Gauge, [&] { return v; });
-    s.sample(0, "p");
-    v = 3.0;
-    s.sample(10, "p");
-    const auto& series = s.series("g");
-    ASSERT_EQ(series.size(), 2u);
-    EXPECT_DOUBLE_EQ(series[0].value, 7.0);
-    EXPECT_DOUBLE_EQ(series[1].value, 3.0);
-    EXPECT_EQ(series[1].cycle, 10);
-}
-
-TEST(Sampler, CounterEmitsDeltaAndHandlesReset)
-{
-    double raw = 5.0;
-    Sampler s;
-    s.setKeepInMemory(true);
-    s.addChannel("c", ChannelKind::Counter, [&] { return raw; });
-    s.sample(0, "p");   // first sample: no previous -> raw
-    raw = 12.0;
-    s.sample(10, "p");  // delta 7
-    raw = 2.0;          // counter reset (measurement-window reset)
-    s.sample(20, "p");  // raw is the whole delta
-    const auto& series = s.series("c");
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_DOUBLE_EQ(series[0].value, 5.0);
-    EXPECT_DOUBLE_EQ(series[1].value, 7.0);
-    EXPECT_DOUBLE_EQ(series[2].value, 2.0);
-}
-
-TEST(Sampler, RateDividesDeltaByElapsedCycles)
-{
-    double raw = 0.0;
-    Sampler s;
-    s.setKeepInMemory(true);
-    s.addChannel("r", ChannelKind::Rate, [&] { return raw; });
-    s.sample(0, "p");   // first sample: no elapsed window -> 0
-    raw = 50.0;
-    s.sample(100, "p"); // 50 events / 100 cycles
-    raw = 50.0;
-    s.sample(200, "p"); // idle window
-    const auto& series = s.series("r");
-    ASSERT_EQ(series.size(), 3u);
-    EXPECT_DOUBLE_EQ(series[0].value, 0.0);
-    EXPECT_DOUBLE_EQ(series[1].value, 0.5);
-    EXPECT_DOUBLE_EQ(series[2].value, 0.0);
-}
-
-TEST(SamplerDeath, RejectsDuplicateChannel)
-{
-    Sampler s;
-    s.addChannel("dup", ChannelKind::Gauge, [] { return 0.0; });
-    EXPECT_PANIC(
-        s.addChannel("dup", ChannelKind::Gauge, [] { return 0.0; }),
-        "duplicate telemetry channel");
-}
-
-TEST(SamplerDeath, RejectsChannelAfterFirstSample)
-{
-    Sampler s;
-    s.addChannel("a", ChannelKind::Gauge, [] { return 0.0; });
-    s.sample(0, "p");
-    EXPECT_PANIC(
-        s.addChannel("late", ChannelKind::Gauge, [] { return 0.0; }),
-        "registered after sampling started");
-}
-
-// ------------------------------------------------------------------ hub
-
-TEST(TelemetryHub, DefaultConstructedIsDisabled)
-{
-    TelemetryHub hub;
-    EXPECT_FALSE(hub.enabled());
-    EXPECT_FALSE(hub.samplingEnabled());
-    EXPECT_EQ(hub.tracer(), nullptr);
-    hub.tick(0);  // must be a no-op, not a crash
-    hub.finish(0);
-    EXPECT_EQ(hub.sampler().samplesTaken(), 0u);
-}
-
-TEST(TelemetryHub, SamplingCadenceFollowsInterval)
-{
-    TelemetryConfig tc;
-    tc.keepInMemory = true;
-    tc.sampleInterval = 100;
-    TelemetryHub hub(tc);
-    hub.addChannel("g", ChannelKind::Gauge, [] { return 1.0; });
-    hub.beginPhase("measure", 0);
-    for (std::int64_t cycle = 0; cycle < 1000; ++cycle)
-        hub.tick(cycle);
-    // Samples at 0, 100, ..., 900.
-    EXPECT_EQ(hub.sampler().samplesTaken(), 10u);
-    EXPECT_EQ(hub.sampler().lastSampleCycle(), 900);
-    // finish() takes a final off-interval sample...
-    hub.finish(999);
-    EXPECT_EQ(hub.sampler().samplesTaken(), 11u);
-    EXPECT_EQ(hub.sampler().lastSampleCycle(), 999);
-    // ...but not a duplicate when the last cycle was already sampled.
-    hub.finish(999);
-    EXPECT_EQ(hub.sampler().samplesTaken(), 11u);
-}
-
-TEST(TelemetryHub, PhaseTagAndMeanInPhase)
-{
-    double v = 10.0;
-    TelemetryConfig tc;
-    tc.keepInMemory = true;
-    tc.sampleInterval = 10;
-    TelemetryHub hub(tc);
-    hub.addChannel("g", ChannelKind::Gauge, [&] { return v; });
-    hub.beginPhase("warmup", 0);
-    for (std::int64_t cycle = 0; cycle < 30; ++cycle)
-        hub.tick(cycle);  // samples 0, 10, 20 at v=10
-    hub.beginPhase("measure", 30);
-    v = 20.0;
-    for (std::int64_t cycle = 30; cycle < 60; ++cycle)
-        hub.tick(cycle);  // samples 30, 40, 50 at v=20
-    hub.beginPhase("drain", 60);
-    v = 2.0;
-    hub.tick(60);
-    hub.finish(60);
-    EXPECT_DOUBLE_EQ(hub.meanInPhase("g", "warmup"), 10.0);
-    EXPECT_DOUBLE_EQ(hub.meanInPhase("g", "measure"), 20.0);
-    EXPECT_DOUBLE_EQ(hub.meanInPhase("g", "drain"), 2.0);
-    EXPECT_DOUBLE_EQ(hub.meanInPhase("g", "nonexistent"), 0.0);
-    EXPECT_DOUBLE_EQ(hub.meanInPhase("nope", "measure"), 0.0);
-    ASSERT_EQ(hub.phaseMarks().size(), 3u);
-    EXPECT_EQ(hub.phaseMarks()[1].name, "measure");
-    EXPECT_EQ(hub.phaseMarks()[1].cycle, 30);
-}
-
-TEST(TelemetryHub, CsvRoundTripThroughSink)
-{
-    auto out = std::make_unique<std::ostringstream>();
-    std::ostringstream& ref = *out;
-    double v = 1.0;
-    TelemetryConfig tc;
-    tc.sampleInterval = 5;
-    tc.keepInMemory = true;
-    TelemetryHub hub(tc);
-    hub.addChannel("x", ChannelKind::Gauge, [&] { return v; });
-    hub.addChannel("y", ChannelKind::Counter, [&] { return 2 * v; });
-    hub.addSink(std::make_unique<CsvSink>(ref));
-    hub.beginPhase("measure", 0);
-    hub.tick(0);
-    v = 4.0;
-    hub.tick(5);
-    hub.finish(5);
-    EXPECT_EQ(ref.str(),
-              "cycle,phase,x,y\n"
-              "0,measure,1,2\n"
-              "5,measure,4,6\n");
-    // The same samples are retained for programmatic access.
-    ASSERT_EQ(hub.series("x").size(), 2u);
-    EXPECT_DOUBLE_EQ(hub.series("x")[1].value, 4.0);
-}
-
-TEST(TelemetryHub, ConfigFromSimReadsKeys)
-{
-    SimConfig cfg = defaultConfig();
-    cfg.set("telemetry_out", "ts.csv");
-    cfg.set("telemetry_format", "jsonl");
-    cfg.setInt("sample_interval", 25);
-    cfg.setBool("telemetry_per_router", false);
-    cfg.set("trace_out", "t.jsonl");
-    cfg.setInt("trace_packets", 64);
-    const TelemetryConfig tc = TelemetryHub::configFromSim(cfg);
-    EXPECT_EQ(tc.timeSeriesPath, "ts.csv");
-    EXPECT_EQ(tc.format, "jsonl");
-    EXPECT_EQ(tc.sampleInterval, 25);
-    EXPECT_FALSE(tc.perRouter);
-    EXPECT_EQ(tc.tracePath, "t.jsonl");
-    EXPECT_EQ(tc.tracePackets, 64u);
-    EXPECT_TRUE(tc.anyEnabled());
-    // The defaults describe a fully disabled hub.
-    const TelemetryConfig off =
-        TelemetryHub::configFromSim(defaultConfig());
-    EXPECT_FALSE(off.anyEnabled());
 }
 
 // --------------------------------------------------------------- tracer
@@ -352,12 +132,11 @@ TEST(PacketTracer, UntracedEjectIsIgnored)
 
 // ---------------------------------------------- TrafficManager wiring
 
-TEST(TelemetryIntegration, ConfigDrivenCsvAndTrace)
+TEST(TelemetryIntegration, ConfigDrivenTrace)
 {
     namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path();
-    const fs::path csv = dir / "fp_test_telemetry.csv";
-    const fs::path trace = dir / "fp_test_trace.jsonl";
+    const fs::path trace =
+        fs::temp_directory_path() / "fp_test_trace.jsonl";
 
     SimConfig cfg = defaultConfig();
     cfg.setInt("mesh_width", 4);
@@ -367,8 +146,6 @@ TEST(TelemetryIntegration, ConfigDrivenCsvAndTrace)
     cfg.setInt("warmup_cycles", 200);
     cfg.setInt("measure_cycles", 400);
     cfg.setInt("drain_cycles", 2000);
-    cfg.set("telemetry_out", csv.string());
-    cfg.setInt("sample_interval", 50);
     cfg.set("trace_out", trace.string());
     cfg.setInt("trace_packets", 20);
 
@@ -376,44 +153,8 @@ TEST(TelemetryIntegration, ConfigDrivenCsvAndTrace)
     const RunStats stats = runExperiment(cfg);
     EXPECT_TRUE(stats.drained);
 
-    // CSV: a run-metadata comment precedes the header, which carries
-    // aggregate + per-router channels; the phase column walks
-    // warmup -> measure -> drain.
-    std::ifstream in(csv);
-    ASSERT_TRUE(in.is_open());
-    std::string meta_line;
-    ASSERT_TRUE(std::getline(in, meta_line));
-    EXPECT_EQ(meta_line.rfind("# footprint.telemetry/1 ", 0), 0u);
-    EXPECT_NE(meta_line.find("seed="), std::string::npos);
-    EXPECT_NE(meta_line.find("config_hash="), std::string::npos);
-    std::string header;
-    ASSERT_TRUE(std::getline(in, header));
-    EXPECT_EQ(header.rfind("cycle,phase,", 0), 0u);
-    EXPECT_NE(header.find("net.vc_occ"), std::string::npos);
-    EXPECT_NE(header.find("net.link_util"), std::string::npos);
-    EXPECT_NE(header.find("r0.vc_occ"), std::string::npos);
-    EXPECT_NE(header.find("r15.credits"), std::string::npos);
-    EXPECT_NE(header.find("ep0.inj_q"), std::string::npos);
-    bool sawWarmup = false;
-    bool sawMeasure = false;
-    bool sawDrain = false;
-    std::size_t rows = 0;
-    for (std::string line; std::getline(in, line); ++rows) {
-        sawWarmup = sawWarmup
-            || line.find(",warmup,") != std::string::npos;
-        sawMeasure = sawMeasure
-            || line.find(",measure,") != std::string::npos;
-        sawDrain = sawDrain
-            || line.find(",drain,") != std::string::npos;
-    }
-    EXPECT_GE(rows, 12u);  // 600+ cycles at interval 50
-    EXPECT_TRUE(sawWarmup);
-    EXPECT_TRUE(sawMeasure);
-    EXPECT_TRUE(sawDrain);
-    in.close();
-
-    // Trace: a metadata record first, then one packet record per
-    // traced packet with per-hop stalls.
+    // A metadata record first, then one packet record per traced
+    // packet with per-hop stalls.
     std::ifstream tin(trace);
     ASSERT_TRUE(tin.is_open());
     std::string tmeta;
@@ -433,12 +174,13 @@ TEST(TelemetryIntegration, ConfigDrivenCsvAndTrace)
     EXPECT_TRUE(sawStall);
     tin.close();
 
-    fs::remove(csv);
     fs::remove(trace);
 }
 
-TEST(TelemetryIntegration, AttachedInMemoryHubSeesPhases)
+TEST(TelemetryIntegration, InMemoryWindowsSeeTraffic)
 {
+    // An explicitly empty timeseries_out keeps the recorder's windows
+    // in RunStats without writing a stream.
     SimConfig cfg = defaultConfig();
     cfg.setInt("mesh_width", 4);
     cfg.setInt("mesh_height", 4);
@@ -446,34 +188,30 @@ TEST(TelemetryIntegration, AttachedInMemoryHubSeesPhases)
     cfg.setInt("warmup_cycles", 200);
     cfg.setInt("measure_cycles", 400);
     cfg.setInt("drain_cycles", 2000);
-
-    TelemetryConfig tc;
-    tc.keepInMemory = true;
-    tc.sampleInterval = 50;
-    tc.perRouter = false;
-    TelemetryHub hub(tc);
+    cfg.setBool("timeseries", true);
+    cfg.set("timeseries_out", "");
+    cfg.setInt("timeseries_interval", 50);
 
     setQuiet(true);
-    TrafficManager tm(cfg);
-    tm.attachTelemetry(&hub);
-    const RunStats stats = tm.run();
+    const RunStats stats = runExperiment(cfg);
     EXPECT_TRUE(stats.drained);
+    EXPECT_TRUE(stats.timeseriesPath.empty());
+    ASSERT_GE(stats.windows.size(), 12u);  // 600+ cycles at 50
 
-    ASSERT_GE(hub.phaseMarks().size(), 3u);
-    EXPECT_EQ(hub.phaseMarks()[0].name, "warmup");
-    EXPECT_EQ(hub.phaseMarks()[1].name, "measure");
-    EXPECT_EQ(hub.phaseMarks()[1].cycle, 200);
-    EXPECT_EQ(hub.phaseMarks()[2].name, "drain");
-    EXPECT_EQ(hub.phaseMarks()[2].cycle, 600);
-
-    // Traffic flowed during measurement, so the network held flits and
-    // moved them across links.
-    EXPECT_GT(hub.meanInPhase("net.vc_occ", "measure"), 0.0);
-    EXPECT_GT(hub.meanInPhase("net.link_util", "measure"), 0.0);
-    // Utilisation is a fraction of link-cycles.
-    EXPECT_LE(hub.meanInPhase("net.link_util", "measure"), 1.0);
-    // Per-router channels were not registered in aggregate mode.
-    EXPECT_TRUE(hub.series("r0.vc_occ").empty());
+    // Traffic flowed during measurement, so the network held flits
+    // and moved them across links; utilisation is a fraction of
+    // link-cycles.
+    double fp_occ = 0.0;
+    double link_util = 0.0;
+    for (const WindowRecord& w : stats.windows) {
+        if (w.startCycle < 200 || w.endCycle > 600)
+            continue;
+        fp_occ += static_cast<double>(w.fpOcc);
+        link_util += w.linkUtil;
+        EXPECT_LE(w.linkUtil, 1.0);
+    }
+    EXPECT_GT(fp_occ, 0.0);
+    EXPECT_GT(link_util, 0.0);
 }
 
 } // namespace

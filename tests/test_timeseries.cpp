@@ -4,19 +4,25 @@
  * parsing and clamping, per-window latency-histogram mergeability,
  * steady-state detector convergence, window math against a driven
  * network, JSONL record shape, warmup=auto, measured-before-steady
- * flagging, saturation-onset extraction, and bit-identical window
- * records across the full / activity / sharded step modes.
+ * flagging, saturation-onset extraction, the network-wide occupancy
+ * gauges read at window close, and bit-identical window records (and
+ * recorder-clocked heatmap documents) across the full / activity /
+ * sharded step modes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "heatmap_doc.hpp"
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/hdr_histogram.hpp"
@@ -318,10 +324,77 @@ TEST(FlightRecorder, WindowJsonHasSchemaFieldsAndHeaderHasSchema)
           "\"active_nodes\"", "\"va_grants\"", "\"va_fails\"",
           "\"watchdog_events\"", "\"escape\"", "\"busy\"",
           "\"footprint\"", "\"idle\"", "\"reclaim\"", "\"p99\"",
-          "\"p999\""}) {
+          "\"p999\"", "\"vc_occ\"", "\"fp_occ\"", "\"inj_backlog\"",
+          "\"link_util\""}) {
         EXPECT_NE(line.find(field), std::string::npos)
             << "window record is missing " << field;
     }
+}
+
+TEST(FlightRecorder, OccupancyGaugesMatchNetworkAtWindowClose)
+{
+    // The four network-wide gauges are read at window close: compare
+    // each closed window against direct Network reads taken right
+    // after the tick that closed it. 0.3 packets of 1-3 flits per
+    // node-cycle saturates the 8x8 mesh, so every gauge sees traffic.
+    SimConfig cfg = defaultConfig();
+    Network net(cfg);
+    FlightRecorder rec(net, recorderConfig(100), nullptr);
+    const int nodes = net.mesh().numNodes();
+    const double flit_channels =
+        static_cast<double>(net.linkFabric().flitCount());
+    Rng gen(41);
+    std::uint64_t id = 0;
+    std::uint64_t sent_base = net.totalFlitsSent();
+    std::int64_t backlog_seen = 0;
+    std::int64_t fp_seen = 0;
+    for (std::int64_t cycle = 0; cycle < 500; ++cycle) {
+        for (int n = 0; n < nodes; ++n) {
+            if (gen.nextBool(0.3)) {
+                Packet p;
+                p.id = ++id;
+                p.src = n;
+                p.dest = static_cast<int>(gen.nextBounded(nodes));
+                if (p.dest == n)
+                    continue;
+                p.size = 1 + static_cast<int>(gen.nextBounded(3));
+                p.createTime = cycle;
+                net.endpoint(n).enqueue(p);
+            }
+        }
+        net.step(cycle);
+        for (int n = 0; n < nodes; ++n)
+            (void)net.endpoint(n).drainEjected();
+        rec.tick(cycle);
+        if ((cycle + 1) % 100 != 0)
+            continue;
+
+        ASSERT_EQ(rec.windows().size(),
+                  static_cast<std::size_t>((cycle + 1) / 100));
+        const WindowRecord& w = rec.windows().back();
+        std::int64_t vc_occ = 0;
+        std::int64_t fp_occ = 0;
+        std::int64_t backlog = 0;
+        for (int n = 0; n < nodes; ++n) {
+            vc_occ += net.router(n).inputBufferedFlits();
+            fp_occ += net.router(n).occupiedOutVcs();
+            backlog += net.endpoint(n).sourceBacklogFlits();
+        }
+        EXPECT_EQ(w.vcOcc, vc_occ) << "window " << w.index;
+        EXPECT_EQ(w.fpOcc, fp_occ) << "window " << w.index;
+        EXPECT_EQ(w.injBacklog, backlog) << "window " << w.index;
+        const std::uint64_t sent = net.totalFlitsSent();
+        EXPECT_DOUBLE_EQ(w.linkUtil,
+                         static_cast<double>(sent - sent_base)
+                             / (flit_channels * 100.0))
+            << "window " << w.index;
+        sent_base = sent;
+        backlog_seen += backlog;
+        fp_seen += fp_occ;
+    }
+    EXPECT_EQ(rec.windows().size(), 5u);
+    EXPECT_GT(backlog_seen, 0);
+    EXPECT_GT(fp_seen, 0);
 }
 
 // ---------------------------------------------------------------
@@ -430,12 +503,24 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
 {
     // The determinism contract: recorder windows — and hence every
     // steady-state / saturation decision — must be bit-identical
-    // across the serial and parallel stepping engines.
-    auto windows = [](const std::string& mode, unsigned shards) {
+    // across the serial and parallel stepping engines, and so must the
+    // heatmap document clocked by those windows.
+    struct ModeRun
+    {
+        std::vector<std::string> records;
+        std::int64_t steadyCycle = -1;
+        std::string heatmap;  ///< without its meta header
+    };
+    auto run = [](const std::string& mode, unsigned shards) {
         SimConfig cfg = runConfig(0.25);
         cfg.setBool("timeseries", true);
-        const std::string path = "ts_mode_" + mode + ".jsonl";
+        const std::string path = "ts_mode_" + mode
+            + std::to_string(shards) + ".jsonl";
+        const std::string hm_path = "hm_mode_" + mode
+            + std::to_string(shards) + ".json";
         cfg.set("timeseries_out", path);
+        cfg.setBool("heatmap", true);
+        cfg.set("heatmap_out", hm_path);
         cfg.set("step_mode", mode);
         if (shards > 0)
             cfg.setInt("shards", static_cast<std::int64_t>(shards));
@@ -446,24 +531,41 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
             if (!line.empty())
                 lines.push_back(line);
         std::remove(path.c_str());
-        // Drop the header: config_hash differs across step modes by
+        std::ifstream hm_in(hm_path);
+        std::ostringstream hm;
+        hm << hm_in.rdbuf();
+        std::remove(hm_path.c_str());
+
+        // Each heatmap window is one recorder window.
+        const auto bounds = heatmapWindowBounds(hm.str());
+        EXPECT_EQ(bounds.size(), stats.windows.size()) << mode;
+        for (std::size_t i = 0;
+             i < std::min(bounds.size(), stats.windows.size()); ++i) {
+            EXPECT_EQ(bounds[i],
+                      std::make_pair(stats.windows[i].startCycle,
+                                     stats.windows[i].endCycle))
+                << mode << " window " << i;
+        }
+        // Drop the headers: config_hash differs across step modes by
         // construction (step_mode is part of the config identity).
-        return std::pair<std::vector<std::string>, std::int64_t>(
-            std::vector<std::string>(lines.begin() + 1, lines.end()),
-            stats.steadyStateCycle);
+        ModeRun r;
+        r.records.assign(lines.begin() + 1, lines.end());
+        r.steadyCycle = stats.steadyStateCycle;
+        r.heatmap = heatmapWithoutMeta(hm.str());
+        return r;
     };
 
-    const auto full = windows("full", 0);
-    const auto act = windows("activity", 0);
-    const auto shard2 = windows("sharded", 2);
-    const auto shard4 = windows("sharded", 4);
-    ASSERT_GT(full.first.size(), 5u);
-    EXPECT_EQ(full.first, act.first);
-    EXPECT_EQ(full.first, shard2.first);
-    EXPECT_EQ(full.first, shard4.first);
-    EXPECT_EQ(full.second, act.second);
-    EXPECT_EQ(full.second, shard2.second);
-    EXPECT_EQ(full.second, shard4.second);
+    const ModeRun full = run("full", 0);
+    const ModeRun act = run("activity", 0);
+    const ModeRun shard2 = run("sharded", 2);
+    const ModeRun shard4 = run("sharded", 4);
+    ASSERT_GT(full.records.size(), 5u);
+    ASSERT_FALSE(full.heatmap.empty());
+    for (const ModeRun* other : {&act, &shard2, &shard4}) {
+        EXPECT_EQ(full.records, other->records);
+        EXPECT_EQ(full.steadyCycle, other->steadyCycle);
+        EXPECT_EQ(full.heatmap, other->heatmap);
+    }
 }
 
 } // namespace

@@ -120,6 +120,32 @@ TEST_F(TraceFileTest, MalformedLineIsFatal)
                 "malformed");
 }
 
+TEST_F(TraceFileTest, OutOfRangeNodeIsFatal)
+{
+    const std::string path = makePath("node_range");
+    {
+        std::ofstream out(path);
+        out << "# header\n0 999 3 1\n";
+    }
+    TraceReader r(path, 64);
+    EXPECT_EXIT((void)r.next(), testing::ExitedWithCode(1),
+                "fatal: trace node id 999 outside \\[0, 64\\) at line 2 "
+                "in .*node_range");
+}
+
+TEST_F(TraceFileTest, EmptyPacketIsFatal)
+{
+    const std::string path = makePath("empty_packet");
+    {
+        std::ofstream out(path);
+        out << "0 1 3 0\n";
+    }
+    TraceReader r(path, 64);
+    EXPECT_EXIT((void)r.next(), testing::ExitedWithCode(1),
+                "fatal: trace packet size 0 below 1 at line 1 "
+                "in .*empty_packet");
+}
+
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
     EXPECT_EXIT(TraceReader{"/nonexistent/trace.txt"},

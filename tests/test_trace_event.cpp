@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the Chrome trace-event exporter: JSON shape of the
- * streaming writer, the counter-sink channel filter, and end-to-end
- * timeline production through a config-driven TrafficManager run.
+ * streaming writer, end-to-end timeline production through a
+ * config-driven TrafficManager run, and the flight recorder's window
+ * aggregates as counter tracks.
  */
 
 #include <gtest/gtest.h>
@@ -87,26 +88,6 @@ TEST(ChromeTraceWriter, CloseIsIdempotentAndAppendsMetadata)
     EXPECT_NE(doc.find("\"config_hash\":\"cafe\""), std::string::npos);
 }
 
-TEST(ChromeCounterSink, ForwardsOnlyNetworkAggregateChannels)
-{
-    std::ostringstream os;
-    ChromeTraceWriter w(os);
-    ChromeCounterSink sink(&w);
-    sink.writeHeader({"net.vc_occ", "r0.vc_occ", "net.link_util",
-                      "ep3.inj_q"});
-    sink.writeRow(100, "measure", {1.0, 2.0, 3.0, 4.0});
-    sink.writeRow(200, "measure", {5.0, 6.0, 7.0, 8.0});
-    w.close();
-
-    const std::string doc = os.str();
-    EXPECT_EQ(countOccurrences(doc, "\"name\":\"net.vc_occ\""), 2u);
-    EXPECT_EQ(countOccurrences(doc, "\"name\":\"net.link_util\""), 2u);
-    EXPECT_EQ(doc.find("r0.vc_occ"), std::string::npos);
-    EXPECT_EQ(doc.find("ep3.inj_q"), std::string::npos);
-    EXPECT_NE(doc.find("\"ts\":100"), std::string::npos);
-    EXPECT_NE(doc.find("\"value\":1"), std::string::npos);
-}
-
 TEST(ChromeTraceIntegration, ConfigDrivenRunWritesTimeline)
 {
     namespace fs = std::filesystem;
@@ -135,7 +116,7 @@ TEST(ChromeTraceIntegration, ConfigDrivenRunWritesTimeline)
 
     EXPECT_EQ(doc.rfind("{\"displayTimeUnit\":\"ms\"", 0), 0u);
     // Packet lifecycles: whole-packet slices + per-hop slices on the
-    // "packets" process, plus the phase markers from the hub.
+    // "packets" process, plus the driver's phase markers.
     EXPECT_NE(doc.find("\"name\":\"process_name\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"name\":\"pkt\""), std::string::npos);
@@ -146,6 +127,51 @@ TEST(ChromeTraceIntegration, ConfigDrivenRunWritesTimeline)
               std::string::npos);
     // Run metadata lands in the document footer.
     EXPECT_NE(doc.find("\"metadata\":{\"seed\":"), std::string::npos);
+    // No recorder ran, so there are no counter tracks.
+    EXPECT_EQ(doc.find("\"ph\":\"C\""), std::string::npos);
+    fs::remove(path);
+}
+
+TEST(ChromeTraceIntegration, TimeseriesWindowsBecomeCounterTracks)
+{
+    namespace fs = std::filesystem;
+    const fs::path path =
+        fs::temp_directory_path() / "fp_test_trace_counters.json";
+    fs::remove(path);
+
+    SimConfig cfg = defaultConfig();
+    cfg.setInt("mesh_width", 4);
+    cfg.setInt("mesh_height", 4);
+    cfg.setDouble("injection_rate", 0.1);
+    cfg.setInt("warmup_cycles", 100);
+    cfg.setInt("measure_cycles", 300);
+    cfg.setInt("drain_cycles", 2000);
+    cfg.setBool("chrome_trace", true);
+    cfg.set("chrome_trace_out", path.string());
+    cfg.setBool("timeseries", true);
+    cfg.set("timeseries_out", "");
+    cfg.setInt("timeseries_interval", 100);
+
+    const RunStats stats = runExperiment(cfg);
+    ASSERT_FALSE(stats.windows.empty());
+    std::ifstream in(path);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string doc = buf.str();
+
+    // One sample per window on each aggregate track, stamped at the
+    // window's end cycle, on the "network" process.
+    for (const char* track :
+         {"in_flight", "vc_occ", "fp_occ", "inj_backlog", "link_util"}) {
+        EXPECT_EQ(countOccurrences(doc, std::string("\"name\":\"")
+                                            + track + "\",\"ph\":\"C\""),
+                  stats.windows.size())
+            << track;
+    }
+    EXPECT_NE(doc.find("\"ts\":"
+                       + std::to_string(stats.windows[0].endCycle)),
+              std::string::npos);
+    EXPECT_NE(doc.find("{\"name\":\"network\"}"), std::string::npos);
     fs::remove(path);
 }
 

@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
 """Gate the overhead of compiled-in-but-disabled observability.
 
-Runs the micro_router google-benchmark binary and compares the
-whole-network-cycle benchmark without any telemetry attached
-(``BM_NetworkCycle/30``) against the same loop with a disabled
-TelemetryHub attached (``BM_NetworkCycleTelemetryIdle``). The two run
+Runs the micro_router google-benchmark binary and compares the bare
+whole-network-cycle benchmark (``BM_NetworkCycle/30``) against the same
+loop with the observability stack compiled in but disabled
+(``BM_NetworkCycleObsIdle``: a disabled self-profiler attached and the
+flight-recorder null check in place, DESIGN.md §14/§15). The two run
 in the same process moments apart, so the comparison is stable across
 machines, unlike absolute wall-clock numbers. The gate fails when the
-idle-telemetry variant is more than ``--threshold`` (default 2%)
+idle-observability variant is more than ``--threshold`` (default 2%)
 slower.
-
-With ``--obs`` the idle variant is ``BM_NetworkCycleObsIdle`` instead:
-the same loop with a disabled self-profiler attached and the heatmap
-null check in place (DESIGN.md §14), gating the profiler/heatmap
-subsystem's disabled overhead by the same rule.
 
 A recorded baseline (``bench/micro_baseline.json``, written with
 ``--record``) provides a second, advisory comparison of absolute
@@ -22,7 +18,6 @@ and only fails under ``--enforce-baseline``.
 
 Usage:
   tools/check_telemetry_overhead.py --bench build/bench/micro_router
-  tools/check_telemetry_overhead.py --bench ... --obs   # profiler gate
   tools/check_telemetry_overhead.py --bench ... --record  # new baseline
 """
 
@@ -34,14 +29,13 @@ import sys
 import tempfile
 
 BARE = "BM_NetworkCycle/30"
-IDLE = "BM_NetworkCycleTelemetryIdle"
-OBS_IDLE = "BM_NetworkCycleObsIdle"
+IDLE = "BM_NetworkCycleObsIdle"
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "bench", "micro_baseline.json")
 
 
-def run_benchmarks(bench, repetitions, idle):
+def run_benchmarks(bench, repetitions):
     """Run the two gated benchmarks, return {name: min_real_time_ns}."""
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as f:
         out_path = f.name
@@ -49,7 +43,7 @@ def run_benchmarks(bench, repetitions, idle):
         cmd = [
             bench,
             "--benchmark_filter=^(%s|%s)$" % (BARE.replace("/", "/"),
-                                              idle),
+                                              IDLE),
             "--benchmark_repetitions=%d" % repetitions,
             "--benchmark_report_aggregates_only=false",
             "--benchmark_out_format=json",
@@ -77,7 +71,7 @@ def main():
     ap.add_argument("--bench", required=True,
                     help="path to the micro_router binary")
     ap.add_argument("--threshold", type=float, default=2.0,
-                    help="max idle-telemetry overhead in percent")
+                    help="max idle-observability overhead in percent")
     ap.add_argument("--repetitions", type=int, default=5,
                     help="benchmark repetitions (min is compared)")
     ap.add_argument("--baseline", default=DEFAULT_BASELINE,
@@ -88,26 +82,20 @@ def main():
                     help="fail (not warn) on recorded-baseline drift")
     ap.add_argument("--baseline-tolerance", type=float, default=25.0,
                     help="allowed drift vs recorded baseline, percent")
-    ap.add_argument("--obs", action="store_true",
-                    help="gate the disabled profiler/heatmap variant "
-                         "(%s) instead of idle telemetry" % OBS_IDLE)
     args = ap.parse_args()
 
-    idle_name = OBS_IDLE if args.obs else IDLE
-    label = "idle-observability" if args.obs else "idle-telemetry"
-    report, times = run_benchmarks(args.bench, args.repetitions,
-                                   idle_name)
-    missing = [n for n in (BARE, idle_name) if n not in times]
+    report, times = run_benchmarks(args.bench, args.repetitions)
+    missing = [n for n in (BARE, IDLE) if n not in times]
     if missing:
         print("error: benchmarks missing from report: %s" % missing)
         return 2
 
-    bare, idle = times[BARE], times[idle_name]
+    bare, idle = times[BARE], times[IDLE]
     overhead = 100.0 * (idle - bare) / bare
     print("%-32s %12.0f ns" % (BARE, bare))
-    print("%-32s %12.0f ns" % (idle_name, idle))
-    print("%s overhead: %+.2f%% (threshold %.1f%%)"
-          % (label, overhead, args.threshold))
+    print("%-32s %12.0f ns" % (IDLE, idle))
+    print("idle-observability overhead: %+.2f%% (threshold %.1f%%)"
+          % (overhead, args.threshold))
 
     if args.record:
         # Preserve unrelated sections (e.g. the sweep_baseline used by
@@ -119,7 +107,7 @@ def main():
         payload["context"] = report.get("context", {})
         payload.setdefault("times_ns", {})
         payload["times_ns"][BARE] = bare
-        payload["times_ns"][idle_name] = idle
+        payload["times_ns"][IDLE] = idle
         with open(args.baseline, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -127,16 +115,15 @@ def main():
 
     status = 0
     if overhead > args.threshold:
-        print("FAIL: disabled %s costs more than %.1f%%"
-              % ("observability" if args.obs else "telemetry",
-                 args.threshold))
+        print("FAIL: disabled observability costs more than %.1f%%"
+              % args.threshold)
         status = 1
 
     # Advisory absolute comparison against the recorded reference run.
     if not args.record and os.path.exists(args.baseline):
         with open(args.baseline) as f:
             recorded = json.load(f).get("times_ns", {})
-        for name in (BARE, idle_name):
+        for name in (BARE, IDLE):
             if name not in recorded:
                 continue
             drift = 100.0 * (times[name] - recorded[name]) \

@@ -11,9 +11,11 @@ consumers (tools/render_timeseries.py, dashboards, tail -f watchers).
 The stream is JSONL: line 1 is the header object (schema, run
 metadata, mesh geometry, window interval, detector parameters); every
 following line is one closed window record. Windows must tile the run
-(each start equals the previous end), indices must be consecutive, and
-the per-regime VC-allocation grant counts must name exactly the five
-Priority regimes.
+(each start equals the previous end), indices must be consecutive, the
+per-regime VC-allocation grant counts must name exactly the five
+Priority regimes, and the network-wide gauges read at window close
+(``vc_occ``, ``fp_occ``, ``inj_backlog``, ``link_util``) must be
+present and non-negative.
 
 Usage:
   tools/check_timeseries_schema.py timeseries.jsonl
@@ -28,6 +30,7 @@ TIMESERIES_SCHEMA = "footprint.timeseries/1"
 
 VA_REGIMES = ["escape", "busy", "footprint", "idle", "reclaim"]
 LATENCY_FIELDS = ["count", "mean", "p50", "p99", "p999", "max"]
+GAUGE_FIELDS = ["vc_occ", "fp_occ", "inj_backlog", "link_util"]
 
 
 class SchemaError(Exception):
@@ -79,7 +82,7 @@ def check_window(w, path, index, prev_end):
                 "accepted_flits", "packets", "offered_rate",
                 "accepted_rate", "latency", "in_flight",
                 "active_nodes", "va_grants", "va_fails",
-                "watchdog_events"):
+                "watchdog_events", *GAUGE_FIELDS):
         expect(key in w, path, "missing field %r" % key)
     expect(w["window"] == index, path,
            "window index %s, expected %s" % (w["window"], index))
@@ -98,6 +101,8 @@ def check_window(w, path, index, prev_end):
         check_number(w[key], "%s.%s" % (path, key), minimum=0.0)
     check_number(w["in_flight"], path + ".in_flight", minimum=0)
     check_number(w["active_nodes"], path + ".active_nodes", minimum=0)
+    for key in GAUGE_FIELDS:
+        check_number(w[key], "%s.%s" % (path, key), minimum=0)
 
     lat = w["latency"]
     expect(isinstance(lat, dict), path + ".latency",

@@ -6,13 +6,16 @@ well-formed trace-event JSON object document that chrome://tracing and
 Perfetto will accept, and that it carries the content the exporter
 promises: a ``traceEvents`` list of known phase types with the
 mandatory per-phase fields, process-name metadata for the packet
-timeline, and the run-metadata footer stamped by ``RunMetadata``.
+timeline, the run-metadata footer stamped by ``RunMetadata``, and (with
+``--expect-counters``) the flight recorder's per-window counter tracks
+that ``--chrome-trace --timeseries`` adds.
 
 Exit status: 0 when valid, 1 with a diagnostic otherwise.
 
 Usage:
   tools/check_trace_event.py trace.json
   tools/check_trace_event.py trace.json --min-events 100 --expect-packets
+  tools/check_trace_event.py trace.json --expect-counters
 """
 
 import argparse
@@ -20,6 +23,10 @@ import json
 import sys
 
 KNOWN_PHASES = {"X", "i", "C", "M", "B", "E"}
+
+# Window aggregates FlightRecorder writes per closed window.
+COUNTER_TRACKS = ("in_flight", "vc_occ", "fp_occ", "inj_backlog",
+                  "link_util")
 
 REQUIRED_FIELDS = {
     "X": ("name", "pid", "tid", "ts", "dur"),
@@ -45,6 +52,9 @@ def main():
                          "('pkt' X events)")
     ap.add_argument("--expect-phases", action="store_true",
                     help="require warmup/measure/drain phase markers")
+    ap.add_argument("--expect-counters", action="store_true",
+                    help="require the flight recorder's window "
+                         "aggregates as 'C' counter tracks")
     args = ap.parse_args()
 
     try:
@@ -91,6 +101,18 @@ def main():
                  and ev.get("name") == "process_name"}
         if "packets" not in procs:
             fail("no 'packets' process_name metadata event")
+
+    if args.expect_counters:
+        tracks = {ev["name"] for ev in events if ev.get("ph") == "C"}
+        missing = [t for t in COUNTER_TRACKS if t not in tracks]
+        if missing:
+            fail(f"missing counter tracks {missing} "
+                 "(run with --timeseries)")
+        for ev in events:
+            if ev.get("ph") == "C" and not isinstance(
+                    ev["args"].get("value"), (int, float)):
+                fail(f"counter {ev['name']!r} at ts {ev.get('ts')} "
+                     "has no numeric args.value")
 
     if args.expect_phases:
         marks = {ev["name"] for ev in events if ev.get("ph") == "i"}
