@@ -56,11 +56,13 @@ Endpoint::enqueue(const Packet& packet)
 void
 Endpoint::receivePhase(std::int64_t cycle)
 {
+    bool in_flight = false;
     // Credits for the router's local-input VCs.
     if (creditFromRouter_) {
         while (auto c = creditFromRouter_->receive(cycle)) {
             injectVcs_[static_cast<std::size_t>(c->vc)].returnCredit();
         }
+        in_flight = !creditFromRouter_->empty();
     }
     // Flits arriving at the sink.
     if (fromRouter_) {
@@ -75,7 +77,9 @@ Endpoint::receivePhase(std::int64_t cycle)
             sinkOccMask_ |= VcMask{1} << f->vc;
             ++sinkFlits_;
         }
+        in_flight |= !fromRouter_->empty();
     }
+    inFlight_ = in_flight;
 }
 
 bool

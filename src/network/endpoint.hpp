@@ -123,6 +123,18 @@ class Endpoint
      */
     bool hasPendingWork() const;
 
+    /**
+     * The self-sustain rule, mirroring Router::selfSustains(): a
+     * packet mid-injection or queued, sink flits, or an item still in
+     * flight on an incoming pipe after this cycle's receive.
+     */
+    bool
+    selfSustains() const
+    {
+        return injecting_ || !sourceQueue_.empty() || sinkFlits_ > 0
+            || inFlight_;
+    }
+
     /** Packets fully ejected since the last call (caller consumes). */
     std::vector<EjectedPacket> drainEjected();
 
@@ -225,6 +237,8 @@ class Endpoint
     VcMask sinkOccMask_ = 0;  ///< bit v set while sinkVcs_[v] non-empty
     int sinkFlits_ = 0;  ///< total flits across sink VCs
     int drainHint_ = 0;
+    /** An incoming pipe held an item after the last receivePhase. */
+    bool inFlight_ = false;
     std::vector<EjectedPacket> ejected_;
     bool deferReleases_ = false;
     std::vector<std::uint32_t> pendingRelease_;

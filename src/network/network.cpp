@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <utility>
 
 #include "obs/packet_tracer.hpp"
@@ -264,17 +265,24 @@ Network::Network(const SimConfig& cfg)
     }
 
     buildWakeGraph();
-    if (stepMode_ == StepMode::Sharded) {
-        const std::string policy = cfg.contains("shard_partition")
-            ? cfg.getStr("shard_partition")
-            : "weighted";
-        buildShards(threads_, shard_cfg, policy);
-    }
+    if (stepMode_ == StepMode::Sharded)
+        buildShards(threads_, shard_cfg);
+}
+
+Network::~Network()
+{
+    if (crew_.empty())
+        return;
+    // Between steps every crew member waits at the start round;
+    // release it with the stop state set.
+    crewState_.store(CrewState::Stopping, std::memory_order_relaxed);
+    barrier_.arriveAndWait();
+    for (std::thread& t : crew_)
+        t.join();
 }
 
 void
-Network::buildShards(int threads, int shards,
-                     const std::string& policy)
+Network::buildShards(int threads, int shards)
 {
     const int n = topo_.numNodes();
     int num = shards == 0 ? threads : shards;
@@ -284,82 +292,129 @@ Network::buildShards(int threads, int shards,
     // major ids make a band a set of adjacent rows (plus partial rows
     // at the seams), so most links stay shard-internal. A shard owns
     // both the routers and the endpoints of its band: component ids
-    // 2k/2k+1 keep each node's pair in one shard.
-    //
-    // Band boundaries (shard_partition key; deterministic from config
-    // alone — results are bit-identical either way, only wall time
-    // differs):
-    //  - "nodes":    near-equal node counts (the historic split),
-    //  - "weighted": near-equal per-node work estimates. Edge and
-    //    corner routers have fewer connected ports, hence fewer
-    //    channels to drain and arbitrate; the PR 6 profiler's
-    //    per-shard busy times show interior bands running long under
-    //    equal node counts. The static weight (2 + link degree)
-    //    mirrors that measured imbalance without feeding timing back
-    //    into partition selection.
-    std::vector<int> begin(static_cast<std::size_t>(num) + 1, 0);
-    begin[static_cast<std::size_t>(num)] = n;
-    if (policy == "nodes" || num == 1) {
-        for (int s = 1; s < num; ++s)
-            begin[static_cast<std::size_t>(s)] = static_cast<int>(
-                static_cast<std::int64_t>(s) * n / num);
-    } else if (policy == "weighted") {
-        std::vector<std::int64_t> pfx(static_cast<std::size_t>(n) + 1,
-                                      0);
-        for (int node = 0; node < n; ++node) {
-            std::int64_t wgt = 2; // endpoint + router baseline
-            for (Dir d :
-                 {Dir::East, Dir::West, Dir::North, Dir::South}) {
-                if (topo_.hasNeighbor(node, d))
-                    ++wgt;
-            }
-            pfx[static_cast<std::size_t>(node) + 1] =
-                pfx[static_cast<std::size_t>(node)] + wgt;
-        }
-        const std::int64_t total = pfx[static_cast<std::size_t>(n)];
-        for (int s = 1; s < num; ++s) {
-            const std::int64_t target = s * total / num;
-            // First node whose prefix weight reaches the target,
-            // clamped so every band keeps at least one node.
-            int b = static_cast<int>(
-                std::lower_bound(pfx.begin(), pfx.end(), target)
-                - pfx.begin());
-            b = std::max(b, begin[static_cast<std::size_t>(s - 1)] + 1);
-            b = std::min(b, n - (num - s));
-            begin[static_cast<std::size_t>(s)] = b;
-        }
-    } else {
-        fatal("unknown shard_partition '" + policy
-              + "' (want weighted or nodes)");
-    }
-    // Round interior boundaries to 32-node multiples — 64 components,
-    // exactly one ActiveSet bitmap word — so concurrent drainRange
-    // calls of neighboring shards never split a word (the fetch_and
-    // boundary-word path) and never share a cache line. Skipped when
-    // rounding would empty a band (tiny meshes / many shards).
-    for (int s = 1; s < num; ++s) {
-        const int b = begin[static_cast<std::size_t>(s)];
-        const int r = (b / 32 + (b % 32 >= 16 ? 1 : 0)) * 32;
-        if (r > begin[static_cast<std::size_t>(s - 1)]
-            && r < begin[static_cast<std::size_t>(s) + 1]
-            && r <= n - (num - s))
-            begin[static_cast<std::size_t>(s)] = r;
-    }
+    // 2k/2k+1 keep each node's pair in one shard. The first cut is
+    // equal node counts; recutBands() then moves the boundaries
+    // toward equal measured time.
     shards_.resize(static_cast<std::size_t>(num));
+    recutStarts_.assign(static_cast<std::size_t>(num), 0);
+    recutSamples_.assign(static_cast<std::size_t>(num * kRecutWindow),
+                         0);
     for (int s = 0; s < num; ++s) {
-        const int nodeBegin = begin[static_cast<std::size_t>(s)];
-        const int nodeEnd = begin[static_cast<std::size_t>(s) + 1];
-        shards_[static_cast<std::size_t>(s)].compBegin = 2 * nodeBegin;
-        shards_[static_cast<std::size_t>(s)].compEnd = 2 * nodeEnd;
+        recutStarts_[static_cast<std::size_t>(s)] = static_cast<int>(
+            static_cast<std::int64_t>(s) * n / num);
+        // A band may grow to every node but one per other band, so a
+        // re-cut never reallocates an active list.
         shards_[static_cast<std::size_t>(s)].active.reserve(
-            static_cast<std::size_t>(2 * (nodeEnd - nodeBegin)));
+            static_cast<std::size_t>(2 * (n - num + 1)));
     }
+    setBandStarts(recutStarts_);
     shardChunks_ = threads < num ? threads : num;
     barrier_.reset(shardChunks_);
-    // The calling thread is crew member 0; the pool carries the rest.
-    if (shardChunks_ > 1)
-        crew_ = std::make_unique<ThreadPool>(
-            static_cast<unsigned>(shardChunks_ - 1));
+    // The calling thread is crew member 0; the others live as long as
+    // the network. They hold back from the barrier until all of them
+    // exist, so a failed start can still stop and join the rest.
+    crew_.reserve(static_cast<std::size_t>(shardChunks_ - 1));
+    try {
+        for (int c = 1; c < shardChunks_; ++c)
+            crew_.emplace_back([this, c] { crewLoop(c); });
+    } catch (...) {
+        crewState_.store(CrewState::FailedStart,
+                         std::memory_order_release);
+        crewState_.notify_all();
+        for (std::thread& t : crew_)
+            t.join();
+        throw;
+    }
+    crewState_.store(CrewState::Running, std::memory_order_release);
+    crewState_.notify_all();
+}
+
+void
+Network::setBandStarts(std::span<const int> starts)
+{
+    const int n = topo_.numNodes();
+    FP_ASSERT(starts.size() == shards_.size() && !starts.empty()
+                  && starts[0] == 0,
+              "band starts need one entry per shard, starting at 0");
+    for (std::size_t s = 0; s < starts.size(); ++s) {
+        const int end = s + 1 < starts.size() ? starts[s + 1] : n;
+        FP_ASSERT(starts[s] < end,
+                  "band starts must strictly increase below the node "
+                  "count (band " << s << " starts at " << starts[s]
+                                 << ", next at " << end << ")");
+    }
+    for (std::size_t s = 0; s < starts.size(); ++s) {
+        const int end = s + 1 < starts.size() ? starts[s + 1] : n;
+        shards_[s].compBegin = 2 * starts[s];
+        shards_[s].compEnd = 2 * end;
+    }
+    if (profiler_)
+        profiler_->setShardBands(starts, recuts_);
+}
+
+void
+Network::recutBands()
+{
+    // Each band should take an equal share of the window's measured
+    // time. A band's cost is the median of its per-cycle times, so a
+    // cycle in which a worker was preempted does not move boundaries.
+    // Cost is taken as uniform per node inside each old band, so
+    // cumulative cost is piecewise linear in the node id; interior
+    // boundary k moves kRecutDamping of the way toward the node where
+    // it reaches k/num of the total. Windows within kRecutTolerance of
+    // balanced keep their boundaries, so noise does not churn them.
+    constexpr double kRecutDamping = 0.5;
+    constexpr double kRecutTolerance = 0.03;
+    const std::size_t num = shards_.size();
+    std::uint64_t total = 0;
+    std::uint64_t max = 0;
+    for (std::size_t s = 0; s < num; ++s) {
+        const auto first = recutSamples_.begin()
+            + static_cast<std::ptrdiff_t>(s * kRecutWindow);
+        const auto mid = first + kRecutWindow / 2;
+        std::nth_element(first, mid, first + kRecutWindow);
+        total += *mid;
+        max = std::max(max, *mid);
+    }
+    auto cost = [this](std::size_t s) {
+        return static_cast<double>(
+            recutSamples_[s * kRecutWindow + kRecutWindow / 2]);
+    };
+    const auto total_d = static_cast<double>(total);
+    if (total > 0
+        && static_cast<double>(max) * static_cast<double>(num)
+            > total_d * (1.0 + kRecutTolerance)) {
+        const int n = topo_.numNodes();
+        bool moved = false;
+        std::size_t s = 0;
+        double before = 0.0;  ///< cost of bands [0, s)
+        for (std::size_t k = 1; k < num; ++k) {
+            const double target = total_d * static_cast<double>(k)
+                / static_cast<double>(num);
+            while (s + 1 < num && before + cost(s) < target) {
+                before += cost(s);
+                ++s;
+            }
+            const Shard& sh = shards_[s];
+            const double frac = cost(s) > 0.0
+                ? std::min(1.0, (target - before) / cost(s))
+                : 0.0;
+            const double goal = sh.compBegin / 2
+                + frac * (sh.compEnd - sh.compBegin) / 2;
+            const int old = shards_[k].compBegin / 2;
+            const auto step = static_cast<int>(
+                std::lround(kRecutDamping * (goal - old)));
+            // Every band keeps at least one node.
+            const int lo = recutStarts_[k - 1] + 1;
+            const int hi = n - static_cast<int>(num - k);
+            recutStarts_[k] = std::clamp(old + step, lo, hi);
+            moved |= recutStarts_[k] != old;
+        }
+        if (moved) {
+            ++recuts_;
+            setBandStarts(recutStarts_);
+        }
+    }
 }
 
 void
@@ -403,6 +458,14 @@ Network::componentHasPendingWork(int comp) const
     const std::size_t node = idx(comp >> 1);
     return (comp & 1) ? endpoints_[node]->hasPendingWork()
                       : routers_[node]->hasPendingWork();
+}
+
+bool
+Network::componentSelfSustains(int comp) const
+{
+    const std::size_t node = idx(comp >> 1);
+    return (comp & 1) ? endpoints_[node]->selfSustains()
+                      : routers_[node]->selfSustains();
 }
 
 void
@@ -479,12 +542,13 @@ Network::rescheduleAfterStep(const std::vector<int>& comps)
 {
     // Wakes from sends were raised by the channel hooks as they
     // happened; all that remains is self-sustain: a component with
-    // buffered flits, pending injection, or a non-empty incoming pipe
-    // must run again next cycle (an incoming pipe stays non-empty
-    // until its latency elapses, so the initial send-hook wake hands
-    // off to this check for the rest of the window).
+    // buffered flits, pending injection, or an item still in flight
+    // after its own receive must run again next cycle. Anything sent
+    // into its pipes later this cycle already woke it, so this reads
+    // only the component's own state — never a pipe another shard may
+    // be writing (DESIGN.md §12).
     for (const int c : comps) {
-        if (componentHasPendingWork(c))
+        if (componentSelfSustains(c))
             active_.wake(c);
     }
 }
@@ -513,40 +577,31 @@ Network::epilogue(const std::vector<int>& comps)
 
 template <typename Fn>
 void
-Network::runShardPhase(Fn&& fn)
+Network::runShardPhase(std::size_t sBegin, std::size_t sEnd, Fn&& body)
 {
     // Phase bodies run inside try/catch so a panicking invariant
     // (FP_ASSERT -> InvariantError) cannot strand the other crew
     // members at a barrier: the throwing worker records the error,
     // everyone keeps arriving at the remaining barriers as no-ops, and
-    // stepSharded rethrows after the join.
+    // stepSharded rethrows after the end round. Each shard's body is
+    // timed (one clock read per shard plus one) into its busy slot:
+    // the band re-cut runs on these times, profiled or not.
     if (shardFailed_.load(std::memory_order_relaxed))
         return;
     try {
-        fn();
+        std::uint64_t t0 = Profiler::nowNs();
+        for (std::size_t s = sBegin; s < sEnd; ++s) {
+            body(shards_[s]);
+            const std::uint64_t t1 = Profiler::nowNs();
+            shards_[s].busyNs += t1 - t0;
+            t0 = t1;
+        }
     } catch (...) {
         std::lock_guard<std::mutex> lock(shardErrMutex_);
         if (!shardError_)
             shardError_ = std::current_exception();
         shardFailed_.store(true, std::memory_order_relaxed);
     }
-}
-
-int
-Network::chunkOf(std::size_t sBegin) const
-{
-    // Recover the parallelFor chunk index from its start shard: chunk
-    // c covers [c*n/chunks, (c+1)*n/chunks), and chunks <= n keeps the
-    // starts strictly increasing, so the match is unique. The loop is
-    // over at most `threads` entries and runs once per worker per
-    // profiled cycle — noise next to the phase work it labels.
-    const std::size_t n = shards_.size();
-    const auto chunks = static_cast<std::size_t>(shardChunks_);
-    for (std::size_t c = 0; c < chunks; ++c) {
-        if (c * n / chunks == sBegin)
-            return static_cast<int>(c);
-    }
-    return 0;
 }
 
 void
@@ -562,63 +617,58 @@ Network::barrierArrive(int chunk)
 }
 
 void
-Network::shardWorker(std::size_t sBegin, std::size_t sEnd,
-                     std::int64_t cycle)
+Network::crewLoop(int chunk)
 {
-    Profiler* const prof = profiler_;
-    const int chunk = prof ? chunkOf(sBegin) : 0;
+    // A member that passes this gate late still arrives at the start
+    // round, even if ~Network already set Stopping and waits there.
+    crewState_.wait(CrewState::Starting, std::memory_order_acquire);
+    if (crewState_.load(std::memory_order_relaxed)
+        == CrewState::FailedStart)
+        return;
+    for (;;) {
+        barrier_.arriveAndWait();  // start round
+        if (crewState_.load(std::memory_order_relaxed)
+            == CrewState::Stopping)
+            return;
+        shardWorker(chunk, crewCycle_);
+        barrier_.arriveAndWait();  // end round
+    }
+}
+
+void
+Network::shardWorker(int chunk, std::int64_t cycle)
+{
+    const std::size_t n = shards_.size();
+    const auto chunks = static_cast<std::size_t>(shardChunks_);
+    const auto c = static_cast<std::size_t>(chunk);
+    const std::size_t sBegin = c * n / chunks;
+    const std::size_t sEnd = (c + 1) * n / chunks;
     // Drain + receive share one barrier window: receivePhase only pops
     // channels (it never send()s), so the first wake of this cycle is
     // raised in a compute phase — strictly after the barrier below —
     // and no drain can swallow a cycle-N wake into cycle N's list.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            Shard& sh = shards_[s];
-            sh.active.clear();
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            active_.drainRange(sh.compBegin, sh.compEnd, sh.active);
-            phaseReceive(sh.active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
+    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
+        sh.active.clear();
+        active_.drainRange(sh.compBegin, sh.compEnd, sh.active);
+        phaseReceive(sh.active, cycle);
     });
     barrierArrive(chunk);
     // Compute reads cycle-N channel/status state and commits sends for
     // cycle N+latency; the barrier above guarantees every receive (and
     // drain) finished first, the one below orders it before transmit's
     // status publishes.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            phaseCompute(shards_[s].active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
+    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
+        phaseCompute(sh.active, cycle);
     });
     barrierArrive(chunk);
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            phaseTransmit(shards_[s].active, cycle);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
-    });
-    barrierArrive(chunk);
-    // Self-sustain wakes read input pipes other shards wrote during
-    // transmit, hence the barrier above. Wakes target cycle N+1's
-    // bitmap, which nobody drains until after the join.
-    runShardPhase([&] {
-        for (std::size_t s = sBegin; s < sEnd; ++s) {
-            const std::uint64_t t0 = prof ? Profiler::nowNs() : 0;
-            rescheduleAfterStep(shards_[s].active);
-            if (prof)
-                prof->addShardBusyNs(static_cast<int>(s),
-                                     Profiler::nowNs() - t0);
-        }
+    // The self-sustain rule reads only a component's own state, which
+    // its own transmit has just settled, so each shard reschedules
+    // right after its transmit with no barrier in between. Wakes
+    // target cycle N+1's bitmap, which nobody drains before the next
+    // start round.
+    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
+        phaseTransmit(sh.active, cycle);
+        rescheduleAfterStep(sh.active);
     });
 }
 
@@ -629,16 +679,14 @@ Network::stepSharded(std::int64_t cycle, bool contiguous)
         active_.wakeAll();
     shardFailed_.store(false, std::memory_order_relaxed);
     shardError_ = nullptr;
-    if (shardChunks_ == 1) {
-        shardWorker(0, shards_.size(), cycle);
-    } else {
-        crew_->parallelFor(
-            shards_.size(),
-            [this, cycle](std::size_t b, std::size_t e) {
-                shardWorker(b, e, cycle);
-            },
-            static_cast<std::size_t>(shardChunks_));
-    }
+    // The start round publishes the cycle (and any new bands) to the
+    // crew; the end round collects every chunk's phases.
+    crewCycle_ = cycle;
+    if (!crew_.empty())
+        barrier_.arriveAndWait();
+    shardWorker(0, cycle);
+    if (!crew_.empty())
+        barrier_.arriveAndWait();
     if (shardError_)
         std::rethrow_exception(shardError_);
     // Serial epilogue, identical to the serial modes' finishComps over
@@ -658,8 +706,25 @@ Network::stepSharded(std::int64_t cycle, bool contiguous)
                 pool_.refill(c >> 1);
         }
     }
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        Shard& sh = shards_[s];
+        if (profiler_)
+            profiler_->addShardBusyNs(static_cast<int>(s), sh.busyNs);
+        recutSamples_[s * kRecutWindow
+                      + static_cast<std::size_t>(recutClock_)] =
+            sh.busyNs;
+        sh.busyNs = 0;
+    }
+    // Re-cut the bands from measured time every kRecutWindow cycles;
+    // with one chunk there is nothing to balance.
+    if (++recutClock_ == kRecutWindow) {
+        recutClock_ = 0;
+        if (shardChunks_ > 1)
+            recutBands();
+    }
     // Workers recorded barrier waits into per-chunk scratch; fold them
-    // into the histogram here, after the join, where no worker races.
+    // into the histogram here, after the end round, where no worker
+    // races.
     if (profiler_)
         profiler_->mergeCycleScratch();
 }
@@ -756,8 +821,8 @@ Network::idle() const
     // drained: the network cannot change state on its own.
     //
     // In the activity-family modes the pending bitmap already encodes
-    // this (rescheduleAfterStep re-arms any component with pending
-    // work, and sends wake their receivers). Full mode never drains
+    // this (the self-sustain rule and the send hooks together re-arm
+    // every component with pending work). Full mode never drains
     // the bitmap, so it scans components directly — the scan is off
     // the hot path (it only runs when the driver suspects idleness).
     if (stepMode_ != StepMode::Full)
@@ -861,6 +926,9 @@ Network::attachProfiler(Profiler* profiler)
     if (profiler_ && stepMode_ == StepMode::Sharded) {
         profiler_->configureSharded(static_cast<int>(shards_.size()),
                                     shardChunks_, threads_);
+        for (std::size_t s = 0; s < shards_.size(); ++s)
+            recutStarts_[s] = shards_[s].compBegin / 2;
+        profiler_->setShardBands(recutStarts_, recuts_);
     }
 }
 

@@ -13,10 +13,11 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <thread>
 #include <vector>
 
 #include "exec/spin_barrier.hpp"
-#include "exec/thread_pool.hpp"
 #include "sim/active_set.hpp"
 #include "network/endpoint.hpp"
 #include "network/link_fabric.hpp"
@@ -84,6 +85,13 @@ class Network
 {
   public:
     explicit Network(const SimConfig& cfg);
+
+    /** Stops and joins the shard crew (sharded stepping only). */
+    ~Network();
+
+    // The shard crew holds `this`.
+    Network(const Network&) = delete;
+    Network& operator=(const Network&) = delete;
 
     /** Advance the whole network by one cycle. */
     void step(std::int64_t cycle);
@@ -177,6 +185,21 @@ class Network
         return static_cast<int>(shards_.size());
     }
 
+    /** First node of shard @p shard's band (sharded stepping). */
+    int bandStart(int shard) const
+    {
+        return shards_[static_cast<std::size_t>(shard)].compBegin / 2;
+    }
+
+    /**
+     * Install band boundaries between steps: @p starts holds each
+     * shard's first node, one entry per shard, starting at 0 and
+     * strictly increasing (FP_ASSERTed). The periodic re-cut installs
+     * its boundaries through here; results never depend on them, only
+     * wall time does (DESIGN.md §13).
+     */
+    void setBandStarts(std::span<const int> starts);
+
     /**
      * One directed link: the forward flit channel and its backward
      * credit channel. Port fields are meaningful only on router ends
@@ -223,9 +246,9 @@ class Network
     static int endpointComp(int node) { return 2 * node + 1; }
 
     void buildWakeGraph();
-    void buildShards(int threads, int shards,
-                     const std::string& policy);
+    void buildShards(int threads, int shards);
     bool componentHasPendingWork(int comp) const;
+    bool componentSelfSustains(int comp) const;
     void phaseReceive(const std::vector<int>& comps,
                       std::int64_t cycle);
     void phaseCompute(const std::vector<int>& comps,
@@ -237,13 +260,14 @@ class Network
     void stepActivity(std::int64_t cycle, bool contiguous);
     void stepVerify(std::int64_t cycle, bool contiguous);
     void stepSharded(std::int64_t cycle, bool contiguous);
-    void shardWorker(std::size_t sBegin, std::size_t sEnd,
-                     std::int64_t cycle);
-    template <typename Fn> void runShardPhase(Fn&& fn);
+    void crewLoop(int chunk);
+    void shardWorker(int chunk, std::int64_t cycle);
+    template <typename Fn>
+    void runShardPhase(std::size_t sBegin, std::size_t sEnd, Fn&& body);
     void finishComps(const std::vector<int>& comps);
     void epilogue(const std::vector<int>& comps);
-    int chunkOf(std::size_t sBegin) const;
     void barrierArrive(int chunk);
+    void recutBands();
 
     Topology topo_;
     RouterParams params_;
@@ -271,29 +295,47 @@ class Network
     // Sharded stepping state (step_mode=sharded; see DESIGN.md §13).
     // The mesh is partitioned into spatially contiguous node bands;
     // each shard owns the routers *and* endpoints of its band, so a
-    // shard id range is a contiguous component id range. Workers step
-    // chunks of shards through barrier-aligned phases; the calling
-    // thread is crew member 0 (crew_ holds the other threads-1).
-    struct Shard
+    // shard id range is a contiguous component id range. Chunk c of
+    // the shards is stepped by crew member c through barrier-aligned
+    // phases; the calling thread is member 0 and crew_ holds the
+    // other threads-1 for the network's whole lifetime.
+    struct alignas(64) Shard
     {
         int compBegin = 0;         ///< first component id (inclusive)
         int compEnd = 0;           ///< one past the last component id
         std::vector<int> active;   ///< this cycle's drained wake list
+        /** Phase-body wall time this cycle (owning worker writes). */
+        std::uint64_t busyNs = 0;
     };
+
+    /** Stepped cycles per band re-cut window. */
+    static constexpr int kRecutWindow = 32;
 
     int threads_ = 1;              ///< worker count (config "threads")
     int shardChunks_ = 1;          ///< min(threads, shards) = parties
     std::vector<Shard> shards_;
-    std::unique_ptr<ThreadPool> crew_;
+    std::int64_t crewCycle_ = 0;   ///< cycle the crew steps next
     SpinBarrier barrier_;
     std::exception_ptr shardError_;
     std::mutex shardErrMutex_;
     std::atomic<bool> shardFailed_{false};
+    int recutClock_ = 0;           ///< cycles into the re-cut window
+    std::uint64_t recuts_ = 0;
+    // Re-cut scratch, sized at build: new band starts, and each
+    // shard's busy time for every cycle of the window (shard-major).
+    std::vector<int> recutStarts_;
+    std::vector<std::uint64_t> recutSamples_;
     bool tracerAttached_ = false;
     bool warnedTracerFallback_ = false;
 
     /** Self-profiler; null (the common case) skips all timing. */
     Profiler* profiler_ = nullptr;
+
+    // The resident shard crew, declared last because its threads use
+    // the members above; ~Network joins them before any is destroyed.
+    enum class CrewState { Starting, Running, FailedStart, Stopping };
+    std::atomic<CrewState> crewState_{CrewState::Starting};
+    std::vector<std::thread> crew_;
 };
 
 } // namespace footprint

@@ -41,7 +41,19 @@ Profiler::configureSharded(int shards, int chunks, int threads)
     shardBusyNs_.assign(static_cast<std::size_t>(shards), 0);
     chunkWaitNs_.assign(static_cast<std::size_t>(chunks), 0);
     scratch_.assign(static_cast<std::size_t>(chunks), ChunkScratch{});
+    // Sized here; the Network reports its bands right after.
+    bandStarts_.assign(static_cast<std::size_t>(shards), 0);
+    recuts_ = 0;
     threads_ = threads;
+}
+
+void
+Profiler::setShardBands(std::span<const int> starts,
+                        std::uint64_t recuts)
+{
+    // Same size as configured, so re-cuts never allocate here.
+    bandStarts_.assign(starts.begin(), starts.end());
+    recuts_ = recuts;
 }
 
 void
@@ -148,7 +160,14 @@ Profiler::toJsonRow(const std::string& name, const std::string& mode,
         out += ",\"p999_ns\":";
         appendF(out, "%.0f", barrierHist_.percentile(0.999));
         out += ",\"max_ns\":"
-            + std::to_string(barrierHist_.max()) + "}}";
+            + std::to_string(barrierHist_.max()) + "}";
+        out += ",\"band_starts\":[";
+        for (std::size_t s = 0; s < bandStarts_.size(); ++s) {
+            if (s > 0)
+                out += ',';
+            out += std::to_string(bandStarts_[s]);
+        }
+        out += "],\"recuts\":" + std::to_string(recuts_) + "}";
     } else {
         out += ",\"sharded\":null";
     }

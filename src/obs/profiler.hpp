@@ -7,12 +7,13 @@
  * of guesses.
  *
  * Threading contract (mirrors the sharded-stepping determinism design,
- * DESIGN.md §13/§14): workers write only per-shard and per-chunk
- * accumulator slots they own during a cycle; the Network folds the
- * per-chunk barrier-wait scratch into the shared HDR histogram from
- * its *serial* end-of-step epilogue. Nothing the profiler does touches
- * simulation state, so checksums and sharded-vs-serial equality are
- * untouched — the profiled run is bit-identical to the unprofiled one.
+ * DESIGN.md §13/§14): workers write only the per-chunk barrier-wait
+ * scratch slots they own during a cycle; the Network folds that
+ * scratch into the shared HDR histogram, and adds each shard's busy
+ * time, from its *serial* end-of-step epilogue. Nothing the profiler
+ * does touches simulation state, so checksums and sharded-vs-serial
+ * equality are untouched — the profiled run is bit-identical to the
+ * unprofiled one.
  *
  * Overhead contract: a Network with no profiler attached pays one
  * never-taken branch per phase; TrafficManager pays one null check per
@@ -26,6 +27,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,14 +104,26 @@ class Profiler
     }
 
     /**
-     * Add @p ns of phase-body work to @p shard. Race-free without
-     * atomics: a shard is stepped by exactly one worker per cycle.
+     * Add @p ns of phase-body work to @p shard (serial epilogue; the
+     * Network's own per-shard slots carry the time out of the crew).
      */
     void
     addShardBusyNs(int shard, std::uint64_t ns)
     {
         shardBusyNs_[static_cast<std::size_t>(shard)] += ns;
     }
+
+    /**
+     * Record the bands in force — each shard's first node — and the
+     * number of re-cuts that moved a boundary so far. The Network
+     * calls this at attach and after every re-cut, from the serial
+     * section, so the report shows where the bands ended up.
+     */
+    void setShardBands(std::span<const int> starts,
+                       std::uint64_t recuts);
+
+    /** Each shard's first node as last recorded by setShardBands. */
+    const std::vector<int>& bandStarts() const { return bandStarts_; }
 
     /**
      * Record one barrier wait of worker chunk @p chunk into its
@@ -164,14 +178,14 @@ class Profiler
 
     /**
      * One footprint.profile/1 row: phase table, sharded block (when
-     * sharded) with per-shard busy seconds, imbalance ratio, and
-     * barrier-wait percentiles.
+     * sharded) with per-shard busy seconds, imbalance ratio,
+     * barrier-wait percentiles, and the final bands and re-cut count.
      */
     std::string toJsonRow(const std::string& name,
                           const std::string& mode, int threads) const;
 
   private:
-    // 3 phase barriers per cycle per chunk, with headroom.
+    // 2 in-cycle barriers per cycle per chunk, with headroom.
     static constexpr int kMaxWaitsPerCycle = 8;
 
     struct ChunkScratch
@@ -190,6 +204,8 @@ class Profiler
     std::vector<std::uint64_t> shardBusyNs_;
     std::vector<std::uint64_t> chunkWaitNs_;
     std::vector<ChunkScratch> scratch_;
+    std::vector<int> bandStarts_;
+    std::uint64_t recuts_ = 0;
     HdrHistogram barrierHist_{1ULL << 34};  ///< up to ~17 s waits
     int threads_ = 1;
     std::uint64_t runStartNs_ = 0;

@@ -83,6 +83,7 @@ Router::setNeighbor(int port, int node)
 void
 Router::receivePhase(std::int64_t cycle)
 {
+    bool in_flight = false;
     for (auto& in : inputs_) {
         if (!in.flitIn)
             continue;
@@ -99,6 +100,7 @@ Router::receivePhase(std::int64_t cycle)
             in.occMask |= VcMask{1} << f->vc;
             ++bufferedFlits_;
         }
+        in_flight |= !in.flitIn->empty();
     }
     for (int op = 0; op < kNumPorts; ++op) {
         OutputPort& out = outputs_[static_cast<std::size_t>(op)];
@@ -110,7 +112,9 @@ Router::receivePhase(std::int64_t cycle)
             ovReturnCredit(op, c->vc);
             publishDirty_ |= std::uint32_t{1} << op;
         }
+        in_flight |= !out.creditIn->empty();
     }
+    inFlight_ = in_flight;
 }
 
 void

@@ -137,6 +137,21 @@ class Router : public RouterView
      */
     bool hasPendingWork() const;
 
+    /**
+     * The self-sustain rule, valid right after this router's own
+     * transmit phase: buffered flits, output-FIFO flits, or an item
+     * still in flight on an incoming pipe after this cycle's receive.
+     * Items sent into those pipes later in the cycle woke the router
+     * through the send hook, so waking on this rule plus the send
+     * hooks schedules exactly the routers hasPendingWork() would —
+     * without reading pipes other shards write (DESIGN.md §12).
+     */
+    bool
+    selfSustains() const
+    {
+        return bufferedFlits_ > 0 || fifoFlits_ > 0 || inFlight_;
+    }
+
     // RouterView interface.
     int nodeId() const override { return node_; }
     const Topology& topo() const override { return *topo_; }
@@ -401,6 +416,8 @@ class Router : public RouterView
     // hasPendingWork() without walking every VC each cycle.
     int bufferedFlits_ = 0;  ///< flits across all input VCs
     int fifoFlits_ = 0;      ///< flits across all output FIFOs
+    /** An incoming pipe held an item after the last receivePhase. */
+    bool inFlight_ = false;
 
     /** Ports not yet re-published since their count last changed. */
     std::uint32_t publishDirty_ = 0;

@@ -17,15 +17,16 @@
  * commutative OR, which makes the drained bitmap independent of the
  * order wakes land in — the cornerstone of sharded stepping's
  * determinism. Relaxed ordering suffices because every drain is
- * separated from the wakes it collects by a phase barrier or a
- * fork/join edge. On the serial hot path wake() stays cheap via
- * test-and-test-and-set: most wakes re-set an already-set bit and
+ * separated from the wakes it collects by a phase barrier or the
+ * crew's end/start rounds. On the serial hot path wake() stays cheap
+ * via test-and-test-and-set: most wakes re-set an already-set bit and
  * skip the RMW entirely.
  *
  * Sharded stepping drains disjoint id ranges concurrently with
- * drainRange(): boundary words shared by two shards are split with
- * per-range bit masks and fetch_and, so each shard extracts exactly
- * its own components.
+ * drainRange(). Band boundaries follow measured shard time and may
+ * fall anywhere, so a word is often shared by two shards; it is split
+ * with per-range bit masks and fetch_and, so each shard extracts
+ * exactly its own components.
  */
 
 #ifndef FOOTPRINT_SIM_ACTIVE_SET_HPP
@@ -49,10 +50,10 @@ class ActiveSet
     {
         n_ = num_components;
         nwords_ = static_cast<std::size_t>((num_components + 63) / 64);
-        // Cache-line-aligned word array: shard partition boundaries
-        // round to whole words (64 components = 32 nodes), so with
-        // the base aligned too, neighboring shards' drainRange
-        // exchanges never touch the same cache line.
+        // Cache-line-aligned so the bitmap shares no line with
+        // unrelated data. One line covers 256 nodes, so neighbouring
+        // shard bands often share a line, or a word (drainRange splits
+        // that word).
         words_.reset(new (std::align_val_t{64})
                          std::atomic<std::uint64_t>[nwords_]);
         for (std::size_t i = 0; i < nwords_; ++i)
@@ -108,8 +109,8 @@ class ActiveSet
     /**
      * @return true if no component is scheduled for the next cycle.
      * Relaxed loads are sufficient: callers only consult this from
-     * the serial section between steps, after any shard workers have
-     * joined.
+     * the serial section between steps, after the shard crew's end
+     * round.
      */
     bool
     pendingEmpty() const

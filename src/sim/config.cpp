@@ -31,8 +31,7 @@ constexpr std::array kKnownKeys = {
     "trace_file", "trace_length", "app", "app2",
     // Simulation phases / execution.
     "warmup_cycles", "measure_cycles", "drain_cycles", "seed",
-    "step_mode", "threads", "shards", "shard_partition",
-    "skip_ahead",
+    "step_mode", "threads", "shards", "skip_ahead",
     // Packet lifecycle tracer.
     "trace_out", "trace_packets",
     // Self-profiler / spatial heatmap observatory (DESIGN.md §14).
@@ -322,10 +321,6 @@ defaultConfig()
     cfg.set("step_mode", "activity");
     cfg.setInt("threads", 1);
     cfg.setInt("shards", 0);
-    // Shard band boundaries: "weighted" sizes bands by per-node link
-    // degree (edge rows are cheaper than interior rows), "nodes" is
-    // the historic equal-node split. Bit-identical either way.
-    cfg.set("shard_partition", "weighted");
     // Event-horizon fast path: jump the clock over quiescent spans
     // (bit-identical results; skip_ahead=false forces per-cycle
     // ticking, mainly for equivalence tests and benchmarks).

@@ -312,19 +312,38 @@ TEST(UnknownKeys, IsKnownKeyCoversNewAuditKeys)
     EXPECT_FALSE(SimConfig::isKnownKey("watchdogg"));
 }
 
+TEST(UnknownKeys, RemovedShardPartitionWarns)
+{
+    // Shard bands follow measured time now (DESIGN.md §13), so the
+    // static partition policy key is gone: setting it must warn
+    // rather than be silently ignored.
+    EXPECT_FALSE(SimConfig::isKnownKey("shard_partition"));
+    SimConfig cfg = defaultConfig();
+    EXPECT_FALSE(cfg.contains("shard_partition"));
+    cfg.set("shard_partition", "weighted");
+    std::ostringstream sink;
+    setLogSink(&sink);
+    EXPECT_EQ(cfg.warnUnknownKeys(), 1u);
+    setLogSink(nullptr);
+    EXPECT_NE(sink.str().find("unrecognized config key "
+                              "'shard_partition'"),
+              std::string::npos);
+}
+
 TEST(UnknownKeys, AcceptsTopologyAndShardKeys)
 {
-    // The topology-layer keys (DESIGN.md §18) must be registered:
-    // selecting a topology, concentration, per-dimension link
-    // latencies, or a shard partition policy may not trip the
-    // unknown-key warning.
+    // The topology-layer keys (DESIGN.md §18) and the shard keys must
+    // be registered: selecting a topology, concentration,
+    // per-dimension link latencies, or thread and shard counts may
+    // not trip the unknown-key warning.
     SimConfig cfg = defaultConfig();
     cfg.set("topology", "torus");
     cfg.set("concentration", "4");
     cfg.set("link_latency_x", "2");
     cfg.set("link_latency_y", "3");
     cfg.set("link_latency_local", "1");
-    cfg.set("shard_partition", "weighted");
+    cfg.set("threads", "4");
+    cfg.set("shards", "8");
     std::ostringstream sink;
     setLogSink(&sink);
     EXPECT_EQ(cfg.warnUnknownKeys(), 0u);
@@ -340,7 +359,8 @@ TEST(DefaultConfig, TopologyDefaultsToUnconcentratedMesh)
     const SimConfig cfg = defaultConfig();
     EXPECT_EQ(cfg.getStr("topology"), "mesh");
     EXPECT_EQ(cfg.getInt("concentration"), 1);
-    EXPECT_EQ(cfg.getStr("shard_partition"), "weighted");
+    EXPECT_EQ(cfg.getInt("threads"), 1);
+    EXPECT_EQ(cfg.getInt("shards"), 0);
     // The per-dimension overrides are deliberately not defaulted:
     // Topology::fromConfig falls back to link_latency when absent.
     EXPECT_FALSE(cfg.contains("link_latency_x"));

@@ -139,6 +139,8 @@ TEST(Profiler, JsonRowHasPhaseTableAndShardedBlock)
 {
     Profiler prof;
     prof.configureSharded(2, 2, 2);
+    const std::vector<int> bands = {0, 120};
+    prof.setShardBands(bands, 7);
     prof.beginRun();
     prof.addPhaseNs(ProfPhase::Epilogue, 1000);
     prof.addShardBusyNs(0, 4000);
@@ -162,6 +164,9 @@ TEST(Profiler, JsonRowHasPhaseTableAndShardedBlock)
     EXPECT_NE(row.find("\"shard_busy_seconds\":["), std::string::npos);
     EXPECT_NE(row.find("\"imbalance_ratio\":"), std::string::npos);
     EXPECT_NE(row.find("\"p999_ns\":"), std::string::npos);
+    // Where the bands ended up, and how often a re-cut moved them.
+    EXPECT_NE(row.find("\"band_starts\":[0,120]"), std::string::npos);
+    EXPECT_NE(row.find("\"recuts\":7}"), std::string::npos);
 }
 
 TEST(Profiler, SerialRowHasNullShardedBlock)

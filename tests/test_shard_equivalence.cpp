@@ -7,16 +7,22 @@
  * count, and any shard count, including shard counts that do not
  * divide the mesh and thread counts above the machine's core count.
  * Also checks the shard-boundary mechanics directly: a credit loop
- * that crosses shards must round-trip every credit home.
+ * that crosses shards must round-trip every credit home, bands may be
+ * re-cut anywhere between any two steps, and a panic inside a sharded
+ * phase must surface from step() without stranding the crew.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "expect_panic.hpp"
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
@@ -29,6 +35,46 @@
 
 namespace footprint {
 namespace {
+
+/**
+ * Fold everything observable about @p net's state into @p sig: the
+ * network totals, every router's event counters, and the link
+ * fabric's per-link lane state.
+ */
+void
+foldNetwork(const Network& net, std::vector<std::uint64_t>& sig)
+{
+    sig.push_back(net.totalFlitsInjected());
+    sig.push_back(net.totalFlitsEjected());
+    sig.push_back(
+        static_cast<std::uint64_t>(net.totalFlitsInFlight()));
+    sig.push_back(net.totalFlitsSent());
+    for (int n = 0; n < net.mesh().numNodes(); ++n) {
+        const Router::Counters& c = net.router(n).counters();
+        sig.push_back(c.vcAllocSuccess);
+        sig.push_back(c.vcAllocFail);
+        for (const std::uint64_t g : c.vaGrantsByPriority)
+            sig.push_back(g);
+        sig.push_back(c.flitsTraversed);
+        sig.push_back(c.puritySamples);
+        sig.push_back(c.puritySum);
+    }
+    // Link-fabric lane state: per-link sent counters and in-flight
+    // occupancy live in the network-owned flat arenas (DESIGN.md §17),
+    // so fold them in directly — any divergence in transmit order or
+    // credit return between step modes shows up here even when the
+    // aggregate totals above happen to agree.
+    const LinkFabric& fab = net.linkFabric();
+    for (const Network::LinkRecord& l : net.links()) {
+        sig.push_back(fab.flitSent(l.flitId));
+        sig.push_back(
+            static_cast<std::uint64_t>(l.flit->inFlightCount()));
+        sig.push_back(
+            static_cast<std::uint64_t>(l.credit->inFlightCount()));
+    }
+    sig.push_back(
+        static_cast<std::uint64_t>(net.nextLinkArrivalCycle()));
+}
 
 /**
  * Drive an 8x8 mesh with a deterministic schedule-driven workload and
@@ -127,41 +173,114 @@ runSignature(const std::string& routing, double load,
     if (prof)
         prof->endRun(cycles);
 
-    std::vector<std::uint64_t> sig;
-    sig.push_back(net.totalFlitsInjected());
-    sig.push_back(net.totalFlitsEjected());
-    sig.push_back(
-        static_cast<std::uint64_t>(net.totalFlitsInFlight()));
-    sig.push_back(net.totalFlitsSent());
-    sig.push_back(drained);
-    sig.push_back(hops_sum);
-    sig.push_back(latency_sum);
-    for (int n = 0; n < nodes; ++n) {
-        const Router::Counters& c = net.router(n).counters();
-        sig.push_back(c.vcAllocSuccess);
-        sig.push_back(c.vcAllocFail);
-        for (const std::uint64_t g : c.vaGrantsByPriority)
-            sig.push_back(g);
-        sig.push_back(c.flitsTraversed);
-        sig.push_back(c.puritySamples);
-        sig.push_back(c.puritySum);
-    }
-    // Link-fabric lane state: per-link sent counters and in-flight
-    // occupancy live in the network-owned flat arenas (DESIGN.md §17),
-    // so fold them in directly — any divergence in transmit order or
-    // credit return between step modes shows up here even when the
-    // aggregate totals above happen to agree.
-    const LinkFabric& fab = net.linkFabric();
-    for (const Network::LinkRecord& l : net.links()) {
-        sig.push_back(fab.flitSent(l.flitId));
-        sig.push_back(
-            static_cast<std::uint64_t>(l.flit->inFlightCount()));
-        sig.push_back(
-            static_cast<std::uint64_t>(l.credit->inFlightCount()));
-    }
-    sig.push_back(
-        static_cast<std::uint64_t>(net.nextLinkArrivalCycle()));
+    std::vector<std::uint64_t> sig = {drained, hops_sum, latency_sum};
+    foldNetwork(net, sig);
     return sig;
+}
+
+/** Base config for the lockstep tests: 8x8 mesh, one step mode. */
+SimConfig
+lockstepConfig(const char* step_mode, int threads = 1, int shards = 0)
+{
+    SimConfig cfg = defaultConfig();
+    cfg.set("routing", "footprint");
+    cfg.set("step_mode", step_mode);
+    cfg.setInt("threads", threads);
+    cfg.setInt("shards", shards);
+    return cfg;
+}
+
+/**
+ * Step a reference and a candidate network in lockstep under the same
+ * schedule-driven workload and require identical state after every
+ * cycle: the network fold plus the packets each drained that cycle.
+ * @p between runs on the candidate before each of its steps (the
+ * band re-cut hook).
+ */
+void
+expectLockstep(const SimConfig& ref_cfg, const SimConfig& cand_cfg,
+               double load, std::int64_t cycles,
+               const std::function<void(Network&, std::int64_t)>&
+                   between = {})
+{
+    Network ref(ref_cfg);
+    Network cand(cand_cfg);
+    const int nodes = ref.mesh().numNodes();
+    Rng gen(99);
+    InjectionSchedule sched(nodes, load, gen);
+    std::uint64_t id = 0;
+    for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
+        for (int slot; (slot = sched.popDue(cycle)) >= 0;) {
+            const int dest = static_cast<int>(gen.nextBounded(nodes));
+            const int size = 1 + static_cast<int>(gen.nextBounded(3));
+            sched.scheduleNext(slot, cycle, gen);
+            if (dest == slot)
+                continue;
+            Packet p;
+            p.id = ++id;
+            p.src = slot;
+            p.dest = dest;
+            p.size = size;
+            p.createTime = cycle;
+            p.measured = true;
+            ref.endpoint(slot).enqueue(p);
+            cand.endpoint(slot).enqueue(p);
+        }
+        if (between)
+            between(cand, cycle);
+        ref.step(cycle);
+        cand.step(cycle);
+        std::vector<std::uint64_t> ref_sig;
+        std::vector<std::uint64_t> cand_sig;
+        for (auto [net, sig] : {std::pair{&ref, &ref_sig},
+                                std::pair{&cand, &cand_sig}}) {
+            for (int n = 0; n < nodes; ++n) {
+                for (const EjectedPacket& p :
+                     net->endpoint(n).drainEjected()) {
+                    sig->push_back(p.packetId);
+                    sig->push_back(static_cast<std::uint64_t>(p.hops));
+                    sig->push_back(
+                        static_cast<std::uint64_t>(p.latency()));
+                }
+            }
+            foldNetwork(*net, *sig);
+        }
+        ASSERT_EQ(ref_sig, cand_sig) << "diverged at cycle " << cycle;
+    }
+}
+
+/**
+ * Random band starts for @p shards bands over @p nodes nodes: sorted
+ * distinct cuts anywhere (so mostly inside an ActiveSet word), or,
+ * with @p one_node_bands, a run of single-node bands at a random spot.
+ */
+std::vector<int>
+randomBandStarts(Rng& rng, int nodes, int shards, bool one_node_bands)
+{
+    std::vector<int> starts(static_cast<std::size_t>(shards), 0);
+    if (one_node_bands) {
+        const int at = 1
+            + static_cast<int>(rng.nextBounded(
+                static_cast<std::uint64_t>(nodes - shards + 1)));
+        for (int s = 1; s < shards; ++s)
+            starts[static_cast<std::size_t>(s)] = at + s - 1;
+        return starts;
+    }
+    std::vector<int> cuts;
+    for (int c = 1; c < nodes; ++c)
+        cuts.push_back(c);
+    // Partial Fisher-Yates: the first shards-1 entries become a
+    // uniform sample of distinct cut points.
+    for (int s = 0; s < shards - 1; ++s) {
+        const auto j = static_cast<std::size_t>(s)
+            + rng.nextBounded(cuts.size() - static_cast<std::size_t>(s));
+        std::swap(cuts[static_cast<std::size_t>(s)], cuts[j]);
+    }
+    std::sort(cuts.begin(), cuts.begin() + (shards - 1));
+    for (int s = 1; s < shards; ++s)
+        starts[static_cast<std::size_t>(s)] =
+            cuts[static_cast<std::size_t>(s - 1)];
+    return starts;
 }
 
 class ShardEquivalence : public testing::TestWithParam<std::string>
@@ -330,6 +449,11 @@ TEST(ShardEquivalence, ProfiledShardedRunIsBitIdentical)
         busy += prof.shardBusySeconds(s);
     EXPECT_GT(busy, 0.0);
     EXPECT_GE(prof.imbalanceRatio(), 1.0);
+    // The network reported its bands: one start per shard, from 0 up.
+    const std::vector<int>& bands = prof.bandStarts();
+    ASSERT_EQ(static_cast<int>(bands.size()), prof.shardCount());
+    EXPECT_EQ(bands[0], 0);
+    EXPECT_TRUE(std::is_sorted(bands.begin(), bands.end()));
 }
 
 TEST(ShardEquivalence, ProfiledSerialModesAreBitIdentical)
@@ -398,6 +522,116 @@ TEST(ShardEquivalence, CreditRoundTripAcrossShardBoundary)
                   fresh.router(n).totalOutputCredits())
             << "credits failed to round-trip at router " << n;
     }
+}
+
+TEST(ShardEquivalence, ForcedRecutsMatchActivityEveryCycle)
+{
+    // Bands re-cut between steps — every few cycles, to random
+    // boundaries that split ActiveSet words, and to runs of 1-node
+    // bands — must leave every cycle's state identical to activity
+    // stepping, at 2, 3 and 4 threads and with more shards than
+    // threads. The measured re-cut keeps running on top.
+    const int cases[][2] = {{2, 0}, {3, 0}, {4, 0}, {2, 6}, {3, 8}};
+    for (const auto& [threads, shards] : cases) {
+        SCOPED_TRACE("threads=" + std::to_string(threads)
+                     + " shards=" + std::to_string(shards));
+        Rng rng(1234 + static_cast<std::uint64_t>(threads * 16 + shards));
+        int draws = 0;
+        expectLockstep(
+            lockstepConfig("activity"),
+            lockstepConfig("sharded", threads, shards), 0.30, 300,
+            [&](Network& net, std::int64_t cycle) {
+                if (cycle % 5 != 0)
+                    return;
+                const std::vector<int> starts = randomBandStarts(
+                    rng, net.mesh().numNodes(), net.shardCount(),
+                    ++draws % 3 == 0);
+                net.setBandStarts(starts);
+                for (int s = 0; s < net.shardCount(); ++s)
+                    ASSERT_EQ(net.bandStart(s),
+                              starts[static_cast<std::size_t>(s)]);
+            });
+    }
+}
+
+TEST(ShardEquivalence, BandStartsMustTileTheMesh)
+{
+    Network net(lockstepConfig("sharded", 2, 4));
+    ASSERT_EQ(net.shardCount(), 4);
+    // The first cut is equal node counts.
+    EXPECT_EQ(net.bandStart(1), 16);
+    EXPECT_EQ(net.bandStart(3), 48);
+    const std::vector<int> empty_band = {0, 8, 8, 40};
+    const std::vector<int> late_start = {1, 8, 16, 40};
+    const std::vector<int> too_few = {0, 8, 64};
+    const std::vector<int> past_end = {0, 8, 16, 64};
+    EXPECT_PANIC(net.setBandStarts(empty_band), "strictly increase");
+    EXPECT_PANIC(net.setBandStarts(late_start), "starting at 0");
+    EXPECT_PANIC(net.setBandStarts(too_few), "one entry per shard");
+    EXPECT_PANIC(net.setBandStarts(past_end), "strictly increase");
+    // A rejected install leaves the bands untouched.
+    EXPECT_EQ(net.bandStart(1), 16);
+}
+
+TEST(ShardEquivalence, CrewStopsWithoutEverStepping)
+{
+    // A network destroyed right after construction must still stop and
+    // join crew members that have not reached the barrier yet.
+    for (int i = 0; i < 50; ++i) {
+        Network net(lockstepConfig("sharded", 4));
+        EXPECT_EQ(net.shardCount(), 4);
+    }
+}
+
+TEST(ShardEquivalence, PanicInShardedPhaseRethrowsAndDestructs)
+{
+    // A flit on an out-of-range VC panics in the receiving router's
+    // receive phase, on whichever crew member owns it. step() must
+    // rethrow the InvariantError after the end round, and the network
+    // must still stop and join its crew on destruction.
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Network net(lockstepConfig("sharded", threads));
+        for (std::int64_t c = 0; c < 5; ++c)
+            net.step(c);
+        // The last router-to-router link into the highest node: its
+        // receiver sits in the last band, off the calling thread.
+        const Network::LinkRecord* into_last = nullptr;
+        for (const Network::LinkRecord& l : net.links()) {
+            if (l.kind == Network::LinkRecord::Kind::RouterToRouter
+                && l.dstNode == net.mesh().numNodes() - 1)
+                into_last = &l;
+        }
+        ASSERT_NE(into_last, nullptr);
+        Flit bad;
+        bad.vc = static_cast<std::int16_t>(net.routerParams().numVcs);
+        bad.head = bad.tail = true;
+        into_last->flit->send(bad, 4);
+        EXPECT_PANIC(net.step(5), "bad VC");
+    }
+}
+
+TEST(ShardEquivalence, InFlightItemsSelfSustainWithSlowLinks)
+{
+    // Multi-cycle links keep items in flight across several receive
+    // phases, so the receive-time in-flight flag carries the wake
+    // chain there. step_mode=verify panics on any component the rule
+    // would have left asleep with pending work; sharded stepping
+    // (which reschedules right after each shard's transmit) must
+    // match activity stepping on every cycle.
+    auto slow = [](SimConfig cfg) {
+        cfg.setInt("link_latency_x", 3);
+        cfg.setInt("link_latency_y", 2);
+        return cfg;
+    };
+    expectLockstep(slow(lockstepConfig("full")),
+                   slow(lockstepConfig("verify")), 0.20, 300);
+    expectLockstep(slow(lockstepConfig("activity")),
+                   slow(lockstepConfig("sharded", 4)), 0.20, 300);
+    // A light load drains between bursts, so wakes start from quiet
+    // components too.
+    expectLockstep(slow(lockstepConfig("activity")),
+                   slow(lockstepConfig("sharded", 3, 5)), 0.02, 400);
 }
 
 } // namespace

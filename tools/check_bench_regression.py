@@ -30,10 +30,14 @@ Two modes:
    under "micro_cycle_baseline": per-config checksums must match the
    baseline EXACTLY (they are machine-independent; any difference is a
    behavioural change), and cycles/sec only gates on regression beyond
-   --max-speed-regress percent (wall clock is machine-dependent):
+   --max-speed-regress percent (wall clock is machine-dependent).
+   Rows with more threads than the candidate's meta.num_cpus are
+   printed but not speed-gated: an oversubscribed row measures the
+   runner, not the code. --min-speedup THREADS:X additionally fails
+   any THREADS-thread sharded row slower than X times its @t1 row:
 
        check_bench_regression.py --micro micro_cycle.json \
-           --baseline bench/micro_baseline.json
+           --baseline bench/micro_baseline.json --min-speedup 4:2.0
 
 Exit status is 0 when every check passes, 1 otherwise.
 """
@@ -294,18 +298,43 @@ def print_thread_scaling(doc: dict) -> None:
         )
 
 
+def doc_num_cpus(doc: dict) -> int | None:
+    """CPU count the artifact was measured on (meta.num_cpus)."""
+    cpus = (doc.get("meta") or {}).get("num_cpus")
+    return cpus if isinstance(cpus, int) and cpus > 0 else None
+
+
+def parse_min_speedup(spec: str) -> tuple[int, float]:
+    """Parse a --min-speedup 'THREADS:X' spec, e.g. '4:2.0'."""
+    threads, sep, floor = spec.partition(":")
+    try:
+        if not sep:
+            raise ValueError
+        parsed = (int(threads), float(floor))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--min-speedup wants THREADS:X (e.g. 4:2.0), got {spec!r}"
+        ) from None
+    if parsed[0] < 2 or parsed[1] <= 0.0:
+        raise argparse.ArgumentTypeError(
+            f"--min-speedup wants THREADS >= 2 and X > 0, got {spec!r}"
+        )
+    return parsed
+
+
 def thread_efficiency(doc: dict,
-                      min_t8_speedup: float | None) -> list[str]:
+                      min_speedup: dict[int, float]) -> list[str]:
     """Report parallel efficiency of sharded rows against their @t1 row.
 
     For every sharded row with threads > 1 (skip-ahead rows excluded —
-    their wall clock measures the fast path, not the worker pool), the
+    their wall clock measures the fast path, not the worker crew), the
     reference is the same config's single-thread sharded row ('@t1'):
     speedup = cycles/sec over the @t1 row, efficiency = speedup /
-    threads. Efficiency below 0.5 earns a stderr warning; with
-    --min-t8-speedup set, an 8-thread row whose speedup falls short is
-    a returned failure. Single-core machines should leave the gate
-    unset — there is no parallelism to measure.
+    threads. Efficiency below 0.5 earns a stderr warning; a row whose
+    thread count has a --min-speedup floor and falls short of it is a
+    returned failure. Rows with more threads than the artifact's
+    meta.num_cpus are never gated — there are not enough cores to
+    measure that parallelism.
     """
     t1 = {
         micro_group(e["name"]): e
@@ -323,6 +352,7 @@ def thread_efficiency(doc: dict,
     failures: list[str] = []
     if not rows:
         return failures
+    cpus = doc_num_cpus(doc)
     print(
         f"\n{'config':>22} {'topology':>8} {'threads':>7} "
         f"{'c/s':>10} {'vs @t1':>7} {'eff':>6}"
@@ -345,15 +375,19 @@ def thread_efficiency(doc: dict,
                 f"{e['threads']} threads)",
                 file=sys.stderr,
             )
-        if (
-            min_t8_speedup is not None
-            and e["threads"] == 8
-            and ref_cps
-            and speedup < min_t8_speedup
-        ):
+        floor = min_speedup.get(e["threads"])
+        if floor is None or not ref_cps:
+            continue
+        if cpus is not None and e["threads"] > cpus:
+            print(
+                f"WARNING: {e['name']}: not gated by --min-speedup "
+                f"({e['threads']} threads > num_cpus {cpus})",
+                file=sys.stderr,
+            )
+        elif speedup < floor:
             failures.append(
                 f"{e['name']}: speedup {speedup:.2f}x over @t1 is "
-                f"below --min-t8-speedup {min_t8_speedup:.2f}x"
+                f"below --min-speedup {e['threads']}:{floor:.2f}"
             )
     return failures
 
@@ -392,7 +426,7 @@ def micro_mode(args: argparse.Namespace) -> None:
     validate_micro(args.micro, doc)
     check_thread_determinism(args.micro, doc)
     print_thread_scaling(doc)
-    scaling_failures = thread_efficiency(doc, args.min_t8_speedup)
+    scaling_failures = thread_efficiency(doc, dict(args.min_speedup))
     if args.baseline is None:
         warn_build_type(args.micro, doc, None, None)
         if scaling_failures:
@@ -423,6 +457,7 @@ def micro_mode(args: argparse.Namespace) -> None:
         f"{'change':>8}  checksum"
     )
     failures = list(scaling_failures)
+    cpus = doc_num_cpus(doc)
     for name in sorted(base):
         ref = base[name]
         now = cur[name]
@@ -438,7 +473,12 @@ def micro_mode(args: argparse.Namespace) -> None:
         change = (
             100.0 * (now_cps - ref_cps) / ref_cps if ref_cps else 0.0
         )
-        if ref_cps and -change > args.max_speed_regress:
+        # An oversubscribed row measures the runner's core count, not
+        # the code: report it, gate only its checksum.
+        speed_gated = cpus is None or now["threads"] <= cpus
+        if not speed_gated and mark == "ok":
+            mark = "ok (speed not gated)"
+        if speed_gated and ref_cps and -change > args.max_speed_regress:
             failures.append(
                 f"{name}: cycles/sec regressed {-change:.1f}% "
                 f"({ref_cps:.0f} -> {now_cps:.0f}, "
@@ -569,13 +609,15 @@ def main() -> None:
         help="max allowed jobs/sec regression in percent (default 20)",
     )
     parser.add_argument(
-        "--min-t8-speedup",
-        type=float,
-        default=None,
-        help="micro mode: fail when an 8-thread sharded row's speedup "
-        "over its single-thread sharded row falls below this factor; "
-        "leave unset on single-core machines (no parallelism to "
-        "measure)",
+        "--min-speedup",
+        type=parse_min_speedup,
+        action="append",
+        default=[],
+        metavar="THREADS:X",
+        help="micro mode: fail when a THREADS-thread sharded row's "
+        "speedup over its single-thread sharded row falls below X "
+        "(repeatable); rows with more threads than the artifact's "
+        "meta.num_cpus are not gated",
     )
     parser.add_argument(
         "--compare",

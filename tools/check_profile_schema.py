@@ -98,10 +98,24 @@ def check_profile_row(row, path):
         return
     spath = path + ".sharded"
     for key in ("shards", "chunks", "threads", "shard_busy_seconds",
-                "imbalance_ratio", "barrier_wait"):
+                "imbalance_ratio", "barrier_wait", "band_starts",
+                "recuts"):
         expect(key in sharded, spath, "missing field %r" % key)
     expect(isinstance(sharded["shards"], int) and sharded["shards"] >= 1,
            spath + ".shards", "must be a positive integer")
+    bands = sharded["band_starts"]
+    expect(isinstance(bands, list) and len(bands) == sharded["shards"],
+           spath + ".band_starts", "must list one entry per shard")
+    expect(all(isinstance(b, int) and not isinstance(b, bool)
+               for b in bands),
+           spath + ".band_starts", "entries must be integers")
+    expect(bands[0] == 0, spath + ".band_starts", "must start at 0")
+    expect(all(a < b for a, b in zip(bands, bands[1:])),
+           spath + ".band_starts", "must strictly increase")
+    expect(isinstance(sharded["recuts"], int)
+           and not isinstance(sharded["recuts"], bool)
+           and sharded["recuts"] >= 0,
+           spath + ".recuts", "must be a non-negative integer")
     busy = sharded["shard_busy_seconds"]
     expect(isinstance(busy, list) and len(busy) == sharded["shards"],
            spath + ".shard_busy_seconds",
