@@ -14,10 +14,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "exec/exec_context.hpp"
+#include "exec/sweep_runner.hpp"
 #include "network/sweep.hpp"
 #include "network/traffic_manager.hpp"
 #include "sim/config.hpp"
@@ -26,22 +29,22 @@
 namespace footprint::bench {
 
 /**
- * Worker-thread count for a bench harness: "--jobs N" on the command
- * line, else the FP_BENCH_JOBS environment variable, else all hardware
- * threads. Every harness is built on the deterministic sweep engine,
- * so the thread count changes wall-clock only, never the printed
- * numbers.
+ * Worker-thread count for a bench harness, parsed like the sweep CLIs'
+ * "jobs" key: "--jobs N", else FP_BENCH_JOBS, else 0 (all hardware
+ * threads). Every harness is built on the deterministic sweep engine,
+ * so the thread count changes wall-clock only, never the numbers.
  */
-inline unsigned
+inline std::int64_t
 benchJobs(int argc, char** argv)
 {
+    const char* env = std::getenv("FP_BENCH_JOBS");
+    SimConfig jobs;
+    jobs.set("jobs", env ? env : "0");
     for (int i = 1; i + 1 < argc; ++i) {
         if (std::string(argv[i]) == "--jobs")
-            return static_cast<unsigned>(std::atoi(argv[i + 1]));
+            jobs.set("jobs", argv[i + 1]);
     }
-    if (const char* env = std::getenv("FP_BENCH_JOBS"))
-        return static_cast<unsigned>(std::atoi(env));
-    return 0; // ExecContext: 0 = hardware concurrency
+    return jobs.getInt("jobs");
 }
 
 /** Cycle-count multiplier from the FP_BENCH_SCALE environment var. */
@@ -75,27 +78,6 @@ inline void
 header(const std::string& title)
 {
     std::printf("\n== %s ==\n", title.c_str());
-}
-
-/**
- * Estimated saturation throughput from a rate ladder: the highest
- * offered rate whose run is not saturated (latency below
- * 3x zero-load, drained, accepted tracking offered), linearly
- * interpolated toward the first saturated rate.
- */
-inline double
-saturationFromLadder(const std::vector<CurvePoint>& points)
-{
-    double last_good = 0.0;
-    for (const auto& p : points) {
-        if (p.saturated) {
-            // Midpoint between the last good and the first bad rate.
-            return last_good > 0.0 ? (last_good + p.offered) / 2.0
-                                   : p.offered / 2.0;
-        }
-        last_good = p.offered;
-    }
-    return last_good;
 }
 
 /**
@@ -133,6 +115,44 @@ evaluatedAlgorithms()
     return {"dor",        "oddeven",        "dbar",
             "footprint",  "dor+xordet",     "oddeven+xordet",
             "dbar+xordet"};
+}
+
+/** The synthetic traffic patterns of Figs. 5-8. */
+inline const std::vector<std::string> kSyntheticPatterns{
+    "uniform", "transpose", "shuffle"};
+
+/**
+ * Figs. 5 and 6: sweep the seven evaluated algorithms over the
+ * synthetic patterns with @p base on an 8x8 mesh, then print each
+ * pattern's curves and saturation throughputs, then @p gains of those.
+ */
+inline void
+curveFigure(ExecContext& ctx, const SimConfig& base,
+            const std::function<void(std::map<std::string, double>&)>&
+                gains)
+{
+    const MeshSize mesh{8, 8};
+    const SweepResult result = SweepRunner(ctx).run(
+        {.base = base,
+         .rates = {0.10, 0.20, 0.30, 0.36, 0.40, 0.44, 0.48, 0.52},
+         .routings = evaluatedAlgorithms(),
+         .meshes = {mesh},
+         .traffics = kSyntheticPatterns,
+         .seeds = 1});
+    for (const std::string& pattern : kSyntheticPatterns) {
+        std::printf("\n-- %s --\n", pattern.c_str());
+        std::map<std::string, double> saturation;
+        for (const std::string& algo : evaluatedAlgorithms()) {
+            const SweepCell& cell = result.cell(mesh, algo, pattern);
+            std::printf("%s", formatCurve(algo, cell.curve).c_str());
+            saturation[algo] = cell.saturation;
+        }
+        std::printf("saturation throughput:");
+        for (const auto& [algo, sat] : saturation)
+            std::printf("  %s=%.3f", algo.c_str(), sat);
+        std::printf("\n");
+        gains(saturation);
+    }
 }
 
 } // namespace footprint::bench

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <map>
 
 #include "bench_common.hpp"
 
@@ -23,32 +22,13 @@ main(int argc, char** argv)
 
     header("Figure 5: latency-throughput, single-flit packets "
            "(8x8, 10 VCs)");
-    const std::vector<double> rates{0.10, 0.20, 0.30, 0.36, 0.40,
-                                    0.44, 0.48, 0.52};
-
-    for (const char* pattern : {"uniform", "transpose", "shuffle"}) {
-        std::printf("\n-- %s --\n", pattern);
-        std::map<std::string, double> saturation;
-        for (const std::string& algo : evaluatedAlgorithms()) {
-            SimConfig cfg = benchBaseline();
-            cfg.set("traffic", pattern);
-            cfg.set("routing", algo);
-            const auto points =
-                latencyThroughputCurve(cfg, rates, ctx);
-            std::printf("%s", formatCurve(algo, points).c_str());
-            saturation[algo] = saturationFromLadder(points);
-        }
-        std::printf("saturation throughput:");
-        for (const auto& [algo, sat] : saturation)
-            std::printf("  %s=%.3f", algo.c_str(), sat);
-        std::printf("\nfootprint vs dbar: %+.1f%%   vs oddeven: "
+    curveFigure(ctx, benchBaseline(), [](auto& saturation) {
+        std::printf("footprint vs dbar: %+.1f%%   vs oddeven: "
                     "%+.1f%%   vs dor: %+.1f%%\n",
-                    pctGain(saturation["footprint"],
-                            saturation["dbar"]),
+                    pctGain(saturation["footprint"], saturation["dbar"]),
                     pctGain(saturation["footprint"],
                             saturation["oddeven"]),
-                    pctGain(saturation["footprint"],
-                            saturation["dor"]));
-    }
+                    pctGain(saturation["footprint"], saturation["dor"]));
+    });
     return 0;
 }

@@ -8,7 +8,6 @@
  */
 
 #include <cstdio>
-#include <map>
 
 #include "bench_common.hpp"
 
@@ -22,31 +21,14 @@ main(int argc, char** argv)
 
     header("Figure 6: latency-throughput, uniform 1-6 flit packets "
            "(8x8, 10 VCs)");
-    const std::vector<double> rates{0.10, 0.20, 0.30, 0.36, 0.40,
-                                    0.44, 0.48, 0.52};
-
-    for (const char* pattern : {"uniform", "transpose", "shuffle"}) {
-        std::printf("\n-- %s --\n", pattern);
-        std::map<std::string, double> saturation;
-        for (const std::string& algo : evaluatedAlgorithms()) {
-            SimConfig cfg = benchBaseline();
-            cfg.set("traffic", pattern);
-            cfg.set("routing", algo);
-            cfg.set("packet_size", "uniform1-6");
-            const auto points =
-                latencyThroughputCurve(cfg, rates, ctx);
-            std::printf("%s", formatCurve(algo, points).c_str());
-            saturation[algo] = saturationFromLadder(points);
-        }
-        std::printf("saturation throughput:");
-        for (const auto& [algo, sat] : saturation)
-            std::printf("  %s=%.3f", algo.c_str(), sat);
-        std::printf("\nfootprint vs dbar: %+.1f%%   xordet effect on "
+    SimConfig base = benchBaseline();
+    base.set("packet_size", "uniform1-6");
+    curveFigure(ctx, base, [](auto& saturation) {
+        std::printf("footprint vs dbar: %+.1f%%   xordet effect on "
                     "dbar: %+.1f%%\n",
-                    pctGain(saturation["footprint"],
-                            saturation["dbar"]),
+                    pctGain(saturation["footprint"], saturation["dbar"]),
                     pctGain(saturation["dbar+xordet"],
                             saturation["dbar"]));
-    }
+    });
     return 0;
 }

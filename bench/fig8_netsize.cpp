@@ -8,9 +8,10 @@
  * (bit-identical to serial, see DESIGN.md §13) to keep the 1024-node
  * sweeps tractable.
  *
+ * Each mesh size is one sweep, so 32x32 keeps its sharded base config.
  * Each size also reports the simulator's own speed (cycles/sec at a
- * mid-ladder load) so the bench doubles as a size-scaling record of
- * the engine itself.
+ * mid-ladder load, the one wall-clock column) so the bench doubles as
+ * a size-scaling record of the engine itself.
  */
 
 #include <cstdio>
@@ -53,25 +54,24 @@ main(int argc, char** argv)
         speed_cfg.set("traffic", "uniform");
         speed_cfg.set("routing", "footprint");
         const double cps = measureCyclesPerSec(speed_cfg, rates[1]);
-        bool first_row = true;
-        for (const char* pattern :
-             {"uniform", "transpose", "shuffle"}) {
-            double sat[2] = {0.0, 0.0};
-            int i = 0;
-            for (const char* algo : {"dbar", "footprint"}) {
-                SimConfig cfg = sizeConfig(k);
-                cfg.set("traffic", pattern);
-                cfg.set("routing", algo);
-                sat[i++] = saturationFromLadder(
-                    latencyThroughputCurve(cfg, rates, ctx));
-            }
-            std::printf("%7dx%-2d %-12s %12.3f %14.3f %17.3f",
-                        k, k, pattern, sat[0], sat[1],
-                        sat[1] > 0.0 ? sat[0] / sat[1] : 0.0);
-            if (first_row) {
+        const MeshSize mesh{k, k};
+        const SweepResult result = SweepRunner(ctx).run(
+            {.base = sizeConfig(k),
+             .rates = rates,
+             .routings = {"dbar", "footprint"},
+             .meshes = {mesh},
+             .traffics = kSyntheticPatterns,
+             .seeds = 1});
+        for (const std::string& pattern : kSyntheticPatterns) {
+            const double dbar =
+                result.cell(mesh, "dbar", pattern).saturation;
+            const double fp =
+                result.cell(mesh, "footprint", pattern).saturation;
+            std::printf("%7dx%-2d %-12s %12.3f %14.3f %17.3f", k, k,
+                        pattern.c_str(), dbar, fp,
+                        fp > 0.0 ? dbar / fp : 0.0);
+            if (pattern == kSyntheticPatterns.front())
                 std::printf(" %14.0f", cps);
-                first_row = false;
-            }
             std::printf("\n");
         }
     }

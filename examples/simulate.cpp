@@ -99,7 +99,7 @@ runSweepMode(footprint::SimConfig cfg)
     spec.traffics = {cfg.getStr("traffic")};
     spec.seeds = static_cast<int>(cfg.getInt("sweep_seeds"));
 
-    const auto jobs = static_cast<unsigned>(cfg.getInt("jobs"));
+    const std::int64_t jobs = cfg.getInt("jobs");
     const std::string out = cfg.getStr("bench_out");
     const bool console = cfg.getBool("console");
     // Execution knobs are not part of the experiment identity: the
@@ -122,20 +122,16 @@ runSweepMode(footprint::SimConfig cfg)
     if (progress)
         progress->close();
 
-    std::vector<CurvePoint> points;
-    for (const JobResult& r : result.jobs) {
-        if (!r.probe)
-            points.push_back(r.point);
-    }
+    const SweepCell& cell = result.cell(
+        spec.meshes.front(), spec.routings.front(),
+        spec.traffics.front());
     const std::string label =
         cfg.getStr("routing") + "/" + cfg.getStr("traffic");
     std::printf("--- sweep results ---\n%s",
-                formatCurve(label, points).c_str());
-    for (const SaturationPoint& sp : result.saturation) {
-        std::printf("saturation throughput    : %.3f "
-                    "(zero-load latency %.2f)\n",
-                    sp.throughput, sp.zeroLoadLatency);
-    }
+                formatCurve(label, cell.curve).c_str());
+    std::printf("saturation throughput    : %.3f "
+                "(zero-load latency %.2f)\n",
+                cell.saturation, cell.zeroLoad);
     std::printf("wall clock               : %.2f s (%zu jobs, "
                 "%.2f jobs/s, --jobs %u)\n",
                 result.wallSeconds, result.jobs.size(),

@@ -1,10 +1,10 @@
 /**
  * @file
  * Parallel sweep front end: expand a (rates x routings x meshes x
- * traffics x seeds) grid into independent jobs, run them on a
- * fixed-size thread pool, print per-cell saturation throughput, and
- * export the schema-versioned footprint.bench/1 artifact the CI
- * benchmark gate consumes.
+ * traffics x seeds) grid into independent jobs, run them on worker
+ * threads, print per-cell saturation throughput, and export the
+ * schema-versioned footprint.bench/1 artifact the CI benchmark gate
+ * consumes.
  *
  * Usage: sweep [key=value ...] [--jobs N] [--out FILE] [--console]
  *
@@ -70,7 +70,7 @@ main(int argc, char** argv)
     spec.traffics = splitList(cfg.getStr("sweep_traffics"));
     spec.seeds = static_cast<int>(cfg.getInt("sweep_seeds"));
 
-    const auto jobs = static_cast<unsigned>(cfg.getInt("jobs"));
+    const std::int64_t jobs = cfg.getInt("jobs");
     const std::string out = cfg.getStr("bench_out");
     const bool console = cfg.getBool("console");
     // Execution knobs are not part of the experiment's identity: the
@@ -104,11 +104,11 @@ main(int argc, char** argv)
 
     std::printf("\n%-8s %-16s %-12s %12s %16s\n", "mesh", "routing",
                 "traffic", "saturation", "zero-load lat");
-    for (const SaturationPoint& sp : result.saturation) {
+    for (const SweepCell& cell : result.cells) {
         std::printf("%-8s %-16s %-12s %12.3f %16.2f\n",
-                    sp.mesh.label().c_str(), sp.routing.c_str(),
-                    sp.traffic.c_str(), sp.throughput,
-                    sp.zeroLoadLatency);
+                    cell.mesh.label().c_str(), cell.routing.c_str(),
+                    cell.traffic.c_str(), cell.saturation,
+                    cell.zeroLoad);
     }
     std::printf("\nwall clock: %.2f s  (%zu jobs, %.2f jobs/s, "
                 "--jobs %u)\n",

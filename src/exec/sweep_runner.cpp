@@ -1,13 +1,13 @@
 #include "exec/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <map>
-#include <memory>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -106,18 +106,21 @@ isoUtcNow()
     return buf;
 }
 
-/** Ladder interpolation shared with bench::saturationFromLadder. */
+/**
+ * Saturation throughput of one classified rate ladder: midway between
+ * the last unsaturated and the first saturated rate (half the first
+ * rate if that one already saturates; the top rate if none does).
+ */
 double
-saturationFromPoints(const std::vector<const JobResult*>& ladder)
+ladderSaturation(std::span<const CurvePoint> ladder)
 {
     double last_good = 0.0;
-    for (const JobResult* r : ladder) {
-        if (r->point.saturated) {
-            return last_good > 0.0
-                ? (last_good + r->point.offered) / 2.0
-                : r->point.offered / 2.0;
+    for (const CurvePoint& p : ladder) {
+        if (p.saturated) {
+            return last_good > 0.0 ? (last_good + p.offered) / 2.0
+                                   : p.offered / 2.0;
         }
-        last_good = r->point.offered;
+        last_good = p.offered;
     }
     return last_good;
 }
@@ -196,13 +199,18 @@ parseRateSpec(const std::string& spec)
 std::vector<SimJob>
 SweepRunner::expand(const SweepSpec& spec)
 {
-    FP_ASSERT(!spec.rates.empty(), "sweep needs at least one rate");
-    FP_ASSERT(!spec.routings.empty(),
-              "sweep needs at least one routing algorithm");
-    FP_ASSERT(!spec.meshes.empty(), "sweep needs at least one mesh");
-    FP_ASSERT(!spec.traffics.empty(),
-              "sweep needs at least one traffic pattern");
-    FP_ASSERT(spec.seeds >= 1, "sweep needs at least one seed");
+    if (spec.rates.empty())
+        fatal("sweep_rates names no offered rate");
+    if (spec.routings.empty())
+        fatal("sweep_routings names no routing algorithm");
+    if (spec.meshes.empty())
+        fatal("sweep_meshes names no mesh size");
+    if (spec.traffics.empty())
+        fatal("sweep_traffics names no traffic pattern");
+    if (spec.seeds < 1) {
+        fatal("sweep_seeds must be >= 1, got "
+              + std::to_string(spec.seeds));
+    }
 
     const auto base_seed =
         static_cast<std::uint64_t>(spec.base.getInt("seed"));
@@ -244,7 +252,7 @@ SweepRunner::expand(const SweepSpec& spec)
             for (const std::string& traffic : spec.traffics) {
                 for (int rep = 0; rep < spec.seeds; ++rep) {
                     materialize(mesh, routing, traffic, rep,
-                                /*probe=*/true, spec.probeRate);
+                                /*probe=*/true, kZeroLoadProbeRate);
                     for (double rate : spec.rates)
                         materialize(mesh, routing, traffic, rep,
                                     /*probe=*/false, rate);
@@ -262,14 +270,14 @@ SweepRunner::run(const SweepSpec& spec)
 
     const auto start = std::chrono::steady_clock::now();
     const int total = static_cast<int>(jobs.size());
-    auto done = std::make_shared<std::atomic<int>>(0);
+    std::atomic<int> done{0};
     RunConsole* console = console_;
     if (console)
         console->updateSweep(0, total);
     std::vector<std::function<JobResult()>> tasks;
     tasks.reserve(jobs.size());
     for (const SimJob& job : jobs) {
-        tasks.push_back([&job, console, done, total]() {
+        tasks.push_back([&job, console, &done, total]() {
             const RunStats stats = runExperiment(job.cfg);
             JobResult r;
             r.index = job.index;
@@ -294,7 +302,7 @@ SweepRunner::run(const SweepSpec& spec)
             r.steadyCycle = stats.steadyStateCycle;
             r.satOnsetCycle = stats.saturationOnsetCycle;
             if (console)
-                console->updateSweep(done->fetch_add(1) + 1, total);
+                console->updateSweep(done.fetch_add(1) + 1, total);
             return r;
         });
     }
@@ -303,51 +311,49 @@ SweepRunner::run(const SweepSpec& spec)
     result.jobs = ctx_.map(std::move(tasks));
     const auto end = std::chrono::steady_clock::now();
 
-    // Classify every rate point against its cell+replicate zero-load
-    // probe, then reduce each cell's ladders to one saturation point.
-    using CellKey = std::tuple<int, int, std::string, std::string>;
-    std::map<std::pair<CellKey, int>, double> zero_load;
-    for (const JobResult& r : result.jobs) {
-        if (r.probe) {
-            zero_load[{CellKey{r.mesh.width, r.mesh.height, r.routing,
-                               r.traffic},
-                       r.replicate}] = r.point.latency;
+    // Jobs come back in expansion order, so each cell is `seeds`
+    // consecutive ladders, each a zero-load probe followed by the
+    // rates. Classify every rate point against its own ladder's probe,
+    // then reduce the cell's ladders to one saturation throughput.
+    const std::size_t ladder_len = spec.rates.size() + 1;
+    const auto seeds = static_cast<std::size_t>(spec.seeds);
+    for (std::size_t c = 0; c < result.jobs.size();
+         c += seeds * ladder_len) {
+        const JobResult& first = result.jobs[c];
+        SweepCell cell;
+        cell.mesh = first.mesh;
+        cell.routing = first.routing;
+        cell.traffic = first.traffic;
+        double saturation_sum = 0.0;
+        double zero_load_sum = 0.0;
+        for (std::size_t rep = 0; rep < seeds; ++rep) {
+            const std::size_t probe = c + rep * ladder_len;
+            const double zl = result.jobs[probe].point.latency;
+            zero_load_sum += zl;
+            for (std::size_t j = probe + 1; j < probe + ladder_len; ++j) {
+                CurvePoint& p = result.jobs[j].point;
+                p.saturated = p.saturated
+                    || (zl > 0.0
+                        && p.latency > kSaturationLatencyFactor * zl);
+                cell.curve.push_back(p);
+            }
+            saturation_sum += ladderSaturation(
+                std::span(cell.curve).last(spec.rates.size()));
         }
+        cell.saturation = saturation_sum / static_cast<double>(seeds);
+        cell.zeroLoad = zero_load_sum / static_cast<double>(seeds);
+        result.cells.push_back(std::move(cell));
     }
-    std::map<CellKey, std::vector<std::vector<const JobResult*>>>
-        ladders;
-    std::map<CellKey, double> zero_load_sum;
-    for (JobResult& r : result.jobs) {
-        const CellKey key{r.mesh.width, r.mesh.height, r.routing,
-                          r.traffic};
-        if (r.probe) {
-            auto& cell = ladders[key]; // ensure cell exists in order
-            cell.emplace_back();
-            zero_load_sum[key] += r.point.latency;
-            continue;
-        }
-        const double zl = zero_load.at({key, r.replicate});
-        if (!r.point.saturated) {
-            r.point.saturated = zl > 0.0
-                && r.point.latency > spec.latencyFactor * zl;
-        }
-        ladders.at(key).back().push_back(&r);
-    }
-    for (const auto& [key, replicate_ladders] : ladders) {
-        SaturationPoint sp;
-        sp.mesh.width = std::get<0>(key);
-        sp.mesh.height = std::get<1>(key);
-        sp.routing = std::get<2>(key);
-        sp.traffic = std::get<3>(key);
-        double sum = 0.0;
-        for (const auto& ladder : replicate_ladders)
-            sum += saturationFromPoints(ladder);
-        const auto n =
-            static_cast<double>(replicate_ladders.size());
-        sp.throughput = sum / n;
-        sp.zeroLoadLatency = zero_load_sum.at(key) / n;
-        result.saturation.push_back(sp);
-    }
+    // Cells are listed sorted by (mesh, routing, traffic), the order
+    // of the footprint.bench/1 "saturation" array.
+    std::stable_sort(
+        result.cells.begin(), result.cells.end(),
+        [](const SweepCell& a, const SweepCell& b) {
+            return std::tie(a.mesh.width, a.mesh.height, a.routing,
+                            a.traffic)
+                < std::tie(b.mesh.width, b.mesh.height, b.routing,
+                           b.traffic);
+        });
 
     result.baseSeed =
         static_cast<std::uint64_t>(spec.base.getInt("seed"));
@@ -358,6 +364,19 @@ SweepRunner::run(const SweepSpec& spec)
         ? static_cast<double>(result.jobs.size()) / result.wallSeconds
         : 0.0;
     return result;
+}
+
+const SweepCell&
+SweepResult::cell(const MeshSize& mesh, const std::string& routing,
+                  const std::string& traffic) const
+{
+    for (const SweepCell& c : cells) {
+        if (c.mesh.width == mesh.width && c.mesh.height == mesh.height
+            && c.routing == routing && c.traffic == traffic)
+            return c;
+    }
+    FP_PANIC("sweep has no cell " + mesh.label() + "/" + routing + "/"
+             + traffic);
 }
 
 std::string
@@ -405,7 +424,7 @@ benchResultsJson(const SweepSpec& spec, const SweepResult& result,
         os << (i ? ", " : "") << '"' << jsonEscape(spec.traffics[i])
            << '"';
     os << "], \"seeds\": " << spec.seeds << ", \"latency_factor\": "
-       << jsonDouble(spec.latencyFactor) << "},\n";
+       << jsonDouble(kSaturationLatencyFactor) << "},\n";
 
     os << "  \"results\": [\n";
     for (std::size_t i = 0; i < result.jobs.size(); ++i) {
@@ -432,15 +451,14 @@ benchResultsJson(const SweepSpec& spec, const SweepResult& result,
     os << "  ],\n";
 
     os << "  \"saturation\": [\n";
-    for (std::size_t i = 0; i < result.saturation.size(); ++i) {
-        const SaturationPoint& sp = result.saturation[i];
-        os << "    {\"mesh\": \"" << sp.mesh.label()
-           << "\", \"routing\": \"" << jsonEscape(sp.routing)
-           << "\", \"traffic\": \"" << jsonEscape(sp.traffic)
-           << "\", \"throughput\": " << jsonDouble(sp.throughput)
-           << ", \"zero_load_latency\": "
-           << jsonDouble(sp.zeroLoadLatency) << "}"
-           << (i + 1 < result.saturation.size() ? "," : "") << "\n";
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        const SweepCell& cell = result.cells[i];
+        os << "    {\"mesh\": \"" << cell.mesh.label()
+           << "\", \"routing\": \"" << jsonEscape(cell.routing)
+           << "\", \"traffic\": \"" << jsonEscape(cell.traffic)
+           << "\", \"throughput\": " << jsonDouble(cell.saturation)
+           << ", \"zero_load_latency\": " << jsonDouble(cell.zeroLoad)
+           << "}" << (i + 1 < result.cells.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.str();

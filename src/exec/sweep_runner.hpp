@@ -57,11 +57,19 @@ struct SweepSpec
     std::vector<std::string> traffics{"uniform"};
     /** Seed replicates per (mesh, routing, traffic, rate) cell. */
     int seeds = 1;
-    /** Saturation criterion: latency > factor x zero-load latency. */
-    double latencyFactor = 3.0;
-    /** Probe rate of the per-cell zero-load job. */
-    double probeRate = 0.02;
 };
+
+/**
+ * Saturation criterion of every sweep: a rate point is saturated when
+ * it fails to drain or its latency exceeds this factor times its
+ * cell's zero-load latency. (Accepted-vs-offered comparisons are
+ * deliberately not used: patterns with fixed points, e.g. transpose,
+ * legitimately accept less than the per-node offered rate.)
+ */
+inline constexpr double kSaturationLatencyFactor = 3.0;
+
+/** Offered rate of each cell's zero-load probe job. */
+inline constexpr double kZeroLoadProbeRate = 0.02;
 
 /** One fully materialized simulation of a sweep. */
 struct SimJob
@@ -72,7 +80,7 @@ struct SimJob
     std::string traffic;
     int replicate = 0;     ///< seed replicate [0, spec.seeds)
     bool probe = false;    ///< zero-load probe (not a curve point)
-    double rate = 0.0;     ///< offered rate (probeRate for probes)
+    double rate = 0.0;     ///< offered rate (kZeroLoadProbeRate for probes)
     std::uint64_t seed = 0; ///< deriveStreamSeed(base_seed, index)
     SimConfig cfg;         ///< private, ready-to-run configuration
 };
@@ -103,27 +111,42 @@ struct JobResult
 };
 
 /**
- * Saturation throughput of one (mesh, routing, traffic) cell,
- * ladder-interpolated per replicate and averaged across replicates.
+ * One (mesh, routing, traffic) cell of a sweep: its latency-throughput
+ * curve and the saturation throughput it reduces to. Each replicate's
+ * ladder saturates midway between its last unsaturated and its first
+ * saturated rate; the cell averages that across replicates.
  */
-struct SaturationPoint
+struct SweepCell
 {
     MeshSize mesh;
     std::string routing;
     std::string traffic;
-    double throughput = 0.0;
-    double zeroLoadLatency = 0.0;
+    /** Rate points of every replicate, in job order (no probes). */
+    std::vector<CurvePoint> curve;
+    /** Saturation throughput (flits/node/cycle). */
+    double saturation = 0.0;
+    /** Zero-load latency from the probe jobs (cycles). */
+    double zeroLoad = 0.0;
 };
 
 /** Everything one sweep produced. */
 struct SweepResult
 {
     std::vector<JobResult> jobs;          ///< in job-index order
-    std::vector<SaturationPoint> saturation;
+    std::vector<SweepCell> cells;         ///< sorted by mesh, routing, traffic
     std::uint64_t baseSeed = 0;
     unsigned jobsUsed = 1;                ///< worker threads
     double wallSeconds = 0.0;             ///< wall clock of run()
     double jobsPerSec = 0.0;              ///< jobs / wallSeconds
+
+    /**
+     * The cell of (@p mesh, @p routing, @p traffic) — the one way
+     * front ends read curves and saturation back. Panics if the sweep
+     * had no such cell.
+     */
+    const SweepCell& cell(const MeshSize& mesh,
+                          const std::string& routing,
+                          const std::string& traffic) const;
 };
 
 class SweepRunner
@@ -143,7 +166,9 @@ class SweepRunner
      * Flatten @p spec into jobs in the canonical order: mesh, then
      * routing, then traffic, then replicate, then (zero-load probe,
      * rates ascending in spec order). The order is part of the
-     * determinism contract — job index feeds seed derivation.
+     * determinism contract — job index feeds seed derivation. An empty
+     * axis or fewer than one seed is a user error: fatal() names the
+     * sweep_* key that set it.
      */
     static std::vector<SimJob> expand(const SweepSpec& spec);
 

@@ -3,209 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
-#include "exec/exec_context.hpp"
 #include "sim/log.hpp"
 
 namespace footprint {
-
-bool
-runSaturated(const RunStats& stats, double zero_load, double factor)
-{
-    // A run that failed to drain its measured packets is saturated by
-    // definition; otherwise use the standard latency criterion.
-    if (stats.saturated)
-        return true;
-    return zero_load > 0.0 && stats.avgLatency() > factor * zero_load;
-}
-
-namespace {
-
-/** One curve point at @p rate, classified against @p zero_load. */
-CurvePoint
-runCurvePoint(const SimConfig& base, double rate, double zero_load)
-{
-    SimConfig cfg = base;
-    cfg.setDouble("injection_rate", rate);
-    const RunStats stats = runExperiment(cfg);
-    CurvePoint p;
-    p.offered = rate;
-    p.accepted = stats.acceptedFlitsPerNodeCycle;
-    p.latency = stats.avgLatency();
-    p.saturated = runSaturated(stats, zero_load, 3.0);
-    return p;
-}
-
-/**
- * Replay the sequential skip rule over in-order points: once two
- * consecutive points are saturated, later points carry the plateau
- * values forward. Applying this to eagerly computed points yields
- * exactly what the lazy sequential walk produces, which is what makes
- * the parallel curve bit-identical to the sequential one.
- */
-void
-applySaturationCarryForward(std::vector<CurvePoint>& points)
-{
-    int consecutive_saturated = 0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (consecutive_saturated >= 2) {
-            points[i].accepted = points[i - 1].accepted;
-            points[i].latency = points[i - 1].latency;
-            points[i].saturated = true;
-            continue;
-        }
-        consecutive_saturated =
-            points[i].saturated ? consecutive_saturated + 1 : 0;
-    }
-}
-
-} // namespace
-
-std::vector<CurvePoint>
-latencyThroughputCurve(const SimConfig& base,
-                       const std::vector<double>& rates)
-{
-    const double zero_load = zeroLoadLatency(base);
-    std::vector<CurvePoint> points;
-    points.reserve(rates.size());
-    int consecutive_saturated = 0;
-    for (double rate : rates) {
-        // Once the curve is clearly past saturation, skip further
-        // (expensive, fully congested) runs; the carried-forward
-        // accepted throughput approximates the post-saturation
-        // plateau.
-        if (consecutive_saturated >= 2) {
-            CurvePoint p;
-            p.offered = rate;
-            p.accepted = points.back().accepted;
-            p.latency = points.back().latency;
-            p.saturated = true;
-            points.push_back(p);
-            continue;
-        }
-        points.push_back(runCurvePoint(base, rate, zero_load));
-        consecutive_saturated =
-            points.back().saturated ? consecutive_saturated + 1 : 0;
-    }
-    return points;
-}
-
-std::vector<CurvePoint>
-latencyThroughputCurve(const SimConfig& base,
-                       const std::vector<double>& rates,
-                       ExecContext& ctx)
-{
-    if (!ctx.parallel())
-        return latencyThroughputCurve(base, rates);
-
-    // Eager evaluation: the zero-load probe and every rate point are
-    // independent jobs. Post-saturation points the sequential path
-    // would skip are computed (and discarded by the carry-forward
-    // pass) — wasted work that parallelism absorbs, in exchange for
-    // results that match the sequential curve bit for bit.
-    std::vector<std::function<CurvePoint()>> tasks;
-    tasks.reserve(rates.size() + 1);
-    tasks.push_back([&base]() {
-        CurvePoint p;
-        p.latency = zeroLoadLatency(base);
-        return p;
-    });
-    for (double rate : rates) {
-        tasks.push_back(
-            [&base, rate]() { return runCurvePoint(base, rate, 0.0); });
-    }
-    std::vector<CurvePoint> raw = ctx.map(std::move(tasks));
-
-    const double zero_load = raw.front().latency;
-    std::vector<CurvePoint> points(raw.begin() + 1, raw.end());
-    for (CurvePoint& p : points) {
-        // Re-classify against the probe's zero-load latency (the rate
-        // jobs ran before it was known).
-        if (!p.saturated)
-            p.saturated = zero_load > 0.0
-                && p.latency > 3.0 * zero_load;
-    }
-    applySaturationCarryForward(points);
-    return points;
-}
-
-double
-zeroLoadLatency(const SimConfig& base, double probe_rate)
-{
-    SimConfig cfg = base;
-    cfg.setDouble("injection_rate", probe_rate);
-    const RunStats stats = runExperiment(cfg);
-    return stats.avgLatency();
-}
-
-double
-saturationThroughput(const SimConfig& base, double latency_factor,
-                     double tolerance)
-{
-    // Binary bisection == bracket-1 parallel search run inline.
-    return saturationThroughput(base, ExecContext::sequential(),
-                                latency_factor, tolerance, 1);
-}
-
-double
-saturationThroughput(const SimConfig& base, ExecContext& ctx,
-                     double latency_factor, double tolerance,
-                     int bracket)
-{
-    FP_ASSERT(bracket >= 1, "saturation search needs bracket >= 1");
-    const double zero_load = zeroLoadLatency(base);
-
-    auto saturated_at = [&base, zero_load,
-                         latency_factor](double rate) {
-        SimConfig cfg = base;
-        cfg.setDouble("injection_rate", rate);
-        const RunStats stats = runExperiment(cfg);
-        return runSaturated(stats, zero_load, latency_factor);
-    };
-
-    double lo = 0.02;
-    double hi = 1.0;
-    if (saturated_at(lo))
-        return lo;
-    while (hi - lo > tolerance) {
-        // Fixed probe schedule: `bracket` evenly spaced interior
-        // rates, evaluated concurrently. The schedule depends only on
-        // (lo, hi, bracket), so any jobs value walks the same interval
-        // sequence and returns the same answer.
-        std::vector<double> probes;
-        probes.reserve(static_cast<std::size_t>(bracket));
-        for (int i = 1; i <= bracket; ++i) {
-            probes.push_back(lo
-                             + (hi - lo) * static_cast<double>(i)
-                                 / static_cast<double>(bracket + 1));
-        }
-        std::vector<std::function<bool()>> tasks;
-        tasks.reserve(probes.size());
-        for (double rate : probes)
-            tasks.push_back(
-                [&saturated_at, rate]() { return saturated_at(rate); });
-        const std::vector<bool> sat = ctx.map(std::move(tasks));
-
-        // New bracket: hi becomes the lowest saturated probe; lo the
-        // highest unsaturated probe below it.
-        double new_hi = hi;
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-            if (sat[i]) {
-                new_hi = probes[i];
-                break;
-            }
-        }
-        double new_lo = lo;
-        for (std::size_t i = probes.size(); i-- > 0;) {
-            if (!sat[i] && probes[i] < new_hi) {
-                new_lo = probes[i];
-                break;
-            }
-        }
-        lo = new_lo;
-        hi = new_hi;
-    }
-    return lo;
-}
 
 std::vector<double>
 linspace(double lo, double hi, int count)

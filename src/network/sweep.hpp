@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment drivers: latency-throughput curves and saturation-
- * throughput search — the measurement procedures behind the paper's
- * Figs. 5-9.
+ * Latency-throughput curve points and the helpers the figure benches
+ * use to lay them out. The sweep engine that produces them is
+ * SweepRunner (exec/sweep_runner.hpp).
  */
 
 #ifndef FOOTPRINT_NETWORK_SWEEP_HPP
@@ -11,12 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "network/traffic_manager.hpp"
-#include "sim/config.hpp"
-
 namespace footprint {
-
-class ExecContext;
 
 /** One point on a latency-throughput curve. */
 struct CurvePoint
@@ -26,66 +21,6 @@ struct CurvePoint
     double latency = 0.0;   ///< average packet latency (cycles)
     bool saturated = false;
 };
-
-/**
- * Classify one run as saturated: it failed to drain, or its average
- * latency exceeds @p factor x @p zero_load. (Accepted-vs-offered
- * comparisons are deliberately not used: patterns with fixed points,
- * e.g. transpose, legitimately accept less than the per-node offered
- * rate.) Shared by the curve drivers and SweepRunner so every layer
- * applies one definition.
- */
-bool runSaturated(const RunStats& stats, double zero_load,
-                  double factor = 3.0);
-
-/**
- * Run the config at each offered rate and collect curve points.
- * Points past the first clearly saturated rate are still run (their
- * accepted throughput is meaningful) but marked saturated.
- */
-std::vector<CurvePoint>
-latencyThroughputCurve(const SimConfig& base,
-                       const std::vector<double>& rates);
-
-/**
- * Parallel latency-throughput curve: the zero-load probe and every
- * rate point run as independent jobs on @p ctx. Produces exactly the
- * CurvePoints of the sequential overload for any jobs value (the
- * post-saturation carry-forward of the sequential path is replayed as
- * a post-processing step), so thread count never changes results —
- * only wall-clock.
- */
-std::vector<CurvePoint>
-latencyThroughputCurve(const SimConfig& base,
-                       const std::vector<double>& rates,
-                       ExecContext& ctx);
-
-/** Zero-load latency, probed at a very low injection rate. */
-double zeroLoadLatency(const SimConfig& base, double probe_rate = 0.02);
-
-/**
- * Saturation throughput: the largest offered load (flits/node/cycle)
- * the network sustains with average latency below
- * @p latency_factor x zero-load latency, found by bisection to within
- * @p tolerance. This is the quantity behind the paper's "saturation
- * throughput improved by X%" statements.
- */
-double saturationThroughput(const SimConfig& base,
-                            double latency_factor = 3.0,
-                            double tolerance = 0.01);
-
-/**
- * Parallel saturation search: each refinement step evaluates
- * @p bracket evenly spaced interior rates of the current interval
- * concurrently on @p ctx, shrinking the interval by bracket+1 per step
- * instead of 2. The probe schedule depends only on @p bracket — never
- * on ctx.jobs() — so the result is identical for any thread count;
- * bracket == 1 degenerates to the sequential overload's binary
- * bisection exactly.
- */
-double saturationThroughput(const SimConfig& base, ExecContext& ctx,
-                            double latency_factor = 3.0,
-                            double tolerance = 0.01, int bracket = 4);
 
 /** Evenly spaced rates in [lo, hi] (inclusive), helper for benches. */
 std::vector<double> linspace(double lo, double hi, int count);

@@ -2,7 +2,9 @@
  * @file
  * Tests for the parallel sweep engine: deterministic job expansion and
  * seed derivation, thread-count-invariant results and artifacts,
- * per-job artifact-path isolation, and the sweep CLI helpers.
+ * per-job artifact-path isolation, fatal errors for empty grid axes,
+ * what its curves and saturation estimates measure on a small mesh,
+ * and the sweep CLI helpers.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 
 #include "exec/exec_context.hpp"
 #include "exec/sweep_runner.hpp"
+#include "expect_panic.hpp"
+#include "network/sweep.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
 
@@ -42,6 +46,29 @@ tinySpec()
     spec.traffics = {"uniform"};
     spec.seeds = 2;
     return spec;
+}
+
+constexpr MeshSize kTiny{4, 4};
+
+/**
+ * DOR on the 4x4 mesh with phases long enough for stable curves: one
+ * sweep over @p traffics at @p rates.
+ */
+SweepResult
+runTinyLadder(const std::vector<std::string>& traffics,
+              std::vector<double> rates, std::int64_t drain_cycles)
+{
+    SweepSpec spec;
+    spec.base = tinyBase();
+    spec.base.setInt("warmup_cycles", 200);
+    spec.base.setInt("measure_cycles", 600);
+    spec.base.setInt("drain_cycles", drain_cycles);
+    spec.rates = std::move(rates);
+    spec.routings = {"dor"};
+    spec.meshes = {kTiny};
+    spec.traffics = traffics;
+    ExecContext ctx(2);
+    return SweepRunner(ctx).run(spec);
 }
 
 TEST(SweepExpand, CanonicalOrderAndDerivedSeeds)
@@ -122,6 +149,49 @@ TEST(SweepExpand, IsolatesPerJobArtifactPaths)
     EXPECT_EQ(jobs[3].cfg.getStr("trace_out"), "trace.job3.jsonl");
 }
 
+TEST(SweepExpand, NoSeedReplicateIsFatal)
+{
+    SweepSpec spec = tinySpec();
+    spec.seeds = 0;
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_seeds must be >= 1, got 0");
+    spec.seeds = -3;
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_seeds must be >= 1, got -3");
+}
+
+TEST(SweepExpand, EmptyRoutingListIsFatal)
+{
+    SweepSpec spec = tinySpec();
+    spec.routings = splitList(",");
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_routings names no routing algorithm");
+}
+
+TEST(SweepExpand, EmptyMeshListIsFatal)
+{
+    SweepSpec spec = tinySpec();
+    spec.meshes.clear(); // what sweep_meshes=, parses to
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_meshes names no mesh size");
+}
+
+TEST(SweepExpand, EmptyTrafficListIsFatal)
+{
+    SweepSpec spec = tinySpec();
+    spec.traffics = splitList(" , ");
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_traffics names no traffic pattern");
+}
+
+TEST(SweepExpand, EmptyRateListIsFatal)
+{
+    SweepSpec spec = tinySpec();
+    spec.rates.clear();
+    EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                "fatal: sweep_rates names no offered rate");
+}
+
 TEST(SweepRun, ResultsAreIdenticalForAnyThreadCount)
 {
     const SweepSpec spec = tinySpec();
@@ -142,10 +212,14 @@ TEST(SweepRun, ResultsAreIdenticalForAnyThreadCount)
                   b.jobs[i].point.saturated);
         EXPECT_EQ(a.jobs[i].cycles, b.jobs[i].cycles);
     }
-    ASSERT_EQ(a.saturation.size(), b.saturation.size());
-    for (std::size_t i = 0; i < a.saturation.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.saturation[i].throughput,
-                         b.saturation[i].throughput);
+    ASSERT_EQ(a.cells.size(), b.cells.size());
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        EXPECT_DOUBLE_EQ(a.cells[i].saturation, b.cells[i].saturation);
+        ASSERT_EQ(a.cells[i].curve.size(), b.cells[i].curve.size());
+        for (std::size_t j = 0; j < a.cells[i].curve.size(); ++j) {
+            EXPECT_DOUBLE_EQ(a.cells[i].curve[j].latency,
+                             b.cells[i].curve[j].latency);
+        }
     }
     // The exported artifact, minus wall-clock metadata, is
     // byte-identical — the CI determinism gate in C++ form.
@@ -159,12 +233,95 @@ TEST(SweepRun, ProducesSaturationPerCell)
     spec.routings = {"dor"};
     ExecContext ctx(2);
     const SweepResult result = SweepRunner(ctx).run(spec);
-    ASSERT_EQ(result.saturation.size(), 1u);
-    EXPECT_EQ(result.saturation[0].routing, "dor");
-    EXPECT_GT(result.saturation[0].throughput, 0.0);
-    EXPECT_GT(result.saturation[0].zeroLoadLatency, 0.0);
+    ASSERT_EQ(result.cells.size(), 1u);
+    const SweepCell& cell = result.cell(kTiny, "dor", "uniform");
+    EXPECT_EQ(&cell, &result.cells[0]);
+    EXPECT_GT(cell.saturation, 0.0);
+    EXPECT_GT(cell.zeroLoad, 0.0);
+    // Two replicates' rate points, probes excluded, in job order.
+    ASSERT_EQ(cell.curve.size(), 4u);
+    EXPECT_DOUBLE_EQ(cell.curve[0].latency, result.jobs[1].point.latency);
+    EXPECT_DOUBLE_EQ(cell.curve[3].latency, result.jobs[5].point.latency);
     EXPECT_GT(result.jobsPerSec, 0.0);
     EXPECT_EQ(result.baseSeed, 7u);
+}
+
+TEST(SweepRun, CellsAreSortedAndLookedUpByKey)
+{
+    SweepSpec spec = tinySpec();
+    spec.routings = {"dor", "dbar"};
+    spec.traffics = {"uniform", "transpose"};
+    spec.rates = {0.05};
+    spec.seeds = 1;
+    ExecContext ctx(4);
+    const SweepResult result = SweepRunner(ctx).run(spec);
+    ASSERT_EQ(result.cells.size(), 4u);
+    // Sorted by (mesh, routing, traffic), not in expansion order.
+    EXPECT_EQ(result.cells[0].routing, "dbar");
+    EXPECT_EQ(result.cells[0].traffic, "transpose");
+    EXPECT_EQ(result.cells[3].routing, "dor");
+    EXPECT_EQ(result.cells[3].traffic, "uniform");
+    for (const SweepCell& c : result.cells)
+        EXPECT_EQ(&result.cell(c.mesh, c.routing, c.traffic), &c);
+    EXPECT_PANIC(result.cell(kTiny, "footprint", "uniform"),
+                 "sweep has no cell 4x4/footprint/uniform");
+}
+
+TEST(ZeroLoadLatency, IsSmallAndPositive)
+{
+    const SweepResult result =
+        runTinyLadder({"uniform"}, {0.05}, 3000);
+    const JobResult& probe = result.jobs.front();
+    ASSERT_TRUE(probe.probe);
+    EXPECT_DOUBLE_EQ(probe.point.offered, kZeroLoadProbeRate);
+    EXPECT_GT(probe.point.latency, 3.0);
+    EXPECT_LT(probe.point.latency, 15.0);
+    EXPECT_DOUBLE_EQ(result.cell(kTiny, "dor", "uniform").zeroLoad,
+                     probe.point.latency);
+}
+
+TEST(LatencyThroughputCurve, LatencyIncreasesWithLoad)
+{
+    const SweepResult result =
+        runTinyLadder({"uniform"}, {0.05, 0.2, 0.35}, 3000);
+    const std::vector<CurvePoint>& points =
+        result.cell(kTiny, "dor", "uniform").curve;
+    ASSERT_EQ(points.size(), 3u);
+    EXPECT_LT(points[0].latency, points[2].latency);
+    for (const CurvePoint& p : points) {
+        EXPECT_GT(p.latency, 0.0);
+        EXPECT_NEAR(p.accepted, p.offered, 0.05);
+        EXPECT_FALSE(p.saturated) << "offered " << p.offered;
+    }
+}
+
+TEST(LatencyThroughputCurve, OverloadedPointIsMarkedSaturated)
+{
+    const SweepResult result = runTinyLadder({"transpose"}, {0.9}, 1200);
+    const std::vector<CurvePoint>& points =
+        result.cell(kTiny, "dor", "transpose").curve;
+    ASSERT_EQ(points.size(), 1u);
+    EXPECT_TRUE(points[0].saturated);
+    // Accepted throughput saturates below offered.
+    EXPECT_LT(points[0].accepted, 0.6);
+}
+
+TEST(SaturationThroughput, LiesInPlausibleRange)
+{
+    const SweepResult result =
+        runTinyLadder({"uniform"}, linspace(0.1, 0.9, 9), 1500);
+    // 4x4 uniform with DOR: saturation well above 0.2 and below 1.0.
+    const double sat = result.cell(kTiny, "dor", "uniform").saturation;
+    EXPECT_GT(sat, 0.2);
+    EXPECT_LT(sat, 1.0);
+}
+
+TEST(SaturationThroughput, AdversePatternSaturatesEarlier)
+{
+    const SweepResult result = runTinyLadder(
+        {"uniform", "transpose"}, linspace(0.1, 0.9, 9), 1500);
+    EXPECT_LT(result.cell(kTiny, "dor", "transpose").saturation,
+              result.cell(kTiny, "dor", "uniform").saturation);
 }
 
 TEST(BenchResultsJson, CarriesSchemaAndSections)
@@ -182,6 +339,7 @@ TEST(BenchResultsJson, CarriesSchemaAndSections)
     EXPECT_NE(doc.find("\"results\""), std::string::npos);
     EXPECT_NE(doc.find("\"saturation\""), std::string::npos);
     EXPECT_NE(doc.find("\"config_hash\""), std::string::npos);
+    EXPECT_NE(doc.find("\"latency_factor\": 3}"), std::string::npos);
     // Timing is confined to its own object, absent in canonical form.
     const std::string canonical =
         benchResultsJson(spec, result, /*include_timing=*/false);
@@ -208,6 +366,26 @@ TEST(SweepHelpers, ParseMeshSizeAndRates)
     const auto parts = splitList("a, b ,c");
     ASSERT_EQ(parts.size(), 3u);
     EXPECT_EQ(parts[1], "b");
+}
+
+TEST(Linspace, EndpointsAndSpacing)
+{
+    const auto v = linspace(0.1, 0.5, 5);
+    ASSERT_EQ(v.size(), 5u);
+    EXPECT_DOUBLE_EQ(v.front(), 0.1);
+    EXPECT_DOUBLE_EQ(v.back(), 0.5);
+    EXPECT_NEAR(v[1] - v[0], 0.1, 1e-12);
+    EXPECT_NEAR(v[3] - v[2], 0.1, 1e-12);
+}
+
+TEST(FormatCurve, ContainsLabelAndNumbers)
+{
+    std::vector<CurvePoint> pts{{0.1, 0.1, 12.0, false},
+                                {0.5, 0.4, 900.0, true}};
+    const std::string s = formatCurve("dor/uniform", pts);
+    EXPECT_NE(s.find("dor/uniform"), std::string::npos);
+    EXPECT_NE(s.find("offered=0.100"), std::string::npos);
+    EXPECT_NE(s.find("[saturated]"), std::string::npos);
 }
 
 TEST(DeriveStreamSeed, DeterministicAndWellSeparated)
