@@ -5,8 +5,9 @@
  * One ordered fan-out primitive, map(): run a batch of independent
  * closures and return their results in submission order. Each call
  * starts its own crew of min(jobs, tasks) threads — the caller plus
- * std::jthreads — which take task indices in order from one atomic
- * counter, so every jobs value runs the same code path.
+ * std::jthreads — which take task indices from one atomic counter, in
+ * task order or in a caller-given dispatch order, so every jobs value
+ * runs the same code path.
  *
  * Determinism contract: map() affects only *when* tasks run, never
  * what they compute or the order results are returned in. SweepRunner
@@ -25,8 +26,11 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
+
+#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -47,21 +51,37 @@ class ExecContext
      * handed out one index at a time — simulation jobs vary wildly in
      * duration (a saturated ladder point costs many times a zero-load
      * one), so a shared counter balances load while the calling
-     * thread works instead of sleeping. The first exception (in task
-     * order) is rethrown after all tasks have finished, so no job is
-     * abandoned mid-run.
+     * thread works instead of sleeping. @p order, when non-empty, is
+     * a permutation of the task indices giving the dispatch order
+     * (SweepRunner starts its costliest jobs first); it changes only
+     * when a task starts. The first exception (in task order, not
+     * dispatch order) is rethrown after all tasks have finished, so
+     * no job is abandoned mid-run.
      */
     template <typename T>
     std::vector<T>
-    map(std::vector<std::function<T()>> tasks)
+    map(std::vector<std::function<T()>> tasks,
+        std::span<const std::size_t> order = {})
     {
         const std::size_t n = tasks.size();
+        if (!order.empty()) {
+            std::vector<bool> seen(n, false);
+            FP_ASSERT(order.size() == n,
+                      "dispatch order covers " << order.size() << " of "
+                                               << n << " tasks");
+            for (const std::size_t i : order) {
+                FP_ASSERT(i < n && !seen[i],
+                          "dispatch order is not a permutation");
+                seen[i] = true;
+            }
+        }
         std::vector<std::optional<T>> staging(n);
         std::vector<std::exception_ptr> errors(n);
         std::atomic<std::size_t> next{0};
         auto work = [&]() {
-            for (std::size_t i = next.fetch_add(1); i < n;
-                 i = next.fetch_add(1)) {
+            for (std::size_t k = next.fetch_add(1); k < n;
+                 k = next.fetch_add(1)) {
+                const std::size_t i = order.empty() ? k : order[k];
                 try {
                     staging[i].emplace(tasks[i]());
                 } catch (...) {

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <numeric>
 #include <span>
 #include <sstream>
 #include <tuple>
@@ -201,6 +202,13 @@ SweepRunner::expand(const SweepSpec& spec)
 {
     if (spec.rates.empty())
         fatal("sweep_rates names no offered rate");
+    for (const double rate : spec.rates) {
+        // Checked here, not in a worker thread's runExperiment.
+        if (!(rate > 0.0 && rate <= 1.0)) {
+            fatal("sweep_rates must lie in (0, 1] flits/node/cycle, got "
+                  + jsonDouble(rate));
+        }
+    }
     if (spec.routings.empty())
         fatal("sweep_routings names no routing algorithm");
     if (spec.meshes.empty())
@@ -263,12 +271,33 @@ SweepRunner::expand(const SweepSpec& spec)
     return jobs;
 }
 
+std::vector<std::size_t>
+SweepRunner::dispatchOrder(const std::vector<SimJob>& jobs)
+{
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::ranges::sort(order, {}, [&jobs](std::size_t i) {
+        const SimJob& j = jobs[i];
+        return std::tuple(-j.mesh.width * j.mesh.height, j.probe, -j.rate,
+                          i);
+    });
+    return order;
+}
+
 SweepResult
 SweepRunner::run(const SweepSpec& spec)
 {
     std::vector<SimJob> jobs = expand(spec);
+    const std::vector<std::size_t> order = dispatchOrder(jobs);
 
+    SweepResult result;
+    result.schedule.resize(jobs.size());
     const auto start = std::chrono::steady_clock::now();
+    auto since_start = [start]() {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
     const int total = static_cast<int>(jobs.size());
     std::atomic<int> done{0};
     RunConsole* console = console_;
@@ -277,7 +306,11 @@ SweepRunner::run(const SweepSpec& spec)
     std::vector<std::function<JobResult()>> tasks;
     tasks.reserve(jobs.size());
     for (const SimJob& job : jobs) {
-        tasks.push_back([&job, console, &done, total]() {
+        // Each task writes only its own schedule slot.
+        std::array<double, 2>& slot = result.schedule[job.index];
+        tasks.push_back([&job, &slot, &since_start, console, &done,
+                         total]() {
+            slot[0] = since_start();
             const RunStats stats = runExperiment(job.cfg);
             JobResult r;
             r.index = job.index;
@@ -303,13 +336,13 @@ SweepRunner::run(const SweepSpec& spec)
             r.satOnsetCycle = stats.saturationOnsetCycle;
             if (console)
                 console->updateSweep(done.fetch_add(1) + 1, total);
+            slot[1] = since_start();
             return r;
         });
     }
 
-    SweepResult result;
-    result.jobs = ctx_.map(std::move(tasks));
-    const auto end = std::chrono::steady_clock::now();
+    result.jobs = ctx_.map(std::move(tasks), order);
+    result.wallSeconds = since_start();
 
     // Jobs come back in expansion order, so each cell is `seeds`
     // consecutive ladders, each a zero-load probe followed by the
@@ -358,8 +391,6 @@ SweepRunner::run(const SweepSpec& spec)
     result.baseSeed =
         static_cast<std::uint64_t>(spec.base.getInt("seed"));
     result.jobsUsed = ctx_.jobs();
-    result.wallSeconds =
-        std::chrono::duration<double>(end - start).count();
     result.jobsPerSec = result.wallSeconds > 0.0
         ? static_cast<double>(result.jobs.size()) / result.wallSeconds
         : 0.0;
@@ -401,12 +432,18 @@ benchResultsJson(const SweepSpec& spec, const SweepResult& result,
 
     // Wall-clock metadata, the only schedule-dependent content; the
     // determinism gate compares documents with this object omitted.
+    // "schedule" lists each job's [start, end] seconds in job order.
     if (include_timing) {
         os << "  \"timing\": {\"created\": \"" << isoUtcNow()
            << "\", \"jobs\": " << result.jobsUsed
            << ", \"wall_seconds\": " << jsonDouble(result.wallSeconds)
            << ", \"jobs_per_sec\": " << jsonDouble(result.jobsPerSec)
-           << "},\n";
+           << ",\n    \"schedule\": [";
+        for (std::size_t i = 0; i < result.schedule.size(); ++i) {
+            os << (i ? ", " : "") << '[' << jsonDouble(result.schedule[i][0])
+               << ", " << jsonDouble(result.schedule[i][1]) << ']';
+        }
+        os << "]},\n";
     }
 
     os << "  \"sweep\": {\"rates\": [";

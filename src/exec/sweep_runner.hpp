@@ -8,15 +8,17 @@
  * replicates). expand() flattens it, in a fixed row-major order, into
  * SimJobs; each job owns a private SimConfig, an RNG seed derived via
  * SplitMix64 from the base seed and the job index, and its own
- * artifact paths. run() executes the jobs on an ExecContext
- * and reassembles results in job order, so the output — including the
- * exported footprint.bench/1 JSON, minus wall-clock metadata — is
- * bit-identical for any thread count or schedule.
+ * artifact paths. run() executes the jobs on an ExecContext, costliest
+ * first (dispatchOrder), and reassembles results in job order, so the
+ * output — including the exported footprint.bench/1 JSON, minus
+ * wall-clock metadata — is bit-identical for any thread count or
+ * schedule.
  */
 
 #ifndef FOOTPRINT_EXEC_SWEEP_RUNNER_HPP
 #define FOOTPRINT_EXEC_SWEEP_RUNNER_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -138,6 +140,13 @@ struct SweepResult
     unsigned jobsUsed = 1;                ///< worker threads
     double wallSeconds = 0.0;             ///< wall clock of run()
     double jobsPerSec = 0.0;              ///< jobs / wallSeconds
+    /**
+     * [start, end] of each job in seconds since run() started, in
+     * job-index order: the schedule dispatchOrder produced. Like
+     * wallSeconds it is host time, written only to the "timing"
+     * object of footprint.bench/1.
+     */
+    std::vector<std::array<double, 2>> schedule;
 
     /**
      * The cell of (@p mesh, @p routing, @p traffic) — the one way
@@ -172,7 +181,22 @@ class SweepRunner
      */
     static std::vector<SimJob> expand(const SweepSpec& spec);
 
-    /** Execute every job of @p spec and assemble the results. */
+    /**
+     * The order run() hands @p jobs to its workers: descending
+     * expected cost, so no expensive job starts last and runs alone
+     * while the other workers idle. Larger meshes first; within a
+     * mesh, rate points by descending offered rate, then zero-load
+     * probes; ties by job index. The cost is read from each job's own
+     * config, so any spec gets a schedule with no extra key. Returns
+     * a permutation of the job indices.
+     */
+    static std::vector<std::size_t>
+    dispatchOrder(const std::vector<SimJob>& jobs);
+
+    /**
+     * Execute every job of @p spec in dispatchOrder and assemble the
+     * results in job order.
+     */
     SweepResult run(const SweepSpec& spec);
 
   private:
@@ -184,9 +208,9 @@ class SweepRunner
  * Render @p result as a schema-versioned footprint.bench/1 JSON
  * document (the repo's canonical BENCH_*.json format; see README).
  * When @p include_timing is false the wall-clock fields ("created",
- * "wall_seconds", "jobs_per_sec") are omitted, leaving only the
- * deterministic payload — the form the CI determinism gate compares
- * across thread counts.
+ * "wall_seconds", "jobs_per_sec", "schedule") are omitted, leaving
+ * only the deterministic payload — the form the CI determinism gate
+ * compares across thread counts.
  */
 std::string benchResultsJson(const SweepSpec& spec,
                              const SweepResult& result,

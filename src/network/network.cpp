@@ -84,11 +84,25 @@ Network::Network(const SimConfig& cfg)
         : 1;
     if (threads_ < 1)
         fatal("threads must be >= 1");
+    const int n = topo_.numNodes();
+    // A packet descriptor names its source's pool segment in
+    // 32 - kIdxBits bits, and every node has its own segment.
+    if (n > static_cast<int>(PacketPool::kMaxSegments)) {
+        fatal("the network has " + std::to_string(n)
+              + " nodes; at most "
+              + std::to_string(PacketPool::kMaxSegments)
+              + " are supported (one packet-pool segment per node)");
+    }
     const int shard_cfg = cfg.contains("shards")
         ? static_cast<int>(cfg.getInt("shards"))
         : 0;
     if (shard_cfg < 0)
         fatal("shards must be >= 0 (0 = one per thread)");
+    if (shard_cfg > n) {
+        fatal("shards must be at most the node count ("
+              + std::to_string(n) + "), got "
+              + std::to_string(shard_cfg));
+    }
     // The router and link fabric assert on these; as user input they
     // are rejected here instead.
     if (params_.numVcs < 1 || params_.numVcs > 64) {
@@ -109,7 +123,6 @@ Network::Network(const SimConfig& cfg)
         }
     }
 
-    const int n = topo_.numNodes();
     const auto seed = static_cast<std::uint64_t>(cfg.getInt("seed"));
 
     status_.init(n);

@@ -188,6 +188,13 @@ TrafficManager::run()
     const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg_);
     std::unique_ptr<FlightRecorder> recorder;
     if (ts_cfg.active() || heatmap) {
+        // fromSim clamps a degenerate interval; as user input for a
+        // running recorder it is an error.
+        const std::int64_t interval = cfg_.getInt("timeseries_interval");
+        if (interval < 1) {
+            fatal("timeseries_interval must be >= 1 when the flight "
+                  "recorder runs, got " + std::to_string(interval));
+        }
         recorder = std::make_unique<FlightRecorder>(net, ts_cfg, &meta);
         recorder->attachHeatmap(heatmap.get());
         recorder->attachChromeTrace(chrome.get());
@@ -208,6 +215,10 @@ TrafficManager::run()
     if (cfg_.getBool("audit")) {
         InvariantAuditor::Params ap;
         ap.interval = cfg_.getInt("audit_interval");
+        if (ap.interval < 1) {
+            fatal("audit_interval must be >= 1 with audit on, got "
+                  + std::to_string(ap.interval));
+        }
         auditor = std::make_unique<InvariantAuditor>(net, ap);
 
         Watchdog::Params wp;
@@ -225,6 +236,13 @@ TrafficManager::run()
         sigint_guard.emplace();
 
     const std::string mode = cfg_.getStr("traffic");
+    for (const char* key :
+         {"warmup_cycles", "measure_cycles", "drain_cycles"}) {
+        if (cfg_.getInt(key) < 0) {
+            fatal(std::string(key) + " must be >= 0, got "
+                  + cfg_.getStr(key));
+        }
+    }
     // Under warmup=auto the warmup length is detector-driven: it
     // starts at the warmup_max_cycles cap and shrinks to the cycle at
     // which the steady-state detector converges. The detector only
@@ -238,6 +256,10 @@ TrafficManager::run()
     const auto drain_limit = cfg_.getInt("drain_cycles");
     const bool skip_ahead = cfg_.getBool("skip_ahead");
     const double rate = cfg_.getDouble("injection_rate");
+    if (!(rate >= 0.0 && rate <= 1.0)) {
+        fatal("injection_rate must be in [0, 1] flits/node/cycle, got "
+              + cfg_.getStr("injection_rate"));
+    }
     const PacketSizeDist size_dist =
         PacketSizeDist::parse(cfg_.getStr("packet_size"));
     Rng gen(static_cast<std::uint64_t>(cfg_.getInt("seed"))

@@ -26,7 +26,6 @@ Router::Router(const Topology& topo, int node,
         for (auto& vc : in.vcs)
             vc.buffer.reset(static_cast<std::size_t>(params.vcBufSize));
         in.saArbiter.resize(params.numVcs);
-        in.requests.resize(static_cast<std::size_t>(params.numVcs));
     }
     for (auto& out : outputs_) {
         out.saArbiter.resize(kNumPorts);
@@ -163,6 +162,17 @@ Router::runVcAllocation()
         }
     }
 
+    // Route each waiting input VC and scatter its requests onto the
+    // allocatable output VCs they target in the same step, keeping a
+    // per-output-VC running best instead of materialising requester
+    // lists: the arbitration below is a strict max over (priority,
+    // round-robin distance), and distances are unique per requester
+    // id, so the fold picks the same winner in any order. route()
+    // reads only output-VC state, the convergence counters, the
+    // status board and the RNG; the scatter writes none of them and
+    // commits happen strictly after, so every route() call — and every
+    // RNG draw — sees the state it would see if all routing ran before
+    // any scatter.
     waiting_.clear();
     for (int ip = 0; ip < kNumPorts; ++ip) {
         InputPort& in = inputs_[static_cast<std::size_t>(ip)];
@@ -178,58 +188,40 @@ Router::runVcAllocation()
             }
             if (ivc.state != InputVc::State::VcAlloc)
                 continue;
-            OutputSet& set = in.requests[static_cast<std::size_t>(v)];
-            set.clear();
-            routing_->route(*this, ivc.front(), set);
-            if (!set.empty())
-                waiting_.emplace_back(ip, v);
-        }
-    }
-    if (waiting_.empty())
-        return;
-
-    // Scatter requests onto the allocatable output VCs they target,
-    // keeping a per-output-VC running best instead of materialising
-    // requester lists: the arbitration below is a strict max over
-    // (priority, round-robin distance), so folding requesters in
-    // scatter order picks the same winner the old list walk did —
-    // distances are unique per requester id, making the max
-    // order-independent. Output-VC state is constant throughout the
-    // gather/scatter window (commits happen strictly after), so the
-    // live masks are safe to read here.
-    for (const auto& [ip, v] : waiting_) {
-        const int id = ip * num_vcs + v;
-        bestGrant_[static_cast<std::size_t>(id)] = VaGrant{};
-        const OutputSet& set = inputs_[static_cast<std::size_t>(ip)]
-                                   .requests[static_cast<std::size_t>(v)];
-        for (const VcRequest& r : set.requests()) {
-            VcMask m = r.vcs & allocatableMaskOf(r.port, atomic);
-            const auto pri =
-                static_cast<std::int8_t>(r.priority);
-            const int base = r.port * num_vcs;
-            while (m != 0) {
-                const int ov = std::countr_zero(m);
-                m &= m - 1;
-                const auto idx = static_cast<std::size_t>(base + ov);
-                if (vaBestPri_[idx] < 0) {
-                    touchedOutVcs_.push_back(
-                        static_cast<int>(idx));
-                }
-                int dist = id - vcRrPtr_[idx];
-                if (dist < 0)
-                    dist += total_ids;
-                if (pri > vaBestPri_[idx]
-                    || (pri == vaBestPri_[idx]
-                        && dist < vaBestDist_[idx])) {
-                    vaBestPri_[idx] = pri;
-                    vaBestDist_[idx] =
-                        static_cast<std::int16_t>(dist);
-                    vaBestReq_[idx] =
-                        static_cast<std::int16_t>(id);
+            vaSet_.clear();
+            routing_->route(*this, ivc.front(), vaSet_);
+            if (vaSet_.empty())
+                continue;
+            const int id = ip * num_vcs + v;
+            waiting_.push_back(
+                VaWaiter{ip, v, vaSet_.requests().front().port});
+            bestGrant_[static_cast<std::size_t>(id)] = VaGrant{};
+            for (const VcRequest& r : vaSet_.requests()) {
+                VcMask m = r.vcs & allocatableMaskOf(r.port, atomic);
+                const auto pri = static_cast<std::int8_t>(r.priority);
+                const int base = r.port * num_vcs;
+                while (m != 0) {
+                    const int ov = std::countr_zero(m);
+                    m &= m - 1;
+                    const auto idx = static_cast<std::size_t>(base + ov);
+                    if (vaBestPri_[idx] < 0)
+                        touchedOutVcs_.push_back(static_cast<int>(idx));
+                    int dist = id - vcRrPtr_[idx];
+                    if (dist < 0)
+                        dist += total_ids;
+                    if (pri > vaBestPri_[idx]
+                        || (pri == vaBestPri_[idx]
+                            && dist < vaBestDist_[idx])) {
+                        vaBestPri_[idx] = pri;
+                        vaBestDist_[idx] = static_cast<std::int16_t>(dist);
+                        vaBestReq_[idx] = static_cast<std::int16_t>(id);
+                    }
                 }
             }
         }
     }
+    if (waiting_.empty())
+        return;
 
     // Output-side arbitration: each requested output VC offers itself
     // to its highest-priority requester (round-robin tie-break), then
@@ -254,7 +246,7 @@ Router::runVcAllocation()
     touchedOutVcs_.clear();
 
     // Commit accepted grants; record blocking events for the rest.
-    for (const auto& [ip, v] : waiting_) {
+    for (const auto& [ip, v, first_port] : waiting_) {
         const int id = ip * num_vcs + v;
         InputPort& in = inputs_[static_cast<std::size_t>(ip)];
         InputVc& ivc = in.vcs[static_cast<std::size_t>(v)];
@@ -274,17 +266,17 @@ Router::runVcAllocation()
         } else {
             // Blocking event: VC allocation failed this cycle. Sample
             // the purity of blocking (footprint share of busy VCs) on
-            // the packet's primary requested port.
+            // the packet's primary requested port. Earlier grants in
+            // this loop have already changed owner and busy state, so
+            // the masks are read live here.
             ++counters_.vcAllocFail;
-            const OutputSet& set =
-                in.requests[static_cast<std::size_t>(v)];
-            const int port = set.requests().front().port;
-            const VcMask occ_mask = occupiedVcMask(port);
+            const VcMask occ_mask = occupiedVcMask(first_port);
             const int occ = popcount(occ_mask);
             if (occ > 0) {
                 // Purity counts footprint VCs among *busy* VCs only.
                 const int fp = popcount(
-                    footprintVcMask(port, ivc.front().dest) & occ_mask);
+                    footprintVcMask(first_port, ivc.front().dest)
+                    & occ_mask);
                 counters_.puritySum += static_cast<double>(fp)
                     / static_cast<double>(occ);
                 ++counters_.puritySamples;

@@ -262,7 +262,6 @@ class Router : public RouterView
         CreditChannel* creditOut = nullptr;
         std::vector<InputVc> vcs;
         RoundRobinArbiter saArbiter;  ///< over this port's VCs
-        std::vector<OutputSet> requests;  ///< per-VC request sets
         VcMask occMask = 0;     ///< bit v set while vcs[v] is non-empty
         VcMask activeMask = 0;  ///< bit v set while vcs[v] is Active
     };
@@ -285,6 +284,14 @@ class Router : public RouterView
         int outPort = -1;
         int outVc = -1;
         Priority priority = Priority::Lowest;
+    };
+
+    /** An input VC that requested output VCs this cycle. */
+    struct VaWaiter
+    {
+        int inPort = -1;
+        int inVc = -1;
+        int firstPort = -1;  ///< port of its first request (purity)
     };
 
     // --- Output-VC state, structure-of-arrays. ---
@@ -396,7 +403,9 @@ class Router : public RouterView
     // construction, so the per-cycle hot path performs no heap
     // allocation (waiting_ / touchedOutVcs_ / destWaitTouched_ are
     // reserved to their structural maxima up front).
-    std::vector<std::pair<int, int>> waiting_;  ///< (in port, in vc)
+    std::vector<VaWaiter> waiting_;
+    /** Request set of the input VC being routed; reused per route(). */
+    OutputSet vaSet_;
     std::vector<int> touchedOutVcs_;  ///< out-VC ids, first-touch order
     // Per-output-VC running best over this cycle's requesters: the
     // highest (priority, then round-robin distance) request seen so

@@ -1,16 +1,8 @@
 #include "router/vc_state.hpp"
 
-#include <bit>
-
 #include "sim/log.hpp"
 
 namespace footprint {
-
-int
-popcount(VcMask m)
-{
-    return std::popcount(m);
-}
 
 const char*
 inputVcStateName(InputVc::State state)

@@ -8,6 +8,7 @@
 #ifndef FOOTPRINT_ROUTER_VC_STATE_HPP
 #define FOOTPRINT_ROUTER_VC_STATE_HPP
 
+#include <bit>
 #include <cstdint>
 
 #include "router/flit.hpp"
@@ -26,7 +27,11 @@ maskOfFirst(int n)
 }
 
 /** @return number of set bits in @p m. */
-int popcount(VcMask m);
+inline int
+popcount(VcMask m)
+{
+    return std::popcount(m);
+}
 
 /**
  * State of one input virtual channel: its flit FIFO and routing

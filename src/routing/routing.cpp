@@ -73,6 +73,10 @@ makeBase(const std::string& name, const SimConfig& cfg)
         const int cap = cfg.contains("fp_vc_cap")
             ? static_cast<int>(cfg.getInt("fp_vc_cap"))
             : 0;
+        if (cap < 0) {
+            fatal("fp_vc_cap must be >= 0 (0 = no cap), got "
+                  + std::to_string(cap));
+        }
         const FootprintRouting::Variant variant =
             cfg.contains("fp_variant")
                 ? FootprintRouting::parseVariant(

@@ -56,8 +56,8 @@ struct VcRequest
  * handful of requests (Footprint's Algorithm 1 peaks at one escape
  * plus a few prioritized adaptive entries), so kMaxRequests bounds
  * every algorithm with room to spare and add() never touches the
- * heap. This keeps the per-(input, VC) request tables the router
- * holds allocation-free in steady state (DESIGN.md §17).
+ * heap. This keeps the one request set the router reuses for every
+ * route() call allocation-free in steady state (DESIGN.md §17).
  */
 class OutputSet
 {

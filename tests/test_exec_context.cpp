@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the execution engine's ExecContext and SpinBarrier:
- * results in task order for any worker count, every task run before
- * the first failure (by task index) is rethrown, zero tasks, more
- * workers than tasks, and the bench harnesses' --jobs parsing.
+ * results in task order for any worker count and dispatch order,
+ * every task run before the first failure (by task index) is
+ * rethrown, zero tasks, more workers than tasks, and the bench
+ * harnesses' --jobs parsing.
  */
 
 #include <gtest/gtest.h>
@@ -130,6 +131,56 @@ TEST(ExecContext, MapFinishesAllTasksBeforeRethrowing)
         }
         // No task is abandoned: every job completed despite failures.
         EXPECT_EQ(ran.load(), 16) << "jobs=" << jobs;
+    }
+}
+
+TEST(ExecContext, DispatchOrderChangesOnlyWhenTasksStart)
+{
+    for (int jobs : {1, 4}) {
+        ExecContext ctx(jobs);
+        constexpr std::size_t kTasks = 12;
+        std::vector<std::size_t> reversed(kTasks);
+        for (std::size_t k = 0; k < kTasks; ++k)
+            reversed[k] = kTasks - 1 - k;
+        std::vector<std::atomic<int>> hits(kTasks);
+        std::mutex mutex;
+        std::vector<std::size_t> started;
+        std::vector<std::function<std::size_t()>> tasks;
+        for (std::size_t i = 0; i < kTasks; ++i) {
+            tasks.push_back([&, i]() -> std::size_t {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    started.push_back(i);
+                }
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                // Task 8 starts before task 2 under the reversed
+                // order; the error of the lower index still wins.
+                if (i == 2 || i == 8)
+                    throw std::runtime_error("task " + std::to_string(i));
+                return i * 10;
+            });
+        }
+        try {
+            ctx.map(std::move(tasks), reversed);
+            ADD_FAILURE() << "map must rethrow, jobs=" << jobs;
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "task 2") << "jobs=" << jobs;
+        }
+        for (std::size_t i = 0; i < kTasks; ++i)
+            EXPECT_EQ(hits[i].load(), 1) << "task " << i;
+        if (jobs == 1) {
+            EXPECT_EQ(started, reversed);
+        }
+
+        // Without failures, results come back in task order.
+        std::vector<std::function<std::size_t()>> plain;
+        for (std::size_t i = 0; i < kTasks; ++i)
+            plain.push_back([i]() { return i * 10; });
+        const std::vector<std::size_t> out =
+            ctx.map(std::move(plain), reversed);
+        ASSERT_EQ(out.size(), kTasks);
+        for (std::size_t i = 0; i < kTasks; ++i)
+            EXPECT_EQ(out[i], i * 10) << "jobs=" << jobs;
     }
 }
 

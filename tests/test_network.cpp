@@ -241,6 +241,32 @@ TEST(Network, OutOfRangeRouterParametersAreFatal)
     }
 }
 
+TEST(Network, MoreThan4096NodesIsFatal)
+{
+    // Packet descriptors hold one pool segment per node in 12 bits.
+    SimConfig cfg = defaultConfig();
+    cfg.setInt("mesh_width", 65);
+    cfg.setInt("mesh_height", 65);
+    EXPECT_EXIT(Network{cfg}, testing::ExitedWithCode(1),
+                "fatal: the network has 4225 nodes; at most 4096");
+    cfg.setInt("mesh_width", 64);
+    cfg.setInt("mesh_height", 64);
+    const Network net(cfg);
+    EXPECT_EQ(net.mesh().numNodes(), 4096);
+}
+
+TEST(Network, MoreShardsThanNodesIsFatal)
+{
+    SimConfig cfg = smallConfig("dor");
+    cfg.setInt("shards", 17);
+    EXPECT_EXIT(Network{cfg}, testing::ExitedWithCode(1),
+                "fatal: shards must be at most the node count \\(16\\)");
+    cfg.setInt("shards", 16);
+    cfg.set("step_mode", "sharded");
+    const Network net(cfg);
+    EXPECT_EQ(net.shardCount(), 16);
+}
+
 TEST(Network, RoutersSeeNeighborStatus)
 {
     SimConfig cfg = smallConfig("dbar");

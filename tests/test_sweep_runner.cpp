@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the parallel sweep engine: deterministic job expansion and
- * seed derivation, thread-count-invariant results and artifacts,
+ * seed derivation, costliest-first dispatch and its recorded schedule,
+ * thread-count-invariant results and artifacts,
  * per-job artifact-path isolation, fatal errors for empty grid axes,
  * what its curves and saturation estimates measure on a small mesh,
  * and the sweep CLI helpers.
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
 #include "exec/exec_context.hpp"
@@ -190,6 +192,75 @@ TEST(SweepExpand, EmptyRateListIsFatal)
     spec.rates.clear();
     EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
                 "fatal: sweep_rates names no offered rate");
+}
+
+TEST(SweepExpand, RateOutsideUnitIntervalIsFatal)
+{
+    // Rejected before any worker thread starts a job.
+    for (const double rate : {1.5, 0.0}) {
+        SweepSpec spec = tinySpec();
+        spec.rates = {0.05, rate};
+        EXPECT_EXIT(SweepRunner::expand(spec), testing::ExitedWithCode(1),
+                    "fatal: sweep_rates must lie in \\(0, 1\\]")
+            << "rate=" << rate;
+    }
+}
+
+TEST(SweepDispatch, CostliestJobsStartFirst)
+{
+    SweepSpec spec = tinySpec();
+    spec.meshes = {{4, 4}, {6, 6}};
+    spec.rates = {0.01, 0.15};  // 0.01 lies below the probe rate
+    spec.seeds = 1;
+    const std::vector<SimJob> jobs = SweepRunner::expand(spec);
+    // Expansion: 4x4 dor = probe 0, rates 1-2; 4x4 dbar = 3, 4-5;
+    // 6x6 dor = 6, 7-8; 6x6 dbar = 9, 10-11. Dispatch: the larger
+    // mesh first, rate points by descending rate, probes last, ties
+    // by job index.
+    EXPECT_EQ(SweepRunner::dispatchOrder(jobs),
+              (std::vector<std::size_t>{8, 11, 7, 10, 6, 9, 2, 5, 1, 4,
+                                        0, 3}));
+}
+
+TEST(SweepRun, ScheduleRecordsEveryJobInJobOrder)
+{
+    const SweepSpec spec = tinySpec();
+    ExecContext seq(1);
+    const SweepResult result = SweepRunner(seq).run(spec);
+    const std::vector<std::size_t> order =
+        SweepRunner::dispatchOrder(SweepRunner::expand(spec));
+    ASSERT_EQ(result.schedule.size(), result.jobs.size());
+    for (const auto& [start, end] : result.schedule) {
+        EXPECT_GE(start, 0.0);
+        EXPECT_LE(start, end);
+        EXPECT_LE(end, result.wallSeconds);
+    }
+    // One worker runs the jobs back to back in dispatch order, so
+    // entries are indexed by job, not by start position.
+    for (std::size_t k = 1; k < order.size(); ++k) {
+        EXPECT_LE(result.schedule[order[k - 1]][1],
+                  result.schedule[order[k]][0])
+            << "dispatch position " << k;
+    }
+
+    // timing.schedule carries the same [start, end] pairs.
+    const std::string doc = benchResultsJson(spec, result);
+    const std::string key = "\"schedule\": [";
+    const auto at = doc.find(key);
+    ASSERT_NE(at, std::string::npos);
+    const char* p = doc.c_str() + at + key.size();
+    for (const auto& [start, end] : result.schedule) {
+        char* after = nullptr;
+        ASSERT_EQ(*p, '[');
+        EXPECT_EQ(std::strtod(p + 1, &after), start);
+        ASSERT_EQ(std::string(after, 2), ", ");
+        EXPECT_EQ(std::strtod(after + 2, &after), end);
+        ASSERT_EQ(*after, ']');
+        p = after + 1;
+        if (*p == ',')
+            p += 2;
+    }
+    EXPECT_EQ(std::string(p, 2), "]}");
 }
 
 TEST(SweepRun, ResultsAreIdenticalForAnyThreadCount)

@@ -78,6 +78,41 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+TEST(RunInput, OutOfRangeRunValuesAreFatal)
+{
+    // Out-of-range run inputs end in fatal: before any cycle runs,
+    // each with a message naming its key.
+    struct Case
+    {
+        const char* key;
+        const char* value;
+        const char* observer;  ///< bool key switched on, or nullptr
+        const char* message;
+    };
+    const Case cases[] = {
+        {"warmup_cycles", "-5", nullptr, "warmup_cycles must be >= 0"},
+        {"fp_vc_cap", "-3", nullptr, "fp_vc_cap must be >= 0"},
+        {"timeseries_interval", "0", "timeseries",
+         "timeseries_interval must be >= 1"},
+        {"timeseries_interval", "0", "heatmap",
+         "timeseries_interval must be >= 1"},
+        {"audit_interval", "0", "audit", "audit_interval must be >= 1"},
+        {"shards", "100000", nullptr, "shards must be at most"},
+        {"injection_rate", "2", nullptr, "injection_rate must be in"},
+    };
+    for (const Case& c : cases) {
+        SimConfig cfg = quickConfig("footprint", "uniform", 0.05);
+        cfg.set("timeseries_out", "");
+        cfg.set(c.key, c.value);
+        if (c.observer)
+            cfg.setBool(c.observer, true);
+        EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
+                    std::string("fatal: ") + c.message)
+            << c.key << "=" << c.value
+            << (c.observer ? std::string(" with ") + c.observer : "");
+    }
+}
+
 TEST(RunDeterminism, SameSeedSameResult)
 {
     SimConfig cfg = quickConfig("footprint", "uniform", 0.2);

@@ -17,6 +17,9 @@ Two modes:
    fails the gate: simulation results are deterministic, so any drift
    is a behavioural change, not noise. jobs/sec is machine-dependent
    and only gates on *regression* beyond --max-speed-regress percent.
+   A timing.schedule, when present, must hold one [start, end] per job
+   with 0 <= start <= end <= wall_seconds; the sweep's makespan over
+   ideal is then printed (never gated).
 
 2. Determinism compare (--compare) — require two or more artifacts to
    be byte-identical after removing the "timing" object (the only
@@ -155,11 +158,50 @@ def validate(path: str, doc: dict) -> None:
         for key in ("jobs", "wall_seconds", "jobs_per_sec"):
             if key not in timing:
                 fail(f"{path}: timing missing field '{key}'")
+        if "schedule" in timing:
+            check_schedule(path, timing, len(doc["results"]))
     print(
         f"OK: {path}: valid {SCHEMA} document "
         f"({len(doc['results'])} results, "
         f"{len(doc['saturation'])} saturation cells)"
     )
+    if "schedule" in doc.get("timing", {}):
+        print_makespan(doc["timing"])
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_schedule(path: str, timing: dict, jobs: int) -> None:
+    """timing.schedule: one [start, end] per job, in job order, with
+    0 <= start <= end <= wall_seconds."""
+    schedule = timing["schedule"]
+    if not isinstance(schedule, list) or len(schedule) != jobs:
+        fail(f"{path}: timing.schedule must list one [start, end] per "
+             f"job ({jobs})")
+    wall = timing["wall_seconds"]
+    for i, span in enumerate(schedule):
+        if (not isinstance(span, list) or len(span) != 2
+                or not all(is_number(t) for t in span)):
+            fail(f"{path}: timing.schedule[{i}] is not a [start, end] "
+                 f"pair of numbers")
+        start, end = span
+        if not 0 <= start <= end <= wall:
+            fail(f"{path}: timing.schedule[{i}] = {span} lies outside "
+                 f"0 <= start <= end <= wall_seconds ({wall})")
+
+
+def print_makespan(timing: dict) -> None:
+    """Makespan over ideal, as perfbench defines it: wall over
+    max(summed job seconds / workers, longest job). Printed, never
+    gated: host noise moves it."""
+    spans = [end - start for start, end in timing["schedule"]]
+    ideal = max(sum(spans) / timing["jobs"], max(spans, default=0.0))
+    if ideal > 0:
+        print(f"schedule: makespan / ideal = "
+              f"{timing['wall_seconds'] / ideal:.3f} "
+              f"({len(spans)} jobs on {timing['jobs']} workers)")
 
 
 def canonical(doc: dict) -> str:
