@@ -596,7 +596,7 @@ runProfileMode(std::int64_t cycles, const std::string& out_path)
     }
 
     const RunMetadata meta = RunMetadata::fromConfig(meta_cfg);
-    if (!writeProfileDocument(out_path, &meta, rows)) {
+    if (!writeProfileDocument(out_path, meta, rows)) {
         std::fprintf(stderr, "FAIL: cannot write %s\n",
                      out_path.c_str());
         return 1;

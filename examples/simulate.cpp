@@ -223,16 +223,11 @@ main(int argc, char** argv)
                 stats.latency.mean(), stats.latency.min(),
                 stats.latency.max(), stats.latency.stddev());
     std::printf("latency percentiles      : p50 %.0f  p90 %.0f  "
-                "p99 %.0f\n",
-                stats.latencyHist.percentile(0.50),
-                stats.latencyHist.percentile(0.90),
-                stats.latencyHist.percentile(0.99));
-    std::printf("latency tail (hdr)       : p99 %llu  p999 %llu  "
-                "max %llu\n",
-                static_cast<unsigned long long>(
-                    stats.latencyHdr.percentile(0.99)),
-                static_cast<unsigned long long>(
-                    stats.latencyHdr.percentile(0.999)),
+                "p99 %.0f  p999 %.0f  max %llu\n",
+                stats.latencyHdr.percentile(0.50),
+                stats.latencyHdr.percentile(0.90),
+                stats.latencyHdr.percentile(0.99),
+                stats.latencyHdr.percentile(0.999),
                 static_cast<unsigned long long>(
                     stats.latencyHdr.max()));
     std::printf("hops                     : avg %.2f  max %.0f\n",

@@ -131,8 +131,7 @@ TrafficManager::run()
     if (cfg_.getBool("chrome_trace")) {
         const std::string out = cfg_.getStr("chrome_trace_out");
         chrome = std::make_unique<ChromeTraceWriter>(
-            out.empty() ? "trace.json" : out);
-        chrome->setMeta(meta);
+            out.empty() ? "trace.json" : out, meta);
         chrome->processName(1, "packets");
     }
     const std::int64_t trace_packets = cfg_.getInt("trace_packets");
@@ -147,11 +146,10 @@ TrafficManager::run()
         if (trace_packets > 0 || !trace_out.empty()) {
             tracer = std::make_unique<PacketTracer>(
                 trace_out.empty() ? "trace.jsonl" : trace_out,
-                trace_budget);
+                trace_budget, meta);
         } else {
             tracer = std::make_unique<PacketTracer>(trace_budget);
         }
-        tracer->setMeta(meta);
         tracer->setChromeTrace(chrome.get());
         net.attachTracer(tracer.get());
     }
@@ -195,7 +193,7 @@ TrafficManager::run()
             fatal("timeseries_interval must be >= 1 when the flight "
                   "recorder runs, got " + std::to_string(interval));
         }
-        recorder = std::make_unique<FlightRecorder>(net, ts_cfg, &meta);
+        recorder = std::make_unique<FlightRecorder>(net, ts_cfg, meta);
         recorder->attachHeatmap(heatmap.get());
         recorder->attachChromeTrace(chrome.get());
     }
@@ -341,7 +339,6 @@ TrafficManager::run()
     // --- Main loop. ---
     std::uint64_t flits_at_measure_start = 0;
     std::uint64_t flits_at_measure_end = 0;
-    std::int64_t trace_end_cycle = -1;
     std::int64_t last_progress_cycle = 0;
     std::int64_t cycle = 0;
     std::int64_t hard_limit = warmup + measure + drain_limit;
@@ -375,8 +372,6 @@ TrafficManager::run()
                             cycle, FlowClass::Background, true);
                 pending = trace->next();
             }
-            if (!pending && trace_end_cycle < 0)
-                trace_end_cycle = cycle;
         } else if (is_hotspot) {
             // Per fire: draws in a fixed order (dest where applicable,
             // size, next gap), so the RNG sequence depends only on the
@@ -600,12 +595,11 @@ TrafficManager::run()
             StateDumpContext ctx;
             ctx.cycle = cycle;
             ctx.reason = std::string("panic: ") + e.what();
-            ctx.meta = &meta;
             if (auditor)
                 ctx.violations = &auditor->violations();
             if (watchdog)
                 ctx.events = &watchdog->events();
-            dumpStateToFile(dump_path, net, ctx);
+            dumpStateToFile(dump_path, net, meta, ctx);
         }
         throw;
     }
@@ -682,14 +676,13 @@ TrafficManager::run()
             StateDumpContext ctx;
             ctx.cycle = cycle;
             ctx.reason = reason;
-            ctx.meta = &meta;
             if (auditor)
                 ctx.violations = &auditor->violations();
             if (!stats.drained)
                 ctx.stall = &stall;
             if (watchdog)
                 ctx.events = &watchdog->events();
-            if (dumpStateToFile(dump_path, net, ctx))
+            if (dumpStateToFile(dump_path, net, meta, ctx))
                 stats.stateDumpPath = dump_path;
         }
     }
@@ -710,13 +703,13 @@ TrafficManager::run()
             cfg_.getStr("traffic") + "/" + cfg_.getStr("routing"),
             cfg_.getStr("step_mode"),
             static_cast<int>(cfg_.getInt("threads")));
-        if (writeProfileDocument(out, &meta, {row}))
+        if (writeProfileDocument(out, meta, {row}))
             stats.profilePath = out;
         else
             warn("could not write profile document to " + out);
     }
     if (heatmap) {
-        if (heatmap->writeTo(hm_cfg.outPath, &meta))
+        if (heatmap->writeTo(hm_cfg.outPath, meta))
             stats.heatmapPath = hm_cfg.outPath;
         else
             warn("could not write heatmap document to "

@@ -127,7 +127,8 @@ class HdrHistogram
     /**
      * Value below which @p fraction of samples fall: the midpoint of
      * the bucket containing the target rank (exact for values in the
-     * linear region). An empty histogram reports 0.
+     * linear region), capped at max() — a midpoint can lie above every
+     * sample in its bucket. An empty histogram reports 0.
      */
     double
     percentile(double fraction) const
@@ -137,15 +138,16 @@ class HdrHistogram
         fraction = std::clamp(fraction, 0.0, 1.0);
         const double target =
             fraction * static_cast<double>(count_);
+        const double cap = static_cast<double>(maxRecorded_);
         double seen = 0.0;
         for (std::size_t i = 0; i < counts_.size(); ++i) {
             if (counts_[i] == 0)
                 continue;
             seen += static_cast<double>(counts_[i]);
             if (target <= seen)
-                return valueAt(i);
+                return std::min(valueAt(i), cap);
         }
-        return valueAt(counts_.size() - 1);
+        return cap;
     }
 
   private:

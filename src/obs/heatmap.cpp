@@ -152,13 +152,10 @@ appendGrid(std::string& out, const char* name,
 } // namespace
 
 std::string
-HeatmapCollector::toJson(const RunMetadata* meta) const
+HeatmapCollector::toJson(const RunMetadata& meta) const
 {
-    std::string out = "{\"schema\":\"footprint.heatmap/1\"";
-    if (meta) {
-        out += ",\"meta\":";
-        out += meta->toJson();
-    }
+    std::string out = "{\"schema\":\"footprint.heatmap/1\",\"meta\":";
+    out += meta.toJson();
     out += ",\"mesh\":{\"width\":" + std::to_string(width_)
         + ",\"height\":" + std::to_string(height_) + "}";
     out += ",\"window\":" + std::to_string(cfg_.window)
@@ -195,7 +192,7 @@ HeatmapCollector::toJson(const RunMetadata* meta) const
 
 bool
 HeatmapCollector::writeTo(const std::string& path,
-                          const RunMetadata* meta) const
+                          const RunMetadata& meta) const
 {
     std::ofstream os(path);
     if (!os)

@@ -18,8 +18,7 @@
  *
  * Export is a schema-versioned footprint.heatmap/1 JSON document with
  * a run-metadata header; tools/render_heatmap.py turns it into ASCII
- * or PNG mesh heatmaps and tools/check_profile_schema.py validates it
- * in CI.
+ * or PNG mesh heatmaps and tools/check_artifact.py validates it in CI.
  */
 
 #ifndef FOOTPRINT_OBS_HEATMAP_HPP
@@ -126,11 +125,10 @@ class HeatmapCollector
     }
 
     /** Render the footprint.heatmap/1 document. */
-    std::string toJson(const RunMetadata* meta) const;
+    std::string toJson(const RunMetadata& meta) const;
 
     /** Write toJson to @p path; false on I/O failure. */
-    bool writeTo(const std::string& path,
-                 const RunMetadata* meta) const;
+    bool writeTo(const std::string& path, const RunMetadata& meta) const;
 
   private:
     void sampleGauges();

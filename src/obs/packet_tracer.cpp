@@ -10,31 +10,38 @@
 
 namespace footprint {
 
-PacketTracer::PacketTracer(std::ostream& os, std::uint64_t max_packets)
+namespace {
+
+void
+writeHeader(std::ostream& os, const RunMetadata& meta)
+{
+    os << "{\"schema\":\"footprint.packet_trace/1\",\"meta\":"
+       << meta.toJson() << "}\n";
+}
+
+} // namespace
+
+PacketTracer::PacketTracer(std::ostream& os, std::uint64_t max_packets,
+                           const RunMetadata& meta)
     : os_(&os), maxPackets_(max_packets)
-{}
+{
+    writeHeader(os, meta);
+}
 
 PacketTracer::PacketTracer(const std::string& path,
-                           std::uint64_t max_packets)
+                           std::uint64_t max_packets,
+                           const RunMetadata& meta)
     : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get()),
       maxPackets_(max_packets)
 {
     if (!*owned_)
         fatal("cannot open packet trace file: " + path);
+    writeHeader(*owned_, meta);
 }
 
 PacketTracer::PacketTracer(std::uint64_t max_packets)
     : os_(nullptr), maxPackets_(max_packets)
 {}
-
-void
-PacketTracer::setMeta(const RunMetadata& meta)
-{
-    if (os_) {
-        *os_ << "{\"schema\":\"footprint.packet_trace/1\",\"meta\":"
-             << meta.toJson() << "}\n";
-    }
-}
 
 PacketTracer::PacketRecord&
 PacketTracer::record(const Flit& flit)

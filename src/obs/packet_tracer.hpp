@@ -34,7 +34,9 @@ struct RunMetadata;
  * traffic sources assign sequentially from 1) and streams completed
  * records to a JSONL sink, a Chrome trace-event timeline, or both.
  *
- * Record schema (one JSON object per line):
+ * A JSONL sink opens with the header line
+ * {"schema":"footprint.packet_trace/1","meta":{...}}; then one JSON
+ * object per packet:
  *   {"packet":id,"src":s,"dest":d,"size":flits,"class":"bg|hotspot",
  *    "create":c,"inject":i,"eject":e,"latency":e-c,
  *    "hops":[{"node":n,"arrive":a,"va":v,"st":t,
@@ -45,11 +47,16 @@ struct RunMetadata;
 class PacketTracer
 {
   public:
-    /** Trace packets with id in [1, max_packets], borrow @p os. */
-    PacketTracer(std::ostream& os, std::uint64_t max_packets);
+    /**
+     * Trace packets with id in [1, max_packets] into borrowed @p os,
+     * which gets the header line (schema + @p meta) at once.
+     */
+    PacketTracer(std::ostream& os, std::uint64_t max_packets,
+                 const RunMetadata& meta);
 
     /** Trace into a file; fatal() if @p path cannot be opened. */
-    PacketTracer(const std::string& path, std::uint64_t max_packets);
+    PacketTracer(const std::string& path, std::uint64_t max_packets,
+                 const RunMetadata& meta);
 
     /**
      * Sink-less tracer: records lifecycles without writing JSONL
@@ -65,9 +72,6 @@ class PacketTracer
     {
         chrome_ = writer;
     }
-
-    /** Stamp run metadata as the first JSONL record. */
-    void setMeta(const RunMetadata& meta);
 
     /**
      * Attach the pool holding per-packet constants (size, timestamps,

@@ -176,14 +176,11 @@ Profiler::toJsonRow(const std::string& name, const std::string& mode,
 }
 
 std::string
-profileDocument(const RunMetadata* meta,
+profileDocument(const RunMetadata& meta,
                 const std::vector<std::string>& rows)
 {
-    std::string out = "{\"schema\":\"footprint.profile/1\"";
-    if (meta) {
-        out += ",\"meta\":";
-        out += meta->toJson();
-    }
+    std::string out = "{\"schema\":\"footprint.profile/1\",\"meta\":";
+    out += meta.toJson();
     out += ",\"rows\":[";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         if (i > 0)
@@ -195,7 +192,7 @@ profileDocument(const RunMetadata* meta,
 }
 
 bool
-writeProfileDocument(const std::string& path, const RunMetadata* meta,
+writeProfileDocument(const std::string& path, const RunMetadata& meta,
                      const std::vector<std::string>& rows)
 {
     std::ofstream os(path);

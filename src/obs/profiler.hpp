@@ -243,14 +243,14 @@ class ProfileScope
 
 /**
  * Wrap @p rows (each a toJsonRow string) into a schema-versioned
- * footprint.profile/1 document with an optional metadata header.
+ * footprint.profile/1 document with a metadata header.
  */
-std::string profileDocument(const RunMetadata* meta,
+std::string profileDocument(const RunMetadata& meta,
                             const std::vector<std::string>& rows);
 
 /** Write profileDocument to @p path; false on I/O failure. */
 bool writeProfileDocument(const std::string& path,
-                          const RunMetadata* meta,
+                          const RunMetadata& meta,
                           const std::vector<std::string>& rows);
 
 } // namespace footprint

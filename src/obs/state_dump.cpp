@@ -178,13 +178,11 @@ writeChannels(std::ostream& os, const Network& net)
 
 void
 writeStateDump(std::ostream& os, const Network& net,
-               const StateDumpContext& ctx)
+               const RunMetadata& meta, const StateDumpContext& ctx)
 {
     os << "{\"schema\":\"footprint.state_dump/1\",\"cycle\":"
        << ctx.cycle << ",\"reason\":\"" << jsonEscape(ctx.reason)
-       << '"';
-    if (ctx.meta)
-        os << ",\"meta\":" << ctx.meta->toJson();
+       << "\",\"meta\":" << meta.toJson();
 
     os << ",\"totals\":{\"injected\":" << net.totalFlitsInjected()
        << ",\"ejected\":" << net.totalFlitsEjected()
@@ -245,14 +243,14 @@ writeStateDump(std::ostream& os, const Network& net,
 
 bool
 dumpStateToFile(const std::string& path, const Network& net,
-                const StateDumpContext& ctx)
+                const RunMetadata& meta, const StateDumpContext& ctx)
 {
     std::ofstream os(path);
     if (!os) {
         warn("cannot open state dump file: " + path);
         return false;
     }
-    writeStateDump(os, net, ctx);
+    writeStateDump(os, net, meta, ctx);
     return os.good();
 }
 

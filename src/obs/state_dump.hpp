@@ -34,7 +34,6 @@ struct StateDumpContext
 {
     std::int64_t cycle = 0;
     std::string reason;  ///< "invariant_violation", "watchdog", ...
-    const RunMetadata* meta = nullptr;
     const std::vector<InvariantAuditor::Violation>* violations =
         nullptr;
     const Watchdog::Report* stall = nullptr;
@@ -43,14 +42,14 @@ struct StateDumpContext
 
 /** Serialize the forensic state of @p net as JSON onto @p os. */
 void writeStateDump(std::ostream& os, const Network& net,
-                    const StateDumpContext& ctx);
+                    const RunMetadata& meta, const StateDumpContext& ctx);
 
 /**
  * Dump to @p path. @return true on success; failures are warned, not
  * fatal — a dump must never take down the abort path that invoked it.
  */
 bool dumpStateToFile(const std::string& path, const Network& net,
-                     const StateDumpContext& ctx);
+                     const RunMetadata& meta, const StateDumpContext& ctx);
 
 } // namespace footprint
 

@@ -125,7 +125,7 @@ SteadyStateDetector::addWindow(const WindowRecord& w, int nodes)
 
 FlightRecorder::FlightRecorder(const Network& net,
                                const TimeseriesConfig& cfg,
-                               const RunMetadata* meta)
+                               const RunMetadata& meta)
     : net_(net),
       cfg_(cfg),
       detector_(cfg.steadyWindows, cfg.steadyTolerance)
@@ -140,11 +140,8 @@ FlightRecorder::FlightRecorder(const Network& net,
     vaFailBase_ = agg.vcAllocFail;
     sentBase_ = net.linkFabric().totalFlitsSent();
 
-    headerCache_ = "{\"schema\":\"footprint.timeseries/1\"";
-    if (meta) {
-        headerCache_ += ",\"meta\":";
-        headerCache_ += meta->toJson();
-    }
+    headerCache_ = "{\"schema\":\"footprint.timeseries/1\",\"meta\":";
+    headerCache_ += meta.toJson();
     headerCache_ += ",\"mesh\":{\"width\":" + std::to_string(width_)
         + ",\"height\":" + std::to_string(height_) + "}"
         + ",\"interval\":" + std::to_string(cfg_.interval)

@@ -201,11 +201,10 @@ class FlightRecorder
     /**
      * @param net  network to observe.
      * @param cfg  recorder parameters; cfg.active() should be true.
-     * @param meta optional run metadata stamped onto the stream
-     *        header (copied); pass nullptr for headerless tests.
+     * @param meta run metadata stamped onto the stream header.
      */
     FlightRecorder(const Network& net, const TimeseriesConfig& cfg,
-                   const RunMetadata* meta);
+                   const RunMetadata& meta);
 
     const TimeseriesConfig& config() const { return cfg_; }
 

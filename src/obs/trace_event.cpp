@@ -4,24 +4,21 @@
 
 namespace footprint {
 
-ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(&os)
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os,
+                                     const RunMetadata& meta)
+    : os_(&os), meta_(meta)
 {
     *os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
 
-ChromeTraceWriter::ChromeTraceWriter(const std::string& path)
-    : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get())
+ChromeTraceWriter::ChromeTraceWriter(const std::string& path,
+                                     const RunMetadata& meta)
+    : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get()),
+      meta_(meta)
 {
     if (!*owned_)
         fatal("cannot open chrome trace file: " + path);
     *os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-}
-
-void
-ChromeTraceWriter::setMeta(const RunMetadata& meta)
-{
-    meta_ = meta;
-    hasMeta_ = true;
 }
 
 void
@@ -98,10 +95,7 @@ ChromeTraceWriter::close()
     if (closed_ || !os_)
         return;
     closed_ = true;
-    *os_ << "\n]";
-    if (hasMeta_)
-        *os_ << ",\"metadata\":" << meta_.toJson();
-    *os_ << "}\n";
+    *os_ << "\n],\"metadata\":" << meta_.toJson() << "}\n";
     os_->flush();
 }
 

@@ -35,19 +35,19 @@ namespace footprint {
 class ChromeTraceWriter
 {
   public:
-    /** Stream into a borrowed ostream (tests). */
-    explicit ChromeTraceWriter(std::ostream& os);
+    /**
+     * Stream into a borrowed ostream (tests); @p meta goes into the
+     * footer close() writes.
+     */
+    ChromeTraceWriter(std::ostream& os, const RunMetadata& meta);
 
     /** Stream into @p path; fatal() if it cannot be opened. */
-    explicit ChromeTraceWriter(const std::string& path);
+    ChromeTraceWriter(const std::string& path, const RunMetadata& meta);
 
     ~ChromeTraceWriter() { close(); }
 
     ChromeTraceWriter(const ChromeTraceWriter&) = delete;
     ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
-
-    /** Attach run metadata, emitted into the footer by close(). */
-    void setMeta(const RunMetadata& meta);
 
     /**
      * "X" complete slice: @p dur cycles starting at @p ts on track
@@ -82,7 +82,6 @@ class ChromeTraceWriter
     bool closed_ = false;
     bool first_ = true;
     std::uint64_t events_ = 0;
-    bool hasMeta_ = false;
     RunMetadata meta_;
 };
 

@@ -70,22 +70,6 @@ class HorizonTracker
             horizon_ = cycle;
     }
 
-    /**
-     * Clamp to the first cycle >= from where a period-@p interval
-     * event anchored at @p anchor fires (the next c with
-     * (c - anchor) % interval == 0). No-op for interval <= 0.
-     */
-    void
-    clampPeriodic(std::int64_t anchor, std::int64_t interval)
-    {
-        if (interval <= 0)
-            return;
-        // Portable nonnegative remainder: anchor may lie after from.
-        const std::int64_t rem =
-            ((from_ - anchor) % interval + interval) % interval;
-        clamp(rem == 0 ? from_ : from_ + (interval - rem));
-    }
-
     /** The folded horizon: first cycle anything can happen. */
     std::int64_t cycle() const { return horizon_; }
 

@@ -60,22 +60,6 @@ PacketSizeDist::toString() const
     return "uniform" + std::to_string(lo_) + "-" + std::to_string(hi_);
 }
 
-BernoulliInjection::BernoulliInjection(double flit_rate,
-                                       double mean_packet_size)
-    : flitRate_(flit_rate), packetProb_(flit_rate / mean_packet_size)
-{
-    if (flit_rate < 0.0)
-        fatal("injection rate must be non-negative");
-    if (packetProb_ > 1.0)
-        packetProb_ = 1.0;
-}
-
-bool
-BernoulliInjection::fires(Rng& rng) const
-{
-    return packetProb_ > 0.0 && rng.nextBool(packetProb_);
-}
-
 InjectionSchedule::InjectionSchedule(int slots, double packet_prob,
                                      Rng& rng)
     : slots_(slots), prob_(packet_prob), logOneMinusP_(0.0)

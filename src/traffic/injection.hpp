@@ -1,7 +1,7 @@
 /**
  * @file
- * Packet-size distributions and the Bernoulli injection process used by
- * open-loop synthetic traffic.
+ * Packet-size distributions and the Bernoulli injection schedule used
+ * by open-loop synthetic traffic.
  */
 
 #ifndef FOOTPRINT_TRAFFIC_INJECTION_HPP
@@ -50,32 +50,15 @@ class PacketSizeDist
 };
 
 /**
- * Open-loop Bernoulli injection: at a flit injection rate r and mean
- * packet size s, a new packet is generated each cycle with probability
- * r / s, keeping the offered load in flits/node/cycle equal to r.
- */
-class BernoulliInjection
-{
-  public:
-    BernoulliInjection(double flit_rate, double mean_packet_size);
-
-    /** @return true if a packet should be generated this cycle. */
-    bool fires(Rng& rng) const;
-
-    double flitRate() const { return flitRate_; }
-
-  private:
-    double flitRate_;
-    double packetProb_;
-};
-
-/**
  * Next-arrival schedule over a set of Bernoulli injection slots.
  *
- * Equivalent in distribution to calling BernoulliInjection::fires()
- * for every slot every cycle, but instead of consuming one RNG draw
- * per slot per cycle it draws geometric inter-arrival gaps and keeps
- * a min-heap of (cycle, slot) fire events. That gives the stepping
+ * Open-loop Bernoulli injection at flit rate r and mean packet size s
+ * fires each slot with probability p = r / s per cycle, keeping the
+ * offered load in flits/node/cycle equal to r. Equivalent in
+ * distribution to one Bernoulli(p) trial per slot per cycle, but
+ * instead of consuming one RNG draw per slot per cycle it draws
+ * geometric inter-arrival gaps and keeps a min-heap of (cycle, slot)
+ * fire events. That gives the stepping
  * loop two things: O(fires) instead of O(slots × cycles) injection
  * cost, and — the reason this exists — an exact answer to "when does
  * the next packet arrive?", which the event-horizon fast path needs

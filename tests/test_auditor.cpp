@@ -219,8 +219,7 @@ TEST(StateDump, PanicPathProducesDumpBeforeRethrow)
         StateDumpContext ctx;
         ctx.cycle = 42;
         ctx.reason = std::string("panic: ") + e.what();
-        ctx.meta = &meta;
-        EXPECT_TRUE(dumpStateToFile(path.string(), net, ctx));
+        EXPECT_TRUE(dumpStateToFile(path.string(), net, meta, ctx));
     }
     ASSERT_TRUE(threw);
     const std::string dump = readFile(path);
@@ -237,7 +236,7 @@ TEST(StateDump, UnwritablePathWarnsInsteadOfAborting)
     ctx.reason = "test";
     setQuiet(true);
     EXPECT_FALSE(dumpStateToFile("/nonexistent_dir/x/y.json", net,
-                                 ctx));
+                                 RunMetadata(), ctx));
     setQuiet(false);
 }
 

@@ -155,11 +155,17 @@ TEST(SimConfig, MalformedBoolIsFatal)
 class ConfigFileTest : public testing::Test
 {
   protected:
+    /**
+     * Write @p contents to a file named after the running test: ctest
+     * runs each case as its own process, so a shared name would race.
+     */
     std::string
     writeFile(const std::string& contents)
     {
+        const std::string name =
+            testing::UnitTest::GetInstance()->current_test_info()->name();
         path_ = (std::filesystem::temp_directory_path()
-                 / "fp_config_test.cfg")
+                 / ("fp_config_" + name + ".cfg"))
                     .string();
         std::ofstream out(path_);
         out << contents;

@@ -15,6 +15,7 @@
 
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
@@ -59,7 +60,7 @@ recorderFor(const Network& net, HeatmapCollector& col)
     tc.enabled = true;
     tc.outPath = "";
     tc.interval = col.config().window;
-    FlightRecorder rec(net, tc, nullptr);
+    FlightRecorder rec(net, tc, RunMetadata());
     rec.attachHeatmap(&col);
     return rec;
 }
@@ -231,7 +232,7 @@ TEST(HeatmapCollector, JsonDocumentHasSchemaAndTiledWindows)
     HeatmapCollector col(net, hc);
     driveUniform(net, col, 100, 0.05);
 
-    const std::string doc = col.toJson(nullptr);
+    const std::string doc = col.toJson(RunMetadata());
     EXPECT_EQ(doc.find("{\"schema\":\"footprint.heatmap/1\""), 0u);
     EXPECT_NE(doc.find("\"mesh\":{\"width\":8,\"height\":8}"),
               std::string::npos);
@@ -248,7 +249,7 @@ TEST(HeatmapCollector, JsonDocumentHasSchemaAndTiledWindows)
     EXPECT_NE(doc.find("\"start\":0,\"end\":50"), std::string::npos);
     EXPECT_NE(doc.find("\"start\":50,\"end\":100"),
               std::string::npos);
-    EXPECT_EQ(doc.find("\"meta\":"), std::string::npos);
+    EXPECT_NE(doc.find("\"meta\":{\"seed\":"), std::string::npos);
 }
 
 } // namespace

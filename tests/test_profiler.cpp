@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
+#include "obs/run_metadata.hpp"
 
 namespace footprint {
 namespace {
@@ -188,12 +189,12 @@ TEST(Profiler, DocumentWrapsRowsWithSchema)
         prof.toJsonRow("a", "full", 1),
         prof.toJsonRow("b", "activity", 1),
     };
-    const std::string doc = profileDocument(nullptr, rows);
+    const std::string doc = profileDocument(RunMetadata(), rows);
     EXPECT_EQ(doc.find("{\"schema\":\"footprint.profile/1\""), 0u);
     EXPECT_NE(doc.find("\"rows\":["), std::string::npos);
     EXPECT_NE(doc.find("\"name\":\"a\""), std::string::npos);
     EXPECT_NE(doc.find("\"name\":\"b\""), std::string::npos);
-    EXPECT_EQ(doc.find("\"meta\":"), std::string::npos);
+    EXPECT_NE(doc.find("\"meta\":{\"seed\":"), std::string::npos);
 }
 
 TEST(Profiler, WriteDocumentRoundTrips)
@@ -203,7 +204,7 @@ TEST(Profiler, WriteDocumentRoundTrips)
     prof.endRun(1);
     const std::string path = testing::TempDir() + "fp_profile_ut.json";
     ASSERT_TRUE(writeProfileDocument(
-        path, nullptr, {prof.toJsonRow("x", "full", 1)}));
+        path, RunMetadata(), {prof.toJsonRow("x", "full", 1)}));
     std::ifstream is(path);
     std::stringstream buf;
     buf << is.rdbuf();

@@ -26,6 +26,7 @@
 #include "network/network.hpp"
 #include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
+#include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
@@ -114,7 +115,7 @@ runSignature(const std::string& routing, double load,
         tc.enabled = true;
         tc.outPath = "";
         tc.interval = hm_cfg.window;
-        rec = std::make_unique<FlightRecorder>(net, tc, nullptr);
+        rec = std::make_unique<FlightRecorder>(net, tc, RunMetadata());
         rec->attachHeatmap(hm.get());
     }
 

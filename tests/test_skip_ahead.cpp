@@ -27,6 +27,7 @@
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/horizon.hpp"
@@ -73,30 +74,6 @@ TEST(HorizonTracker, NeverSentinelLeavesTheLimit)
     HorizonTracker hz(7, 9999);
     hz.clamp(HorizonTracker::kNever);
     EXPECT_EQ(hz.cycle(), 9999);
-}
-
-TEST(HorizonTracker, PeriodicClampFindsTheNextGridCycle)
-{
-    {
-        HorizonTracker hz(25, 1000);
-        hz.clampPeriodic(0, 10);  // fires at 0, 10, 20, 30, ...
-        EXPECT_EQ(hz.cycle(), 30);
-    }
-    {
-        HorizonTracker hz(30, 1000);
-        hz.clampPeriodic(0, 10);  // from is itself on the grid
-        EXPECT_EQ(hz.cycle(), 30);
-    }
-    {
-        HorizonTracker hz(5, 1000);
-        hz.clampPeriodic(8, 10);  // anchor in the future
-        EXPECT_EQ(hz.cycle(), 8);
-    }
-    {
-        HorizonTracker hz(5, 1000);
-        hz.clampPeriodic(3, 0);  // disabled interval: no-op
-        EXPECT_EQ(hz.cycle(), 1000);
-    }
 }
 
 /** Step net for cycles [from, to). */
@@ -270,7 +247,7 @@ makeRecorder(const Network& net)
     tc.enabled = false;
     tc.warmupAuto = true;  // active() without touching the filesystem
     tc.interval = 50;
-    return std::make_unique<FlightRecorder>(net, tc, nullptr);
+    return std::make_unique<FlightRecorder>(net, tc, RunMetadata());
 }
 
 TEST(SkipAhead, RecorderClosesEveryWindowInsideAJumpedSpan)
@@ -336,7 +313,8 @@ TEST(SkipAhead, JumpedWindowRecordsAreByteIdenticalToPerCycleOnes)
     }
     ASSERT_EQ(jumped_hm.windows().size(), 7u);
     EXPECT_EQ(jumped_hm.windows()[0].samples, 8);  // offsets 0..49
-    EXPECT_EQ(per_cycle_hm.toJson(nullptr), jumped_hm.toJson(nullptr));
+    EXPECT_EQ(per_cycle_hm.toJson(RunMetadata()),
+              jumped_hm.toJson(RunMetadata()));
 }
 
 /** Read a whole file; empty string when it cannot be opened. */

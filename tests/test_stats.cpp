@@ -340,6 +340,20 @@ TEST(HdrHistogram, QuantilesWithinOnePercentOfExact)
     EXPECT_LE(h.relativeErrorBound(), 0.01);
 }
 
+TEST(HdrHistogram, PercentilesNeverExceedTheRecordedMax)
+{
+    // Past the linear region a bucket spans two or more values, so its
+    // midpoint can lie above every sample in it: 308 falls in
+    // [308, 310), midpoint 309. The recorded max caps every quantile.
+    HdrHistogram h;
+    h.add(std::uint64_t{100});
+    h.add(std::uint64_t{308});
+    EXPECT_EQ(h.max(), 308u);
+    for (const double f : {0.5, 0.99, 0.999, 1.0})
+        EXPECT_LE(h.percentile(f), 308.0) << "fraction " << f;
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 308.0);
+}
+
 TEST(HdrHistogram, OverflowClampsIntoTopBucket)
 {
     HdrHistogram h(1 << 10);

@@ -16,6 +16,7 @@
 
 #include "network/traffic_manager.hpp"
 #include "obs/packet_tracer.hpp"
+#include "obs/run_metadata.hpp"
 #include "obs/sink.hpp"
 #include "router/packet_pool.hpp"
 #include "sim/config.hpp"
@@ -64,10 +65,16 @@ testFlit(PacketPool& pool, std::uint64_t id)
     return makeFlit(p, 0, d);
 }
 
+/** The header line a tracer writes before any packet record. */
+const std::string kTraceHeader =
+    "{\"schema\":\"footprint.packet_trace/1\",\"meta\":"
+    + RunMetadata().toJson() + "}\n";
+
 TEST(PacketTracer, TracedFilterIsIdPrefix)
 {
     std::ostringstream out;
-    PacketTracer tracer(out, 10);
+    PacketTracer tracer(out, 10, RunMetadata());
+    EXPECT_EQ(out.str(), kTraceHeader);
     EXPECT_FALSE(tracer.traced(0));
     EXPECT_TRUE(tracer.traced(1));
     EXPECT_TRUE(tracer.traced(10));
@@ -78,7 +85,7 @@ TEST(PacketTracer, CompletedPacketGoldenRecord)
 {
     std::ostringstream out;
     PacketPool pool;
-    PacketTracer tracer(out, 10);
+    PacketTracer tracer(out, 10, RunMetadata());
     tracer.setPool(&pool);
     const Flit f = testFlit(pool, 3);
     // Two hops: one with a 2-cycle VA stall and a 1-cycle SA stall,
@@ -93,20 +100,21 @@ TEST(PacketTracer, CompletedPacketGoldenRecord)
     EXPECT_EQ(tracer.packetsCompleted(), 1u);
     EXPECT_EQ(tracer.packetsInFlight(), 0u);
     EXPECT_EQ(out.str(),
-              "{\"packet\":3,\"src\":1,\"dest\":6,\"size\":1,"
-              "\"class\":\"bg\",\"create\":4,\"inject\":5,"
-              "\"eject\":12,\"latency\":8,\"hops\":["
-              "{\"node\":1,\"arrive\":5,\"va\":7,\"st\":8,"
-              "\"va_stall\":2,\"sa_stall\":1},"
-              "{\"node\":2,\"arrive\":9,\"va\":9,\"st\":9,"
-              "\"va_stall\":0,\"sa_stall\":0}]}\n");
+              kTraceHeader
+                  + "{\"packet\":3,\"src\":1,\"dest\":6,\"size\":1,"
+                    "\"class\":\"bg\",\"create\":4,\"inject\":5,"
+                    "\"eject\":12,\"latency\":8,\"hops\":["
+                    "{\"node\":1,\"arrive\":5,\"va\":7,\"st\":8,"
+                    "\"va_stall\":2,\"sa_stall\":1},"
+                    "{\"node\":2,\"arrive\":9,\"va\":9,\"st\":9,"
+                    "\"va_stall\":0,\"sa_stall\":0}]}\n");
 }
 
 TEST(PacketTracer, FlushEmitsIncompletePacketsInIdOrder)
 {
     std::ostringstream out;
     PacketPool pool;
-    PacketTracer tracer(out, 10);
+    PacketTracer tracer(out, 10, RunMetadata());
     tracer.setPool(&pool);
     tracer.onHopArrive(testFlit(pool, 7), 1, 5);
     tracer.onHopArrive(testFlit(pool, 2), 1, 6);
@@ -123,11 +131,11 @@ TEST(PacketTracer, UntracedEjectIsIgnored)
 {
     std::ostringstream out;
     PacketPool pool;
-    PacketTracer tracer(out, 10);
+    PacketTracer tracer(out, 10, RunMetadata());
     tracer.setPool(&pool);
     tracer.onEject(testFlit(pool, 3), 6, 12);
     EXPECT_EQ(tracer.packetsCompleted(), 0u);
-    EXPECT_TRUE(out.str().empty());
+    EXPECT_EQ(out.str(), kTraceHeader);
 }
 
 // ---------------------------------------------- TrafficManager wiring

@@ -26,6 +26,7 @@
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/hdr_histogram.hpp"
+#include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/rng.hpp"
@@ -202,7 +203,7 @@ TEST(FlightRecorder, WindowsTileTheRunWithConservedFlits)
 {
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    FlightRecorder rec(net, recorderConfig(100), nullptr);
+    FlightRecorder rec(net, recorderConfig(100), RunMetadata());
     driveUniform(net, rec, 250, 0.05);
 
     // [0,100), [100,200), and the partial trailing [200,250).
@@ -236,7 +237,7 @@ TEST(FlightRecorder, PerRegimeGrantsSumToVcAllocSuccess)
     SimConfig cfg = defaultConfig();
     cfg.set("routing", "footprint");
     Network net(cfg);
-    FlightRecorder rec(net, recorderConfig(200), nullptr);
+    FlightRecorder rec(net, recorderConfig(200), RunMetadata());
     driveUniform(net, rec, 400, 0.2);
     const Router::Counters total = net.aggregateCounters();
     std::uint64_t by_regime = 0;
@@ -254,7 +255,7 @@ TEST(FlightRecorder, MergedWindowHistogramEqualsRunWideHistogram)
     // every sample — identical counts and quantiles.
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    FlightRecorder rec(net, recorderConfig(50), nullptr);
+    FlightRecorder rec(net, recorderConfig(50), RunMetadata());
 
     HdrHistogram direct;
     const int nodes = net.mesh().numNodes();
@@ -307,13 +308,14 @@ TEST(FlightRecorder, WindowJsonHasSchemaFieldsAndHeaderHasSchema)
 {
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    FlightRecorder rec(net, recorderConfig(100), nullptr);
+    FlightRecorder rec(net, recorderConfig(100), RunMetadata());
     driveUniform(net, rec, 120, 0.05);
     ASSERT_FALSE(rec.windows().empty());
 
     const std::string header = rec.headerJson();
     EXPECT_NE(header.find("\"schema\":\"footprint.timeseries/1\""),
               std::string::npos);
+    EXPECT_NE(header.find("\"meta\":{\"seed\":"), std::string::npos);
     EXPECT_NE(header.find("\"mesh\""), std::string::npos);
 
     const std::string line = rec.windowJson(rec.windows().front());
@@ -339,7 +341,7 @@ TEST(FlightRecorder, OccupancyGaugesMatchNetworkAtWindowClose)
     // node-cycle saturates the 8x8 mesh, so every gauge sees traffic.
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    FlightRecorder rec(net, recorderConfig(100), nullptr);
+    FlightRecorder rec(net, recorderConfig(100), RunMetadata());
     const int nodes = net.mesh().numNodes();
     const double flit_channels =
         static_cast<double>(net.linkFabric().flitCount());

@@ -35,18 +35,18 @@ TEST(ChromeTraceWriter, EmptyTraceIsAValidDocument)
 {
     std::ostringstream os;
     {
-        ChromeTraceWriter w(os);
+        ChromeTraceWriter w(os, RunMetadata());
     }
     const std::string doc = os.str();
     EXPECT_EQ(doc.rfind("{\"displayTimeUnit\":\"ms\","
                         "\"traceEvents\":[", 0), 0u);
-    EXPECT_NE(doc.find("]}"), std::string::npos);
+    EXPECT_NE(doc.find("],\"metadata\":{"), std::string::npos);
 }
 
 TEST(ChromeTraceWriter, EmitsAllEventKinds)
 {
     std::ostringstream os;
-    ChromeTraceWriter w(os);
+    ChromeTraceWriter w(os, RunMetadata());
     w.processName(1, "packets");
     w.threadName(1, 7, "pkt 7");
     w.completeEvent("pkt", 1, 7, 100, 25, "\"hops\":3");
@@ -73,12 +73,11 @@ TEST(ChromeTraceWriter, EmitsAllEventKinds)
 TEST(ChromeTraceWriter, CloseIsIdempotentAndAppendsMetadata)
 {
     std::ostringstream os;
-    ChromeTraceWriter w(os);
     RunMetadata meta;
     meta.seed = 99;
     meta.configHash = "cafe";
     meta.gitDescribe = "test";
-    w.setMeta(meta);
+    ChromeTraceWriter w(os, meta);
     w.instantEvent("x", 1);
     w.close();
     w.close();

@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for traffic patterns, packet-size distributions, and the
- * Bernoulli injection process.
+ * Bernoulli injection schedule.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "traffic/injection.hpp"
@@ -215,35 +217,49 @@ TEST(PacketSizeDist, RejectsGarbage)
                 testing::ExitedWithCode(1), "invalid uniform");
 }
 
-TEST(BernoulliInjection, MatchesConfiguredFlitRate)
+/** Fires per slot of @p sched over cycles [0, @p cycles). */
+std::vector<int>
+countFires(InjectionSchedule& sched, std::int64_t cycles, Rng& rng)
+{
+    std::vector<int> fires(static_cast<std::size_t>(sched.slots()), 0);
+    for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
+        for (int slot; (slot = sched.popDue(cycle)) >= 0;) {
+            ++fires[static_cast<std::size_t>(slot)];
+            sched.scheduleNext(slot, cycle, rng);
+        }
+    }
+    return fires;
+}
+
+TEST(InjectionSchedule, FireRateMatchesPacketProbability)
 {
     // At packet size 4 and flit rate 0.4, packets fire at rate 0.1.
-    BernoulliInjection inj(0.4, 4.0);
     Rng rng(5);
-    int fires = 0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        if (inj.fires(rng))
-            ++fires;
-    }
-    EXPECT_NEAR(static_cast<double>(fires) / n, 0.1, 0.005);
+    InjectionSchedule sched(4, 0.4 / 4.0, rng);
+    const std::int64_t cycles = 25000;
+    const std::vector<int> fires = countFires(sched, cycles, rng);
+    int total = 0;
+    for (const int f : fires)
+        total += f;
+    EXPECT_NEAR(static_cast<double>(total) / (4.0 * cycles), 0.1, 0.005);
 }
 
-TEST(BernoulliInjection, ZeroRateNeverFires)
+TEST(InjectionSchedule, ZeroProbabilityNeverFires)
 {
-    BernoulliInjection inj(0.0, 1.0);
     Rng rng(5);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_FALSE(inj.fires(rng));
+    InjectionSchedule sched(8, 0.0, rng);
+    EXPECT_EQ(sched.nextFireCycle(), InjectionSchedule::kNever);
+    EXPECT_EQ(sched.popDue(0), -1);
 }
 
-TEST(BernoulliInjection, ProbabilityIsClamped)
+TEST(InjectionSchedule, ProbabilityAboveOneFiresOncePerSlotPerCycle)
 {
     // Flit rate 2.0 with single-flit packets: probability clamps to 1.
-    BernoulliInjection inj(2.0, 1.0);
     Rng rng(5);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_TRUE(inj.fires(rng));
+    InjectionSchedule sched(3, 2.0, rng);
+    EXPECT_EQ(sched.nextFireCycle(), 0);
+    for (const int f : countFires(sched, 100, rng))
+        EXPECT_EQ(f, 100);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Validate and gate footprint.bench/1 benchmark artifacts.
+"""Gate footprint.bench/1 benchmark artifacts.
 
-Two modes:
+Every mode first validates its artifacts through tools/check_artifact.py
+(the one artifact contract), then applies its gates:
 
-1. Baseline gate (default) — validate a bench_results.json produced by
-   the sweep runner against the schema, then compare its per-cell
-   saturation throughput and jobs/sec against a recorded baseline:
+1. Baseline gate (default) — compare the per-cell saturation throughput
+   and jobs/sec of a bench_results.json produced by the sweep runner
+   against a recorded baseline:
 
        check_bench_regression.py bench_results.json \
            --baseline bench/micro_baseline.json
@@ -17,9 +18,8 @@ Two modes:
    fails the gate: simulation results are deterministic, so any drift
    is a behavioural change, not noise. jobs/sec is machine-dependent
    and only gates on *regression* beyond --max-speed-regress percent.
-   A timing.schedule, when present, must hold one [start, end] per job
-   with 0 <= start <= end <= wall_seconds; the sweep's makespan over
-   ideal is then printed (never gated).
+   When the document carries a timing.schedule, the sweep's makespan
+   over ideal is printed (never gated).
 
 2. Determinism compare (--compare) — require two or more artifacts to
    be byte-identical after removing the "timing" object (the only
@@ -28,8 +28,8 @@ Two modes:
 
        check_bench_regression.py --compare j1.json j4.json j8.json
 
-3. Micro-cycle gate (--micro) — validate a micro_cycle.json produced
-   by bench/micro_cycle and compare it against the baseline recorded
+3. Micro-cycle gate (--micro) — compare a micro_cycle.json produced
+   by bench/micro_cycle against the baseline recorded
    under "micro_cycle_baseline": per-config checksums must match the
    baseline EXACTLY (they are machine-independent; any difference is a
    behavioural change), and cycles/sec only gates on regression beyond
@@ -51,35 +51,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "footprint.bench/1"
-
-RESULT_FIELDS = {
-    "job": int,
-    "mesh": str,
-    "routing": str,
-    "traffic": str,
-    "replicate": int,
-    "probe": bool,
-    "seed": int,
-    "offered": (int, float),
-    "accepted": (int, float),
-    "latency": (int, float),
-    "p50": (int, float),
-    "p99": (int, float),
-    "hops": (int, float),
-    "cycles": int,
-    "drained": bool,
-    "saturated": bool,
-    "stall": str,
-}
-
-SATURATION_FIELDS = {
-    "mesh": str,
-    "routing": str,
-    "traffic": str,
-    "throughput": (int, float),
-    "zero_load_latency": (int, float),
-}
+import check_artifact
 
 
 def fail(msg: str) -> None:
@@ -98,98 +70,19 @@ def load(path: str) -> dict:
     return doc
 
 
-def check_fields(path: str, where: str, entry: dict, spec: dict) -> None:
-    for key, types in spec.items():
-        if key not in entry:
-            fail(f"{path}: {where} missing field '{key}'")
-        if not isinstance(entry[key], types):
-            fail(
-                f"{path}: {where} field '{key}' has type "
-                f"{type(entry[key]).__name__}"
-            )
-    # bool is an int subclass in Python; keep int fields strictly int.
-    for key, types in spec.items():
-        if types is int and isinstance(entry[key], bool):
-            fail(f"{path}: {where} field '{key}' must be an integer")
-
-
-def validate(path: str, doc: dict) -> None:
-    """Validate a document against the footprint.bench/1 schema."""
-    if doc.get("schema") != SCHEMA:
-        fail(f"{path}: schema is {doc.get('schema')!r}, want '{SCHEMA}'")
-    for key in ("run", "sweep", "results", "saturation"):
-        if key not in doc:
-            fail(f"{path}: missing top-level key '{key}'")
-
-    run = doc["run"]
-    for key in ("git", "config_hash", "base_seed", "total_jobs"):
-        if key not in run:
-            fail(f"{path}: run missing field '{key}'")
-    if run["total_jobs"] != len(doc["results"]):
-        fail(
-            f"{path}: run.total_jobs={run['total_jobs']} but results "
-            f"has {len(doc['results'])} entries"
-        )
-
-    sweep = doc["sweep"]
-    for key in ("rates", "routings", "meshes", "traffics", "seeds"):
-        if key not in sweep:
-            fail(f"{path}: sweep missing field '{key}'")
-
-    for i, entry in enumerate(doc["results"]):
-        check_fields(path, f"results[{i}]", entry, RESULT_FIELDS)
-    seeds = [e["seed"] for e in doc["results"]]
-    if len(set(seeds)) != len(seeds):
-        fail(f"{path}: job seeds are not unique")
-
-    for i, entry in enumerate(doc["saturation"]):
-        check_fields(path, f"saturation[{i}]", entry, SATURATION_FIELDS)
-    expected_cells = (
-        len(sweep["meshes"]) * len(sweep["routings"]) * len(sweep["traffics"])
-    )
-    if len(doc["saturation"]) != expected_cells:
-        fail(
-            f"{path}: saturation has {len(doc['saturation'])} entries, "
-            f"want {expected_cells} (meshes x routings x traffics)"
-        )
-
-    if "timing" in doc:
-        timing = doc["timing"]
-        for key in ("jobs", "wall_seconds", "jobs_per_sec"):
-            if key not in timing:
-                fail(f"{path}: timing missing field '{key}'")
-        if "schedule" in timing:
-            check_schedule(path, timing, len(doc["results"]))
-    print(
-        f"OK: {path}: valid {SCHEMA} document "
-        f"({len(doc['results'])} results, "
-        f"{len(doc['saturation'])} saturation cells)"
-    )
+def load_artifact(path: str, kind: str) -> dict:
+    """Validate @path through check_artifact.py; it must be @kind."""
+    try:
+        name, doc, count = check_artifact.validate(
+            path, check_artifact.parse_args([path]))
+    except (check_artifact.ArtifactError, OSError) as exc:
+        fail(str(exc))
+    if name != kind:
+        fail(f"{path}: is a {name} artifact, want {kind}")
+    print(f"OK: {path}: valid {name} document ({count} results)")
     if "schedule" in doc.get("timing", {}):
         print_makespan(doc["timing"])
-
-
-def is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def check_schedule(path: str, timing: dict, jobs: int) -> None:
-    """timing.schedule: one [start, end] per job, in job order, with
-    0 <= start <= end <= wall_seconds."""
-    schedule = timing["schedule"]
-    if not isinstance(schedule, list) or len(schedule) != jobs:
-        fail(f"{path}: timing.schedule must list one [start, end] per "
-             f"job ({jobs})")
-    wall = timing["wall_seconds"]
-    for i, span in enumerate(schedule):
-        if (not isinstance(span, list) or len(span) != 2
-                or not all(is_number(t) for t in span)):
-            fail(f"{path}: timing.schedule[{i}] is not a [start, end] "
-                 f"pair of numbers")
-        start, end = span
-        if not 0 <= start <= end <= wall:
-            fail(f"{path}: timing.schedule[{i}] = {span} lies outside "
-                 f"0 <= start <= end <= wall_seconds ({wall})")
+    return doc
 
 
 def print_makespan(timing: dict) -> None:
@@ -211,9 +104,7 @@ def canonical(doc: dict) -> str:
 
 
 def compare_mode(paths: list[str]) -> None:
-    docs = [load(p) for p in paths]
-    for path, doc in zip(paths, docs):
-        validate(path, doc)
+    docs = [load_artifact(p, check_artifact.BENCH_SCHEMA) for p in paths]
     reference = canonical(docs[0])
     for path, doc in zip(paths[1:], docs[1:]):
         if canonical(doc) != reference:
@@ -234,27 +125,6 @@ def compare_mode(paths: list[str]) -> None:
     )
 
 
-MICRO_RESULT_FIELDS = {
-    "name": str,
-    "routing": str,
-    "mode": str,
-    "threads": int,
-    "load": (int, float),
-    "cycles": int,
-    "wall_seconds": (int, float),
-    "cycles_per_sec": (int, float),
-    "full_cycles_per_sec": (int, float),
-    "speedup": (int, float),
-    "checksum": str,
-}
-
-# Row fields that newer producers emit but older artifacts may lack;
-# validated for type when present.
-MICRO_OPTIONAL_FIELDS = {
-    "topology": str,
-}
-
-
 def warn_build_type(path: str, doc: dict, base_path: str | None,
                     base_doc: dict | None) -> None:
     """Warn when either side of a comparison was built non-Release.
@@ -264,9 +134,8 @@ def warn_build_type(path: str, doc: dict, base_path: str | None,
     comparable to a Release baseline, so flag it loudly instead of
     letting a bogus speed regression (or a masked real one) through.
     """
-    meta = doc.get("meta", {}) or doc.get("run", {})
-    cand = meta.get("build_type")
-    if cand is not None and cand.lower() != "release":
+    cand = doc["meta"]["build_type"]
+    if cand.lower() != "release":
         print(
             f"WARNING: {path}: candidate built as '{cand}' (not "
             f"Release) — cycles/sec is not comparable to a Release "
@@ -342,8 +211,8 @@ def print_thread_scaling(doc: dict) -> None:
 
 def doc_num_cpus(doc: dict) -> int | None:
     """CPU count the artifact was measured on (meta.num_cpus)."""
-    cpus = (doc.get("meta") or {}).get("num_cpus")
-    return cpus if isinstance(cpus, int) and cpus > 0 else None
+    cpus = doc["meta"]["num_cpus"]
+    return cpus if cpus > 0 else None
 
 
 def parse_min_speedup(spec: str) -> tuple[int, float]:
@@ -434,38 +303,8 @@ def thread_efficiency(doc: dict,
     return failures
 
 
-def validate_micro(path: str, doc: dict) -> None:
-    """Validate a micro_cycle document (kind=micro_cycle)."""
-    if doc.get("schema") != SCHEMA:
-        fail(f"{path}: schema is {doc.get('schema')!r}, want '{SCHEMA}'")
-    if doc.get("kind") != "micro_cycle":
-        fail(f"{path}: kind is {doc.get('kind')!r}, want 'micro_cycle'")
-    for key in ("run", "results"):
-        if key not in doc:
-            fail(f"{path}: missing top-level key '{key}'")
-    for key in ("mesh", "seed", "cycles"):
-        if key not in doc["run"]:
-            fail(f"{path}: run missing field '{key}'")
-    if not doc["results"]:
-        fail(f"{path}: results is empty")
-    for i, entry in enumerate(doc["results"]):
-        check_fields(path, f"results[{i}]", entry, MICRO_RESULT_FIELDS)
-        present = {
-            k: t for k, t in MICRO_OPTIONAL_FIELDS.items() if k in entry
-        }
-        check_fields(path, f"results[{i}]", entry, present)
-    names = [e["name"] for e in doc["results"]]
-    if len(set(names)) != len(names):
-        fail(f"{path}: result names are not unique")
-    print(
-        f"OK: {path}: valid {SCHEMA} micro_cycle document "
-        f"({len(doc['results'])} configs)"
-    )
-
-
 def micro_mode(args: argparse.Namespace) -> None:
-    doc = load(args.micro)
-    validate_micro(args.micro, doc)
+    doc = load_artifact(args.micro, check_artifact.MICRO_CYCLE)
     check_thread_determinism(args.micro, doc)
     print_thread_scaling(doc)
     scaling_failures = thread_efficiency(doc, dict(args.min_speedup))
@@ -543,8 +382,7 @@ def cell_key(entry: dict) -> tuple:
 
 
 def baseline_mode(args: argparse.Namespace) -> None:
-    doc = load(args.results)
-    validate(args.results, doc)
+    doc = load_artifact(args.results, check_artifact.BENCH_SCHEMA)
     if args.baseline is None:
         return
 
