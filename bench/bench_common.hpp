@@ -11,7 +11,6 @@
 #ifndef FOOTPRINT_BENCH_COMMON_HPP
 #define FOOTPRINT_BENCH_COMMON_HPP
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -29,7 +28,7 @@
 namespace footprint::bench {
 
 /**
- * Worker-thread count for a bench harness, parsed like the sweep CLIs'
+ * Worker-thread count for a bench harness, parsed like simulate's
  * "jobs" key: "--jobs N", else FP_BENCH_JOBS, else 0 (all hardware
  * threads). Every harness is built on the deterministic sweep engine,
  * so the thread count changes wall-clock only, never the numbers.
@@ -78,27 +77,6 @@ inline void
 header(const std::string& title)
 {
     std::printf("\n== %s ==\n", title.c_str());
-}
-
-/**
- * Wall-clock simulation speed of one run of @p cfg at offered rate
- * @p rate, in simulated cycles per second. CurvePoint carries no
- * timing, so size-scaling benches measure speed with one dedicated
- * run per configuration instead of instrumenting the sweep engine.
- */
-inline double
-measureCyclesPerSec(SimConfig cfg, double rate)
-{
-    cfg.setDouble("injection_rate", rate);
-    const auto t0 = std::chrono::steady_clock::now();
-    const RunStats stats = runExperiment(cfg);
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    return secs > 0.0 && stats.cyclesRun > 0
-        ? static_cast<double>(stats.cyclesRun) / secs
-        : 0.0;
 }
 
 /** Percentage improvement of @p ours over @p base. */

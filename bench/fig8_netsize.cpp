@@ -4,14 +4,14 @@
  * throughput normalized to Footprint's on 4x4 through 32x32 meshes
  * (10 VCs, single-flit). The paper reports Footprint's edge growing
  * with network size (uniform: 11% -> 13%, shuffle: 25% -> 46% between
- * 4x4 and 16x16); the 32x32 extension runs under sharded stepping
- * (bit-identical to serial, see DESIGN.md §13) to keep the 1024-node
- * sweeps tractable.
+ * 4x4 and 16x16); the 32x32 rows extend the trend.
  *
- * Each mesh size is one sweep, so 32x32 keeps its sharded base config.
- * Each size also reports the simulator's own speed (cycles/sec at a
- * mid-ladder load, the one wall-clock column) so the bench doubles as
- * a size-scaling record of the engine itself.
+ * Each mesh size is one sweep. Every job steps serially: the sweep's
+ * workers already keep the cores busy, so sharding a job would only
+ * oversubscribe them. Each size also reports the simulator's own
+ * speed (the one wall-clock column): cycles/sec of the sweep's
+ * footprint/uniform job at a mid-ladder load, over that job's own
+ * span of the sweep schedule.
  */
 
 #include <cstdio>
@@ -31,37 +31,27 @@ main(int argc, char** argv)
     const std::vector<double> rates{0.08, 0.16, 0.24, 0.32, 0.40,
                                     0.48};
 
-    // Meshes of 1024+ nodes run with sharded stepping; thread count
-    // changes wall-clock only, never the printed numbers.
-    auto sizeConfig = [](int k) {
-        SimConfig cfg = benchBaseline();
-        cfg.setInt("mesh_width", k);
-        cfg.setInt("mesh_height", k);
-        if (k >= 32) {
-            cfg.set("step_mode", "sharded");
-            cfg.setInt("threads", 4);
-        }
-        return cfg;
-    };
-
     std::printf("%10s %-12s %12s %14s %18s %14s\n", "mesh", "pattern",
                 "dbar_sat", "footprint_sat", "dbar/footprint",
                 "cycles/sec");
     for (int k : {4, 8, 16, 32}) {
-        // Engine speed at this size: one timed footprint-routing run
-        // at a mid-ladder load (printed on the size's first row).
-        SimConfig speed_cfg = sizeConfig(k);
-        speed_cfg.set("traffic", "uniform");
-        speed_cfg.set("routing", "footprint");
-        const double cps = measureCyclesPerSec(speed_cfg, rates[1]);
         const MeshSize mesh{k, k};
         const SweepResult result = SweepRunner(ctx).run(
-            {.base = sizeConfig(k),
+            {.base = benchBaseline(),
              .rates = rates,
              .routings = {"dbar", "footprint"},
              .meshes = {mesh},
              .traffics = kSyntheticPatterns,
              .seeds = 1});
+        double cps = 0.0;
+        for (const JobResult& job : result.jobs) {
+            if (job.probe || job.routing != "footprint"
+                || job.traffic != "uniform" || job.point.offered != rates[1])
+                continue;
+            const auto& [start, end] = result.schedule[job.index];
+            if (end > start)
+                cps = static_cast<double>(job.cycles) / (end - start);
+        }
         for (const std::string& pattern : kSyntheticPatterns) {
             const double dbar =
                 result.cell(mesh, "dbar", pattern).saturation;

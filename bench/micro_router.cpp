@@ -89,7 +89,7 @@ BM_NetworkCycleObsIdle(benchmark::State& state)
     // disabled: a disabled profiler attach detaches (the stepping hot
     // path keeps its null profiler pointer) and the recorder null
     // check (which also covers the heatmap and the chrome counters)
-    // mirrors TrafficManager's per-cycle gate. Against
+    // mirrors runExperiment's per-cycle gate. Against
     // BM_NetworkCycle/30 this is the ≤2% disabled-overhead CI gate
     // (check_telemetry_overhead.py).
     SimConfig cfg = netConfig("footprint");

@@ -37,8 +37,12 @@
  * opened too early; warmup=auto ends warmup at convergence (capped by
  * warmup_max_cycles).
  *
- * Sweep mode (rate ladder instead of a single run; see DESIGN.md §11):
+ * Sweep mode (a grid of runs instead of one; see DESIGN.md §11):
  *   --sweep RATES           offered rates, "0.05,0.1,0.2" or lo:hi:n
+ *   sweep_routings=dor,dbar sweep_meshes=8x8,16x16 ("8" is 8x8)
+ *   sweep_traffics=uniform,shuffle sweep_seeds=2
+ *                           the other axes; each defaults to the
+ *                           single-run routing / mesh / traffic
  *   --jobs N                worker threads (default: all hardware
  *                           threads); results are identical for any N
  *   --bench-out FILE        write a footprint.bench/1 JSON artifact
@@ -81,22 +85,27 @@ isBareFlag(const std::string& key)
 }
 
 /**
- * Rate-ladder mode: run the configured (routing, traffic, mesh) cell
- * at every rate of --sweep as parallel jobs, print the curve, and
- * optionally export the footprint.bench/1 artifact.
+ * Sweep mode: run the grid of --sweep rates x sweep_routings x
+ * sweep_meshes x sweep_traffics x sweep_seeds as parallel jobs, each
+ * axis defaulting to the single-run value, print the curves and
+ * saturation, and optionally export the footprint.bench/1 artifact.
  */
 int
 runSweepMode(footprint::SimConfig cfg)
 {
     using namespace footprint;
 
+    auto axis = [&](const char* key, const std::string& single) {
+        return splitList(cfg.contains(key) ? cfg.getStr(key) : single);
+    };
     SweepSpec spec;
     spec.rates = parseRateSpec(cfg.getStr("sweep_rates"));
-    spec.routings = {cfg.getStr("routing")};
-    spec.meshes = {
-        {static_cast<int>(cfg.getInt("mesh_width")),
-         static_cast<int>(cfg.getInt("mesh_height"))}};
-    spec.traffics = {cfg.getStr("traffic")};
+    spec.routings = axis("sweep_routings", cfg.getStr("routing"));
+    for (const std::string& m :
+         axis("sweep_meshes", cfg.getStr("mesh_width") + "x"
+                                  + cfg.getStr("mesh_height")))
+        spec.meshes.push_back(parseMeshSize(m));
+    spec.traffics = axis("sweep_traffics", cfg.getStr("traffic"));
     spec.seeds = static_cast<int>(cfg.getInt("sweep_seeds"));
 
     const std::int64_t jobs = cfg.getInt("jobs");
@@ -122,16 +131,28 @@ runSweepMode(footprint::SimConfig cfg)
     if (progress)
         progress->close();
 
-    const SweepCell& cell = result.cell(
-        spec.meshes.front(), spec.routings.front(),
-        spec.traffics.front());
-    const std::string label =
-        cfg.getStr("routing") + "/" + cfg.getStr("traffic");
-    std::printf("--- sweep results ---\n%s",
-                formatCurve(label, cell.curve).c_str());
-    std::printf("saturation throughput    : %.3f "
-                "(zero-load latency %.2f)\n",
-                cell.saturation, cell.zeroLoad);
+    std::printf("--- sweep results ---\n");
+    for (const SweepCell& cell : result.cells) {
+        const std::string label = (spec.meshes.size() > 1
+                                       ? cell.mesh.label() + " "
+                                       : "")
+            + cell.routing + "/" + cell.traffic;
+        std::printf("%s", formatCurve(label, cell.curve).c_str());
+    }
+    if (result.cells.size() == 1) {
+        std::printf("saturation throughput    : %.3f "
+                    "(zero-load latency %.2f)\n",
+                    result.cells[0].saturation, result.cells[0].zeroLoad);
+    } else {
+        std::printf("%-8s %-16s %-12s %12s %16s\n", "mesh", "routing",
+                    "traffic", "saturation", "zero-load lat");
+        for (const SweepCell& cell : result.cells) {
+            std::printf("%-8s %-16s %-12s %12.3f %16.2f\n",
+                        cell.mesh.label().c_str(), cell.routing.c_str(),
+                        cell.traffic.c_str(), cell.saturation,
+                        cell.zeroLoad);
+        }
+    }
     std::printf("wall clock               : %.2f s (%zu jobs, "
                 "%.2f jobs/s, --jobs %u)\n",
                 result.wallSeconds, result.jobs.size(),

@@ -222,7 +222,7 @@ void writeBenchResults(const std::string& path, const SweepSpec& spec,
 
 /**
  * Parse "8x8" / "16x8"-style mesh labels (fatal() on malformed input);
- * shared by the sweep CLI and bench drivers.
+ * shared by simulate --sweep and bench drivers.
  */
 MeshSize parseMeshSize(const std::string& label);
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 
 #include "network/network.hpp"
 #include "obs/auditor.hpp"
@@ -103,14 +102,27 @@ class ScopedSigintFlag
     }
 };
 
+/**
+ * One open-loop Bernoulli packet stream. Slot i injects from
+ * slots[i].first to slots[i].second, or to a pattern draw where that
+ * is -1; ids divided by idsPerRouter name routers (cmesh terminals
+ * share one).
+ */
+struct Stream
+{
+    std::vector<std::pair<int, int>> slots;
+    std::unique_ptr<TrafficPattern> pattern;
+    int idsPerRouter = 1;
+    FlowClass flowClass = FlowClass::Background;
+    InjectionSchedule sched;
+};
+
 } // namespace
 
-TrafficManager::TrafficManager(const SimConfig& cfg) : cfg_(cfg) {}
-
 RunStats
-TrafficManager::run()
+runExperiment(const SimConfig& cfg)
 {
-    Network net(cfg_);
+    Network net(cfg);
     const Topology& topo = net.topology();
     const Mesh& mesh = net.mesh();
     const int n = mesh.numNodes();
@@ -119,7 +131,7 @@ TrafficManager::run()
     // terminals sharing its endpoint.
     const int num_terminals = topo.numTerminals();
 
-    const RunMetadata meta = RunMetadata::fromConfig(cfg_);
+    const RunMetadata meta = RunMetadata::fromConfig(cfg);
 
     // Trace artifacts: the chrome trace-event timeline (chrome_trace*)
     // and the packet lifecycle tracer (trace_*). The timeline is fed
@@ -128,16 +140,16 @@ TrafficManager::run()
     // keeps the timeline representative. Both stay null on untraced
     // runs, so the hot-path hooks cost one null check.
     std::unique_ptr<ChromeTraceWriter> chrome;
-    if (cfg_.getBool("chrome_trace")) {
-        const std::string out = cfg_.getStr("chrome_trace_out");
+    if (cfg.getBool("chrome_trace")) {
+        const std::string out = cfg.getStr("chrome_trace_out");
         chrome = std::make_unique<ChromeTraceWriter>(
             out.empty() ? "trace.json" : out, meta);
         chrome->processName(1, "packets");
     }
-    const std::int64_t trace_packets = cfg_.getInt("trace_packets");
+    const std::int64_t trace_packets = cfg.getInt("trace_packets");
     if (trace_packets < 0)
         fatal("trace_packets must be non-negative");
-    const std::string trace_out = cfg_.getStr("trace_out");
+    const std::string trace_out = cfg.getStr("trace_out");
     const std::uint64_t trace_budget = trace_packets > 0
         ? static_cast<std::uint64_t>(trace_packets)
         : chrome ? 20000 : 0;
@@ -160,38 +172,58 @@ TrafficManager::run()
             chrome->close();
     };
 
-    // Self-profiler and spatial observatory (DESIGN.md §14). Both stay
-    // null/disabled unless their config key asks for them; the profiler
-    // pointer is the only thing the stepping hot path ever sees, and
-    // the heatmap collector only reads network state from this serial
-    // loop, so neither can perturb results.
+    // Self-profiler (DESIGN.md §14): null unless "profile" asks for
+    // it; the pointer is the only thing the stepping hot path sees.
     std::unique_ptr<Profiler> profiler;
-    if (cfg_.getBool("profile")) {
+    if (cfg.getBool("profile")) {
         profiler = std::make_unique<Profiler>();
         net.attachProfiler(profiler.get());
     }
     Profiler* const prof = profiler.get();
-    const HeatmapConfig hm_cfg = HeatmapConfig::fromSim(cfg_);
-    std::unique_ptr<HeatmapCollector> heatmap;
-    if (hm_cfg.enabled)
-        heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
 
     // Flight recorder (DESIGN.md §15): the run's one window clock. It
     // streams windowed throughput / latency / regime / occupancy
-    // records, feeds the steady-state detector, and closes the
-    // heatmap's windows. Built whenever the stream, warmup=auto or the
-    // heatmap needs it; like every other collector it only reads
-    // network state from this serial loop, so determinism is
-    // untouched, and when off it costs one null check per cycle.
-    const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg_);
+    // records, feeds the steady-state detector, and closes the windows
+    // of the spatial heatmap (§14). Built whenever the stream,
+    // warmup=auto or the heatmap needs it; like every other collector
+    // it only reads network state from this serial loop, so
+    // determinism is untouched, and when off it costs one null check
+    // per cycle. Its keys are checked only when it runs.
+    const std::string warmup_mode = cfg.getStr("warmup");
+    if (!warmup_mode.empty() && warmup_mode != "auto")
+        fatal("warmup must be auto or empty, got " + warmup_mode);
+    const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg);
+    const HeatmapConfig hm_cfg = HeatmapConfig::fromSim(cfg);
+    std::unique_ptr<HeatmapCollector> heatmap;
     std::unique_ptr<FlightRecorder> recorder;
-    if (ts_cfg.active() || heatmap) {
-        // fromSim clamps a degenerate interval; as user input for a
-        // running recorder it is an error.
-        const std::int64_t interval = cfg_.getInt("timeseries_interval");
-        if (interval < 1) {
+    if (ts_cfg.active() || hm_cfg.enabled) {
+        if (ts_cfg.interval < 1) {
             fatal("timeseries_interval must be >= 1 when the flight "
-                  "recorder runs, got " + std::to_string(interval));
+                  "recorder runs, got "
+                  + std::to_string(ts_cfg.interval));
+        }
+        if (ts_cfg.steadyWindows < 2) {
+            fatal("steady_windows must be >= 2 when the flight "
+                  "recorder runs, got "
+                  + std::to_string(ts_cfg.steadyWindows));
+        }
+        if (!(ts_cfg.steadyTolerance > 0.0)) {
+            fatal("steady_tolerance must be > 0 when the flight "
+                  "recorder runs, got " + cfg.getStr("steady_tolerance"));
+        }
+        if (ts_cfg.warmupAuto && ts_cfg.warmupMax < ts_cfg.interval) {
+            fatal("warmup_max_cycles must be >= timeseries_interval ("
+                  + std::to_string(ts_cfg.interval)
+                  + ") under warmup=auto, got "
+                  + std::to_string(ts_cfg.warmupMax));
+        }
+        if (hm_cfg.enabled) {
+            if (hm_cfg.sampleInterval < 1) {
+                fatal("heatmap_sample_interval must be >= 1 with "
+                      "heatmap on, got "
+                      + std::to_string(hm_cfg.sampleInterval));
+            }
+            heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
         }
         recorder = std::make_unique<FlightRecorder>(net, ts_cfg, meta);
         recorder->attachHeatmap(heatmap.get());
@@ -200,45 +232,47 @@ TrafficManager::run()
 
     // Live status line (display-only, rate-limited, off by default).
     std::unique_ptr<RunConsole> console;
-    if (cfg_.getBool("console")) {
+    if (cfg.getBool("console")) {
         console = std::make_unique<RunConsole>(
-            static_cast<int>(cfg_.getInt("console_interval_ms")));
+            static_cast<int>(cfg.getInt("console_interval_ms")));
     }
 
     // Observability supervisors: the invariant auditor and the
-    // deadlock/livelock watchdog, both gated on the "audit" key and
-    // both a single null check per cycle when disabled.
-    std::unique_ptr<InvariantAuditor> auditor;
-    std::unique_ptr<Watchdog> watchdog;
-    if (cfg_.getBool("audit")) {
-        InvariantAuditor::Params ap;
-        ap.interval = cfg_.getInt("audit_interval");
-        if (ap.interval < 1) {
-            fatal("audit_interval must be >= 1 with audit on, got "
-                  + std::to_string(ap.interval));
+    // deadlock/livelock watchdog. Both exist on every run; with
+    // "audit" off their interval is 0, so each tick is one compare and
+    // the watchdog only classifies a non-drained exit.
+    const bool audit = cfg.getBool("audit");
+    InvariantAuditor::Params ap;
+    ap.interval = audit ? cfg.getInt("audit_interval") : 0;
+    Watchdog::Params wp;
+    wp.interval = audit ? cfg.getInt("watchdog_interval") : 0;
+    if (audit) {
+        for (const auto& [key, interval] :
+             {std::pair{"audit_interval", ap.interval},
+              std::pair{"watchdog_interval", wp.interval}}) {
+            if (interval < 1) {
+                fatal(std::string(key) + " must be >= 1 with audit on, "
+                      "got " + std::to_string(interval));
+            }
         }
-        auditor = std::make_unique<InvariantAuditor>(net, ap);
-
-        Watchdog::Params wp;
-        wp.interval = cfg_.getInt("watchdog_interval");
-        wp.maxHops = static_cast<int>(cfg_.getInt("watchdog_max_hops"));
-        wp.maxAge = cfg_.getInt("watchdog_max_age");
-        watchdog = std::make_unique<Watchdog>(net, tracer.get(), wp);
+        wp.maxHops = static_cast<int>(cfg.getInt("watchdog_max_hops"));
+        wp.maxAge = cfg.getInt("watchdog_max_age");
     }
+    InvariantAuditor auditor(net, ap);
+    Watchdog watchdog(net, tracer.get(), wp);
     if (recorder)
-        recorder->setWatchdog(watchdog.get());
-    const bool dump_on_abort = cfg_.getBool("dump_on_abort");
-    const std::string dump_path = cfg_.getStr("dump_path");
+        recorder->setWatchdog(&watchdog);
+    const bool dump_on_abort = cfg.getBool("dump_on_abort");
+    const std::string dump_path = cfg.getStr("dump_path");
     std::optional<ScopedSigintFlag> sigint_guard;
     if (dump_on_abort)
         sigint_guard.emplace();
 
-    const std::string mode = cfg_.getStr("traffic");
     for (const char* key :
          {"warmup_cycles", "measure_cycles", "drain_cycles"}) {
-        if (cfg_.getInt(key) < 0) {
+        if (cfg.getInt(key) < 0) {
             fatal(std::string(key) + " must be >= 0, got "
-                  + cfg_.getStr(key));
+                  + cfg.getStr(key));
         }
     }
     // Under warmup=auto the warmup length is detector-driven: it
@@ -247,79 +281,90 @@ TrafficManager::run()
     // consumes bit-identical window records, so the chosen warmup —
     // and everything downstream of it — is identical across step
     // modes and thread counts.
-    std::int64_t warmup = cfg_.getInt("warmup_cycles");
+    std::int64_t warmup = cfg.getInt("warmup_cycles");
     if (ts_cfg.warmupAuto)
         warmup = ts_cfg.warmupMax;
-    const auto measure = cfg_.getInt("measure_cycles");
-    const auto drain_limit = cfg_.getInt("drain_cycles");
-    const bool skip_ahead = cfg_.getBool("skip_ahead");
-    const double rate = cfg_.getDouble("injection_rate");
+    const auto measure = cfg.getInt("measure_cycles");
+    const auto drain_limit = cfg.getInt("drain_cycles");
+    const bool skip_ahead = cfg.getBool("skip_ahead");
+    const double rate = cfg.getDouble("injection_rate");
     if (!(rate >= 0.0 && rate <= 1.0)) {
         fatal("injection_rate must be in [0, 1] flits/node/cycle, got "
-              + cfg_.getStr("injection_rate"));
+              + cfg.getStr("injection_rate"));
     }
     const PacketSizeDist size_dist =
-        PacketSizeDist::parse(cfg_.getStr("packet_size"));
-    Rng gen(static_cast<std::uint64_t>(cfg_.getInt("seed"))
+        PacketSizeDist::parse(cfg.getStr("packet_size"));
+    Rng gen(static_cast<std::uint64_t>(cfg.getInt("seed"))
             ^ 0x7a43f00d5eedULL);
 
-    RunStats stats;
-    stats.offeredFlitsPerNodeCycle = rate;
-
-    // --- Per-mode setup. ---
-    // Synthetic modes drive injection through an InjectionSchedule:
-    // geometric inter-arrival gaps drawn per fire event instead of a
-    // Bernoulli trial per node per cycle. Same process in
-    // distribution, O(fires) instead of O(nodes × cycles), and —
-    // crucially for the skip-ahead fast path — the schedule knows the
-    // exact next-arrival cycle, and its RNG consumption is tied to
-    // fire events so skipping idle cycles cannot shift any draw.
-    std::unique_ptr<TrafficPattern> pattern;
-    std::unique_ptr<TrafficPattern> background_pattern;
-    std::unique_ptr<InjectionSchedule> sched;
-    std::unique_ptr<InjectionSchedule> hs_sched;
-    std::unique_ptr<InjectionSchedule> bg_sched;
-    std::vector<std::pair<int, int>> hotspot_flows;
-    std::set<int> hotspot_sources;
-    std::vector<int> bg_nodes;  ///< non-hotspot sources, slot order
+    // --- Arrivals, built once. ---
+    // Open-loop traffic is a list of streams, each injecting through
+    // an InjectionSchedule: geometric inter-arrival gaps drawn per
+    // fire event instead of a Bernoulli trial per source per cycle.
+    // Same process in distribution, O(fires) instead of
+    // O(sources × cycles), and — crucially for the skip-ahead fast
+    // path — a schedule knows the exact next-arrival cycle, and its
+    // RNG consumption is tied to fire events so skipping idle cycles
+    // cannot shift any draw. Streams are built (and draw their first
+    // gaps) in list order. A trace replay arrives at the file's own
+    // cycles instead.
+    std::vector<Stream> streams;
     std::unique_ptr<TraceReader> trace;
     std::optional<TraceEvent> pending;
-
-    const bool is_trace = mode == "trace";
-    const bool is_hotspot = mode == "hotspot";
-    if (is_trace) {
-        trace = std::make_unique<TraceReader>(cfg_.getStr("trace_file"),
+    auto add_stream = [&](std::vector<std::pair<int, int>> slots,
+                          std::unique_ptr<TrafficPattern> pattern,
+                          int ids_per_router, FlowClass fc,
+                          double flit_rate) {
+        if (slots.empty())
+            return;
+        const auto count = static_cast<int>(slots.size());
+        streams.push_back(
+            {std::move(slots), std::move(pattern), ids_per_router, fc,
+             InjectionSchedule(count, flit_rate / size_dist.mean(),
+                               gen)});
+    };
+    const std::string mode = cfg.getStr("traffic");
+    if (mode == "trace") {
+        trace = std::make_unique<TraceReader>(cfg.getStr("trace_file"),
                                               n);
         pending = trace->next();
-    } else if (is_hotspot) {
-        hotspot_flows = defaultHotspotFlows(mesh);
-        for (const auto& flow : hotspot_flows)
-            hotspot_sources.insert(flow.first);
-        const double bg_rate = cfg_.contains("background_rate")
-            ? cfg_.getDouble("background_rate")
+    } else if (mode == "hotspot") {
+        // The Table-3 flows at "injection_rate", then uniform
+        // background at "background_rate" from every other node.
+        const double bg_rate = cfg.contains("background_rate")
+            ? cfg.getDouble("background_rate")
             : 0.3;
-        background_pattern = makeTrafficPattern("uniform", mesh);
-        for (int node = 0; node < n; ++node) {
-            if (hotspot_sources.count(node) == 0)
-                bg_nodes.push_back(node);
+        if (!(bg_rate >= 0.0 && bg_rate <= 1.0)) {
+            fatal("background_rate must be in [0, 1] flits/node/cycle, "
+                  "got " + cfg.getStr("background_rate"));
         }
-        if (!hotspot_flows.empty())
-            hs_sched = std::make_unique<InjectionSchedule>(
-                static_cast<int>(hotspot_flows.size()),
-                rate / size_dist.mean(), gen);
-        if (!bg_nodes.empty())
-            bg_sched = std::make_unique<InjectionSchedule>(
-                static_cast<int>(bg_nodes.size()),
-                bg_rate / size_dist.mean(), gen);
+        std::vector<std::pair<int, int>> flows = defaultHotspotFlows(mesh);
+        std::vector<std::pair<int, int>> background;
+        for (int node = 0; node < n; ++node) {
+            if (std::none_of(flows.begin(), flows.end(),
+                             [&](const auto& f) { return f.first == node; }))
+                background.emplace_back(node, -1);
+        }
+        add_stream(std::move(flows), nullptr, 1, FlowClass::Hotspot, rate);
+        add_stream(std::move(background),
+                   makeTrafficPattern("uniform", mesh), 1,
+                   FlowClass::Background, bg_rate);
     } else {
-        pattern = makeTrafficPattern(mode, topo);
-        sched = std::make_unique<InjectionSchedule>(
-            num_terminals, rate / size_dist.mean(), gen);
+        std::vector<std::pair<int, int>> terminals;
+        for (int t = 0; t < num_terminals; ++t)
+            terminals.emplace_back(t, -1);
+        add_stream(std::move(terminals), makeTrafficPattern(mode, topo),
+                   topo.concentration(), FlowClass::Background, rate);
     }
 
+    RunStats stats;
+    std::int64_t cycle = 0;
+    bool measuring = false;
+    // Flits of every packet created in the measurement window, all
+    // flow classes: the offered load, on accepted load's basis.
+    std::uint64_t offered_flits = 0;
     std::uint64_t next_packet_id = 1;
-    auto make_packet = [&](int src, int dest, int size,
-                           std::int64_t cycle, FlowClass fc,
+    auto make_packet = [&](int src, int dest, int size, FlowClass fc,
                            bool measured) {
         Packet p;
         p.id = next_packet_id++;
@@ -331,6 +376,8 @@ TrafficManager::run()
         p.measured = measured;
         if (measured)
             ++stats.measuredCreated;
+        if (measuring)
+            offered_flits += static_cast<std::uint64_t>(size);
         if (recorder)
             recorder->onOffered(size);
         net.endpoint(src).enqueue(p);
@@ -340,13 +387,22 @@ TrafficManager::run()
     std::uint64_t flits_at_measure_start = 0;
     std::uint64_t flits_at_measure_end = 0;
     std::int64_t last_progress_cycle = 0;
-    std::int64_t cycle = 0;
     std::int64_t hard_limit = warmup + measure + drain_limit;
     // Collect-loop scratch; capacity warms up once, then the per-cycle
     // drain is allocation-free.
     std::vector<EjectedPacket> drained;
 
     const char* abort_reason = nullptr;
+    // The forensic dump of every abort path (DESIGN.md §10).
+    auto dump = [&](const std::string& reason,
+                    const Watchdog::Report* stall) {
+        return dumpStateToFile(dump_path, net, meta,
+                               {.cycle = cycle,
+                                .reason = reason,
+                                .violations = &auditor.violations(),
+                                .stall = stall,
+                                .events = &watchdog.events()});
+    };
 
     if (chrome)
         chrome->instantEvent("phase: warmup", 0);
@@ -354,8 +410,7 @@ TrafficManager::run()
         prof->beginRun();
     try {
     for (; cycle < hard_limit; ++cycle) {
-        const bool measuring = cycle >= warmup
-            && cycle < warmup + measure;
+        measuring = cycle >= warmup && cycle < warmup + measure;
         if (chrome) {
             if (cycle == warmup)
                 chrome->instantEvent("phase: measure", cycle);
@@ -363,57 +418,36 @@ TrafficManager::run()
                 chrome->instantEvent("phase: drain", cycle);
         }
 
-        // Generate traffic.
+        // Generate traffic. Per fire: draws in a fixed order (dest
+        // where drawn, size, next gap), so the RNG sequence depends
+        // only on the fire events — never on how many idle cycles
+        // elapsed. Only background packets in the window are measured
+        // (the Fig. 9 methodology); a replay measures every packet.
+        // Intra-router cmesh traffic injects with src == dest and
+        // turns around at the local port.
         const std::uint64_t inject_t0 = prof ? Profiler::nowNs() : 0;
-        if (is_trace) {
-            while (pending && pending->cycle <= cycle) {
-                // Trace events carry their own packet size.
-                make_packet(pending->src, pending->dest, pending->size,
-                            cycle, FlowClass::Background, true);
-                pending = trace->next();
-            }
-        } else if (is_hotspot) {
-            // Per fire: draws in a fixed order (dest where applicable,
-            // size, next gap), so the RNG sequence depends only on the
-            // fire events — never on how many idle cycles elapsed.
-            if (hs_sched) {
-                for (int slot; (slot = hs_sched->popDue(cycle)) >= 0;) {
-                    const auto& flow =
-                        hotspot_flows[static_cast<std::size_t>(slot)];
-                    const int size = size_dist.sample(gen);
-                    hs_sched->scheduleNext(slot, cycle, gen);
-                    make_packet(flow.first, flow.second, size, cycle,
-                                FlowClass::Hotspot, false);
-                }
-            }
-            if (bg_sched) {
-                for (int slot; (slot = bg_sched->popDue(cycle)) >= 0;) {
-                    const int node =
-                        bg_nodes[static_cast<std::size_t>(slot)];
-                    const int dest = background_pattern->dest(node, gen);
-                    const int size = size_dist.sample(gen);
-                    bg_sched->scheduleNext(slot, cycle, gen);
-                    if (dest >= 0) {
-                        make_packet(node, dest, size, cycle,
-                                    FlowClass::Background, measuring);
-                    }
-                }
-            }
-        } else {
-            // Slots are terminals; packets travel router-to-router, so
-            // map terminal ids down before enqueueing (identity when
-            // concentration == 1). Intra-router cmesh traffic injects
-            // with src == dest and turns around at the local port.
-            for (int slot; (slot = sched->popDue(cycle)) >= 0;) {
-                const int dest = pattern->dest(slot, gen);
+        for (Stream& s : streams) {
+            for (int slot; (slot = s.sched.popDue(cycle)) >= 0;) {
+                auto [src, dest] = s.slots[static_cast<std::size_t>(slot)];
+                if (dest < 0)
+                    dest = s.pattern->dest(src, gen);
                 const int size = size_dist.sample(gen);
-                sched->scheduleNext(slot, cycle, gen);
+                s.sched.scheduleNext(slot, cycle, gen);
                 if (dest >= 0) {
-                    make_packet(topo.terminalRouter(slot),
-                                topo.terminalRouter(dest), size, cycle,
-                                FlowClass::Background, measuring);
+                    make_packet(src / s.idsPerRouter,
+                                dest / s.idsPerRouter, size,
+                                s.flowClass,
+                                measuring
+                                    && s.flowClass
+                                        == FlowClass::Background);
                 }
             }
+        }
+        while (pending && pending->cycle <= cycle) {
+            // Trace events carry their own packet size.
+            make_packet(pending->src, pending->dest, pending->size,
+                        FlowClass::Background, true);
+            pending = trace->next();
         }
         if (prof) {
             prof->addPhaseNs(ProfPhase::Inject,
@@ -431,17 +465,14 @@ TrafficManager::run()
         }
 
         net.step(cycle);
-        if (auditor)
-            auditor->tick(cycle);
-        if (watchdog) {
-            watchdog->tick(cycle);
-            if (watchdog->deadlockDetected()) {
-                // A cyclic wait-for dependency never resolves; abort
-                // now so the forensic dump captures the cycle intact.
-                abort_reason = "deadlock";
-                ++cycle;
-                break;
-            }
+        auditor.tick(cycle);
+        watchdog.tick(cycle);
+        if (watchdog.deadlockDetected()) {
+            // A cyclic wait-for dependency never resolves; abort now
+            // so the forensic dump captures the cycle intact.
+            abort_reason = "deadlock";
+            ++cycle;
+            break;
         }
         if (sigint_guard && ScopedSigintFlag::fired()) {
             abort_reason = "sigint";
@@ -515,8 +546,9 @@ TrafficManager::run()
             }
             // Deeply saturated (most measured packets still stuck in
             // source queues): draining would take unbounded time, so
-            // report saturation right away.
-            if (!is_trace
+            // report saturation right away. A replay measures every
+            // packet it injects, so it always drains.
+            if (!trace
                 && static_cast<double>(stats.measuredEjected)
                     < kDrainWorthwhileFraction
                         * static_cast<double>(stats.measuredCreated)) {
@@ -525,10 +557,9 @@ TrafficManager::run()
             }
         }
 
-        // Termination: all measured packets drained.
-        const bool gen_done = is_trace
-            ? (!pending && cycle >= warmup + measure)
-            : (cycle >= warmup + measure);
+        // Termination: every arrival generated (the window is over and
+        // any trace is exhausted) and every measured packet drained.
+        const bool gen_done = !pending && cycle >= warmup + measure;
         if (gen_done && stats.measuredEjected >= stats.measuredCreated) {
             stats.drained = true;
             ++cycle;
@@ -558,24 +589,15 @@ TrafficManager::run()
             ProfileScope skip_ps(prof, ProfPhase::Skip);
             if (net.idle()) {
                 HorizonTracker hz(cycle + 1, hard_limit);
-                if (is_trace) {
-                    if (pending)
-                        hz.clamp(pending->cycle);
-                } else {
-                    if (sched)
-                        hz.clamp(sched->nextFireCycle());
-                    if (hs_sched)
-                        hz.clamp(hs_sched->nextFireCycle());
-                    if (bg_sched)
-                        hz.clamp(bg_sched->nextFireCycle());
-                }
+                for (const Stream& s : streams)
+                    hz.clamp(s.sched.nextFireCycle());
+                if (pending)
+                    hz.clamp(pending->cycle);
                 hz.clamp(warmup);
                 hz.clamp(warmup + measure - 1);
                 hz.clamp(warmup + measure);
-                if (auditor)
-                    hz.clamp(auditor->nextDueCycle());
-                if (watchdog)
-                    hz.clamp(watchdog->nextDueCycle());
+                hz.clamp(auditor.nextDueCycle());
+                hz.clamp(watchdog.nextDueCycle());
                 if (hz.skips()) {
                     const std::int64_t target = hz.cycle();
                     net.skipTo(target);
@@ -591,16 +613,8 @@ TrafficManager::run()
         // A violated runtime invariant: close trace artifacts, write
         // the forensic dump, and let the error propagate.
         close_traces();
-        if (dump_on_abort) {
-            StateDumpContext ctx;
-            ctx.cycle = cycle;
-            ctx.reason = std::string("panic: ") + e.what();
-            if (auditor)
-                ctx.violations = &auditor->violations();
-            if (watchdog)
-                ctx.events = &watchdog->events();
-            dumpStateToFile(dump_path, net, meta, ctx);
-        }
+        if (dump_on_abort)
+            dump(std::string("panic: ") + e.what(), nullptr);
         throw;
     }
 
@@ -641,24 +655,16 @@ TrafficManager::run()
                  + "; consider warmup=auto or a longer warmup");
         }
     }
-    if (auditor)
-        stats.auditViolations = auditor->violationCount();
-    if (watchdog)
-        stats.watchdogEvents =
-            static_cast<std::uint64_t>(watchdog->events().size());
+    stats.auditViolations = auditor.violationCount();
+    stats.watchdogEvents =
+        static_cast<std::uint64_t>(watchdog.events().size());
 
-    // Classify any non-drained exit, even when the watchdog was off:
+    // Classify any non-drained exit, whether or not the watchdog ran:
     // the one-shot wait-for-graph pass distinguishes a true deadlock
     // from endpoint tree saturation at negligible cost.
     Watchdog::Report stall;
     if (!stats.drained) {
-        if (watchdog) {
-            stall = watchdog->classify(cycle);
-        } else {
-            Watchdog::Params wp;
-            wp.interval = 0;
-            stall = Watchdog(net, nullptr, wp).classify(cycle);
-        }
+        stall = watchdog.classify(cycle);
         stats.stallClass = Watchdog::stallClassName(stall.stallClass);
     }
 
@@ -668,41 +674,34 @@ TrafficManager::run()
         std::string reason;
         if (abort_reason)
             reason = abort_reason;
-        else if (auditor && !auditor->clean())
+        else if (!auditor.clean())
             reason = "invariant_violation";
         else if (!stats.drained)
             reason = cycle >= hard_limit ? "hard_limit" : "saturation";
-        if (!reason.empty()) {
-            StateDumpContext ctx;
-            ctx.cycle = cycle;
-            ctx.reason = reason;
-            if (auditor)
-                ctx.violations = &auditor->violations();
-            if (!stats.drained)
-                ctx.stall = &stall;
-            if (watchdog)
-                ctx.events = &watchdog->events();
-            if (dumpStateToFile(dump_path, net, meta, ctx))
-                stats.stateDumpPath = dump_path;
-        }
+        if (!reason.empty()
+            && dump(reason, stats.drained ? nullptr : &stall))
+            stats.stateDumpPath = dump_path;
     }
-    if (measure > 0 && flits_at_measure_end >= flits_at_measure_start) {
-        // Normalized per terminal (== per node except on a cmesh), the
-        // same basis as the offered rate.
-        stats.acceptedFlitsPerNodeCycle =
-            static_cast<double>(flits_at_measure_end
-                                - flits_at_measure_start)
-            / (static_cast<double>(num_terminals)
-               * static_cast<double>(measure));
+    if (measure > 0) {
+        // Normalized per terminal (== per node except on a cmesh).
+        const double window = static_cast<double>(num_terminals)
+            * static_cast<double>(measure);
+        stats.offeredFlitsPerNodeCycle =
+            static_cast<double>(offered_flits) / window;
+        if (flits_at_measure_end >= flits_at_measure_start) {
+            stats.acceptedFlitsPerNodeCycle =
+                static_cast<double>(flits_at_measure_end
+                                    - flits_at_measure_start)
+                / window;
+        }
     }
 
     if (prof) {
         prof->endRun(cycle);
-        const std::string out = cfg_.getStr("profile_out");
+        const std::string out = cfg.getStr("profile_out");
         const std::string row = prof->toJsonRow(
-            cfg_.getStr("traffic") + "/" + cfg_.getStr("routing"),
-            cfg_.getStr("step_mode"),
-            static_cast<int>(cfg_.getInt("threads")));
+            mode + "/" + cfg.getStr("routing"), cfg.getStr("step_mode"),
+            static_cast<int>(cfg.getInt("threads")));
         if (writeProfileDocument(out, meta, {row}))
             stats.profilePath = out;
         else
@@ -716,13 +715,6 @@ TrafficManager::run()
                  + hm_cfg.outPath);
     }
     return stats;
-}
-
-RunStats
-runExperiment(const SimConfig& cfg)
-{
-    TrafficManager tm(cfg);
-    return tm.run();
 }
 
 } // namespace footprint

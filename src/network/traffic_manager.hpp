@@ -40,6 +40,10 @@ struct RunStats
     /** Hop counts of measured packets. */
     StatAccumulator hops;
 
+    /**
+     * Flits of the packets created in the measurement window (every
+     * flow class) and flits ejected in it, per terminal per cycle.
+     */
     double offeredFlitsPerNodeCycle = 0.0;
     double acceptedFlitsPerNodeCycle = 0.0;
 
@@ -121,7 +125,8 @@ struct RunStats
 };
 
 /**
- * Runs one experiment described by a SimConfig.
+ * Runs one experiment described by a SimConfig through warmup,
+ * measurement and drain, and returns its statistics.
  *
  * Traffic modes (config key "traffic"):
  *  - "uniform" / "transpose" / "shuffle": open-loop Bernoulli injection
@@ -131,19 +136,6 @@ struct RunStats
  *    only background packets are measured (Fig. 9 methodology);
  *  - "trace": replay "trace_file"; every packet is measured.
  */
-class TrafficManager
-{
-  public:
-    explicit TrafficManager(const SimConfig& cfg);
-
-    /** Execute the run and return its statistics. */
-    RunStats run();
-
-  private:
-    SimConfig cfg_;
-};
-
-/** Convenience wrapper: construct, run, return. */
 RunStats runExperiment(const SimConfig& cfg);
 
 } // namespace footprint

@@ -21,8 +21,6 @@ HeatmapConfig::fromSim(const SimConfig& cfg)
     hc.window = TimeseriesConfig::fromSim(cfg).interval;
     if (cfg.contains("heatmap_sample_interval"))
         hc.sampleInterval = cfg.getInt("heatmap_sample_interval");
-    if (hc.sampleInterval < 1)
-        hc.sampleInterval = 1;
     if (hc.sampleInterval > hc.window)
         hc.sampleInterval = hc.window;
     return hc;

@@ -48,7 +48,11 @@ struct HeatmapConfig
     /** Cycles between occupancy-gauge samples within a window. */
     std::int64_t sampleInterval = 8;
 
-    /** Read the heatmap_* keys and timeseries_interval of @p cfg. */
+    /**
+     * Read the heatmap_* keys and timeseries_interval of @p cfg,
+     * capping sampleInterval at the window. runExperiment rejects an
+     * interval below 1 when the heatmap runs.
+     */
     static HeatmapConfig fromSim(const SimConfig& cfg);
 };
 

@@ -16,7 +16,7 @@
  * unprofiled one.
  *
  * Overhead contract: a Network with no profiler attached pays one
- * never-taken branch per phase; TrafficManager pays one null check per
+ * never-taken branch per phase; runExperiment pays one null check per
  * cycle section. The CI gate (check_telemetry_overhead.py)
  * holds the disabled configuration within 2% of the bare cycle loop.
  */
@@ -39,12 +39,12 @@ struct RunMetadata;
 
 /** Wall-time attribution buckets of one simulation cycle. */
 enum class ProfPhase : int {
-    Inject = 0,   ///< traffic generation (TrafficManager)
+    Inject = 0,   ///< traffic generation (runExperiment)
     Drain,        ///< active-list drain + receive phase
     Compute,      ///< routing + VA + SA + crossbar traversal
     Transmit,     ///< output FIFOs into links + status publish
     Epilogue,     ///< reschedule, descriptor flush/refill, scratch merge
-    Collect,      ///< ejected-packet collection (TrafficManager)
+    Collect,      ///< ejected-packet collection (runExperiment)
     Skip,         ///< horizon computation + clock jumps (skip-ahead)
     Link,         ///< batched fabric-lane passes (arrival min, sent sums)
     Count,

@@ -34,22 +34,14 @@ TimeseriesConfig::fromSim(const SimConfig& cfg)
         tc.outPath = cfg.getStr("timeseries_out");
     if (cfg.contains("timeseries_interval"))
         tc.interval = cfg.getInt("timeseries_interval");
-    if (tc.interval < 1)
-        tc.interval = 1;
     if (cfg.contains("steady_windows"))
         tc.steadyWindows = static_cast<int>(cfg.getInt("steady_windows"));
-    if (tc.steadyWindows < 2)
-        tc.steadyWindows = 2;
     if (cfg.contains("steady_tolerance"))
         tc.steadyTolerance = cfg.getDouble("steady_tolerance");
-    if (!(tc.steadyTolerance > 0.0))
-        tc.steadyTolerance = 0.02;
     tc.warmupAuto =
         cfg.contains("warmup") && cfg.getStr("warmup") == "auto";
     if (cfg.contains("warmup_max_cycles"))
         tc.warmupMax = cfg.getInt("warmup_max_cycles");
-    if (tc.warmupMax < tc.interval)
-        tc.warmupMax = tc.interval;
     return tc;
 }
 

@@ -32,7 +32,7 @@
  *    (paper Fig. 2) — sustained for two consecutive windows.
  *
  * Determinism contract: the recorder is driven from the serial driver
- * loop (TrafficManager) and consumes only step-mode-invariant inputs
+ * loop (runExperiment) and consumes only step-mode-invariant inputs
  * (packet events from the serial collect loop, counter deltas and
  * gauge reads at window boundaries), so its window records — and hence
  * every detector decision, including the warmup=auto end cycle — are
@@ -90,7 +90,11 @@ struct TimeseriesConfig
     /** Hard cap on auto-extended warmup (warmup_max_cycles). */
     std::int64_t warmupMax = 50000;
 
-    /** Read the timeseries / steady / warmup keys of @p cfg. */
+    /**
+     * Read the timeseries / steady / warmup keys of @p cfg as given;
+     * runExperiment rejects out-of-range values when the recorder
+     * runs.
+     */
     static TimeseriesConfig fromSim(const SimConfig& cfg);
 
     /** True when a FlightRecorder must run (stream or auto warmup). */

@@ -12,7 +12,7 @@
  *  - PacketTracer re-emits completed packet lifecycles as "X"
  *    (complete) slices — one per hop, on a per-packet track — so the
  *    journey of a packet through the mesh renders as a flame chart.
- *  - TrafficManager emits phase transitions as global "i" (instant)
+ *  - runExperiment emits phase transitions as global "i" (instant)
  *    events, and FlightRecorder writes each closed window's
  *    network-wide aggregates as "C" (counter) tracks.
  */

@@ -46,7 +46,7 @@ constexpr std::array kKnownKeys = {
     "audit", "audit_interval", "watchdog_interval",
     "watchdog_max_hops", "watchdog_max_age", "dump_on_abort",
     "dump_path", "chrome_trace", "chrome_trace_out",
-    // Execution engine / sweeps (examples/sweep, simulate --sweep).
+    // Execution engine / sweeps (simulate --sweep).
     "jobs", "sweep_rates", "sweep_routings", "sweep_meshes",
     "sweep_traffics", "sweep_seeds", "bench_out",
 };

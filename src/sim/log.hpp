@@ -17,7 +17,7 @@ namespace footprint {
 
 /**
  * A violated simulator invariant (FP_PANIC / FP_ASSERT), thrown so
- * that supervisory layers — the invariant auditor, TrafficManager's
+ * that supervisory layers — the invariant auditor, runExperiment's
  * forensic dump-on-abort — can attach diagnostics before the process
  * exits. Uncaught, it terminates the process exactly like the abort()
  * it replaced (the message has already been printed to stderr when the

@@ -8,6 +8,8 @@ mutants: for each kind, every required field of the top-level table,
 of the first record and of the run-metadata header is deleted in turn,
 and the semantic mutations in MUTATIONS are applied one at a time. The
 tool must exit 1 on every mutant, for the reason the mutation names.
+The two renderers, which load through the tool, must render their own
+kind and refuse the other.
 
 Usage: test_artifacts.py SIMULATE MICRO_CYCLE
 """
@@ -217,6 +219,23 @@ def main():
                              capture_output=True, text=True)
         if cli.returncode != 1:
             failures.append("CLI exit %d on a mutant" % cli.returncode)
+
+        # The renderers load through the tool: each renders its own
+        # kind and refuses the other.
+        renders = {"render_heatmap.py": FILES["footprint.heatmap/1"],
+                   "render_timeseries.py":
+                       FILES["footprint.timeseries/1"]}
+        for script, own in renders.items():
+            for file in renders.values():
+                run = subprocess.run(
+                    [sys.executable, os.path.join(TOOLS, script),
+                     os.path.join(tmp, file)],
+                    capture_output=True, text=True)
+                want = 0 if file == own else 1
+                if run.returncode != want:
+                    failures.append("%s on %s: exit %d, want %d (%s)"
+                                    % (script, file, run.returncode, want,
+                                       run.stderr.strip()))
     for msg in failures:
         print("FAIL: %s" % msg)
     print("%d mutants over %d kinds; %d failure(s)"

@@ -197,7 +197,7 @@ TEST(StateDump, DrainedCleanRunWritesNoDump)
 
 TEST(StateDump, PanicPathProducesDumpBeforeRethrow)
 {
-    // The supervisory pattern TrafficManager::run uses: catch the
+    // The supervisory pattern runExperiment uses: catch the
     // InvariantError, serialize forensics, rethrow. Exercised here at
     // the Network level by underflowing a credit counter.
     namespace fs = std::filesystem;

@@ -34,20 +34,15 @@ TEST(HeatmapConfig, FromSimReadsDefaults)
 
 TEST(HeatmapConfig, FromSimClampsDegenerateValues)
 {
+    // A sample interval longer than the window degrades to one
+    // sample per window. Intervals below 1 are fatal in
+    // runExperiment (RunInput.OutOfRangeRunValuesAreFatal).
     SimConfig cfg = defaultConfig();
     cfg.setBool("heatmap", true);
-    cfg.setInt("timeseries_interval", 0);
-    cfg.setInt("heatmap_sample_interval", -3);
-    HeatmapConfig hc = HeatmapConfig::fromSim(cfg);
-    EXPECT_TRUE(hc.enabled);
-    EXPECT_EQ(hc.window, 1);
-    EXPECT_EQ(hc.sampleInterval, 1);
-
-    // A sample interval longer than the window degrades to one
-    // sample per window, not zero.
     cfg.setInt("timeseries_interval", 10);
     cfg.setInt("heatmap_sample_interval", 50);
-    hc = HeatmapConfig::fromSim(cfg);
+    const HeatmapConfig hc = HeatmapConfig::fromSim(cfg);
+    EXPECT_TRUE(hc.enabled);
     EXPECT_EQ(hc.window, 10);
     EXPECT_EQ(hc.sampleInterval, 10);
 }

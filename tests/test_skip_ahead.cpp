@@ -6,7 +6,7 @@
  * idle()/skipTo() (including credits in flight as the only pending
  * event), injection landing exactly on the horizon, jump-aware window
  * closing in the flight recorder (empty windows, exact boundaries,
- * byte-identical stream records), and full TrafficManager runs —
+ * byte-identical stream records), and full runExperiment runs —
  * serial and sharded — whose statistics, timeseries bytes and
  * recorder-clocked heatmap documents must not depend on skip_ahead.
  */
@@ -360,7 +360,7 @@ statsFingerprint(const RunStats& s)
             s.drained ? 1.0 : 0.0};
 }
 
-TEST(SkipAhead, TrafficManagerRunIsInvariantUnderSkipAndTimeseries)
+TEST(SkipAhead, RunExperimentIsInvariantUnderSkipAndTimeseries)
 {
     // Full end-to-end invariance at the driver level: the measured
     // statistics AND the streamed timeseries bytes (window boundaries

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the shared JSON formatting helpers, the packet lifecycle
- * tracer's JSONL records, and the end-to-end TrafficManager
+ * tracer's JSONL records, and the end-to-end runExperiment
  * integration: the config-driven packet trace and the flight
  * recorder's in-memory windows.
  */
@@ -138,7 +138,7 @@ TEST(PacketTracer, UntracedEjectIsIgnored)
     EXPECT_EQ(out.str(), kTraceHeader);
 }
 
-// ---------------------------------------------- TrafficManager wiring
+// ----------------------------------------------- runExperiment wiring
 
 TEST(TelemetryIntegration, ConfigDrivenTrace)
 {

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the streaming flight recorder (DESIGN.md §15): config
- * parsing and clamping, per-window latency-histogram mergeability,
- * steady-state detector convergence, window math against a driven
- * network, JSONL record shape, warmup=auto, measured-before-steady
- * flagging, saturation-onset extraction, the network-wide occupancy
+ * parsing and its fatal degenerate values, per-window
+ * latency-histogram mergeability, steady-state detector convergence,
+ * window math against a driven network, JSONL record shape,
+ * warmup=auto, measured-before-steady flagging, saturation-onset
+ * extraction, the network-wide occupancy
  * gauges read at window close, and bit-identical window records (and
  * recorder-clocked heatmap documents) across the full / activity /
  * sharded step modes.
@@ -50,20 +51,41 @@ TEST(TimeseriesConfig, FromSimReadsDefaults)
 
 TEST(TimeseriesConfig, FromSimClampsDegenerateValues)
 {
-    SimConfig cfg = defaultConfig();
-    cfg.setBool("timeseries", true);
-    cfg.setInt("timeseries_interval", 0);
-    cfg.setInt("steady_windows", 1);
-    cfg.setDouble("steady_tolerance", -0.5);
-    cfg.setInt("warmup_max_cycles", -100);
-    const TimeseriesConfig tc = TimeseriesConfig::fromSim(cfg);
-    EXPECT_TRUE(tc.enabled);
-    EXPECT_TRUE(tc.active());
-    EXPECT_EQ(tc.interval, 1);
-    EXPECT_EQ(tc.steadyWindows, 2);
-    EXPECT_DOUBLE_EQ(tc.steadyTolerance, 0.02);
-    // warmup_max_cycles floors at one window interval.
-    EXPECT_GE(tc.warmupMax, tc.interval);
+    // Degenerate recorder values are not clamped: fromSim reads them
+    // as given, and a run with the recorder on ends in fatal: naming
+    // the key before any cycle runs.
+    struct Case
+    {
+        const char* key;
+        const char* value;
+        const char* message;
+    };
+    const Case cases[] = {
+        {"timeseries_interval", "0", "timeseries_interval must be >= 1"},
+        {"steady_windows", "1", "steady_windows must be >= 2"},
+        {"steady_tolerance", "-0.5", "steady_tolerance must be > 0"},
+        {"warmup_max_cycles", "-100",
+         "warmup_max_cycles must be >= timeseries_interval"},
+    };
+    for (const Case& c : cases) {
+        SimConfig cfg = defaultConfig();
+        cfg.setInt("mesh_width", 4);
+        cfg.setInt("mesh_height", 4);
+        cfg.setBool("timeseries", true);
+        cfg.set("timeseries_out", "");
+        cfg.set("warmup", "auto");
+        cfg.set(c.key, c.value);
+        const TimeseriesConfig tc = TimeseriesConfig::fromSim(cfg);
+        EXPECT_TRUE(tc.active());
+        EXPECT_EQ(tc.interval, cfg.getInt("timeseries_interval"));
+        EXPECT_EQ(tc.steadyWindows, cfg.getInt("steady_windows"));
+        EXPECT_DOUBLE_EQ(tc.steadyTolerance,
+                         cfg.getDouble("steady_tolerance"));
+        EXPECT_EQ(tc.warmupMax, cfg.getInt("warmup_max_cycles"));
+        EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
+                    std::string("fatal: ") + c.message)
+            << c.key << "=" << c.value;
+    }
 }
 
 TEST(TimeseriesConfig, WarmupAutoActivatesRecorderWithoutStream)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the Chrome trace-event exporter: JSON shape of the
  * streaming writer, end-to-end timeline production through a
- * config-driven TrafficManager run, and the flight recorder's window
+ * config-driven runExperiment run, and the flight recorder's window
  * aggregates as counter tracks.
  */
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <filesystem>
+#include <type_traits>
 
 #include "network/traffic_manager.hpp"
 #include "sim/config.hpp"
@@ -81,22 +84,40 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RunInput, OutOfRangeRunValuesAreFatal)
 {
     // Out-of-range run inputs end in fatal: before any cycle runs,
-    // each with a message naming its key.
+    // each with a message naming its key. A key is checked only when
+    // the feature that reads it runs, so each case also runs clean
+    // without that feature.
     struct Case
     {
         const char* key;
         const char* value;
-        const char* observer;  ///< bool key switched on, or nullptr
+        const char* with;  ///< "key=value" enabling the feature, or nullptr
         const char* message;
     };
     const Case cases[] = {
         {"warmup_cycles", "-5", nullptr, "warmup_cycles must be >= 0"},
         {"fp_vc_cap", "-3", nullptr, "fp_vc_cap must be >= 0"},
-        {"timeseries_interval", "0", "timeseries",
+        {"warmup", "bogus", nullptr, "warmup must be auto or empty"},
+        {"timeseries_interval", "0", "timeseries=true",
          "timeseries_interval must be >= 1"},
-        {"timeseries_interval", "0", "heatmap",
+        {"timeseries_interval", "0", "heatmap=true",
          "timeseries_interval must be >= 1"},
-        {"audit_interval", "0", "audit", "audit_interval must be >= 1"},
+        {"warmup_max_cycles", "-1", "warmup=auto",
+         "warmup_max_cycles must be >= timeseries_interval"},
+        {"steady_windows", "0", "timeseries=true",
+         "steady_windows must be >= 2"},
+        {"steady_tolerance", "-1", "timeseries=true",
+         "steady_tolerance must be > 0"},
+        {"heatmap_sample_interval", "0", "heatmap=true",
+         "heatmap_sample_interval must be >= 1"},
+        {"audit_interval", "0", "audit=true",
+         "audit_interval must be >= 1"},
+        {"watchdog_interval", "0", "audit=true",
+         "watchdog_interval must be >= 1"},
+        {"background_rate", "2", "traffic=hotspot",
+         "background_rate must be in"},
+        {"background_rate", "-1", "traffic=hotspot",
+         "background_rate must be in"},
         {"shards", "100000", nullptr, "shards must be at most"},
         {"injection_rate", "2", nullptr, "injection_rate must be in"},
     };
@@ -104,12 +125,14 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
         SimConfig cfg = quickConfig("footprint", "uniform", 0.05);
         cfg.set("timeseries_out", "");
         cfg.set(c.key, c.value);
-        if (c.observer)
-            cfg.setBool(c.observer, true);
+        if (c.with) {
+            EXPECT_TRUE(runExperiment(cfg).drained) << c.key;
+            ASSERT_TRUE(cfg.parseAssignment(c.with));
+        }
         EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
                     std::string("fatal: ") + c.message)
-            << c.key << "=" << c.value
-            << (c.observer ? std::string(" with ") + c.observer : "");
+            << c.key << "=" << c.value << " with "
+            << (c.with ? c.with : "defaults");
     }
 }
 
@@ -220,6 +243,44 @@ TEST(TraceMode, HonorsPerEventPacketSizes)
     std::remove(path.c_str());
 }
 
+TEST(OfferedLoad, TraceCountsTheWindowsFlitsExactly)
+{
+    // Offered load is measured, not copied from injection_rate: the
+    // flits of the packets created in the measurement window, per
+    // terminal per cycle. The trace spans the window on both sides.
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string path = (dir / "fp_tm_offered.txt").string();
+    std::int64_t window_flits = 0;
+    {
+        TraceWriter w(path);
+        for (int i = 0; i < 60; ++i) {
+            const TraceEvent e{i * 5, i % 16, (i + 3) % 16, 1 + i % 4};
+            if (e.cycle >= 50 && e.cycle < 250)
+                window_flits += e.size;
+            w.append(e);
+        }
+    }
+    SimConfig cfg = quickConfig("dor", "trace", 0.1);
+    cfg.set("trace_file", path);
+    cfg.setInt("warmup_cycles", 50);
+    cfg.setInt("measure_cycles", 200);
+    const RunStats stats = runExperiment(cfg);
+    EXPECT_DOUBLE_EQ(stats.offeredFlitsPerNodeCycle,
+                     static_cast<double>(window_flits) / (16.0 * 200.0));
+    std::remove(path.c_str());
+}
+
+TEST(OfferedLoad, HotspotCountsEveryFlowClass)
+{
+    // The eight Table-3 flows at 0.4 plus background at 0.1 from the
+    // other eight nodes of the 4x4 mesh: (8 x 0.4 + 8 x 0.1) / 16.
+    SimConfig cfg = quickConfig("dbar", "hotspot", 0.4);
+    cfg.setDouble("background_rate", 0.1);
+    cfg.setInt("measure_cycles", 2000);
+    const RunStats stats = runExperiment(cfg);
+    EXPECT_NEAR(stats.offeredFlitsPerNodeCycle, 0.25, 0.01);
+}
+
 TEST(Saturation, OversubscribedRunIsFlagged)
 {
     SimConfig cfg = quickConfig("dor", "transpose", 0.9);
@@ -237,6 +298,180 @@ TEST(PurityCounters, PopulatedUnderContention)
     EXPECT_GE(stats.counters.purity(), 0.0);
     EXPECT_LE(stats.counters.purity(), 1.0);
     EXPECT_GE(stats.counters.holDegree(), 0.0);
+}
+
+/**
+ * FNV-1a digest of every RunStats field except the offered load (a
+ * measured quantity, pinned by its own tests).
+ */
+std::string
+statsDigest(const RunStats& s)
+{
+    std::uint64_t h = 14695981039346656037ULL;
+    auto mix = [&h](auto v) {
+        std::uint64_t bits = 0;
+        if constexpr (std::is_floating_point_v<decltype(v)>)
+            bits = std::bit_cast<std::uint64_t>(static_cast<double>(v));
+        else
+            bits = static_cast<std::uint64_t>(v);
+        for (int i = 0; i < 8; ++i) {
+            h ^= (bits >> (8 * i)) & 0xffu;
+            h *= 1099511628211ULL;
+        }
+    };
+    auto mixStr = [&](const std::string& str) {
+        mix(str.size());
+        for (const char c : str)
+            mix(c);
+    };
+    auto mixAcc = [&](const StatAccumulator& a) {
+        mix(a.count());
+        mix(a.sum());
+        mix(a.min());
+        mix(a.max());
+        mix(a.variance());
+    };
+    auto mixHdr = [&](const HdrHistogram& hd) {
+        mix(hd.count());
+        mix(hd.overflowCount());
+        mix(hd.max());
+        mix(hd.mean());
+        for (const double q : {0.1, 0.5, 0.9, 0.99, 0.999})
+            mix(hd.percentile(q));
+    };
+    mixAcc(s.latency);
+    mix(s.latencyHist.count());
+    mix(s.latencyHist.overflowCount());
+    for (std::size_t b = 0; b < s.latencyHist.numBins(); ++b)
+        mix(s.latencyHist.binCount(b));
+    mixHdr(s.latencyHdr);
+    mixAcc(s.hotspotLatency);
+    mixHdr(s.hotspotLatencyHdr);
+    mixAcc(s.hops);
+    mix(s.acceptedFlitsPerNodeCycle);
+    mix(s.measuredCreated);
+    mix(s.measuredEjected);
+    mix(s.drained);
+    mix(s.saturated);
+    mixStr(s.stallClass);
+    mix(s.auditViolations);
+    mix(s.watchdogEvents);
+    mixStr(s.stateDumpPath);
+    mixStr(s.profilePath);
+    mixStr(s.heatmapPath);
+    mixStr(s.timeseriesPath);
+    for (const WindowRecord& w : s.windows) {
+        for (const auto v : {w.index, w.startCycle, w.endCycle,
+                             w.flitsInFlight, w.vcOcc, w.fpOcc,
+                             w.injBacklog})
+            mix(v);
+        for (const auto v : {w.offeredFlits, w.acceptedFlits,
+                             w.packetsEjected, w.latencyCount,
+                             w.latencyMax, w.vaFails, w.watchdogEvents})
+            mix(v);
+        for (const auto v : {w.latencyMean, w.latencyP50, w.latencyP99,
+                             w.latencyP999, w.linkUtil})
+            mix(v);
+        mix(w.activeNodes);
+        for (const auto g : w.vaGrants)
+            mix(g);
+    }
+    mix(s.steadyStateCycle);
+    mix(s.saturationOnsetCycle);
+    mix(s.warmupUsed);
+    mix(s.measuredBeforeSteady);
+    mix(s.counters.vcAllocSuccess);
+    mix(s.counters.vcAllocFail);
+    mix(s.counters.puritySum);
+    mix(s.counters.puritySamples);
+    mix(s.counters.flitsTraversed);
+    for (const auto g : s.counters.vaGrantsByPriority)
+        mix(g);
+    mix(s.cyclesRun);
+    mix(s.cyclesSkipped);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+TEST(RunDigest, EveryTrafficModeMatchesItsPin)
+{
+    // Exact results of every traffic mode and every driver feature
+    // that shares the run loop, pinned so a refactor of the loop (or a
+    // change in the RNG draw order) cannot shift them unnoticed.
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string trace = (dir / "fp_tm_digest_trace.txt").string();
+    ASSERT_GT(writeTraceFile(trace, Mesh(4, 4),
+                             parsecProfile("blackscholes"), 1100, 3),
+              0u);
+    struct Case
+    {
+        const char* name;
+        const char* routing;
+        const char* traffic;
+        double rate;
+        std::vector<std::pair<const char*, const char*>> overrides;
+        const char* digest;
+    };
+    const Case cases[] = {
+        {"uniform_0.1", "footprint", "uniform", 0.1, {},
+         "a1e2a93dc9f6136d"},
+        {"uniform_0.45", "footprint", "uniform", 0.45, {},
+         "bfa262b827cb7403"},
+        {"uniform_0.9", "footprint", "uniform", 0.9, {},
+         "22c839b53e62a2ef"},
+        {"uniform_0.005_skip", "footprint", "uniform", 0.005,
+         {{"skip_ahead", "true"}}, "cfea504fccffd4b2"},
+        {"transpose", "footprint", "transpose", 0.2, {},
+         "d4b8426db246a330"},
+        {"shuffle", "footprint", "shuffle", 0.2, {}, "a465291673aa7797"},
+        {"hotspot_default_bg", "footprint", "hotspot", 0.3, {},
+         "b7609e160664a95e"},
+        {"hotspot_bg_0.15", "footprint", "hotspot", 0.3,
+         {{"background_rate", "0.15"}}, "896174572e8731cb"},
+        {"trace_skip", "footprint", "trace", 0.0,
+         {{"trace_file", trace.c_str()}, {"skip_ahead", "true"}},
+         "91170756d204101c"},
+        {"trace_noskip", "footprint", "trace", 0.0,
+         {{"trace_file", trace.c_str()}, {"skip_ahead", "false"}},
+         "343955926f3cc2ba"},
+        {"var_size", "footprint", "uniform", 0.2,
+         {{"packet_size", "uniform1-6"}}, "94cfd27e8a8ad86e"},
+        {"cmesh_uniform", "dor", "uniform", 0.1,
+         {{"topology", "cmesh"}, {"mesh_width", "2"},
+          {"mesh_height", "2"}, {"concentration", "4"}},
+         "cec76005ba381a08"},
+        {"cmesh_hotspot", "dor", "hotspot", 0.2,
+         {{"topology", "cmesh"}, {"mesh_width", "2"},
+          {"mesh_height", "2"}, {"concentration", "4"}},
+         "d809f2097e3071c7"},
+        {"torus_dor", "dor", "uniform", 0.2, {{"topology", "torus"}},
+         "87a3c51dd7a6869a"},
+        {"warmup_auto", "footprint", "uniform", 0.2,
+         {{"warmup", "auto"}, {"timeseries_interval", "100"},
+          {"warmup_max_cycles", "600"}},
+         "5a2a60a479cd9237"},
+        {"timeseries_mem", "footprint", "uniform", 0.2,
+         {{"timeseries", "true"}, {"timeseries_out", ""},
+          {"timeseries_interval", "100"}},
+         "9e7292bf5e4eeed6"},
+        {"audit", "footprint", "uniform", 0.3,
+         {{"audit", "true"}, {"audit_interval", "50"}},
+         "fef943a86a1faa30"},
+        {"sharded", "footprint", "uniform", 0.3,
+         {{"step_mode", "sharded"}, {"threads", "2"}},
+         "fef943a86a1faa30"},
+        {"dbar_hotspot", "dbar", "hotspot", 0.3, {}, "1c7dab802f45833c"},
+        {"oddeven", "oddeven", "transpose", 0.2, {}, "16be94993add4a24"},
+    };
+    for (const Case& c : cases) {
+        SimConfig cfg = quickConfig(c.routing, c.traffic, c.rate);
+        for (const auto& [key, value] : c.overrides)
+            cfg.set(key, value);
+        EXPECT_EQ(statsDigest(runExperiment(cfg)), c.digest) << c.name;
+    }
+    std::remove(trace.c_str());
 }
 
 } // namespace

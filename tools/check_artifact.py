@@ -415,7 +415,7 @@ def load(path):
 
 
 def validate(path, opts):
-    """Validate one file; return (kind name, head, record count)."""
+    """Validate one file; return (kind name, head, records)."""
     records = load(path)
     expect(records, path, "empty file")
     head = records[0]
@@ -442,7 +442,20 @@ def validate(path, opts):
     for i, item in enumerate(items):
         check_fields(item, record, where(i))
     check(head, items, where, path, opts)
-    return name, head, len(items)
+    return name, head, items
+
+
+def load_artifact(path, kind):
+    """Validate @path as a @kind artifact; return its head (the
+    document, or a stream's header line) and its records. Exits 1
+    with the reason when @path is not a valid @kind artifact."""
+    try:
+        name, head, records = validate(path, parse_args([path]))
+    except (ArtifactError, OSError) as e:
+        sys.exit("FAIL: %s" % e)
+    if name != kind:
+        sys.exit("FAIL: %s: is a %s artifact, want %s" % (path, name, kind))
+    return head, records
 
 
 def parse_args(argv=None):
@@ -466,8 +479,8 @@ def main(argv=None):
     status = 0
     for path in opts.files:
         try:
-            name, _, count = validate(path, opts)
-            print("OK %s: %s, %d record(s)" % (path, name, count))
+            name, _, records = validate(path, opts)
+            print("OK %s: %s, %d record(s)" % (path, name, len(records)))
         except (ArtifactError, OSError) as e:
             print("FAIL: %s" % e)
             status = 1

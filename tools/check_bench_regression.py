@@ -70,16 +70,10 @@ def load(path: str) -> dict:
     return doc
 
 
-def load_artifact(path: str, kind: str) -> dict:
+def load_checked(path: str, kind: str) -> dict:
     """Validate @path through check_artifact.py; it must be @kind."""
-    try:
-        name, doc, count = check_artifact.validate(
-            path, check_artifact.parse_args([path]))
-    except (check_artifact.ArtifactError, OSError) as exc:
-        fail(str(exc))
-    if name != kind:
-        fail(f"{path}: is a {name} artifact, want {kind}")
-    print(f"OK: {path}: valid {name} document ({count} results)")
+    doc, results = check_artifact.load_artifact(path, kind)
+    print(f"OK: {path}: valid {kind} document ({len(results)} results)")
     if "schedule" in doc.get("timing", {}):
         print_makespan(doc["timing"])
     return doc
@@ -104,7 +98,7 @@ def canonical(doc: dict) -> str:
 
 
 def compare_mode(paths: list[str]) -> None:
-    docs = [load_artifact(p, check_artifact.BENCH_SCHEMA) for p in paths]
+    docs = [load_checked(p, check_artifact.BENCH_SCHEMA) for p in paths]
     reference = canonical(docs[0])
     for path, doc in zip(paths[1:], docs[1:]):
         if canonical(doc) != reference:
@@ -304,7 +298,7 @@ def thread_efficiency(doc: dict,
 
 
 def micro_mode(args: argparse.Namespace) -> None:
-    doc = load_artifact(args.micro, check_artifact.MICRO_CYCLE)
+    doc = load_checked(args.micro, check_artifact.MICRO_CYCLE)
     check_thread_determinism(args.micro, doc)
     print_thread_scaling(doc)
     scaling_failures = thread_efficiency(doc, dict(args.min_speedup))
@@ -382,7 +376,7 @@ def cell_key(entry: dict) -> tuple:
 
 
 def baseline_mode(args: argparse.Namespace) -> None:
-    doc = load_artifact(args.results, check_artifact.BENCH_SCHEMA)
+    doc = load_checked(args.results, check_artifact.BENCH_SCHEMA)
     if args.baseline is None:
         return
 

@@ -5,7 +5,9 @@ Reads the windowed spatial grids written by ``simulate --heatmap``
 (DESIGN.md §14) and renders one metric of one window as a W x H mesh
 heatmap: ASCII shading on stdout by default, or a PNG when --png is
 given and matplotlib is installed (the import is gated, so the ASCII
-path has no dependencies beyond the standard library).
+path has no dependencies beyond the standard library). The file is
+validated through tools/check_artifact.py first: anything but a valid
+footprint.heatmap/1 artifact exits 1.
 
 Usage:
   tools/render_heatmap.py heatmap.json
@@ -18,8 +20,9 @@ eject_util, and link_util:<east|west|north|south>.
 """
 
 import argparse
-import json
 import sys
+
+import check_artifact
 
 SHADES = " .:-=+*#%@"
 
@@ -109,16 +112,10 @@ def main():
                          "(needs matplotlib)")
     args = ap.parse_args()
 
-    with open(args.heatmap) as f:
-        doc = json.load(f)
-    if doc.get("schema") != "footprint.heatmap/1":
-        raise SystemExit("error: %s is not a footprint.heatmap/1 "
-                         "document" % args.heatmap)
+    doc, windows = check_artifact.load_artifact(args.heatmap,
+                                                "footprint.heatmap/1")
     width = doc["mesh"]["width"]
     height = doc["mesh"]["height"]
-    windows = doc["windows"]
-    if not windows:
-        raise SystemExit("error: document has no windows")
 
     if args.all_windows:
         selected = list(enumerate(windows))

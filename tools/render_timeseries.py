@@ -8,7 +8,9 @@ in-flight backlog, and the per-regime VC-allocation grant mix that
 makes Footprint's Algorithm-1 regime transitions visible over time.
 ASCII sparklines on stdout by default; a multi-panel PNG when --png is
 given and matplotlib is installed (the import is gated, so the ASCII
-path has no dependencies beyond the standard library).
+path has no dependencies beyond the standard library). The file is
+validated through tools/check_artifact.py first: anything but a valid
+footprint.timeseries/1 artifact exits 1.
 
 Usage:
   tools/render_timeseries.py timeseries.jsonl
@@ -21,8 +23,9 @@ active_nodes, packets, va_fails, watchdog_events.
 """
 
 import argparse
-import json
 import sys
+
+import check_artifact
 
 SPARKS = "▁▂▃▄▅▆▇█"
 VA_REGIMES = ["escape", "busy", "footprint", "idle", "reclaim"]
@@ -40,22 +43,6 @@ METRICS = {
     "va_fails": lambda w: w["va_fails"],
     "watchdog_events": lambda w: w["watchdog_events"],
 }
-
-
-def load_stream(path):
-    with open(path) as f:
-        lines = [ln for ln in (s.strip() for s in f) if ln]
-    if not lines:
-        raise SystemExit("error: %s is empty" % path)
-    header = json.loads(lines[0])
-    if header.get("schema") != "footprint.timeseries/1":
-        raise SystemExit("error: %s is not a footprint.timeseries/1 "
-                         "stream (schema %r)"
-                         % (path, header.get("schema")))
-    windows = [json.loads(ln) for ln in lines[1:]]
-    if not windows:
-        raise SystemExit("error: %s has no window records" % path)
-    return header, windows
 
 
 def sparkline(values):
@@ -155,7 +142,8 @@ def main():
                     help="write a multi-panel PNG (needs matplotlib)")
     args = ap.parse_args()
 
-    header, windows = load_stream(args.stream)
+    header, windows = check_artifact.load_artifact(
+        args.stream, "footprint.timeseries/1")
     if args.png:
         render_png(header, windows, args.png)
         return 0
