@@ -34,8 +34,7 @@ void
 BM_RoundRobinArbiter(benchmark::State& state)
 {
     RoundRobinArbiter arb(10);
-    std::vector<bool> req(10, true);
-    req[3] = false;
+    const std::uint64_t req = 0b1111110111; // all ten but requester 3
     for (auto _ : state)
         benchmark::DoNotOptimize(arb.arbitrate(req));
 }

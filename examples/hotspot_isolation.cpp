@@ -16,7 +16,6 @@
 #include <set>
 
 #include "metrics/congestion_tree.hpp"
-#include "metrics/purity.hpp"
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
 #include "sim/log.hpp"

@@ -54,7 +54,6 @@
 
 #include "exec/exec_context.hpp"
 #include "exec/sweep_runner.hpp"
-#include "metrics/purity.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/console.hpp"
 #include "sim/config.hpp"
@@ -91,7 +90,7 @@ isBareFlag(const std::string& key)
  * saturation, and optionally export the footprint.bench/1 artifact.
  */
 int
-runSweepMode(footprint::SimConfig cfg)
+runSweepMode(const footprint::SimConfig& cfg)
 {
     using namespace footprint;
 
@@ -107,22 +106,12 @@ runSweepMode(footprint::SimConfig cfg)
         spec.meshes.push_back(parseMeshSize(m));
     spec.traffics = axis("sweep_traffics", cfg.getStr("traffic"));
     spec.seeds = static_cast<int>(cfg.getInt("sweep_seeds"));
-
-    const std::int64_t jobs = cfg.getInt("jobs");
-    const std::string out = cfg.getStr("bench_out");
-    const bool console = cfg.getBool("console");
-    // Execution knobs are not part of the experiment identity: the
-    // artifact must not depend on --jobs/--bench-out/--console (the
-    // CI determinism gate compares payloads across thread counts).
-    cfg.setInt("jobs", 0);
-    cfg.set("bench_out", "");
-    cfg.setBool("console", false);
     spec.base = cfg;
 
-    ExecContext ctx(jobs);
+    ExecContext ctx(cfg.getInt("jobs"));
     SweepRunner runner(ctx);
     std::unique_ptr<RunConsole> progress;
-    if (console) {
+    if (cfg.getBool("console")) {
         progress = std::make_unique<RunConsole>(
             static_cast<int>(cfg.getInt("console_interval_ms")));
         runner.attachConsole(progress.get());
@@ -157,6 +146,7 @@ runSweepMode(footprint::SimConfig cfg)
                 "%.2f jobs/s, --jobs %u)\n",
                 result.wallSeconds, result.jobs.size(),
                 result.jobsPerSec, ctx.jobs());
+    const std::string out = cfg.getStr("bench_out");
     if (!out.empty()) {
         writeBenchResults(out, spec, result);
         std::printf("bench results            : %s "
@@ -174,10 +164,6 @@ main(int argc, char** argv)
     using namespace footprint;
 
     SimConfig cfg = defaultConfig();
-    cfg.set("sweep_rates", ""); // non-empty switches to sweep mode
-    cfg.setInt("sweep_seeds", 1);
-    cfg.setInt("jobs", 0); // 0 = all hardware threads
-    cfg.set("bench_out", "");
     // A config= argument loads a file first; later key=value overrides
     // win, matching BookSim's "config file then overrides" convention.
     // "--key value" flags are equivalent to "key=value" with dashes
@@ -273,19 +259,15 @@ main(int argc, char** argv)
     std::printf("purity of blocking       : %.3f (HoL degree %.0f)\n",
                 stats.counters.purity(), stats.counters.holDegree());
     if (cfg.getInt("trace_packets") > 0) {
-        const std::string trace_out = cfg.getStr("trace_out");
         std::printf("packet lifecycle trace   : %s (packets 1..%lld)\n",
-                    trace_out.empty() ? "trace.jsonl"
-                                      : trace_out.c_str(),
+                    cfg.getStr("trace_out").c_str(),
                     static_cast<long long>(
                         cfg.getInt("trace_packets")));
     }
     if (cfg.getBool("chrome_trace")) {
-        const std::string chrome_out = cfg.getStr("chrome_trace_out");
         std::printf("chrome trace timeline    : %s (load in "
                     "chrome://tracing or ui.perfetto.dev)\n",
-                    chrome_out.empty() ? "trace.json"
-                                       : chrome_out.c_str());
+                    cfg.getStr("chrome_trace_out").c_str());
     }
     if (cfg.getBool("audit")) {
         std::printf("invariant audit          : %llu violations, "

@@ -42,41 +42,28 @@ jobSuffixedPath(const std::string& path, std::size_t job)
 }
 
 /**
- * Isolate every output artifact a job's config could write. Trace
- * defaults that are empty but implicitly enabled (trace_out with
- * trace_packets > 0, chrome_trace_out with chrome_trace) are pinned to
- * explicit per-job paths too. An empty timeseries_out means "windows
- * in memory only" and stays empty.
+ * Isolate every output artifact a job's config could write. An empty
+ * path stays empty (timeseries_out="" keeps windows in memory).
  */
 void
 isolateArtifactPaths(SimConfig& cfg, std::size_t job)
 {
-    if (cfg.contains("trace_packets")
-        && cfg.getInt("trace_packets") > 0) {
-        const std::string base = cfg.contains("trace_out")
-                && !cfg.getStr("trace_out").empty()
-            ? cfg.getStr("trace_out")
-            : std::string("trace.jsonl");
-        cfg.set("trace_out", jobSuffixedPath(base, job));
-    }
-    if (cfg.contains("chrome_trace") && cfg.getBool("chrome_trace")) {
-        const std::string base = cfg.contains("chrome_trace_out")
-                && !cfg.getStr("chrome_trace_out").empty()
-            ? cfg.getStr("chrome_trace_out")
-            : std::string("trace.json");
-        cfg.set("chrome_trace_out", jobSuffixedPath(base, job));
-    }
-    if (cfg.contains("dump_on_abort") && cfg.getBool("dump_on_abort"))
-        cfg.set("dump_path",
-                jobSuffixedPath(cfg.getStr("dump_path"), job));
+    auto isolate = [&](const char* out) {
+        const std::string path = cfg.getStr(out);
+        if (!path.empty())
+            cfg.set(out, jobSuffixedPath(path, job));
+    };
+    if (cfg.getInt("trace_packets") > 0)
+        isolate("trace_out");
     const std::pair<const char*, const char*> switched[] = {
+        {"chrome_trace", "chrome_trace_out"},
+        {"dump_on_abort", "dump_path"},
         {"timeseries", "timeseries_out"},
         {"profile", "profile_out"},
         {"heatmap", "heatmap_out"}};
     for (const auto& [on, out] : switched) {
-        if (cfg.contains(on) && cfg.getBool(on) && cfg.contains(out)
-            && !cfg.getStr(out).empty())
-            cfg.set(out, jobSuffixedPath(cfg.getStr(out), job));
+        if (cfg.getBool(on))
+            isolate(out);
     }
 }
 

@@ -62,8 +62,7 @@ Network::Network(const SimConfig& cfg)
                   "dateline VC classes");
     }
 
-    const std::string mode =
-        cfg.contains("step_mode") ? cfg.getStr("step_mode") : "activity";
+    const std::string mode = cfg.getStr("step_mode");
     if (mode == "activity")
         stepMode_ = StepMode::Activity;
     else if (mode == "full")
@@ -79,11 +78,7 @@ Network::Network(const SimConfig& cfg)
         fatal(msg);
     }
 
-    threads_ = cfg.contains("threads")
-        ? static_cast<int>(cfg.getInt("threads"))
-        : 1;
-    if (threads_ < 1)
-        fatal("threads must be >= 1");
+    threads_ = static_cast<int>(cfg.getInt("threads"));
     const int n = topo_.numNodes();
     // A packet descriptor names its source's pool segment in
     // 32 - kIdxBits bits, and every node has its own segment.
@@ -93,35 +88,14 @@ Network::Network(const SimConfig& cfg)
               + std::to_string(PacketPool::kMaxSegments)
               + " are supported (one packet-pool segment per node)");
     }
-    const int shard_cfg = cfg.contains("shards")
-        ? static_cast<int>(cfg.getInt("shards"))
-        : 0;
-    if (shard_cfg < 0)
-        fatal("shards must be >= 0 (0 = one per thread)");
+    const int shard_cfg = static_cast<int>(cfg.getInt("shards"));
     if (shard_cfg > n) {
         fatal("shards must be at most the node count ("
               + std::to_string(n) + "), got "
               + std::to_string(shard_cfg));
     }
-    // The router and link fabric assert on these; as user input they
-    // are rejected here instead.
-    if (params_.numVcs < 1 || params_.numVcs > 64) {
-        fatal("num_vcs must be in [1, 64], got "
-              + std::to_string(params_.numVcs));
-    }
     const int ejection_rate =
         static_cast<int>(cfg.getInt("ejection_rate"));
-    const std::pair<const char*, int> positive[] = {
-        {"vc_buf_size", params_.vcBufSize},
-        {"output_fifo_size", params_.outputFifoSize},
-        {"internal_speedup", params_.internalSpeedup},
-        {"ejection_rate", ejection_rate}};
-    for (const auto& [key, value] : positive) {
-        if (value < 1) {
-            fatal(std::string(key) + " must be >= 1, got "
-                  + std::to_string(value));
-        }
-    }
 
     const auto seed = static_cast<std::uint64_t>(cfg.getInt("seed"));
 

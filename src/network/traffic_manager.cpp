@@ -134,34 +134,28 @@ runExperiment(const SimConfig& cfg)
     const RunMetadata meta = RunMetadata::fromConfig(cfg);
 
     // Trace artifacts: the chrome trace-event timeline (chrome_trace*)
-    // and the packet lifecycle tracer (trace_*). The timeline is fed
-    // from packet lifecycles, so it implies a tracer even when no
-    // JSONL trace was asked for; a generous default packet budget
-    // keeps the timeline representative. Both stay null on untraced
-    // runs, so the hot-path hooks cost one null check.
+    // and the packet lifecycle tracer (trace_*), which writes a JSONL
+    // trace iff trace_packets > 0. The timeline is fed from packet
+    // lifecycles, so it implies a tracer even when no JSONL trace was
+    // asked for; a generous default packet budget keeps the timeline
+    // representative. Both stay null on untraced runs, so the
+    // hot-path hooks cost one null check.
     std::unique_ptr<ChromeTraceWriter> chrome;
     if (cfg.getBool("chrome_trace")) {
-        const std::string out = cfg.getStr("chrome_trace_out");
         chrome = std::make_unique<ChromeTraceWriter>(
-            out.empty() ? "trace.json" : out, meta);
+            cfg.getStr("chrome_trace_out"), meta);
         chrome->processName(1, "packets");
     }
     const std::int64_t trace_packets = cfg.getInt("trace_packets");
-    if (trace_packets < 0)
-        fatal("trace_packets must be non-negative");
-    const std::string trace_out = cfg.getStr("trace_out");
-    const std::uint64_t trace_budget = trace_packets > 0
-        ? static_cast<std::uint64_t>(trace_packets)
-        : chrome ? 20000 : 0;
     std::unique_ptr<PacketTracer> tracer;
-    if (trace_budget > 0) {
-        if (trace_packets > 0 || !trace_out.empty()) {
-            tracer = std::make_unique<PacketTracer>(
-                trace_out.empty() ? "trace.jsonl" : trace_out,
-                trace_budget, meta);
-        } else {
-            tracer = std::make_unique<PacketTracer>(trace_budget);
-        }
+    if (trace_packets > 0) {
+        tracer = std::make_unique<PacketTracer>(
+            cfg.getStr("trace_out"),
+            static_cast<std::uint64_t>(trace_packets), meta);
+    } else if (chrome) {
+        tracer = std::make_unique<PacketTracer>(20000);
+    }
+    if (tracer) {
         tracer->setChromeTrace(chrome.get());
         net.attachTracer(tracer.get());
     }
@@ -188,7 +182,7 @@ runExperiment(const SimConfig& cfg)
     // warmup=auto or the heatmap needs it; like every other collector
     // it only reads network state from this serial loop, so
     // determinism is untouched, and when off it costs one null check
-    // per cycle. Its keys are checked only when it runs.
+    // per cycle. fromSim reads its keys only when it runs.
     const std::string warmup_mode = cfg.getStr("warmup");
     if (!warmup_mode.empty() && warmup_mode != "auto")
         fatal("warmup must be auto or empty, got " + warmup_mode);
@@ -197,16 +191,6 @@ runExperiment(const SimConfig& cfg)
     std::unique_ptr<HeatmapCollector> heatmap;
     std::unique_ptr<FlightRecorder> recorder;
     if (ts_cfg.active() || hm_cfg.enabled) {
-        if (ts_cfg.interval < 1) {
-            fatal("timeseries_interval must be >= 1 when the flight "
-                  "recorder runs, got "
-                  + std::to_string(ts_cfg.interval));
-        }
-        if (ts_cfg.steadyWindows < 2) {
-            fatal("steady_windows must be >= 2 when the flight "
-                  "recorder runs, got "
-                  + std::to_string(ts_cfg.steadyWindows));
-        }
         if (!(ts_cfg.steadyTolerance > 0.0)) {
             fatal("steady_tolerance must be > 0 when the flight "
                   "recorder runs, got " + cfg.getStr("steady_tolerance"));
@@ -217,14 +201,8 @@ runExperiment(const SimConfig& cfg)
                   + ") under warmup=auto, got "
                   + std::to_string(ts_cfg.warmupMax));
         }
-        if (hm_cfg.enabled) {
-            if (hm_cfg.sampleInterval < 1) {
-                fatal("heatmap_sample_interval must be >= 1 with "
-                      "heatmap on, got "
-                      + std::to_string(hm_cfg.sampleInterval));
-            }
+        if (hm_cfg.enabled)
             heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
-        }
         recorder = std::make_unique<FlightRecorder>(net, ts_cfg, meta);
         recorder->attachHeatmap(heatmap.get());
         recorder->attachChromeTrace(chrome.get());
@@ -247,14 +225,6 @@ runExperiment(const SimConfig& cfg)
     Watchdog::Params wp;
     wp.interval = audit ? cfg.getInt("watchdog_interval") : 0;
     if (audit) {
-        for (const auto& [key, interval] :
-             {std::pair{"audit_interval", ap.interval},
-              std::pair{"watchdog_interval", wp.interval}}) {
-            if (interval < 1) {
-                fatal(std::string(key) + " must be >= 1 with audit on, "
-                      "got " + std::to_string(interval));
-            }
-        }
         wp.maxHops = static_cast<int>(cfg.getInt("watchdog_max_hops"));
         wp.maxAge = cfg.getInt("watchdog_max_age");
     }
@@ -268,13 +238,6 @@ runExperiment(const SimConfig& cfg)
     if (dump_on_abort)
         sigint_guard.emplace();
 
-    for (const char* key :
-         {"warmup_cycles", "measure_cycles", "drain_cycles"}) {
-        if (cfg.getInt(key) < 0) {
-            fatal(std::string(key) + " must be >= 0, got "
-                  + cfg.getStr(key));
-        }
-    }
     // Under warmup=auto the warmup length is detector-driven: it
     // starts at the warmup_max_cycles cap and shrinks to the cycle at
     // which the steady-state detector converges. The detector only
@@ -288,10 +251,6 @@ runExperiment(const SimConfig& cfg)
     const auto drain_limit = cfg.getInt("drain_cycles");
     const bool skip_ahead = cfg.getBool("skip_ahead");
     const double rate = cfg.getDouble("injection_rate");
-    if (!(rate >= 0.0 && rate <= 1.0)) {
-        fatal("injection_rate must be in [0, 1] flits/node/cycle, got "
-              + cfg.getStr("injection_rate"));
-    }
     const PacketSizeDist size_dist =
         PacketSizeDist::parse(cfg.getStr("packet_size"));
     Rng gen(static_cast<std::uint64_t>(cfg.getInt("seed"))
@@ -331,13 +290,7 @@ runExperiment(const SimConfig& cfg)
     } else if (mode == "hotspot") {
         // The Table-3 flows at "injection_rate", then uniform
         // background at "background_rate" from every other node.
-        const double bg_rate = cfg.contains("background_rate")
-            ? cfg.getDouble("background_rate")
-            : 0.3;
-        if (!(bg_rate >= 0.0 && bg_rate <= 1.0)) {
-            fatal("background_rate must be in [0, 1] flits/node/cycle, "
-                  "got " + cfg.getStr("background_rate"));
-        }
+        const double bg_rate = cfg.getDouble("background_rate");
         std::vector<std::pair<int, int>> flows = defaultHotspotFlows(mesh);
         std::vector<std::pair<int, int>> background;
         for (int node = 0; node < n; ++node) {

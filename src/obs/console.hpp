@@ -29,7 +29,7 @@ class RunConsole
 {
   public:
     /** @param interval_ms minimum milliseconds between redraws. */
-    explicit RunConsole(int interval_ms = 250);
+    explicit RunConsole(int interval_ms);
 
     /** Finishes the in-place line with a newline. */
     ~RunConsole();

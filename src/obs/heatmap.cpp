@@ -1,5 +1,6 @@
 #include "obs/heatmap.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -14,15 +15,13 @@ HeatmapConfig
 HeatmapConfig::fromSim(const SimConfig& cfg)
 {
     HeatmapConfig hc;
-    hc.enabled = cfg.contains("heatmap") && cfg.getBool("heatmap");
-    if (cfg.contains("heatmap_out")
-        && !cfg.getStr("heatmap_out").empty())
-        hc.outPath = cfg.getStr("heatmap_out");
+    hc.enabled = cfg.getBool("heatmap");
+    if (!hc.enabled)
+        return hc;
+    hc.outPath = cfg.getStr("heatmap_out");
     hc.window = TimeseriesConfig::fromSim(cfg).interval;
-    if (cfg.contains("heatmap_sample_interval"))
-        hc.sampleInterval = cfg.getInt("heatmap_sample_interval");
-    if (hc.sampleInterval > hc.window)
-        hc.sampleInterval = hc.window;
+    hc.sampleInterval = std::min(cfg.getInt("heatmap_sample_interval"),
+                                 hc.window);
     return hc;
 }
 

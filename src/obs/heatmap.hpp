@@ -49,9 +49,9 @@ struct HeatmapConfig
     std::int64_t sampleInterval = 8;
 
     /**
-     * Read the heatmap_* keys and timeseries_interval of @p cfg,
-     * capping sampleInterval at the window. runExperiment rejects an
-     * interval below 1 when the heatmap runs.
+     * Read the heatmap_* keys and timeseries_interval of @p cfg when
+     * the heatmap is on (an out-of-range value is fatal there),
+     * capping sampleInterval at the window.
      */
     static HeatmapConfig fromSim(const SimConfig& cfg);
 };

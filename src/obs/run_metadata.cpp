@@ -34,9 +34,16 @@ RunMetadata
 RunMetadata::fromConfig(const SimConfig& cfg)
 {
     RunMetadata meta;
-    if (cfg.contains("seed"))
-        meta.seed = static_cast<std::uint64_t>(cfg.getInt("seed"));
-    meta.configHash = fnv1aHex(cfg.toString());
+    meta.seed = static_cast<std::uint64_t>(cfg.getInt("seed"));
+    // The hash names the experiment: every set key but the execution
+    // knobs the config table leaves out of the run identity.
+    std::string identity;
+    for (const std::string& key : cfg.keys()) {
+        const ConfigKey* row = findConfigKey(key);
+        if (row == nullptr || row->identity)
+            identity += key + " = " + cfg.getStr(key) + "\n";
+    }
+    meta.configHash = fnv1aHex(identity);
     meta.gitDescribe = buildVersion();
     meta.buildType = compiledBuildType();
     meta.numCpus =

@@ -31,7 +31,7 @@ struct RunMetadata
     int numCpus = 0;        ///< hardware threads visible at run time
     std::int64_t startCycle = 0;
 
-    /** Derive metadata from @p cfg (seed + hash of all keys). */
+    /** Derive metadata from @p cfg: seed + hash of run-identity keys. */
     static RunMetadata fromConfig(const SimConfig& cfg);
 
     /** The build's git describe string ("unknown" outside git). */

@@ -28,20 +28,17 @@ TimeseriesConfig
 TimeseriesConfig::fromSim(const SimConfig& cfg)
 {
     TimeseriesConfig tc;
-    tc.enabled =
-        cfg.contains("timeseries") && cfg.getBool("timeseries");
-    if (cfg.contains("timeseries_out"))
-        tc.outPath = cfg.getStr("timeseries_out");
-    if (cfg.contains("timeseries_interval"))
-        tc.interval = cfg.getInt("timeseries_interval");
-    if (cfg.contains("steady_windows"))
-        tc.steadyWindows = static_cast<int>(cfg.getInt("steady_windows"));
-    if (cfg.contains("steady_tolerance"))
-        tc.steadyTolerance = cfg.getDouble("steady_tolerance");
-    tc.warmupAuto =
-        cfg.contains("warmup") && cfg.getStr("warmup") == "auto";
-    if (cfg.contains("warmup_max_cycles"))
-        tc.warmupMax = cfg.getInt("warmup_max_cycles");
+    tc.enabled = cfg.getBool("timeseries");
+    tc.warmupAuto = cfg.getStr("warmup") == "auto";
+    // The recorder's keys are read, and so range-checked, only when
+    // it runs: for the stream, warmup=auto or the heatmap's windows.
+    if (!tc.active() && !cfg.getBool("heatmap"))
+        return tc;
+    tc.outPath = cfg.getStr("timeseries_out");
+    tc.interval = cfg.getInt("timeseries_interval");
+    tc.steadyWindows = static_cast<int>(cfg.getInt("steady_windows"));
+    tc.steadyTolerance = cfg.getDouble("steady_tolerance");
+    tc.warmupMax = cfg.getInt("warmup_max_cycles");
     return tc;
 }
 
@@ -66,11 +63,14 @@ WindowRecord::acceptedRate(int nodes) const
 }
 
 SteadyStateDetector::SteadyStateDetector(int windows, double tolerance)
-    : windows_(windows < 2 ? 2 : windows),
-      tolerance_(tolerance > 0.0 ? tolerance : 0.02),
-      latencyMeans_(static_cast<std::size_t>(windows_), 0.0),
-      acceptedRates_(static_cast<std::size_t>(windows_), 0.0)
+    : windows_(windows), tolerance_(tolerance)
 {
+    // The config path rejects both before a recorder is built.
+    FP_ASSERT(windows >= 2 && tolerance > 0.0,
+              "steady-state detector needs >= 2 windows and a positive "
+              "tolerance");
+    latencyMeans_.assign(static_cast<std::size_t>(windows_), 0.0);
+    acceptedRates_.assign(static_cast<std::size_t>(windows_), 0.0);
 }
 
 double

@@ -91,9 +91,10 @@ struct TimeseriesConfig
     std::int64_t warmupMax = 50000;
 
     /**
-     * Read the timeseries / steady / warmup keys of @p cfg as given;
-     * runExperiment rejects out-of-range values when the recorder
-     * runs.
+     * Read the timeseries / steady / warmup keys of @p cfg when the
+     * recorder runs (stream, warmup=auto or heatmap); an out-of-range
+     * value is fatal there. runExperiment checks the rules that span
+     * keys or need a strict bound.
      */
     static TimeseriesConfig fromSim(const SimConfig& cfg);
 
@@ -166,6 +167,7 @@ struct WindowRecord
 class SteadyStateDetector
 {
   public:
+    /** Requires @p windows >= 2 and @p tolerance > 0. */
     SteadyStateDetector(int windows, double tolerance);
 
     /** Observe one closed window. */

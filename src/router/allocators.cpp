@@ -18,21 +18,6 @@ RoundRobinArbiter::resize(int num_requesters)
 }
 
 int
-RoundRobinArbiter::arbitrate(const std::vector<bool>& requests)
-{
-    FP_ASSERT(requests.size() == size_, "arbiter size mismatch");
-    for (std::size_t i = 0; i < size_; ++i) {
-        const std::size_t idx =
-            (static_cast<std::size_t>(pointer_) + i) % size_;
-        if (requests[idx]) {
-            pointer_ = static_cast<int>((idx + 1) % size_);
-            return static_cast<int>(idx);
-        }
-    }
-    return -1;
-}
-
-int
 RoundRobinArbiter::arbitrate(std::uint64_t requests)
 {
     FP_ASSERT(size_ <= 64, "mask arbitrate needs <= 64 requesters");
@@ -49,64 +34,6 @@ RoundRobinArbiter::arbitrate(std::uint64_t requests)
     pointer_ = static_cast<int>(
         (static_cast<std::size_t>(winner) + 1) % size_);
     return winner;
-}
-
-PriorityArbiter::PriorityArbiter(int num_requesters)
-    : priorities_(static_cast<std::size_t>(num_requesters), -1),
-      anyRequest_(false), pointer_(0)
-{}
-
-void
-PriorityArbiter::resize(int num_requesters)
-{
-    priorities_.assign(static_cast<std::size_t>(num_requesters), -1);
-    anyRequest_ = false;
-    pointer_ = 0;
-}
-
-void
-PriorityArbiter::clearRequests()
-{
-    if (anyRequest_)
-        std::fill(priorities_.begin(), priorities_.end(), -1);
-    anyRequest_ = false;
-}
-
-void
-PriorityArbiter::addRequest(int requester, int priority)
-{
-    FP_ASSERT(priority >= 0, "priority must be non-negative");
-    auto idx = static_cast<std::size_t>(requester);
-    FP_ASSERT(idx < priorities_.size(), "requester out of range");
-    if (priority > priorities_[idx])
-        priorities_[idx] = priority;
-    anyRequest_ = true;
-}
-
-int
-PriorityArbiter::arbitrate()
-{
-    if (!anyRequest_)
-        return -1;
-    const std::size_t n = priorities_.size();
-    int best = -1;
-    int best_pri = -1;
-    // Scan starting at the round-robin pointer so that the first
-    // max-priority requester at or after the pointer wins ties.
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t idx =
-            (static_cast<std::size_t>(pointer_) + i) % n;
-        if (priorities_[idx] > best_pri) {
-            best_pri = priorities_[idx];
-            best = static_cast<int>(idx);
-        }
-    }
-    if (best >= 0 && best_pri >= 0) {
-        pointer_ = static_cast<int>(
-            (static_cast<std::size_t>(best) + 1) % n);
-        return best;
-    }
-    return -1;
 }
 
 } // namespace footprint

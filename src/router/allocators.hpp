@@ -1,15 +1,15 @@
 /**
  * @file
- * Arbitration primitives: a round-robin arbiter (switch allocation and
- * tie-breaking) and a priority arbiter with round-robin tie-break (the
- * priority-based VC allocator Algorithm 1 drives).
+ * The round-robin arbiter of switch allocation, over a bitmask of
+ * requesters. The priority-based VC allocator Algorithm 1 drives makes
+ * its priority and round-robin choice inline in Router.
  */
 
 #ifndef FOOTPRINT_ROUTER_ALLOCATORS_HPP
 #define FOOTPRINT_ROUTER_ALLOCATORS_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace footprint {
 
@@ -26,17 +26,10 @@ class RoundRobinArbiter
     int size() const { return static_cast<int>(size_); }
 
     /**
-     * Arbitrate among the requesters flagged in @p requests.
+     * Arbitrate among the requesters flagged in @p requests: bit i set
+     * if requester i is requesting. Requires at most 64 requesters.
      *
-     * @param requests requests[i] true if requester i is requesting.
      * @return winning requester index, or -1 if none requested.
-     */
-    int arbitrate(const std::vector<bool>& requests);
-
-    /**
-     * Bitmask form of arbitrate() for hot paths (identical grants and
-     * pointer updates): bit i of @p requests set if requester i is
-     * requesting. Requires at most 64 requesters.
      */
     int arbitrate(std::uint64_t requests);
 
@@ -45,41 +38,6 @@ class RoundRobinArbiter
 
   private:
     std::size_t size_;
-    int pointer_;
-};
-
-/**
- * Priority arbiter with round-robin tie-break.
- *
- * Grants the requester with the numerically largest priority; among
- * equal-priority requesters a per-arbiter round-robin pointer breaks
- * the tie. This is the output-VC-side arbiter of the separable,
- * priority-based VC allocator.
- */
-class PriorityArbiter
-{
-  public:
-    explicit PriorityArbiter(int num_requesters = 0);
-
-    void resize(int num_requesters);
-
-    /** Remove all requests (call before each allocation round). */
-    void clearRequests();
-
-    /** Register a request from @p requester at @p priority (>= 0). */
-    void addRequest(int requester, int priority);
-
-    bool hasRequests() const { return anyRequest_; }
-
-    /**
-     * @return winner among current requests (-1 if none); advances the
-     * round-robin pointer past the winner.
-     */
-    int arbitrate();
-
-  private:
-    std::vector<int> priorities_;  ///< -1 when not requesting
-    bool anyRequest_;
     int pointer_;
 };
 

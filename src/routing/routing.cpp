@@ -55,38 +55,23 @@ namespace {
 std::unique_ptr<RoutingAlgorithm>
 makeBase(const std::string& name, const SimConfig& cfg)
 {
-    const int threshold =
-        cfg.contains("congestion_threshold")
-            ? static_cast<int>(cfg.getInt("congestion_threshold"))
-            : 0;
+    // Each algorithm reads only its own keys, so an out-of-range value
+    // of a key it ignores stays harmless.
     if (name == "dor")
         return std::make_unique<DorRouting>();
     if (name == "oddeven")
         return std::make_unique<OddEvenRouting>();
+    const int threshold =
+        static_cast<int>(cfg.getInt("congestion_threshold"));
     if (name == "dbar") {
-        const bool remote = cfg.contains("dbar_use_remote")
-            ? cfg.getBool("dbar_use_remote")
-            : true;
-        return std::make_unique<DbarRouting>(threshold, remote);
+        return std::make_unique<DbarRouting>(
+            threshold, cfg.getBool("dbar_use_remote"));
     }
     if (name == "footprint") {
-        const int cap = cfg.contains("fp_vc_cap")
-            ? static_cast<int>(cfg.getInt("fp_vc_cap"))
-            : 0;
-        if (cap < 0) {
-            fatal("fp_vc_cap must be >= 0 (0 = no cap), got "
-                  + std::to_string(cap));
-        }
-        const FootprintRouting::Variant variant =
-            cfg.contains("fp_variant")
-                ? FootprintRouting::parseVariant(
-                      cfg.getStr("fp_variant"))
-                : FootprintRouting::Variant::Converge;
-        const int converge = cfg.contains("fp_converge_threshold")
-            ? static_cast<int>(cfg.getInt("fp_converge_threshold"))
-            : 2;
-        return std::make_unique<FootprintRouting>(threshold, cap,
-                                                  variant, converge);
+        return std::make_unique<FootprintRouting>(
+            threshold, static_cast<int>(cfg.getInt("fp_vc_cap")),
+            FootprintRouting::parseVariant(cfg.getStr("fp_variant")),
+            static_cast<int>(cfg.getInt("fp_converge_threshold")));
     }
     fatal("unknown routing algorithm: " + name);
 }

@@ -1,7 +1,7 @@
 #include "sim/config.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -12,43 +12,116 @@ namespace footprint {
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// The bounds of a row whose reader narrows the value to an int.
+constexpr double kIntMin = std::numeric_limits<int>::min();
+constexpr double kIntMax = std::numeric_limits<int>::max();
+
+using enum KeyType;
+
 /**
- * Every key some subsystem reads: simulator core, observability,
- * benches, and examples. set()/loadFile() accept anything (forward
- * compatibility), but warnUnknownKeys() flags keys outside this list.
+ * The config table: every key some subsystem reads (simulator core,
+ * observability, benches, and examples), one row each. set() and
+ * loadFile() accept any key, but warnUnknownKeys() flags keys outside
+ * this table. Row: key, type, default (nullptr: unset means
+ * something), accepted range [min, max]. A row read into an int is
+ * bounded by int's range, so no value wraps in its reader's cast. The
+ * four execution knobs are designated rows outside the run identity.
  */
-constexpr std::array kKnownKeys = {
-    // Topology and router microarchitecture (DESIGN.md §18).
-    "topology", "mesh_width", "mesh_height", "concentration",
-    "num_vcs", "vc_buf_size", "internal_speedup", "link_latency",
-    "link_latency_x", "link_latency_y", "link_latency_local",
-    "output_fifo_size", "ejection_rate",
-    // Routing.
-    "routing", "fp_vc_cap", "fp_variant", "fp_converge_threshold",
-    "congestion_threshold", "dbar_use_remote",
-    // Traffic.
-    "traffic", "injection_rate", "background_rate", "packet_size",
-    "trace_file", "trace_length", "app", "app2",
-    // Simulation phases / execution.
-    "warmup_cycles", "measure_cycles", "drain_cycles", "seed",
-    "step_mode", "threads", "shards", "skip_ahead",
-    // Packet lifecycle tracer.
-    "trace_out", "trace_packets",
+constexpr ConfigKey kConfigKeys[] = {
+    // Topology (Table 2 defaults; DESIGN.md §18 for the other kinds).
+    {"topology", Str, "mesh"}, // or torus, cmesh, ring
+    {"mesh_width", Int, "8", 1, kIntMax},
+    {"mesh_height", Int, "8", 1, kIntMax},
+    {"concentration", Int, "1", 1, kIntMax}, // terminals/router, cmesh
+    // Router microarchitecture: a VC mask holds 64 VCs, and a VC's
+    // credits count in an int16_t.
+    {"num_vcs", Int, "10", 1, 64},
+    {"vc_buf_size", Int, "4", 1, 32767},
+    {"internal_speedup", Int, "2", 1, kIntMax},
+    {"link_latency", Int, "1", 1, kIntMax},
+    // Per-dimension latencies; unset, each is link_latency.
+    {"link_latency_x", Int, nullptr, 1, kIntMax},
+    {"link_latency_y", Int, nullptr, 1, kIntMax},
+    {"link_latency_local", Int, nullptr, 1, kIntMax},
+    {"output_fifo_size", Int, "8", 1, kIntMax},
+    {"ejection_rate", Int, "1", 1, kIntMax}, // flits/cycle at endpoints
+    // Routing. A threshold of 0 means auto (num_vcs / 2).
+    {"routing", Str, "footprint"},
+    {"fp_vc_cap", Int, "0", 0, kIntMax}, // 0 = unlimited footprint VCs
+    {"fp_variant", Str, "converge"}, // or literal, wait
+    {"fp_converge_threshold", Int, "2", kIntMin, kIntMax},
+    {"congestion_threshold", Int, "0", 0, kIntMax},
+    {"dbar_use_remote", Bool, "true"},
+    // Traffic. traffic=trace replays trace_file; the trace_replay
+    // example writes one from trace_length cycles of app (and app2).
+    {"traffic", Str, "uniform"},
+    {"injection_rate", Real, "0.1", 0, 1},
+    {"background_rate", Real, "0.3", 0, 1}, // hotspot background
+    {"packet_size", Str, "1"}, // "1" fixed, or "uniform1-6"
+    {"trace_file", Str},
+    {"trace_length", Int},
+    {"app", Str},
+    {"app2", Str},
+    // Simulation phases.
+    {"warmup_cycles", Int, "5000", 0},
+    {"measure_cycles", Int, "10000", 0},
+    {"drain_cycles", Int, "50000", 0},
+    {"seed", Int, "1"},
+    // "activity" steps only components with pending work (bit-identical
+    // to "full"); "verify" runs both and panics on any divergence;
+    // "sharded" steps activity lists in parallel across "threads"
+    // workers over "shards" mesh bands (0 = one shard per thread),
+    // still bit-identical (DESIGN.md §13).
+    {"step_mode", Str, "activity"},
+    {"threads", Int, "1", 1, kIntMax},
+    {"shards", Int, "0", 0, kIntMax},
+    // Event-horizon fast path: jump the clock over quiescent spans
+    // (bit-identical results; skip_ahead=false forces per-cycle
+    // ticking, mainly for equivalence tests and benchmarks).
+    {"skip_ahead", Bool, "true"},
+    // Packet lifecycle tracer (see DESIGN.md "Observability"): a JSONL
+    // trace of packet ids [1, N] when trace_packets > 0.
+    {"trace_out", Str, "trace.jsonl"},
+    {"trace_packets", Int, "0", 0},
     // Self-profiler / spatial heatmap observatory (DESIGN.md §14).
-    "profile", "profile_out", "heatmap", "heatmap_out",
-    "heatmap_sample_interval",
-    // Flight recorder / steady-state detector / console (DESIGN.md
-    // §15).
-    "timeseries", "timeseries_out", "timeseries_interval",
-    "steady_windows", "steady_tolerance", "warmup",
-    "warmup_max_cycles", "console", "console_interval_ms",
-    // Auditing / watchdog / forensics.
-    "audit", "audit_interval", "watchdog_interval",
-    "watchdog_max_hops", "watchdog_max_age", "dump_on_abort",
-    "dump_path", "chrome_trace", "chrome_trace_out",
-    // Execution engine / sweeps (simulate --sweep).
-    "jobs", "sweep_rates", "sweep_routings", "sweep_meshes",
-    "sweep_traffics", "sweep_seeds", "bench_out",
+    {"profile", Bool, "false"}, // per-phase wall-time profile
+    {"profile_out", Str, "profile.json"},
+    {"heatmap", Bool, "false"}, // windowed spatial heatmaps
+    {"heatmap_out", Str, "heatmap.json"},
+    {"heatmap_sample_interval", Int, "8", 1}, // gauge sampling stride
+    // Flight recorder / steady-state detector / console (§15).
+    {"timeseries", Bool, "false"}, // windowed JSONL stream
+    {"timeseries_out", Str, "timeseries.jsonl"}, // "" = in memory
+    {"timeseries_interval", Int, "1000", 1}, // window: both artifacts
+    {"steady_windows", Int, "8", 2, kIntMax}, // trailing means compared
+    {"steady_tolerance", Real, "0.02"}, // relative half-width, > 0
+    {"warmup", Str, ""}, // "auto" = detector-driven
+    {"warmup_max_cycles", Int, "50000"}, // cap on auto warmup
+    // The live stderr status line and its redraw rate limit.
+    {.key = "console", .type = Bool, .def = "false", .identity = false},
+    {.key = "console_interval_ms", .type = Int, .def = "250", .min = 0,
+     .max = kIntMax, .identity = false},
+    // Auditing / watchdog / forensics (DESIGN.md "Runtime auditing").
+    {"audit", Bool, "false"}, // invariant auditor + watchdog
+    {"audit_interval", Int, "1000", 1}, // cycles between audits
+    {"watchdog_interval", Int, "5000", 1}, // stall/livelock checks
+    {"watchdog_max_hops", Int, "0", 0, kIntMax}, // 0 = 2 * (W + H)
+    {"watchdog_max_age", Int, "0", 0}, // 0 = age check off
+    {"dump_on_abort", Bool, "false"}, // forensic dump on abort
+    {"dump_path", Str, "state_dump.json"},
+    {"chrome_trace", Bool, "false"}, // trace-event timeline export
+    {"chrome_trace_out", Str, "trace.json"},
+    // Execution engine / sweeps (simulate --sweep). An unset axis is
+    // the single run's routing / mesh / traffic.
+    {.key = "jobs", .type = Int, .def = "0", .min = 0,
+     .identity = false}, // 0 = all hardware threads
+    {"sweep_rates", Str, ""}, // non-empty switches to sweep mode
+    {"sweep_routings", Str},
+    {"sweep_meshes", Str},
+    {"sweep_traffics", Str},
+    {"sweep_seeds", Int, "1", 1, kIntMax},
+    {.key = "bench_out", .type = Str, .def = "", .identity = false},
 };
 
 /** Levenshtein distance, for did-you-mean suggestions. */
@@ -77,17 +150,61 @@ closestKnownKey(const std::string& key)
 {
     std::string best;
     std::size_t best_dist = 4;
-    for (const char* known : kKnownKeys) {
-        const std::size_t d = editDistance(key, known);
+    for (const ConfigKey& row : kConfigKeys) {
+        const std::size_t d = editDistance(key, std::string(row.key));
         if (d < best_dist) {
             best_dist = d;
-            best = known;
+            best = row.key;
         }
     }
     return best;
 }
 
+/** @p key's row (nullptr if unknown); panics unless it has @p type. */
+const ConfigKey*
+typedRow(const std::string& key, KeyType type)
+{
+    const ConfigKey* row = findConfigKey(key);
+    FP_ASSERT(row == nullptr || row->type == type,
+              "config key '" << key << "' read through the wrong getter");
+    return row;
+}
+
+/** fatal() if @p row has a range and @p v lies outside it. */
+void
+checkRange(const ConfigKey* row, double v, const std::string& raw)
+{
+    if (row == nullptr || (row->min == -kInf && row->max == kInf)
+        || (v >= row->min && v <= row->max))
+        return;
+    std::ostringstream msg;
+    msg.precision(std::numeric_limits<double>::max_digits10);
+    msg << row->key << " must be ";
+    if (row->max == kInf)
+        msg << ">= " << row->min;
+    else
+        msg << "in [" << row->min << ", " << row->max << "]";
+    msg << ", got " << raw;
+    fatal(msg.str());
+}
+
 } // namespace
+
+std::span<const ConfigKey>
+configKeys()
+{
+    return kConfigKeys;
+}
+
+const ConfigKey*
+findConfigKey(std::string_view key)
+{
+    for (const ConfigKey& row : kConfigKeys) {
+        if (row.key == key)
+            return &row;
+    }
+    return nullptr;
+}
 
 SimConfig::SimConfig() = default;
 
@@ -127,37 +244,49 @@ SimConfig::contains(const std::string& key) const
 std::string
 SimConfig::getStr(const std::string& key) const
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
+    const auto it = values_.find(key);
+    if (it != values_.end())
+        return it->second;
+    const ConfigKey* row = findConfigKey(key);
+    if (row == nullptr || row->def == nullptr)
         fatal("config key not found: " + key);
-    return it->second;
+    return row->def;
 }
 
 std::int64_t
 SimConfig::getInt(const std::string& key) const
 {
+    const ConfigKey* row = typedRow(key, Int);
     const std::string raw = getStr(key);
     char* end = nullptr;
-    std::int64_t v = std::strtoll(raw.c_str(), &end, 10);
-    if (end == raw.c_str() || *end != '\0')
-        fatal("config key '" + key + "' is not an integer: " + raw);
+    errno = 0;
+    const std::int64_t v = std::strtoll(raw.c_str(), &end, 10);
+    // strtoll saturates a value beyond int64; do not read it as one.
+    if (end == raw.c_str() || *end != '\0' || errno == ERANGE) {
+        fatal("config key '" + key + "' is not an integer in the int64 "
+              "range: " + raw);
+    }
+    checkRange(row, static_cast<double>(v), raw);
     return v;
 }
 
 double
 SimConfig::getDouble(const std::string& key) const
 {
+    const ConfigKey* row = typedRow(key, Real);
     const std::string raw = getStr(key);
     char* end = nullptr;
-    double v = std::strtod(raw.c_str(), &end);
+    const double v = std::strtod(raw.c_str(), &end);
     if (end == raw.c_str() || *end != '\0')
         fatal("config key '" + key + "' is not a number: " + raw);
+    checkRange(row, v, raw);
     return v;
 }
 
 bool
 SimConfig::getBool(const std::string& key) const
 {
+    typedRow(key, Bool);
     const std::string raw = getStr(key);
     if (raw == "true" || raw == "1")
         return true;
@@ -244,8 +373,7 @@ SimConfig::keys() const
 bool
 SimConfig::isKnownKey(const std::string& key)
 {
-    return std::find(kKnownKeys.begin(), kKnownKeys.end(), key)
-        != kKnownKeys.end();
+    return findConfigKey(key) != nullptr;
 }
 
 std::vector<std::string>
@@ -288,72 +416,10 @@ SimConfig
 defaultConfig()
 {
     SimConfig cfg;
-    // Topology (Table 2 defaults; DESIGN.md §18 for the other kinds).
-    cfg.set("topology", "mesh"); // or torus, cmesh, ring
-    cfg.setInt("mesh_width", 8);
-    cfg.setInt("mesh_height", 8);
-    cfg.setInt("concentration", 1); // terminals/router (cmesh only)
-    // Router microarchitecture.
-    cfg.setInt("num_vcs", 10);
-    cfg.setInt("vc_buf_size", 4);
-    cfg.setInt("internal_speedup", 2);
-    cfg.setInt("link_latency", 1);
-    cfg.setInt("output_fifo_size", 8);
-    cfg.setInt("ejection_rate", 1); // flits/cycle drained at endpoints
-    // Routing.
-    cfg.set("routing", "footprint");
-    cfg.setInt("fp_vc_cap", 0);        // 0 = unlimited footprint VCs
-    cfg.setInt("congestion_threshold", 0); // 0 = auto (num_vcs / 2)
-    // Traffic.
-    cfg.set("traffic", "uniform");
-    cfg.setDouble("injection_rate", 0.1);
-    cfg.set("packet_size", "1");       // "1" fixed, or "uniform1-6"
-    // Simulation phases.
-    cfg.setInt("warmup_cycles", 5000);
-    cfg.setInt("measure_cycles", 10000);
-    cfg.setInt("drain_cycles", 50000);
-    cfg.setInt("seed", 1);
-    // "activity" steps only components with pending work (bit-identical
-    // to "full"); "verify" runs both and panics on any divergence;
-    // "sharded" steps activity lists in parallel across "threads"
-    // workers over "shards" mesh bands (0 = one shard per thread),
-    // still bit-identical (DESIGN.md §13).
-    cfg.set("step_mode", "activity");
-    cfg.setInt("threads", 1);
-    cfg.setInt("shards", 0);
-    // Event-horizon fast path: jump the clock over quiescent spans
-    // (bit-identical results; skip_ahead=false forces per-cycle
-    // ticking, mainly for equivalence tests and benchmarks).
-    cfg.setBool("skip_ahead", true);
-    // Packet lifecycle tracer (see DESIGN.md "Observability").
-    cfg.set("trace_out", "");           // default "trace.jsonl"
-    cfg.setInt("trace_packets", 0);     // trace packet ids [1, N]
-    // Self-profiler / spatial heatmap observatory (DESIGN.md §14).
-    cfg.setBool("profile", false);      // per-phase wall-time profile
-    cfg.set("profile_out", "profile.json");
-    cfg.setBool("heatmap", false);      // windowed spatial heatmaps
-    cfg.set("heatmap_out", "heatmap.json");
-    cfg.setInt("heatmap_sample_interval", 8); // gauge sampling stride
-    // Flight recorder / steady-state detector / console (§15).
-    cfg.setBool("timeseries", false);   // windowed JSONL stream
-    cfg.set("timeseries_out", "timeseries.jsonl"); // "" = in memory
-    cfg.setInt("timeseries_interval", 1000); // window: both artifacts
-    cfg.setInt("steady_windows", 8);    // trailing means compared
-    cfg.setDouble("steady_tolerance", 0.02); // relative half-width
-    cfg.set("warmup", "");              // "auto" = detector-driven
-    cfg.setInt("warmup_max_cycles", 50000); // cap on auto warmup
-    cfg.setBool("console", false);      // live stderr status line
-    cfg.setInt("console_interval_ms", 250); // redraw rate limit
-    // Auditing / watchdog / forensics (DESIGN.md "Runtime auditing").
-    cfg.setBool("audit", false);        // invariant auditor + watchdog
-    cfg.setInt("audit_interval", 1000); // cycles between audits
-    cfg.setInt("watchdog_interval", 5000); // stall/livelock checks
-    cfg.setInt("watchdog_max_hops", 0); // 0 = auto (2 * (W + H))
-    cfg.setInt("watchdog_max_age", 0);  // 0 = age check off
-    cfg.setBool("dump_on_abort", false); // forensic dump on abort
-    cfg.set("dump_path", "state_dump.json");
-    cfg.setBool("chrome_trace", false); // trace-event timeline export
-    cfg.set("chrome_trace_out", "");    // default "trace.json"
+    for (const ConfigKey& row : kConfigKeys) {
+        if (row.def != nullptr)
+            cfg.set(std::string(row.key), row.def);
+    }
     return cfg;
 }
 

@@ -9,18 +9,53 @@
 #define FOOTPRINT_SIM_CONFIG_HPP
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace footprint {
 
+/** What a key's value reads as: the typed getter that may read it. */
+enum class KeyType { Str, Bool, Int, Real };
+
+/**
+ * One row of the config table in config.cpp: a key some subsystem
+ * reads, declared once with its default, the range its reader accepts
+ * and whether it names the experiment.
+ */
+struct ConfigKey
+{
+    std::string_view key;
+    KeyType type = KeyType::Str;
+    /** Default value; nullptr where an unset key means something. */
+    const char* def = nullptr;
+    /** Range getInt()/getDouble() accept; infinite bounds are open. */
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+    /**
+     * Part of the run identity (RunMetadata's config hash); false for
+     * a key that only says how the program runs the experiment.
+     */
+    bool identity = true;
+};
+
+/** The config table: one row per key any subsystem reads. */
+std::span<const ConfigKey> configKeys();
+
+/** @p key's row of the config table, or nullptr for an unknown key. */
+const ConfigKey* findConfigKey(std::string_view key);
+
 /**
  * A flat, typed key/value store for simulation parameters.
  *
- * Values are stored as strings and converted on read; reading a key that
- * was never set and has no registered default is a fatal error, which
- * catches typos in experiment scripts early.
+ * Values are stored as strings and converted on read. A key that was
+ * never set reads as its config-table default; reading an unset key
+ * that has no default is a fatal error, which catches typos in
+ * experiment scripts early, and so is a numeric value outside its
+ * row's range.
  */
 class SimConfig
 {
@@ -33,10 +68,15 @@ class SimConfig
     void setDouble(const std::string& key, double value);
     void setBool(const std::string& key, bool value);
 
-    /** @return true if @p key has a value (set or default). */
+    /** @return true if @p key was explicitly set. */
     bool contains(const std::string& key) const;
 
-    /** Typed getters; fatal() on missing key or malformed value. */
+    /**
+     * Typed getters: an unset key reads as its table default.
+     * fatal() on a missing key, a malformed value, or (getInt /
+     * getDouble) a value outside the key's range; panic when the
+     * key's row has another type than the getter reads.
+     */
     std::string getStr(const std::string& key) const;
     std::int64_t getInt(const std::string& key) const;
     double getDouble(const std::string& key) const;
@@ -62,10 +102,7 @@ class SimConfig
     /** All keys currently present, sorted (for dumping). */
     std::vector<std::string> keys() const;
 
-    /**
-     * Whether @p key is recognized by any subsystem (the curated list
-     * covers every key the simulator, benches, and examples read).
-     */
+    /** Whether @p key has a row in the config table. */
     static bool isKnownKey(const std::string& key);
 
     /** Present keys no subsystem recognizes, sorted. */
@@ -91,6 +128,8 @@ class SimConfig
 /**
  * Build the paper's baseline configuration (Table 2 defaults): 8x8 mesh,
  * 10 VCs, buffer depth 4, speedup 2, credit-based wormhole flow control.
+ * Every config-table row that has a default is set, so the config
+ * prints in full.
  */
 SimConfig defaultConfig();
 

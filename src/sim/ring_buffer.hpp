@@ -1,8 +1,8 @@
 /**
  * @file
- * Fixed-capacity ring buffer used for every FIFO on the simulator's
+ * Fixed-capacity ring buffer used for the FIFOs on the simulator's
  * per-cycle hot path (input-VC buffers, router output FIFOs, endpoint
- * sink VCs, channel pipes).
+ * sink VCs and source queue).
  *
  * std::deque allocates storage in chunks as elements churn through it;
  * at tens of thousands of simulated cycles per second that heap
@@ -14,9 +14,9 @@
  * Two overflow policies:
  *  - fixed (default): pushing into a full buffer is a simulator bug
  *    (the flow-control invariants bound every FIFO) and FP_ASSERTs.
- *  - growable: storage doubles when full. Used only by Pipe<T>, whose
- *    occupancy is bounded by latency in the simulator proper but not
- *    in unit tests that send without receiving.
+ *  - growable: storage doubles when full. Used by the endpoint's
+ *    source queue, whose open-loop backlog has no structural bound
+ *    (Pipe<T> keeps its own growable rings).
  */
 
 #ifndef FOOTPRINT_SIM_RING_BUFFER_HPP

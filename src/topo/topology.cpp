@@ -66,31 +66,21 @@ Topology::ring(int nodes)
 Topology
 Topology::fromConfig(const SimConfig& cfg)
 {
-    const std::string name = cfg.contains("topology")
-        ? cfg.getStr("topology")
-        : "mesh";
+    const std::string name = cfg.getStr("topology");
     const int w = static_cast<int>(cfg.getInt("mesh_width"));
     const int h = static_cast<int>(cfg.getInt("mesh_height"));
-    const int c = cfg.contains("concentration")
-        ? static_cast<int>(cfg.getInt("concentration"))
-        : 1;
+    const int c = static_cast<int>(cfg.getInt("concentration"));
+    if (c != 1 && name != "cmesh")
+        fatal("concentration > 1 requires topology=cmesh");
 
     Topology topo = [&]() -> Topology {
-        if (name == "mesh") {
-            if (c != 1)
-                fatal("concentration > 1 requires topology=cmesh");
+        if (name == "mesh")
             return mesh(w, h);
-        }
-        if (name == "torus") {
-            if (c != 1)
-                fatal("concentration > 1 requires topology=cmesh");
+        if (name == "torus")
             return torus(w, h);
-        }
         if (name == "cmesh")
             return cmesh(w, h, c);
         if (name == "ring") {
-            if (c != 1)
-                fatal("concentration > 1 requires topology=cmesh");
             if (h != 1)
                 fatal("ring requires mesh_height=1 (got "
                       + std::to_string(h) + ")");
@@ -100,9 +90,8 @@ Topology::fromConfig(const SimConfig& cfg)
               + "' (want mesh, torus, cmesh, or ring)");
     }();
 
-    const int base = cfg.contains("link_latency")
-        ? static_cast<int>(cfg.getInt("link_latency"))
-        : 1;
+    // Each per-dimension latency defaults to link_latency.
+    const int base = static_cast<int>(cfg.getInt("link_latency"));
     const int lx = cfg.contains("link_latency_x")
         ? static_cast<int>(cfg.getInt("link_latency_x"))
         : base;

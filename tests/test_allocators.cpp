@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the arbitration primitives.
+ * Unit tests for the round-robin arbiter, through the bitmask form the
+ * router's switch allocator calls.
  */
 
 #include <gtest/gtest.h>
@@ -15,19 +16,19 @@ namespace {
 TEST(RoundRobinArbiter, NoRequestsNoGrant)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate({false, false, false, false}), -1);
+    EXPECT_EQ(arb.arbitrate(0b0000), -1);
 }
 
 TEST(RoundRobinArbiter, SingleRequesterWins)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate({false, false, true, false}), 2);
+    EXPECT_EQ(arb.arbitrate(0b0100), 2);
 }
 
 TEST(RoundRobinArbiter, RotatesAmongContenders)
 {
     RoundRobinArbiter arb(3);
-    const std::vector<bool> all{true, true, true};
+    const std::uint64_t all = 0b111;
     EXPECT_EQ(arb.arbitrate(all), 0);
     EXPECT_EQ(arb.arbitrate(all), 1);
     EXPECT_EQ(arb.arbitrate(all), 2);
@@ -37,19 +38,19 @@ TEST(RoundRobinArbiter, RotatesAmongContenders)
 TEST(RoundRobinArbiter, PointerSkipsNonRequesters)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate({true, false, false, true}), 0);
+    const std::uint64_t ends = 0b1001;
+    EXPECT_EQ(arb.arbitrate(ends), 0);
     // Pointer now at 1; requester 3 is next among the requesting.
-    EXPECT_EQ(arb.arbitrate({true, false, false, true}), 3);
-    EXPECT_EQ(arb.arbitrate({true, false, false, true}), 0);
+    EXPECT_EQ(arb.arbitrate(ends), 3);
+    EXPECT_EQ(arb.arbitrate(ends), 0);
 }
 
 TEST(RoundRobinArbiter, FairnessOverManyRounds)
 {
     RoundRobinArbiter arb(4);
     std::vector<int> grants(4, 0);
-    const std::vector<bool> all{true, true, true, true};
     for (int i = 0; i < 400; ++i)
-        ++grants[static_cast<std::size_t>(arb.arbitrate(all))];
+        ++grants[static_cast<std::size_t>(arb.arbitrate(0b1111))];
     for (int g : grants)
         EXPECT_EQ(g, 100);
 }
@@ -57,83 +58,10 @@ TEST(RoundRobinArbiter, FairnessOverManyRounds)
 TEST(RoundRobinArbiter, ResizeResetsPointer)
 {
     RoundRobinArbiter arb(2);
-    (void)arb.arbitrate({true, true});
+    (void)arb.arbitrate(0b11);
     arb.resize(3);
     EXPECT_EQ(arb.pointer(), 0);
-    EXPECT_EQ(arb.arbitrate({true, true, true}), 0);
-}
-
-// Helper: arbitrate and clear, returning the winner.
-int
-arbitrateOnce(PriorityArbiter& arb)
-{
-    const int winner = arb.arbitrate();
-    arb.clearRequests();
-    return winner;
-}
-
-TEST(PriorityArbiter, NoRequestsNoGrant)
-{
-    PriorityArbiter arb(4);
-    EXPECT_EQ(arbitrateOnce(arb), -1);
-}
-
-TEST(PriorityArbiter, HighestPriorityWins)
-{
-    PriorityArbiter arb(4);
-    arb.addRequest(0, 1);
-    arb.addRequest(1, 3);
-    arb.addRequest(2, 2);
-    EXPECT_EQ(arbitrateOnce(arb), 1);
-}
-
-TEST(PriorityArbiter, EqualPriorityRotates)
-{
-    PriorityArbiter arb(3);
-    std::vector<int> grants(3, 0);
-    for (int i = 0; i < 300; ++i) {
-        arb.addRequest(0, 2);
-        arb.addRequest(1, 2);
-        arb.addRequest(2, 2);
-        ++grants[static_cast<std::size_t>(arbitrateOnce(arb))];
-    }
-    for (int g : grants)
-        EXPECT_EQ(g, 100);
-}
-
-TEST(PriorityArbiter, DuplicateRequestKeepsMaxPriority)
-{
-    PriorityArbiter arb(2);
-    arb.addRequest(0, 1);
-    arb.addRequest(0, 3);
-    arb.addRequest(1, 2);
-    EXPECT_EQ(arbitrateOnce(arb), 0);
-}
-
-TEST(PriorityArbiter, LowPriorityWinsWhenAlone)
-{
-    PriorityArbiter arb(4);
-    arb.addRequest(3, 0);
-    EXPECT_EQ(arbitrateOnce(arb), 3);
-}
-
-TEST(PriorityArbiter, ClearRemovesRequests)
-{
-    PriorityArbiter arb(2);
-    arb.addRequest(0, 1);
-    arb.clearRequests();
-    EXPECT_EQ(arb.arbitrate(), -1);
-}
-
-TEST(PriorityArbiter, HighPriorityAlwaysBeatsLowUnderRotation)
-{
-    PriorityArbiter arb(3);
-    for (int i = 0; i < 50; ++i) {
-        arb.addRequest(0, 1);
-        arb.addRequest(1, 1);
-        arb.addRequest(2, 2);
-        EXPECT_EQ(arbitrateOnce(arb), 2);
-    }
+    EXPECT_EQ(arb.arbitrate(0b111), 0);
 }
 
 } // namespace

@@ -9,12 +9,15 @@ of the first record and of the run-metadata header is deleted in turn,
 and the semantic mutations in MUTATIONS are applied one at a time. The
 tool must exit 1 on every mutant, for the reason the mutation names.
 The two renderers, which load through the tool, must render their own
-kind and refuse the other.
+kind and refuse the other. The hotspot run, rerun elsewhere with the
+execution knobs --console and --jobs added, must write byte-identical
+artifacts.
 
 Usage: test_artifacts.py SIMULATE MICRO_CYCLE
 """
 
 import contextlib
+import filecmp
 import io
 import json
 import os
@@ -43,18 +46,25 @@ FILES = {
 }
 
 
+# The CI sanitizer job's saturating hotspot run, every observer on.
+HOTSPOT = ["traffic=hotspot", "injection_rate=1.0", "background_rate=0.9",
+           "mesh_width=4", "mesh_height=4", "num_vcs=4",
+           "warmup_cycles=200", "measure_cycles=400", "drain_cycles=800",
+           "timeseries_interval=100", "--timeseries", "--audit",
+           "--dump-on-abort", "--chrome-trace", "--profile", "--heatmap",
+           "--trace-packets", "50"]
+
+# The hotspot run's artifacts that carry no wall-clock time.
+TIMELESS = ["timeseries.jsonl", "heatmap.json", "state_dump.json",
+            "trace.jsonl"]
+
+
 def generate(simulate, micro_cycle, tmp):
     """Write every artifact kind from real runs into @tmp."""
     short = ["mesh_width=4", "mesh_height=4", "warmup_cycles=100",
              "measure_cycles=200", "drain_cycles=1000"]
     runs = [
-        # The CI sanitizer job's saturating hotspot run, every observer on.
-        [simulate, "traffic=hotspot", "injection_rate=1.0",
-         "background_rate=0.9", "mesh_width=4", "mesh_height=4",
-         "num_vcs=4", "warmup_cycles=200", "measure_cycles=400",
-         "drain_cycles=800", "timeseries_interval=100", "--timeseries",
-         "--audit", "--dump-on-abort", "--chrome-trace", "--profile",
-         "--heatmap", "--trace-packets", "50"],
+        [simulate] + HOTSPOT,
         [simulate, "step_mode=sharded", "threads=2", "--profile",
          "profile_out=sharded_profile.json"] + short,
         [simulate, "--sweep", "0.1,0.3", "--bench-out", "bench.json"]
@@ -65,6 +75,18 @@ def generate(simulate, micro_cycle, tmp):
     for argv in runs:
         subprocess.run(argv, check=True, cwd=tmp,
                        stdout=subprocess.DEVNULL)
+
+
+def changed_by_execution_knobs(simulate, tmp):
+    """Rerun the hotspot run with --console --jobs 3 in its own
+    directory; return the TIMELESS artifacts that differ from @tmp's."""
+    with tempfile.TemporaryDirectory(prefix="fp_knobs_") as other:
+        subprocess.run([simulate] + HOTSPOT + ["--console", "--jobs", "3"],
+                       check=True, cwd=other, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+        return [f for f in TIMELESS
+                if not filecmp.cmp(os.path.join(tmp, f),
+                                   os.path.join(other, f), shallow=False)]
 
 
 def first(records, key):
@@ -196,6 +218,10 @@ def main():
                  if line.startswith("OK ")}
         if kinds != set(FILES):
             failures.append("kinds written %r != %r" % (kinds, set(FILES)))
+        changed = changed_by_execution_knobs(simulate, tmp)
+        if changed:
+            failures.append("--console --jobs 3 changed %s"
+                            % ", ".join(changed))
 
         mutants = [(name, what, fn, None)
                    for name, file in FILES.items()

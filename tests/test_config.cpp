@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 
 #include "sim/config.hpp"
@@ -414,6 +416,170 @@ TEST(DefaultConfig, MatchesTable2Baseline)
     EXPECT_EQ(cfg.getInt("internal_speedup"), 2);
     EXPECT_EQ(cfg.getStr("routing"), "footprint");
     EXPECT_EQ(cfg.getStr("packet_size"), "1");
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Read @p key through the getter its row's type names. */
+void
+readAsItsType(const SimConfig& cfg, const ConfigKey& row)
+{
+    const std::string key(row.key);
+    switch (row.type) {
+      case KeyType::Str: (void)cfg.getStr(key); break;
+      case KeyType::Bool: (void)cfg.getBool(key); break;
+      case KeyType::Int: (void)cfg.getInt(key); break;
+      case KeyType::Real: (void)cfg.getDouble(key); break;
+    }
+}
+
+TEST(ConfigTable, HoldsEachKnownKeyOnce)
+{
+    std::set<std::string_view> keys;
+    std::set<std::string_view> optional;
+    std::set<std::string_view> execution;
+    for (const ConfigKey& row : configKeys()) {
+        EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+        EXPECT_TRUE(SimConfig::isKnownKey(std::string(row.key)));
+        EXPECT_EQ(findConfigKey(row.key), &row);
+        if (row.def == nullptr)
+            optional.insert(row.key);
+        if (!row.identity)
+            execution.insert(row.key);
+    }
+    EXPECT_EQ(keys.size(), 67u);
+    EXPECT_EQ(findConfigKey("num_vc"), nullptr);
+    // Absence means something for these: another key's value, a
+    // trace to name, or a sweep axis that is the single run's value.
+    EXPECT_EQ(optional,
+              (std::set<std::string_view>{
+                  "link_latency_x", "link_latency_y",
+                  "link_latency_local", "trace_file", "trace_length",
+                  "app", "app2", "sweep_routings", "sweep_meshes",
+                  "sweep_traffics"}));
+    // Only how the program runs stays out of the run identity.
+    EXPECT_EQ(execution,
+              (std::set<std::string_view>{"jobs", "bench_out", "console",
+                                          "console_interval_ms"}));
+}
+
+TEST(ConfigTable, EveryDefaultReadsInItsOwnRange)
+{
+    // An unset key reads as its row's default through the row's
+    // getter, and that default lies in the row's range.
+    const SimConfig empty;
+    const SimConfig defaults = defaultConfig();
+    for (const ConfigKey& row : configKeys()) {
+        const std::string key(row.key);
+        if (row.def == nullptr) {
+            EXPECT_FALSE(defaults.contains(key)) << key;
+            continue;
+        }
+        EXPECT_EQ(empty.getStr(key), row.def) << key;
+        EXPECT_EQ(defaults.getStr(key), row.def) << key;
+        EXPECT_FALSE(empty.contains(key)) << key;
+        readAsItsType(empty, row);
+        const double v = row.type == KeyType::Int
+            ? static_cast<double>(empty.getInt(key))
+            : row.type == KeyType::Real ? empty.getDouble(key) : 0.0;
+        if (row.type == KeyType::Int || row.type == KeyType::Real) {
+            EXPECT_GE(v, row.min) << key;
+            EXPECT_LE(v, row.max) << key;
+        }
+    }
+    EXPECT_EQ(defaults.keys().size(), configKeys().size() - 10);
+}
+
+TEST(ConfigTable, OutOfRangeReadsAreFatal)
+{
+    // A ranged row accepts its bounds, and one past either bound ends
+    // its getter in fatal: naming the key.
+    std::size_t ranged = 0;
+    for (const ConfigKey& row : configKeys()) {
+        if (row.min == -kInf && row.max == kInf)
+            continue;
+        ++ranged;
+        const std::string key(row.key);
+        ASSERT_TRUE(row.type == KeyType::Int || row.type == KeyType::Real)
+            << key;
+        std::vector<std::pair<double, bool>> values;  // (value, legal)
+        if (row.min != -kInf) {
+            values.emplace_back(row.min, true);
+            values.emplace_back(row.min - 1, false);
+        }
+        if (row.max != kInf) {
+            values.emplace_back(row.max, true);
+            values.emplace_back(row.max + 1, false);
+        }
+        for (const auto& [v, legal] : values) {
+            SimConfig cfg;
+            if (row.type == KeyType::Int)
+                cfg.setInt(key, static_cast<std::int64_t>(v));
+            else
+                cfg.setDouble(key, v);
+            if (legal) {
+                if (row.type == KeyType::Int)
+                    EXPECT_EQ(cfg.getInt(key), v) << key;
+                else
+                    EXPECT_EQ(cfg.getDouble(key), v) << key;
+            } else {
+                EXPECT_EXIT(readAsItsType(cfg, row),
+                            testing::ExitedWithCode(1),
+                            "fatal: " + key + " must be ")
+                    << key << "=" << v;
+            }
+        }
+    }
+    EXPECT_GE(ranged, 19u);
+}
+
+TEST(ConfigTable, IntRowsNarrowedToIntStopAtIntMax)
+{
+    // These readers cast the value to an int: past INT_MAX it would
+    // wrap (4294967298 read as 2), so the read must end in fatal:.
+    for (const char* key :
+         {"mesh_width", "mesh_height", "concentration", "internal_speedup",
+          "link_latency", "link_latency_x", "link_latency_y",
+          "link_latency_local", "output_fifo_size", "ejection_rate",
+          "fp_vc_cap", "fp_converge_threshold", "congestion_threshold",
+          "threads", "shards", "steady_windows", "console_interval_ms",
+          "watchdog_max_hops", "sweep_seeds"}) {
+        SimConfig cfg;
+        cfg.set(key, "4294967298");
+        EXPECT_EXIT((void)cfg.getInt(key), testing::ExitedWithCode(1),
+                    std::string("fatal: ") + key
+                        + " must be in \\[-?[0-9]+, 2147483647\\], got "
+                          "4294967298")
+            << key;
+    }
+}
+
+TEST(ConfigTable, IntBeyondInt64IsFatal)
+{
+    // strtoll saturates; an unbounded int64 row must not read that as
+    // INT64_MAX.
+    SimConfig cfg;
+    cfg.set("measure_cycles", "99999999999999999999");
+    EXPECT_EXIT((void)cfg.getInt("measure_cycles"),
+                testing::ExitedWithCode(1),
+                "fatal: config key 'measure_cycles' is not an integer in "
+                "the int64 range");
+}
+
+TEST(ConfigTable, GetterMustMatchTheRowType)
+{
+    // A reader using another getter than its row's type names is a
+    // bug, not bad input: the getter panics.
+    const SimConfig cfg = defaultConfig();
+    EXPECT_THROW((void)cfg.getDouble("mesh_width"), InvariantError);
+    EXPECT_THROW((void)cfg.getInt("injection_rate"), InvariantError);
+    EXPECT_THROW((void)cfg.getBool("seed"), InvariantError);
+    EXPECT_THROW((void)cfg.getInt("heatmap"), InvariantError);
+    // A key outside the table has no type to check.
+    SimConfig untyped;
+    untyped.set("x", "3");
+    EXPECT_EQ(untyped.getInt("x"), 3);
+    EXPECT_DOUBLE_EQ(untyped.getDouble("x"), 3.0);
 }
 
 } // namespace

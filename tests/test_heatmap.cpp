@@ -35,8 +35,8 @@ TEST(HeatmapConfig, FromSimReadsDefaults)
 TEST(HeatmapConfig, FromSimClampsDegenerateValues)
 {
     // A sample interval longer than the window degrades to one
-    // sample per window. Intervals below 1 are fatal in
-    // runExperiment (RunInput.OutOfRangeRunValuesAreFatal).
+    // sample per window. Intervals below 1 are fatal where fromSim
+    // reads them (RunInput.OutOfRangeRunValuesAreFatal).
     SimConfig cfg = defaultConfig();
     cfg.setBool("heatmap", true);
     cfg.setInt("timeseries_interval", 10);

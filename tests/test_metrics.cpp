@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the metrics library: two-level adaptiveness,
- * congestion-tree extraction, the cost model, and purity summaries.
+ * congestion-tree extraction, and the cost model.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "metrics/adaptiveness.hpp"
 #include "metrics/congestion_tree.hpp"
 #include "metrics/cost_model.hpp"
-#include "metrics/purity.hpp"
 #include "network/network.hpp"
 #include "sim/config.hpp"
 
@@ -161,42 +160,6 @@ TEST(CongestionTree, CapturesBufferedTraffic)
     // No other destination has a tree.
     EXPECT_EQ(extractCongestionTree(net, 2).totalVcs(), 0);
     EXPECT_EQ(totalCongestionVcs(net, {13, 2}), tree.totalVcs());
-}
-
-TEST(PuritySummary, BlockingRateAndToString)
-{
-    PuritySummary s;
-    s.purity = 0.25;
-    s.blockingEvents = 30;
-    s.allocSuccesses = 70;
-    s.holDegree = 22.5;
-    EXPECT_DOUBLE_EQ(s.blockingRate(), 0.3);
-    const std::string str = s.toString();
-    EXPECT_NE(str.find("purity=0.25"), std::string::npos);
-    EXPECT_NE(str.find("blocking_events=30"), std::string::npos);
-}
-
-TEST(PuritySummary, CollectsFromNetwork)
-{
-    SimConfig cfg = defaultConfig();
-    cfg.setInt("mesh_width", 4);
-    cfg.setInt("mesh_height", 4);
-    cfg.setInt("num_vcs", 4);
-    Network net(cfg);
-    for (int i = 0; i < 20; ++i) {
-        Packet p;
-        p.id = static_cast<std::uint64_t>(i) + 1;
-        p.src = i % 4;
-        p.dest = 13;
-        p.size = 2;
-        net.endpoint(p.src).enqueue(p);
-    }
-    for (std::int64_t c = 0; c < 60; ++c)
-        net.step(c);
-    const PuritySummary s = collectPurity(net);
-    EXPECT_GT(s.allocSuccesses, 0u);
-    EXPECT_GE(s.purity, 0.0);
-    EXPECT_LE(s.purity, 1.0);
 }
 
 } // namespace

@@ -70,6 +70,26 @@ const std::string kTraceHeader =
     "{\"schema\":\"footprint.packet_trace/1\",\"meta\":"
     + RunMetadata().toJson() + "}\n";
 
+TEST(RunMetadata, ExecutionKnobsLeaveTheConfigHashAlone)
+{
+    // The hash names the experiment: how the program runs it (console,
+    // worker count, bench output path) must not change it, and any
+    // experiment key must.
+    const SimConfig base = defaultConfig();
+    const std::string hash = RunMetadata::fromConfig(base).configHash;
+    SimConfig knobs = base;
+    for (const char* kv : {"console=true", "console_interval_ms=5",
+                           "jobs=3", "bench_out=x.json"})
+        ASSERT_TRUE(knobs.parseAssignment(kv));
+    EXPECT_EQ(RunMetadata::fromConfig(knobs).configHash, hash);
+    for (const char* kv : {"seed=2", "injection_rate=0.2"}) {
+        SimConfig changed = base;
+        ASSERT_TRUE(changed.parseAssignment(kv));
+        EXPECT_NE(RunMetadata::fromConfig(changed).configHash, hash)
+            << kv;
+    }
+}
+
 TEST(PacketTracer, TracedFilterIsIdPrefix)
 {
     std::ostringstream out;

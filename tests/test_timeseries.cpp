@@ -51,21 +51,27 @@ TEST(TimeseriesConfig, FromSimReadsDefaults)
 
 TEST(TimeseriesConfig, FromSimClampsDegenerateValues)
 {
-    // Degenerate recorder values are not clamped: fromSim reads them
-    // as given, and a run with the recorder on ends in fatal: naming
-    // the key before any cycle runs.
+    // Degenerate recorder values are not clamped. With the recorder
+    // on, a value outside its config-table range ends fromSim itself
+    // in fatal: naming the key; the rules the table cannot state
+    // (a strict bound, a bound set by another key) pass fromSim as
+    // given and end the run in fatal: before any cycle runs.
     struct Case
     {
         const char* key;
         const char* value;
         const char* message;
+        bool atRead;  ///< fromSim rejects it (a row's range)
     };
     const Case cases[] = {
-        {"timeseries_interval", "0", "timeseries_interval must be >= 1"},
-        {"steady_windows", "1", "steady_windows must be >= 2"},
-        {"steady_tolerance", "-0.5", "steady_tolerance must be > 0"},
+        {"timeseries_interval", "0", "timeseries_interval must be >= 1",
+         true},
+        {"steady_windows", "1",
+         "steady_windows must be in \\[2, 2147483647\\]", true},
+        {"steady_tolerance", "-0.5", "steady_tolerance must be > 0",
+         false},
         {"warmup_max_cycles", "-100",
-         "warmup_max_cycles must be >= timeseries_interval"},
+         "warmup_max_cycles must be >= timeseries_interval", false},
     };
     for (const Case& c : cases) {
         SimConfig cfg = defaultConfig();
@@ -75,6 +81,13 @@ TEST(TimeseriesConfig, FromSimClampsDegenerateValues)
         cfg.set("timeseries_out", "");
         cfg.set("warmup", "auto");
         cfg.set(c.key, c.value);
+        const std::string message = std::string("fatal: ") + c.message;
+        if (c.atRead) {
+            EXPECT_EXIT(TimeseriesConfig::fromSim(cfg),
+                        testing::ExitedWithCode(1), message)
+                << c.key << "=" << c.value;
+            continue;
+        }
         const TimeseriesConfig tc = TimeseriesConfig::fromSim(cfg);
         EXPECT_TRUE(tc.active());
         EXPECT_EQ(tc.interval, cfg.getInt("timeseries_interval"));
@@ -83,7 +96,7 @@ TEST(TimeseriesConfig, FromSimClampsDegenerateValues)
                          cfg.getDouble("steady_tolerance"));
         EXPECT_EQ(tc.warmupMax, cfg.getInt("warmup_max_cycles"));
         EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
-                    std::string("fatal: ") + c.message)
+                    message)
             << c.key << "=" << c.value;
     }
 }

@@ -96,7 +96,8 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
     };
     const Case cases[] = {
         {"warmup_cycles", "-5", nullptr, "warmup_cycles must be >= 0"},
-        {"fp_vc_cap", "-3", nullptr, "fp_vc_cap must be >= 0"},
+        {"fp_vc_cap", "-3", nullptr,
+         "fp_vc_cap must be in \\[0, 2147483647\\], got -3"},
         {"warmup", "bogus", nullptr, "warmup must be auto or empty"},
         {"timeseries_interval", "0", "timeseries=true",
          "timeseries_interval must be >= 1"},
@@ -105,7 +106,7 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
         {"warmup_max_cycles", "-1", "warmup=auto",
          "warmup_max_cycles must be >= timeseries_interval"},
         {"steady_windows", "0", "timeseries=true",
-         "steady_windows must be >= 2"},
+         "steady_windows must be in \\[2, 2147483647\\]"},
         {"steady_tolerance", "-1", "timeseries=true",
          "steady_tolerance must be > 0"},
         {"heatmap_sample_interval", "0", "heatmap=true",
@@ -120,6 +121,32 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
          "background_rate must be in"},
         {"shards", "100000", nullptr, "shards must be at most"},
         {"injection_rate", "2", nullptr, "injection_rate must be in"},
+        // Router credits are int16_t: a deeper buffer never counts as
+        // holding all its credits again.
+        {"vc_buf_size", "32768", nullptr,
+         "vc_buf_size must be in \\[1, 32767\\]"},
+        // 0 is "auto" (num_vcs / 2); a negative threshold is not.
+        {"congestion_threshold", "-5", nullptr,
+         "congestion_threshold must be in \\[0, 2147483647\\]"},
+        // 0 is "auto" / "off"; a negative bound is not.
+        {"watchdog_max_hops", "-1", "audit=true",
+         "watchdog_max_hops must be in \\[0, 2147483647\\]"},
+        {"watchdog_max_age", "-1", "audit=true",
+         "watchdog_max_age must be >= 0"},
+        // Each of these is read into an int: past INT_MAX it would
+        // wrap (to 0, -1 or 1) after its range check.
+        {"threads", "4294967296", nullptr, "threads must be in"},
+        {"output_fifo_size", "4294967296", nullptr,
+         "output_fifo_size must be in"},
+        {"shards", "4294967295", nullptr, "shards must be in"},
+        {"fp_vc_cap", "4294967295", nullptr, "fp_vc_cap must be in"},
+        {"congestion_threshold", "4294967291", nullptr,
+         "congestion_threshold must be in"},
+        {"mesh_width", "4294967298", nullptr, "mesh_width must be in"},
+        {"steady_windows", "4294967297", "timeseries=true",
+         "steady_windows must be in"},
+        {"watchdog_max_hops", "4294967295", "audit=true",
+         "watchdog_max_hops must be in"},
     };
     for (const Case& c : cases) {
         SimConfig cfg = quickConfig("footprint", "uniform", 0.05);
@@ -133,6 +160,17 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
                     std::string("fatal: ") + c.message)
             << c.key << "=" << c.value << " with "
             << (c.with ? c.with : "defaults");
+    }
+    // Only DBAR and Footprint read congestion_threshold.
+    for (const char* routing : {"dor", "oddeven", "dbar"}) {
+        SimConfig cfg = quickConfig(routing, "uniform", 0.05);
+        cfg.set("congestion_threshold", "-5");
+        if (std::string(routing) == "dbar") {
+            EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
+                        "fatal: congestion_threshold must be in");
+        } else {
+            EXPECT_TRUE(runExperiment(cfg).drained) << routing;
+        }
     }
 }
 
