@@ -11,8 +11,9 @@
 #include <memory>
 
 #include "network/network.hpp"
-#include "obs/profiler.hpp"
+#include "obs/auditor.hpp"
 #include "obs/timeseries.hpp"
+#include "obs/watchdog.hpp"
 #include "router/allocators.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
@@ -84,18 +85,22 @@ BENCHMARK(BM_NetworkCycle)->Arg(10)->Arg(30)->Arg(45);
 void
 BM_NetworkCycleObsIdle(benchmark::State& state)
 {
-    // Profiler/flight-recorder observability compiled in but
-    // disabled: a disabled profiler attach detaches (the stepping hot
-    // path keeps its null profiler pointer) and the recorder null
-    // check (which also covers the heatmap and the chrome counters)
-    // mirrors runExperiment's per-cycle gate. Against
-    // BM_NetworkCycle/30 this is the ≤2% disabled-overhead CI gate
-    // (check_telemetry_overhead.py).
+    // What runExperiment runs every cycle with every observer off,
+    // against BM_NetworkCycle/30's loop (the <=2% disabled-overhead CI
+    // gate, check_telemetry_overhead.py): the auditor and watchdog it
+    // builds on every run, at interval 0 as with audit off, their
+    // ticks and the deadlock test, and the flight-recorder null check
+    // (which also covers the heatmap and the chrome counters). The
+    // network carries no profiler, as with profile off.
     SimConfig cfg = netConfig("footprint");
     setQuiet(true);
     Network net(cfg);
-    Profiler prof(false);
-    net.attachProfiler(&prof);
+    InvariantAuditor::Params ap;
+    ap.interval = 0;
+    Watchdog::Params wp;
+    wp.interval = 0;
+    InvariantAuditor auditor(net, ap);
+    Watchdog watchdog(net, nullptr, wp);
     std::unique_ptr<FlightRecorder> recorder;     // disabled => null
     Rng gen(7);
     std::uint64_t id = 0;
@@ -115,6 +120,12 @@ BM_NetworkCycleObsIdle(benchmark::State& state)
             }
         }
         net.step(cycle);
+        auditor.tick(cycle);
+        watchdog.tick(cycle);
+        if (watchdog.deadlockDetected()) {
+            state.SkipWithError("deadlock");
+            break;
+        }
         if (recorder)
             recorder->tick(cycle);
         benchmark::DoNotOptimize(recorder);

@@ -49,6 +49,7 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -56,6 +57,8 @@
 #include "exec/sweep_runner.hpp"
 #include "network/traffic_manager.hpp"
 #include "obs/console.hpp"
+#include "obs/sink.hpp"
+#include "obs/timeseries.hpp"
 #include "sim/config.hpp"
 #include "sim/log.hpp"
 
@@ -107,6 +110,11 @@ runSweepMode(const footprint::SimConfig& cfg)
     spec.traffics = axis("sweep_traffics", cfg.getStr("traffic"));
     spec.seeds = static_cast<int>(cfg.getInt("sweep_seeds"));
     spec.base = cfg;
+    // Open the artifact before the first job runs, not after the sweep.
+    const std::string out = cfg.getStr("bench_out");
+    std::unique_ptr<std::ofstream> bench_os;
+    if (!out.empty())
+        bench_os = openArtifact(out, "bench results");
 
     ExecContext ctx(cfg.getInt("jobs"));
     SweepRunner runner(ctx);
@@ -146,9 +154,9 @@ runSweepMode(const footprint::SimConfig& cfg)
                 "%.2f jobs/s, --jobs %u)\n",
                 result.wallSeconds, result.jobs.size(),
                 result.jobsPerSec, ctx.jobs());
-    const std::string out = cfg.getStr("bench_out");
-    if (!out.empty()) {
-        writeBenchResults(out, spec, result);
+    if (bench_os) {
+        if (!(*bench_os << benchResultsJson(spec, result) << std::flush))
+            fatal("failed writing bench results file: " + out);
         std::printf("bench results            : %s "
                     "(schema footprint.bench/1)\n",
                     out.c_str());
@@ -284,8 +292,7 @@ main(int argc, char** argv)
     // The run asked for the recorder's verdict (timeseries stream
     // and/or warmup=auto): report the detector verdict and any
     // tree-saturation onset it saw.
-    if (cfg.getBool("timeseries")
-        || cfg.getStr("warmup") == "auto") {
+    if (TimeseriesConfig::fromSim(cfg).active()) {
         if (stats.steadyStateCycle >= 0) {
             std::printf("steady state             : detected at cycle "
                         "%lld (warmup used %lld%s)\n",

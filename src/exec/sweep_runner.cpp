@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -486,18 +485,6 @@ benchResultsJson(const SweepSpec& spec, const SweepResult& result,
     }
     os << "  ]\n}\n";
     return os.str();
-}
-
-void
-writeBenchResults(const std::string& path, const SweepSpec& spec,
-                  const SweepResult& result)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open bench results file: " + path);
-    out << benchResultsJson(spec, result);
-    if (!out)
-        fatal("failed writing bench results file: " + path);
 }
 
 } // namespace footprint

@@ -216,10 +216,6 @@ std::string benchResultsJson(const SweepSpec& spec,
                              const SweepResult& result,
                              bool include_timing = true);
 
-/** Write benchResultsJson to @p path; fatal() if unwritable. */
-void writeBenchResults(const std::string& path, const SweepSpec& spec,
-                       const SweepResult& result);
-
 /**
  * Parse "8x8" / "16x8"-style mesh labels (fatal() on malformed input);
  * shared by simulate --sweep and bench drivers.

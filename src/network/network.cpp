@@ -909,7 +909,7 @@ Network::totalFlitsSent() const
 void
 Network::attachProfiler(Profiler* profiler)
 {
-    profiler_ = (profiler && profiler->enabled()) ? profiler : nullptr;
+    profiler_ = profiler;
     if (profiler_ && stepMode_ == StepMode::Sharded) {
         profiler_->configureSharded(static_cast<int>(shards_.size()),
                                     shardChunks_, threads_);

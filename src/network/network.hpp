@@ -172,8 +172,8 @@ class Network
      * Attach a self-profiler: subsequent step() calls attribute wall
      * time to the drain/compute/transmit/epilogue phases and, under
      * sharded stepping, to per-shard busy time and barrier waits (see
-     * DESIGN.md §14). A null or disabled profiler detaches — the hot
-     * path then pays exactly one never-taken branch per phase.
+     * DESIGN.md §14). A null profiler detaches — the hot path then
+     * pays exactly one never-taken branch per phase.
      * Profiling reads the clock but never simulation state, so results
      * are bit-identical with or without it, in every step mode.
      */

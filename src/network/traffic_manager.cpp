@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <csignal>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -9,10 +10,10 @@
 #include "network/network.hpp"
 #include "obs/auditor.hpp"
 #include "obs/console.hpp"
-#include "obs/heatmap.hpp"
 #include "obs/packet_tracer.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_metadata.hpp"
+#include "obs/sink.hpp"
 #include "obs/state_dump.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_event.hpp"
@@ -168,17 +169,20 @@ runExperiment(const SimConfig& cfg)
 
     // Self-profiler (DESIGN.md §14): null unless "profile" asks for
     // it; the pointer is the only thing the stepping hot path sees.
+    // Its document is written at the end, into a file opened now.
     std::unique_ptr<Profiler> profiler;
+    std::unique_ptr<std::ofstream> profile_os;
     if (cfg.getBool("profile")) {
+        profile_os = openArtifact(cfg.getStr("profile_out"), "profile");
         profiler = std::make_unique<Profiler>();
         net.attachProfiler(profiler.get());
     }
     Profiler* const prof = profiler.get();
 
-    // Flight recorder (DESIGN.md §15): the run's one window clock. It
-    // streams windowed throughput / latency / regime / occupancy
-    // records, feeds the steady-state detector, and closes the windows
-    // of the spatial heatmap (§14). Built whenever the stream,
+    // Flight recorder (DESIGN.md §15): the run's one windowed
+    // observer. It streams windowed throughput / latency / regime /
+    // occupancy records, feeds the steady-state detector, and keeps
+    // the spatial heatmap grids (§14). Built whenever the stream,
     // warmup=auto or the heatmap needs it; like every other collector
     // it only reads network state from this serial loop, so
     // determinism is untouched, and when off it costs one null check
@@ -187,10 +191,8 @@ runExperiment(const SimConfig& cfg)
     if (!warmup_mode.empty() && warmup_mode != "auto")
         fatal("warmup must be auto or empty, got " + warmup_mode);
     const TimeseriesConfig ts_cfg = TimeseriesConfig::fromSim(cfg);
-    const HeatmapConfig hm_cfg = HeatmapConfig::fromSim(cfg);
-    std::unique_ptr<HeatmapCollector> heatmap;
     std::unique_ptr<FlightRecorder> recorder;
-    if (ts_cfg.active() || hm_cfg.enabled) {
+    if (ts_cfg.runs()) {
         if (!(ts_cfg.steadyTolerance > 0.0)) {
             fatal("steady_tolerance must be > 0 when the flight "
                   "recorder runs, got " + cfg.getStr("steady_tolerance"));
@@ -201,10 +203,7 @@ runExperiment(const SimConfig& cfg)
                   + ") under warmup=auto, got "
                   + std::to_string(ts_cfg.warmupMax));
         }
-        if (hm_cfg.enabled)
-            heatmap = std::make_unique<HeatmapCollector>(net, hm_cfg);
         recorder = std::make_unique<FlightRecorder>(net, ts_cfg, meta);
-        recorder->attachHeatmap(heatmap.get());
         recorder->attachChromeTrace(chrome.get());
     }
 
@@ -487,7 +486,8 @@ runExperiment(const SimConfig& cfg)
                     && !recorder->windows().empty()
                 ? &recorder->windows().back()
                 : nullptr;
-            console->updateRun(cycle, hard_limit, phase, last, n);
+            console->updateRun(cycle, hard_limit, phase, last,
+                               num_terminals);
         }
 
         if (cycle == warmup + measure - 1) {
@@ -533,11 +533,11 @@ runExperiment(const SimConfig& cfg)
         // and watchdog are clamped so the jump lands exactly on their
         // due cycle (a late re-arm would shift their schedule); the
         // flight recorder, the one windowed observer, is instead
-        // jump-aware and is caught up to horizon-1 here (with its
-        // heatmap), on the frozen pre-landing state, before the
-        // landing cycle steps. The drain-stall heuristic needs no
-        // clamp: idle + generation done implies fully drained, which
-        // already broke out above.
+        // jump-aware and is caught up to horizon-1 here (replaying
+        // its heatmap samples), on the frozen pre-landing state,
+        // before the landing cycle steps. The drain-stall heuristic
+        // needs no clamp: idle + generation done implies fully
+        // drained, which already broke out above.
         if (skip_ahead) {
             ProfileScope skip_ps(prof, ProfPhase::Skip);
             if (net.idle()) {
@@ -572,10 +572,12 @@ runExperiment(const SimConfig& cfg)
     }
 
     // The recorder's last window writes counter tracks: finish it
-    // before the chrome trace closes.
+    // before the chrome trace closes. finish writes the heatmap.
     if (recorder)
         recorder->finish(cycle);
     close_traces();
+    if (ts_cfg.heatmap)
+        stats.heatmapPath = ts_cfg.heatmapOut;
 
     if (console)
         console->close();
@@ -651,21 +653,12 @@ runExperiment(const SimConfig& cfg)
 
     if (prof) {
         prof->endRun(cycle);
-        const std::string out = cfg.getStr("profile_out");
+        stats.profilePath = cfg.getStr("profile_out");
         const std::string row = prof->toJsonRow(
             mode + "/" + cfg.getStr("routing"), cfg.getStr("step_mode"),
             static_cast<int>(cfg.getInt("threads")));
-        if (writeProfileDocument(out, meta, {row}))
-            stats.profilePath = out;
-        else
-            warn("could not write profile document to " + out);
-    }
-    if (heatmap) {
-        if (heatmap->writeTo(hm_cfg.outPath, meta))
-            stats.heatmapPath = hm_cfg.outPath;
-        else
-            warn("could not write heatmap document to "
-                 + hm_cfg.outPath);
+        if (!(*profile_os << profileDocument(meta, {row}) << std::flush))
+            fatal("failed writing profile file: " + stats.profilePath);
     }
     return stats;
 }

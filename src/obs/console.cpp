@@ -54,7 +54,7 @@ RunConsole::draw(const std::string& line)
 void
 RunConsole::updateRun(std::int64_t cycle, std::int64_t total_cycles,
                       const char* phase,
-                      const WindowRecord* last_window, int nodes)
+                      const WindowRecord* last_window, int terminals)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_)
@@ -95,7 +95,7 @@ RunConsole::updateRun(std::int64_t cycle, std::int64_t total_cycles,
         std::snprintf(buf + n,
                       sizeof(buf) - static_cast<std::size_t>(n),
                       " | acc %.3f f/n/c p99 %.0f infl %lld",
-                      last_window->acceptedRate(nodes),
+                      last_window->acceptedRate(terminals),
                       last_window->latencyP99,
                       static_cast<long long>(last_window->flitsInFlight));
     }

@@ -38,12 +38,12 @@ class RunConsole
      * Per-cycle progress of a single run: current cycle out of
      * @p total_cycles, phase name ("warmup"/"measure"/"drain"), and
      * optionally the most recently closed flight-recorder window for
-     * live throughput/latency. Cheap when rate-limited out: one
-     * steady_clock read per call.
+     * live throughput (per terminal of @p terminals) and latency.
+     * Cheap when rate-limited out: one steady_clock read per call.
      */
     void updateRun(std::int64_t cycle, std::int64_t total_cycles,
                    const char* phase, const WindowRecord* last_window,
-                   int nodes);
+                   int terminals);
 
     /** Sweep progress: @p done of @p total jobs finished. */
     void updateSweep(int done, int total);

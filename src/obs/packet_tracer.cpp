@@ -6,7 +6,6 @@
 #include "obs/run_metadata.hpp"
 #include "obs/sink.hpp"
 #include "obs/trace_event.hpp"
-#include "sim/log.hpp"
 
 namespace footprint {
 
@@ -31,11 +30,9 @@ PacketTracer::PacketTracer(std::ostream& os, std::uint64_t max_packets,
 PacketTracer::PacketTracer(const std::string& path,
                            std::uint64_t max_packets,
                            const RunMetadata& meta)
-    : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get()),
+    : owned_(openArtifact(path, "packet trace")), os_(owned_.get()),
       maxPackets_(max_packets)
 {
-    if (!*owned_)
-        fatal("cannot open packet trace file: " + path);
     writeHeader(*owned_, meta);
 }
 

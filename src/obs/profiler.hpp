@@ -17,8 +17,9 @@
  *
  * Overhead contract: a Network with no profiler attached pays one
  * never-taken branch per phase; runExperiment pays one null check per
- * cycle section. The CI gate (check_telemetry_overhead.py)
- * holds the disabled configuration within 2% of the bare cycle loop.
+ * cycle section. The CI gate (check_telemetry_overhead.py) holds a
+ * cycle with every observer off, as runExperiment runs it, within 2%
+ * of the bare cycle loop.
  */
 
 #ifndef FOOTPRINT_OBS_PROFILER_HPP
@@ -55,11 +56,6 @@ const char* profPhaseName(ProfPhase p);
 class Profiler
 {
   public:
-    /** A disabled profiler never records; attach points skip it. */
-    explicit Profiler(bool enabled = true) : enabled_(enabled) {}
-
-    bool enabled() const { return enabled_; }
-
     /** Monotonic nanosecond clock used by every scope. */
     static std::uint64_t
     nowNs()
@@ -194,7 +190,6 @@ class Profiler
         int count = 0;
     };
 
-    bool enabled_;
     std::array<std::uint64_t,
                static_cast<std::size_t>(ProfPhase::Count)>
         phaseNs_{};

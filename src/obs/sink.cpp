@@ -3,7 +3,18 @@
 #include <cmath>
 #include <cstdio>
 
+#include "sim/log.hpp"
+
 namespace footprint {
+
+std::unique_ptr<std::ofstream>
+openArtifact(const std::string& path, const char* kind)
+{
+    auto os = std::make_unique<std::ofstream>(path);
+    if (!*os)
+        fatal("cannot open " + std::string(kind) + " file: " + path);
+    return os;
+}
 
 std::string
 jsonEscape(const std::string& s)

@@ -1,15 +1,25 @@
 /**
  * @file
- * Text-formatting helpers shared by the JSON artifact writers: string
- * escaping and compact numeric rendering.
+ * Helpers shared by the JSON artifact writers: opening the output
+ * file, string escaping and compact numeric rendering.
  */
 
 #ifndef FOOTPRINT_OBS_SINK_HPP
 #define FOOTPRINT_OBS_SINK_HPP
 
+#include <fstream>
+#include <memory>
 #include <string>
 
 namespace footprint {
+
+/**
+ * Open @p path for an artifact of @p kind ("heatmap", ...), or end the
+ * run in fatal("cannot open <kind> file: <path>"). Writers call it
+ * before the run's first cycle.
+ */
+std::unique_ptr<std::ofstream> openArtifact(const std::string& path,
+                                            const char* kind);
 
 /** Escape @p s for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string& s);

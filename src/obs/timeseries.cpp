@@ -1,11 +1,13 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <utility>
 
 #include "network/network.hpp"
 #include "obs/run_metadata.hpp"
+#include "obs/sink.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/watchdog.hpp"
 #include "sim/config.hpp"
@@ -30,33 +32,39 @@ TimeseriesConfig::fromSim(const SimConfig& cfg)
     TimeseriesConfig tc;
     tc.enabled = cfg.getBool("timeseries");
     tc.warmupAuto = cfg.getStr("warmup") == "auto";
+    tc.heatmap = cfg.getBool("heatmap");
     // The recorder's keys are read, and so range-checked, only when
-    // it runs: for the stream, warmup=auto or the heatmap's windows.
-    if (!tc.active() && !cfg.getBool("heatmap"))
+    // it runs, and the heatmap's only when the heatmap is on.
+    if (!tc.runs())
         return tc;
     tc.outPath = cfg.getStr("timeseries_out");
     tc.interval = cfg.getInt("timeseries_interval");
     tc.steadyWindows = static_cast<int>(cfg.getInt("steady_windows"));
     tc.steadyTolerance = cfg.getDouble("steady_tolerance");
     tc.warmupMax = cfg.getInt("warmup_max_cycles");
+    if (tc.heatmap) {
+        tc.heatmapOut = cfg.getStr("heatmap_out");
+        tc.heatmapSampleInterval =
+            std::min(cfg.getInt("heatmap_sample_interval"), tc.interval);
+    }
     return tc;
 }
 
 double
-WindowRecord::offeredRate(int nodes) const
+WindowRecord::offeredRate(int terminals) const
 {
     const double denom = static_cast<double>(endCycle - startCycle)
-        * static_cast<double>(nodes);
+        * static_cast<double>(terminals);
     return denom > 0.0
         ? static_cast<double>(offeredFlits) / denom
         : 0.0;
 }
 
 double
-WindowRecord::acceptedRate(int nodes) const
+WindowRecord::acceptedRate(int terminals) const
 {
     const double denom = static_cast<double>(endCycle - startCycle)
-        * static_cast<double>(nodes);
+        * static_cast<double>(terminals);
     return denom > 0.0
         ? static_cast<double>(acceptedFlits) / denom
         : 0.0;
@@ -88,7 +96,7 @@ SteadyStateDetector::relativeHalfWidth(const std::vector<double>& ring,
 }
 
 void
-SteadyStateDetector::addWindow(const WindowRecord& w, int nodes)
+SteadyStateDetector::addWindow(const WindowRecord& w, int terminals)
 {
     if (converged())
         return;
@@ -101,7 +109,7 @@ SteadyStateDetector::addWindow(const WindowRecord& w, int nodes)
         return;
     }
     latencyMeans_[next_] = w.latencyMean;
-    acceptedRates_[next_] = w.acceptedRate(nodes);
+    acceptedRates_[next_] = w.acceptedRate(terminals);
     next_ = (next_ + 1) % latencyMeans_.size();
     if (filled_ < latencyMeans_.size())
         ++filled_;
@@ -125,6 +133,10 @@ FlightRecorder::FlightRecorder(const Network& net,
     width_ = net.mesh().width();
     height_ = net.mesh().height();
     nodes_ = net.mesh().numNodes();
+    // Rates are per terminal, like RunStats (a cmesh router hosts
+    // several); the grids stay per router.
+    terminals_ = net.topology().numTerminals();
+    metaJson_ = meta.toJson();
 
     ejectedBase_ = net.totalFlitsEjected();
     const Router::Counters agg = net.aggregateCounters();
@@ -133,7 +145,7 @@ FlightRecorder::FlightRecorder(const Network& net,
     sentBase_ = net.linkFabric().totalFlitsSent();
 
     headerCache_ = "{\"schema\":\"footprint.timeseries/1\",\"meta\":";
-    headerCache_ += meta.toJson();
+    headerCache_ += metaJson_;
     headerCache_ += ",\"mesh\":{\"width\":" + std::to_string(width_)
         + ",\"height\":" + std::to_string(height_) + "}"
         + ",\"interval\":" + std::to_string(cfg_.interval)
@@ -144,24 +156,20 @@ FlightRecorder::FlightRecorder(const Network& net,
     headerCache_ += buf;
 
     if (cfg_.enabled && !cfg_.outPath.empty()) {
-        stream_ = std::make_unique<std::ofstream>(cfg_.outPath);
-        if (*stream_) {
-            *stream_ << headerCache_ << '\n';
-            stream_->flush();
-        } else {
-            stream_.reset();
-        }
+        stream_ = openArtifact(cfg_.outPath, "timeseries");
+        *stream_ << headerCache_ << '\n';
+        stream_->flush();
     }
-}
-
-void
-FlightRecorder::attachHeatmap(HeatmapCollector* heatmap)
-{
-    heatmap_ = heatmap && heatmap->enabled() ? heatmap : nullptr;
-    FP_ASSERT(!heatmap_ || heatmap_->config().window == cfg_.interval,
-              "heatmap window " << heatmap_->config().window
-                                << " != recorder interval "
-                                << cfg_.interval);
+    if (!cfg_.heatmap)
+        return;
+    heatmapStream_ = openArtifact(cfg_.heatmapOut, "heatmap");
+    escapeVcs_ = net.routing().numEscapeVcs();
+    openHeatmapWindow();
+    // Baselines come from the fabric's flat sent lane (one contiguous
+    // read per link) rather than chasing per-channel objects.
+    linkSentBase_.reserve(net.links().size());
+    for (const Network::LinkRecord& l : net.links())
+        linkSentBase_.push_back(net.linkFabric().flitSent(l.flitId));
 }
 
 void
@@ -187,11 +195,84 @@ FlightRecorder::onCountersReset()
 }
 
 void
+FlightRecorder::openHeatmapWindow()
+{
+    grid_ = HeatmapWindow{};
+    for (std::vector<double>* g :
+         {&grid_.linkUtil[0], &grid_.linkUtil[1], &grid_.linkUtil[2],
+          &grid_.linkUtil[3], &grid_.injectUtil, &grid_.ejectUtil,
+          &grid_.vcOcc, &grid_.fpOcc, &grid_.escOcc, &grid_.injBacklog})
+        g->assign(static_cast<std::size_t>(nodes_), 0.0);
+}
+
+void
+FlightRecorder::sampleGauges()
+{
+    ++grid_.samples;
+    for (int node = 0; node < nodes_; ++node) {
+        const auto i = static_cast<std::size_t>(node);
+        const Router& r = net_.router(node);
+        grid_.vcOcc[i] += static_cast<double>(r.inputBufferedFlits());
+        grid_.fpOcc[i] += static_cast<double>(r.occupiedOutVcs());
+        if (escapeVcs_ > 0) {
+            grid_.escOcc[i] += static_cast<double>(
+                r.occupiedOutVcsBelow(escapeVcs_));
+        }
+        grid_.injBacklog[i] += static_cast<double>(
+            net_.endpoint(node).sourceBacklogFlits());
+    }
+}
+
+void
+FlightRecorder::closeHeatmapWindow(std::int64_t end_cycle)
+{
+    HeatmapWindow& w = grid_;
+    w.startCycle = windowStart_;
+    w.endCycle = end_cycle;
+    // The gauge grids hold sums over the window's samples.
+    const double inv_samples =
+        w.samples > 0 ? 1.0 / static_cast<double>(w.samples) : 0.0;
+    for (std::vector<double>* g :
+         {&w.vcOcc, &w.fpOcc, &w.escOcc, &w.injBacklog}) {
+        for (double& v : *g)
+            v *= inv_samples;
+    }
+
+    const double cycles = static_cast<double>(end_cycle - windowStart_);
+    const std::vector<Network::LinkRecord>& links = net_.links();
+    for (std::size_t li = 0; li < links.size(); ++li) {
+        const Network::LinkRecord& l = links[li];
+        const std::uint64_t sent = net_.linkFabric().flitSent(l.flitId);
+        const double flits =
+            static_cast<double>(sent - linkSentBase_[li]);
+        linkSentBase_[li] = sent;
+        const double util = cycles > 0.0 ? flits / cycles : 0.0;
+        const auto src = static_cast<std::size_t>(l.srcNode);
+        switch (l.kind) {
+        case Network::LinkRecord::Kind::RouterToRouter:
+            // srcPort names the outgoing direction (E/W/N/S).
+            w.linkUtil[l.srcPort][src] += util;
+            break;
+        case Network::LinkRecord::Kind::EndpointToRouter:
+            w.injectUtil[src] += util;
+            break;
+        case Network::LinkRecord::Kind::RouterToEndpoint:
+            w.ejectUtil[src] += util;
+            break;
+        }
+    }
+
+    heatmapWindows_.push_back(std::move(w));
+    openHeatmapWindow();
+    nextSample_ = end_cycle;
+}
+
+void
 FlightRecorder::closeWindow(std::int64_t end_cycle)
 {
-    if (heatmap_) {
-        heatmap_->sampleThrough(end_cycle - 1);
-        heatmap_->closeWindow(windowStart_, end_cycle);
+    if (cfg_.heatmap) {
+        sampleThrough(end_cycle - 1);
+        closeHeatmapWindow(end_cycle);
     }
 
     WindowRecord w;
@@ -247,7 +328,7 @@ FlightRecorder::closeWindow(std::int64_t end_cycle)
         watchdogBase_ = total;
     }
 
-    detector_.addWindow(w, nodes_);
+    detector_.addWindow(w, terminals_);
 
     if (stream_) {
         *stream_ << windowJson(w) << '\n';
@@ -277,6 +358,9 @@ FlightRecorder::finish(std::int64_t cycle)
         closeWindow(cycle);
     if (stream_)
         stream_->flush();
+    if (heatmapStream_
+        && !(*heatmapStream_ << heatmapJson() << std::flush))
+        fatal("failed writing heatmap file: " + cfg_.heatmapOut);
 }
 
 std::int64_t
@@ -325,10 +409,10 @@ FlightRecorder::windowJson(const WindowRecord& w) const
         + ",\"packets\":" + std::to_string(w.packetsEjected);
 
     std::snprintf(buf, sizeof(buf), ",\"offered_rate\":%.6g",
-                  w.offeredRate(nodes_));
+                  w.offeredRate(terminals_));
     out += buf;
     std::snprintf(buf, sizeof(buf), ",\"accepted_rate\":%.6g",
-                  w.acceptedRate(nodes_));
+                  w.acceptedRate(terminals_));
     out += buf;
 
     out += ",\"latency\":{\"count\":" + std::to_string(w.latencyCount);
@@ -362,6 +446,68 @@ FlightRecorder::windowJson(const WindowRecord& w) const
         + ",\"inj_backlog\":" + std::to_string(w.injBacklog);
     std::snprintf(buf, sizeof(buf), ",\"link_util\":%.6g}", w.linkUtil);
     out += buf;
+    return out;
+}
+
+namespace {
+
+void
+appendGrid(std::string& out, const char* name,
+           const std::vector<double>& grid, bool leading_comma)
+{
+    if (leading_comma)
+        out += ',';
+    out += '"';
+    out += name;
+    out += "\":[";
+    char buf[32];
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        std::snprintf(buf, sizeof(buf), "%.4g", grid[i]);
+        out += buf;
+    }
+    out += ']';
+}
+
+} // namespace
+
+std::string
+FlightRecorder::heatmapJson() const
+{
+    std::string out = "{\"schema\":\"footprint.heatmap/1\",\"meta\":";
+    out += metaJson_;
+    out += ",\"mesh\":{\"width\":" + std::to_string(width_)
+        + ",\"height\":" + std::to_string(height_) + "}";
+    out += ",\"window\":" + std::to_string(cfg_.interval)
+        + ",\"sample_interval\":"
+        + std::to_string(cfg_.heatmapSampleInterval);
+    out += ",\"metrics\":[\"link_util\",\"inject_util\","
+           "\"eject_util\",\"vc_occ\",\"fp_occ\",\"esc_occ\","
+           "\"inj_backlog\"]";
+    out += ",\"windows\":[";
+    static const char* kDirNames[4] = {"east", "west", "north",
+                                       "south"};
+    for (std::size_t wi = 0; wi < heatmapWindows_.size(); ++wi) {
+        const HeatmapWindow& w = heatmapWindows_[wi];
+        if (wi > 0)
+            out += ',';
+        out += "{\"start\":" + std::to_string(w.startCycle)
+            + ",\"end\":" + std::to_string(w.endCycle)
+            + ",\"samples\":" + std::to_string(w.samples)
+            + ",\"link_util\":{";
+        for (int d = 0; d < 4; ++d)
+            appendGrid(out, kDirNames[d], w.linkUtil[d], d > 0);
+        out += '}';
+        appendGrid(out, "inject_util", w.injectUtil, true);
+        appendGrid(out, "eject_util", w.ejectUtil, true);
+        appendGrid(out, "vc_occ", w.vcOcc, true);
+        appendGrid(out, "fp_occ", w.fpOcc, true);
+        appendGrid(out, "esc_occ", w.escOcc, true);
+        appendGrid(out, "inj_backlog", w.injBacklog, true);
+        out += '}';
+    }
+    out += "]}\n";
     return out;
 }
 

@@ -13,10 +13,11 @@
  * flush means a multi-hour run can be watched with `tail -f` and a
  * crashed run leaves every closed window intact.
  *
- * The recorder is the simulator's only window clock: an attached
- * HeatmapCollector closes its spatial window inside the recorder's
- * window close, and an attached chrome trace receives each window's
- * aggregates as counter tracks.
+ * The recorder is the simulator's one windowed observer: with the
+ * heatmap on it also keeps the spatial grids (DESIGN.md §14) and
+ * writes them as a footprint.heatmap/1 document at finish, and an
+ * attached chrome trace receives each window's aggregates as counter
+ * tracks.
  *
  * On top of the window stream sit two consumers:
  *  - SteadyStateDetector: an online windowed-mean convergence test
@@ -34,10 +35,11 @@
  * Determinism contract: the recorder is driven from the serial driver
  * loop (runExperiment) and consumes only step-mode-invariant inputs
  * (packet events from the serial collect loop, counter deltas and
- * gauge reads at window boundaries), so its window records — and hence
- * every detector decision, including the warmup=auto end cycle — are
- * bit-identical across full/activity/sharded stepping for any thread
- * count. Disabled, it costs the driver one null check per cycle.
+ * gauge reads at window boundaries and sample cycles), so its window
+ * records and grids — and hence every detector decision, including
+ * the warmup=auto end cycle — are bit-identical across
+ * full/activity/sharded stepping for any thread count. Disabled, it
+ * costs the driver one null check per cycle.
  */
 
 #ifndef FOOTPRINT_OBS_TIMESERIES_HPP
@@ -51,7 +53,6 @@
 #include <vector>
 
 #include "obs/hdr_histogram.hpp"
-#include "obs/heatmap.hpp"
 
 namespace footprint {
 
@@ -67,7 +68,7 @@ inline constexpr int kNumVaRegimes = 5;
 /** JSON field names of the VA regimes, indexed by Priority value. */
 const char* vaRegimeName(int priority);
 
-/** Flight-recorder parameters (timeseries_* / steady_* config keys). */
+/** Flight-recorder parameters (timeseries_* / steady_* / heatmap_*). */
 struct TimeseriesConfig
 {
     /**
@@ -90,16 +91,25 @@ struct TimeseriesConfig
     /** Hard cap on auto-extended warmup (warmup_max_cycles). */
     std::int64_t warmupMax = 50000;
 
+    /** Keep the spatial grids and write them to heatmapOut. */
+    bool heatmap = false;
+    std::string heatmapOut = "heatmap.json";
+    /** Cycles between gauge samples, at most one window. */
+    std::int64_t heatmapSampleInterval = 8;
+
     /**
-     * Read the timeseries / steady / warmup keys of @p cfg when the
-     * recorder runs (stream, warmup=auto or heatmap); an out-of-range
-     * value is fatal there. runExperiment checks the rules that span
-     * keys or need a strict bound.
+     * Read the recorder's keys of @p cfg when it runs (runs()), and
+     * the heatmap_* keys when the heatmap is on; an out-of-range value
+     * is fatal there. runExperiment checks the rules that span keys or
+     * need a strict bound.
      */
     static TimeseriesConfig fromSim(const SimConfig& cfg);
 
-    /** True when a FlightRecorder must run (stream or auto warmup). */
+    /** True when the run gets the steady-state verdict. */
     bool active() const { return enabled || warmupAuto; }
+
+    /** True when a FlightRecorder must run: active() or the heatmap. */
+    bool runs() const { return active() || heatmap; }
 };
 
 /** One closed aggregation window of the flight recorder. */
@@ -150,10 +160,36 @@ struct WindowRecord
 
     bool operator==(const WindowRecord&) const = default;
 
-    /** Offered flits/node/cycle over the window. */
-    double offeredRate(int nodes) const;
-    /** Accepted flits/node/cycle over the window. */
-    double acceptedRate(int nodes) const;
+    /** Offered flits per terminal per cycle over the window. */
+    double offeredRate(int terminals) const;
+    /** Accepted flits per terminal per cycle over the window. */
+    double acceptedRate(int terminals) const;
+};
+
+/**
+ * One closed window of the spatial grids: per-node means of the
+ * sampled gauges and per-link flits/cycle, all row-major W*H grids.
+ */
+struct HeatmapWindow
+{
+    std::int64_t startCycle = 0;
+    std::int64_t endCycle = 0;    ///< exclusive
+    std::int64_t samples = 0;     ///< gauge samples in this window
+
+    /** Mean flits/cycle leaving each node per direction (E/W/N/S). */
+    std::vector<double> linkUtil[4];
+    /** Mean flits/cycle node->router (inject) and router->node. */
+    std::vector<double> injectUtil;
+    std::vector<double> ejectUtil;
+
+    /** Mean flits buffered in each router's input VCs. */
+    std::vector<double> vcOcc;
+    /** Mean occupied output VCs per router (footprint size). */
+    std::vector<double> fpOcc;
+    /** Mean occupied escape output VCs per router. */
+    std::vector<double> escOcc;
+    /** Mean flits backlogged in each endpoint's source queue. */
+    std::vector<double> injBacklog;
 };
 
 /**
@@ -170,8 +206,8 @@ class SteadyStateDetector
     /** Requires @p windows >= 2 and @p tolerance > 0. */
     SteadyStateDetector(int windows, double tolerance);
 
-    /** Observe one closed window. */
-    void addWindow(const WindowRecord& w, int nodes);
+    /** Observe one closed window of a run with @p terminals. */
+    void addWindow(const WindowRecord& w, int terminals);
 
     bool converged() const { return steadyCycle_ >= 0; }
 
@@ -205,9 +241,12 @@ class FlightRecorder
 {
   public:
     /**
+     * Opens the stream and the heatmap file its config names (an
+     * unopenable path is fatal) and takes the per-link sent-count
+     * baselines, so build it before the first observed cycle.
      * @param net  network to observe.
-     * @param cfg  recorder parameters; cfg.active() should be true.
-     * @param meta run metadata stamped onto the stream header.
+     * @param cfg  recorder parameters; cfg.runs() should be true.
+     * @param meta run metadata stamped onto both artifacts.
      */
     FlightRecorder(const Network& net, const TimeseriesConfig& cfg,
                    const RunMetadata& meta);
@@ -219,14 +258,6 @@ class FlightRecorder
     {
         watchdog_ = watchdog;
     }
-
-    /**
-     * Drive @p heatmap from this recorder's window clock: its gauge
-     * samples on every tick, its window close inside every window
-     * close. The collector's window must equal this recorder's
-     * interval. A null or disabled collector detaches.
-     */
-    void attachHeatmap(HeatmapCollector* heatmap);
 
     /**
      * Write each closed window's network-wide aggregates onto
@@ -263,16 +294,18 @@ class FlightRecorder
      * boundary closes in order at its exact boundary cycle — skipped
      * spans contribute empty windows (zero offered/accepted, counter
      * deltas of zero, gauges of the frozen state), byte-identical to
-     * ticking through the span cycle by cycle. An attached heatmap
-     * takes the gauge samples due before each boundary first.
+     * ticking through the span cycle by cycle. With the heatmap on,
+     * it then takes the gauge samples due through @p cycle; a window
+     * close first takes those due before its boundary, so a jump
+     * replays every sample against the frozen state.
      */
     void
     tick(std::int64_t cycle)
     {
         while (cycle + 1 - windowStart_ >= cfg_.interval)
             closeWindow(windowStart_ + cfg_.interval);
-        if (heatmap_)
-            heatmap_->sampleThrough(cycle);
+        if (cfg_.heatmap)
+            sampleThrough(cycle);
     }
 
     /** First cycle at which tick() would close a window. */
@@ -282,12 +315,21 @@ class FlightRecorder
         return windowStart_ + cfg_.interval - 1;
     }
 
-    /** Close any partial trailing window and flush the stream. */
+    /**
+     * Close any partial trailing window, flush the stream and, with
+     * the heatmap on, write heatmapJson() to heatmapOut.
+     */
     void finish(std::int64_t cycle);
 
     const std::vector<WindowRecord>& windows() const
     {
         return windows_;
+    }
+
+    /** The closed grid windows; empty with the heatmap off. */
+    const std::vector<HeatmapWindow>& heatmapWindows() const
+    {
+        return heatmapWindows_;
     }
 
     const SteadyStateDetector& detector() const { return detector_; }
@@ -317,17 +359,34 @@ class FlightRecorder
     /** One window as its JSONL record (no trailing newline). */
     std::string windowJson(const WindowRecord& w) const;
 
+    /** The footprint.heatmap/1 document of the closed grid windows. */
+    std::string heatmapJson() const;
+
   private:
     void closeWindow(std::int64_t end_cycle);
+
+    /** Take every gauge sample due at or before @p cycle. */
+    void
+    sampleThrough(std::int64_t cycle)
+    {
+        for (; nextSample_ <= cycle;
+             nextSample_ += cfg_.heatmapSampleInterval)
+            sampleGauges();
+    }
+    void openHeatmapWindow();
+    void sampleGauges();
+    void closeHeatmapWindow(std::int64_t end_cycle);
 
     const Network& net_;
     TimeseriesConfig cfg_;
     const Watchdog* watchdog_ = nullptr;
-    HeatmapCollector* heatmap_ = nullptr;
     ChromeTraceWriter* chrome_ = nullptr;
-    int nodes_ = 0;
+    int nodes_ = 0;      ///< routers: the gauge loops and the grids
+    int terminals_ = 0;  ///< the basis of the window rates
     int width_ = 0;
     int height_ = 0;
+    int escapeVcs_ = 0;
+    std::string metaJson_;
 
     std::int64_t windowStart_ = 0;
     std::int64_t windowIndex_ = 0;
@@ -348,8 +407,17 @@ class FlightRecorder
     SteadyStateDetector detector_;
     std::vector<WindowRecord> windows_;
 
+    // Heatmap grids (cfg.heatmap): the open window, whose gauge grids
+    // hold sums until its close divides them, and per-link sent-count
+    // baselines, index-aligned with Network::links().
+    HeatmapWindow grid_;
+    std::int64_t nextSample_ = 0;
+    std::vector<std::uint64_t> linkSentBase_;
+    std::vector<HeatmapWindow> heatmapWindows_;
+
     std::string headerCache_;  ///< emitted stream header line
     std::unique_ptr<std::ofstream> stream_;  ///< null when not streaming
+    std::unique_ptr<std::ofstream> heatmapStream_;  ///< null when off
 };
 
 } // namespace footprint

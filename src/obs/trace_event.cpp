@@ -13,11 +13,9 @@ ChromeTraceWriter::ChromeTraceWriter(std::ostream& os,
 
 ChromeTraceWriter::ChromeTraceWriter(const std::string& path,
                                      const RunMetadata& meta)
-    : owned_(std::make_unique<std::ofstream>(path)), os_(owned_.get()),
+    : owned_(openArtifact(path, "chrome trace")), os_(owned_.get()),
       meta_(meta)
 {
-    if (!*owned_)
-        fatal("cannot open chrome trace file: " + path);
     *os_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
 

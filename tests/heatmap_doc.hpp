@@ -1,7 +1,9 @@
 /**
  * @file
- * Helpers for tests that compare footprint.heatmap/1 documents across
- * runs: strip the run-metadata header and list the window bounds.
+ * Helpers for tests of the flight recorder's heatmap grids: a
+ * heatmap-on recorder config, and for comparing footprint.heatmap/1
+ * documents across runs, the document without its run-metadata header
+ * and its window bounds.
  */
 
 #ifndef FOOTPRINT_TESTS_HEATMAP_DOC_HPP
@@ -9,11 +11,35 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/timeseries.hpp"
+
 namespace footprint {
+
+/**
+ * A stream-less recorder config with the heatmap on: @p window cycles
+ * per window, a gauge sample every @p sample cycles, and the document
+ * written to @p name in the temp directory (the recorder opens it when
+ * built and writes it at finish; the test removes it).
+ */
+inline TimeseriesConfig
+heatmapRecorderConfig(std::int64_t window, std::int64_t sample,
+                      const std::string& name)
+{
+    TimeseriesConfig tc;
+    tc.enabled = true;
+    tc.outPath = "";
+    tc.interval = window;
+    tc.heatmap = true;
+    tc.heatmapOut =
+        (std::filesystem::temp_directory_path() / name).string();
+    tc.heatmapSampleInterval = sample;
+    return tc;
+}
 
 /**
  * @p doc without its "meta" object: the config hash in it differs

@@ -11,7 +11,8 @@ tool must exit 1 on every mutant, for the reason the mutation names.
 The two renderers, which load through the tool, must render their own
 kind and refuse the other. The hotspot run, rerun elsewhere with the
 execution knobs --console and --jobs added, must write byte-identical
-artifacts.
+artifacts. A sweep whose --bench-out cannot be opened must end in
+fatal: before its first job runs.
 
 Usage: test_artifacts.py SIMULATE MICRO_CYCLE
 """
@@ -58,17 +59,18 @@ HOTSPOT = ["traffic=hotspot", "injection_rate=1.0", "background_rate=0.9",
 TIMELESS = ["timeseries.jsonl", "heatmap.json", "state_dump.json",
             "trace.jsonl"]
 
+SHORT = ["mesh_width=4", "mesh_height=4", "warmup_cycles=100",
+         "measure_cycles=200", "drain_cycles=1000"]
+
 
 def generate(simulate, micro_cycle, tmp):
     """Write every artifact kind from real runs into @tmp."""
-    short = ["mesh_width=4", "mesh_height=4", "warmup_cycles=100",
-             "measure_cycles=200", "drain_cycles=1000"]
     runs = [
         [simulate] + HOTSPOT,
         [simulate, "step_mode=sharded", "threads=2", "--profile",
-         "profile_out=sharded_profile.json"] + short,
+         "profile_out=sharded_profile.json"] + SHORT,
         [simulate, "--sweep", "0.1,0.3", "--bench-out", "bench.json"]
-        + short,
+        + SHORT,
         [micro_cycle, "--point", "sat16", "--cycles", "60", "--out",
          "micro.json"],
     ]
@@ -262,6 +264,17 @@ def main():
                     failures.append("%s on %s: exit %d, want %d (%s)"
                                     % (script, file, run.returncode, want,
                                        run.stderr.strip()))
+
+        # The bench file opens before the sweep's first job.
+        run = subprocess.run(
+            [simulate, "--sweep", "0.1,0.3", "--bench-out",
+             os.path.join(tmp, "missing", "b.json")] + SHORT,
+            capture_output=True, text=True)
+        if (run.returncode != 1
+                or "fatal: cannot open bench results file" not in run.stderr
+                or "--- sweep results ---" in run.stdout):
+            failures.append("unopenable --bench-out: exit %d, %s"
+                            % (run.returncode, run.stderr.strip()))
     for msg in failures:
         print("FAIL: %s" % msg)
     print("%d mutants over %d kinds; %d failure(s)"

@@ -1,20 +1,23 @@
 /**
  * @file
- * Unit tests for the spatial heatmap observatory: config clamping,
- * window tiling on the flight recorder's window clock, grid geometry,
- * link-utilization delta math on a tiny mesh with a known traffic
- * pattern, and the footprint.heatmap/1 document shape.
+ * Unit tests for the flight recorder's spatial heatmap grids: config
+ * reading and clamping, grid windows on the recorder's own windows,
+ * grid geometry, link-utilization delta math on a tiny mesh with a
+ * known traffic pattern, and the footprint.heatmap/1 document shape.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "heatmap_doc.hpp"
 #include "network/network.hpp"
-#include "obs/heatmap.hpp"
 #include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/config.hpp"
@@ -25,63 +28,56 @@ namespace {
 
 TEST(HeatmapConfig, FromSimReadsDefaults)
 {
-    const HeatmapConfig hc = HeatmapConfig::fromSim(defaultConfig());
-    EXPECT_FALSE(hc.enabled);
-    EXPECT_EQ(hc.outPath, "heatmap.json");
-    EXPECT_EQ(hc.window, 1000);
-    EXPECT_EQ(hc.sampleInterval, 8);
+    const TimeseriesConfig tc = TimeseriesConfig::fromSim(defaultConfig());
+    EXPECT_FALSE(tc.heatmap);
+    EXPECT_FALSE(tc.runs());
+    EXPECT_EQ(tc.heatmapOut, "heatmap.json");
+    EXPECT_EQ(tc.interval, 1000);
+    EXPECT_EQ(tc.heatmapSampleInterval, 8);
 }
 
 TEST(HeatmapConfig, FromSimClampsDegenerateValues)
 {
     // A sample interval longer than the window degrades to one
     // sample per window. Intervals below 1 are fatal where fromSim
-    // reads them (RunInput.OutOfRangeRunValuesAreFatal).
+    // reads them (RunInput.OutOfRangeRunValuesAreFatal). The heatmap
+    // alone runs the recorder but asks for no verdict.
     SimConfig cfg = defaultConfig();
     cfg.setBool("heatmap", true);
     cfg.setInt("timeseries_interval", 10);
     cfg.setInt("heatmap_sample_interval", 50);
-    const HeatmapConfig hc = HeatmapConfig::fromSim(cfg);
-    EXPECT_TRUE(hc.enabled);
-    EXPECT_EQ(hc.window, 10);
-    EXPECT_EQ(hc.sampleInterval, 10);
-}
-
-/** A stream-less recorder whose window clock drives @p col. */
-FlightRecorder
-recorderFor(const Network& net, HeatmapCollector& col)
-{
-    TimeseriesConfig tc;
-    tc.enabled = true;
-    tc.outPath = "";
-    tc.interval = col.config().window;
-    FlightRecorder rec(net, tc, RunMetadata());
-    rec.attachHeatmap(&col);
-    return rec;
+    const TimeseriesConfig tc = TimeseriesConfig::fromSim(cfg);
+    EXPECT_TRUE(tc.heatmap);
+    EXPECT_TRUE(tc.runs());
+    EXPECT_FALSE(tc.active());
+    EXPECT_EQ(tc.interval, 10);
+    EXPECT_EQ(tc.heatmapSampleInterval, 10);
 }
 
 TEST(HeatmapCollector, DisabledCollectorRecordsNothing)
 {
+    // With the heatmap off the recorder keeps its windows, no grids.
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    HeatmapConfig hc;  // enabled = false
-    HeatmapCollector col(net, hc);
-    EXPECT_FALSE(col.enabled());
-    FlightRecorder rec = recorderFor(net, col);
+    TimeseriesConfig tc;
+    tc.enabled = true;
+    tc.outPath = "";
+    tc.interval = 20;
+    FlightRecorder rec(net, tc, RunMetadata());
     for (std::int64_t cycle = 0; cycle < 50; ++cycle) {
         net.step(cycle);
         rec.tick(cycle);
     }
     rec.finish(50);
-    EXPECT_TRUE(col.windows().empty());
+    EXPECT_EQ(rec.windows().size(), 3u);
+    EXPECT_TRUE(rec.heatmapWindows().empty());
 }
 
 /** Drive the default 8x8 mesh under uniform Bernoulli load. */
 void
-driveUniform(Network& net, HeatmapCollector& col, std::int64_t cycles,
+driveUniform(Network& net, FlightRecorder& rec, std::int64_t cycles,
              double load)
 {
-    FlightRecorder rec = recorderFor(net, col);
     const int nodes = net.mesh().numNodes();
     Rng gen(17);
     std::uint64_t id = 0;
@@ -111,16 +107,15 @@ TEST(HeatmapCollector, WindowsTileTheRunAndCountSamples)
 {
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    HeatmapConfig hc;
-    hc.enabled = true;
-    hc.window = 100;
-    hc.sampleInterval = 3;
-    HeatmapCollector col(net, hc);
-    driveUniform(net, col, 250, 0.05);
+    const TimeseriesConfig tc =
+        heatmapRecorderConfig(100, 3, "fp_heatmap_tiles.json");
+    FlightRecorder rec(net, tc, RunMetadata());
+    driveUniform(net, rec, 250, 0.05);
+    std::remove(tc.heatmapOut.c_str());
 
     // [0,100), [100,200), and the partial trailing [200,250).
-    ASSERT_EQ(col.windows().size(), 3u);
-    const auto& w = col.windows();
+    ASSERT_EQ(rec.heatmapWindows().size(), 3u);
+    const auto& w = rec.heatmapWindows();
     EXPECT_EQ(w[0].startCycle, 0);
     EXPECT_EQ(w[0].endCycle, 100);
     EXPECT_EQ(w[1].startCycle, 100);
@@ -170,12 +165,9 @@ TEST(HeatmapCollector, EastboundPacketLandsOnEastLinkGrid)
     cfg.setInt("mesh_height", 2);
     cfg.set("routing", "dor");
     Network net(cfg);
-    HeatmapConfig hc;
-    hc.enabled = true;
-    hc.window = 60;
-    hc.sampleInterval = 1;
-    HeatmapCollector col(net, hc);
-    FlightRecorder rec = recorderFor(net, col);
+    const TimeseriesConfig tc =
+        heatmapRecorderConfig(60, 1, "fp_heatmap_east.json");
+    FlightRecorder rec(net, tc, RunMetadata());
 
     Packet p;
     p.id = 1;
@@ -191,10 +183,11 @@ TEST(HeatmapCollector, EastboundPacketLandsOnEastLinkGrid)
         drained += net.endpoint(1).drainEjected().size();
     }
     rec.finish(60);
+    std::remove(tc.heatmapOut.c_str());
     ASSERT_EQ(drained, 1u);
 
-    ASSERT_EQ(col.windows().size(), 1u);
-    const HeatmapWindow& w = col.windows()[0];
+    ASSERT_EQ(rec.heatmapWindows().size(), 1u);
+    const HeatmapWindow& w = rec.heatmapWindows()[0];
     const double cycles = 60.0;
     // All flits enter at node 0, cross its east link, leave at node 1.
     EXPECT_DOUBLE_EQ(w.injectUtil[0] * cycles, 2.0);
@@ -220,14 +213,18 @@ TEST(HeatmapCollector, JsonDocumentHasSchemaAndTiledWindows)
 {
     SimConfig cfg = defaultConfig();
     Network net(cfg);
-    HeatmapConfig hc;
-    hc.enabled = true;
-    hc.window = 50;
-    hc.sampleInterval = 5;
-    HeatmapCollector col(net, hc);
-    driveUniform(net, col, 100, 0.05);
+    const TimeseriesConfig tc =
+        heatmapRecorderConfig(50, 5, "fp_heatmap_doc.json");
+    FlightRecorder rec(net, tc, RunMetadata());
+    driveUniform(net, rec, 100, 0.05);
 
-    const std::string doc = col.toJson(RunMetadata());
+    // finish wrote the document to heatmapOut.
+    const std::string doc = rec.heatmapJson();
+    std::ifstream in(tc.heatmapOut);
+    std::stringstream written;
+    written << in.rdbuf();
+    std::remove(tc.heatmapOut.c_str());
+    EXPECT_EQ(written.str(), doc);
     EXPECT_EQ(doc.find("{\"schema\":\"footprint.heatmap/1\""), 0u);
     EXPECT_NE(doc.find("\"mesh\":{\"width\":8,\"height\":8}"),
               std::string::npos);

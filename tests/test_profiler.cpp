@@ -213,13 +213,5 @@ TEST(Profiler, WriteDocumentRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(Profiler, DisabledProfilerReportsDisabled)
-{
-    Profiler prof(false);
-    EXPECT_FALSE(prof.enabled());
-    Profiler on;
-    EXPECT_TRUE(on.enabled());
-}
-
 } // namespace
 } // namespace footprint

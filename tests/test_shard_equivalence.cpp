@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -23,8 +24,8 @@
 #include <vector>
 
 #include "expect_panic.hpp"
+#include "heatmap_doc.hpp"
 #include "network/network.hpp"
-#include "obs/heatmap.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
@@ -103,20 +104,14 @@ runSignature(const std::string& routing, double load,
         net.attachProfiler(prof);
         prof->beginRun();
     }
-    HeatmapConfig hm_cfg;
-    hm_cfg.enabled = heatmap;
-    hm_cfg.window = 100;
-    hm_cfg.sampleInterval = 4;
-    std::unique_ptr<HeatmapCollector> hm;
-    std::unique_ptr<FlightRecorder> rec;  ///< the heatmap's window clock
+    std::unique_ptr<FlightRecorder> rec;  ///< keeps the heatmap grids
     if (heatmap) {
-        hm = std::make_unique<HeatmapCollector>(net, hm_cfg);
-        TimeseriesConfig tc;
-        tc.enabled = true;
-        tc.outPath = "";
-        tc.interval = hm_cfg.window;
-        rec = std::make_unique<FlightRecorder>(net, tc, RunMetadata());
-        rec->attachHeatmap(hm.get());
+        rec = std::make_unique<FlightRecorder>(
+            net,
+            heatmapRecorderConfig(100, 4,
+                                  "fp_shard_hm_" + routing + "_"
+                                      + step_mode + ".json"),
+            RunMetadata());
     }
 
     Rng gen(99);
@@ -173,6 +168,8 @@ runSignature(const std::string& routing, double load,
     }
     if (prof)
         prof->endRun(cycles);
+    if (rec)  // never finished: the document stays unwritten
+        std::remove(rec->config().heatmapOut.c_str());
 
     std::vector<std::uint64_t> sig = {drained, hops_sum, latency_sum};
     foldNetwork(net, sig);
@@ -430,8 +427,8 @@ TEST(ShardEquivalence, NonContiguousCyclesStillMatch)
 TEST(ShardEquivalence, ProfiledShardedRunIsBitIdentical)
 {
     // Observability determinism satellite: a sharded run with the
-    // self-profiler attached and the heatmap collector ticking every
-    // cycle must produce the exact signature of an unprofiled full
+    // self-profiler attached and the recorder's heatmap sampling every
+    // 4 cycles must produce the exact signature of an unprofiled full
     // run — profiling reads clocks and network state, never writes.
     const auto full = runSignature("footprint", 0.30, "full", 300);
     Profiler prof;
@@ -477,15 +474,16 @@ TEST(ShardEquivalence, ProfiledSerialModesAreBitIdentical)
 
 TEST(ShardEquivalence, DisabledProfilerDetaches)
 {
-    // attachProfiler with a disabled profiler must leave the hot path
-    // unprofiled (nothing recorded) and results untouched.
-    const auto full = runSignature("footprint", 0.15, "full", 200);
-    Profiler off(false);
-    const auto run = runSignature("footprint", 0.15, "sharded", 200,
-                                  2, 0, &off, false);
-    EXPECT_EQ(full, run);
-    EXPECT_EQ(off.phaseCalls(ProfPhase::Compute), 0u);
-    EXPECT_EQ(off.barrierWaits().count(), 0u);
+    // attachProfiler(nullptr) detaches a sharded network's profiler:
+    // the hot path records nothing more.
+    Network net(lockstepConfig("sharded", 2));
+    Profiler prof;
+    net.attachProfiler(&prof);
+    net.attachProfiler(nullptr);
+    for (std::int64_t cycle = 0; cycle < 50; ++cycle)
+        net.step(cycle);
+    EXPECT_EQ(prof.phaseCalls(ProfPhase::Epilogue), 0u);
+    EXPECT_EQ(prof.barrierWaits().count(), 0u);
 }
 
 TEST(ShardEquivalence, CreditRoundTripAcrossShardBoundary)

@@ -541,7 +541,7 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
     // The determinism contract: recorder windows — and hence every
     // steady-state / saturation decision — must be bit-identical
     // across the serial and parallel stepping engines, and so must the
-    // heatmap document clocked by those windows.
+    // heatmap grids the recorder keeps on those windows.
     struct ModeRun
     {
         std::vector<std::string> records;
@@ -603,6 +603,46 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
         EXPECT_EQ(full.steadyCycle, other->steadyCycle);
         EXPECT_EQ(full.heatmap, other->heatmap);
     }
+}
+
+TEST(TimeseriesRun, CmeshWindowRatesArePerTerminal)
+{
+    // A cmesh router hosts `concentration` terminals. The window rates
+    // share RunStats' per-terminal basis; per router they would read
+    // 4x the run's accepted rate here.
+    SimConfig cfg = runConfig(0.1);
+    cfg.set("topology", "cmesh");
+    cfg.setInt("concentration", 4);
+    cfg.setInt("mesh_width", 2);
+    cfg.setInt("mesh_height", 2);
+    cfg.setBool("timeseries", true);
+    cfg.set("timeseries_out", "");
+    const RunStats stats = runExperiment(cfg);
+    ASSERT_TRUE(stats.drained);
+    ASSERT_GT(stats.acceptedFlitsPerNodeCycle, 0.0);
+
+    // windowJson prints each window's rates on the recorder's basis.
+    const Network net(cfg);
+    const FlightRecorder rec(net, TimeseriesConfig::fromSim(cfg),
+                             RunMetadata());
+    const std::int64_t measure_end =
+        stats.warmupUsed + cfg.getInt("measure_cycles");
+    double sum = 0.0;
+    int windows = 0;
+    for (const WindowRecord& w : stats.windows) {
+        if (w.startCycle < stats.warmupUsed || w.endCycle > measure_end)
+            continue;
+        const std::string json = rec.windowJson(w);
+        double rate = -1.0;
+        ASSERT_EQ(std::sscanf(json.c_str() + json.find("\"accepted_rate\""),
+                              "\"accepted_rate\":%lf", &rate),
+                  1);
+        sum += rate;
+        ++windows;
+    }
+    ASSERT_EQ(windows, 15);
+    EXPECT_NEAR(sum / windows, stats.acceptedFlitsPerNodeCycle,
+                0.1 * stats.acceptedFlitsPerNodeCycle);
 }
 
 } // namespace

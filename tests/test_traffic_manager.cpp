@@ -174,6 +174,40 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
     }
 }
 
+TEST(RunInput, UnopenableOutputFileIsFatalBeforeCycleZero)
+{
+    // Every artifact file opens before the run's first cycle, so a
+    // path in a missing directory ends the run in fatal: naming the
+    // file's kind. The console draws at its first cycle, so stderr
+    // starting with the fatal shows that no cycle ran.
+    const std::string missing = (std::filesystem::temp_directory_path()
+                                 / "fp_no_such_dir" / "out")
+                                    .string();
+    struct Case
+    {
+        const char* key;
+        const char* with;  ///< "key=value" turning the writer on
+        const char* kind;
+    };
+    const Case cases[] = {
+        {"timeseries_out", "timeseries=true", "timeseries"},
+        {"heatmap_out", "heatmap=true", "heatmap"},
+        {"profile_out", "profile=true", "profile"},
+        {"chrome_trace_out", "chrome_trace=true", "chrome trace"},
+        {"trace_out", "trace_packets=10", "packet trace"},
+    };
+    for (const Case& c : cases) {
+        SimConfig cfg = quickConfig("footprint", "uniform", 0.05);
+        cfg.setBool("console", true);
+        cfg.set(c.key, missing);
+        ASSERT_TRUE(cfg.parseAssignment(c.with));
+        EXPECT_EXIT(runExperiment(cfg), testing::ExitedWithCode(1),
+                    std::string("^fatal: cannot open ") + c.kind
+                        + " file: ")
+            << c.key;
+    }
+}
+
 TEST(RunDeterminism, SameSeedSameResult)
 {
     SimConfig cfg = quickConfig("footprint", "uniform", 0.2);

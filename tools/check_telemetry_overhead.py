@@ -3,13 +3,14 @@
 
 Runs the micro_router google-benchmark binary and compares the bare
 whole-network-cycle benchmark (``BM_NetworkCycle/30``) against the same
-loop with the observability stack compiled in but disabled
-(``BM_NetworkCycleObsIdle``: a disabled self-profiler attached and the
-flight-recorder null check in place, DESIGN.md §14/§15). The two run
-in the same process moments apart, so the comparison is stable across
-machines, unlike absolute wall-clock numbers. The gate fails when the
-idle-observability variant is more than ``--threshold`` (default 2%)
-slower.
+loop carrying what runExperiment runs every cycle with every observer
+off (``BM_NetworkCycleObsIdle``, DESIGN.md §9): the invariant auditor
+and watchdog built with interval 0 as with ``audit`` off, their ticks,
+the deadlock test and the flight-recorder null check, with no profiler
+attached. The two run in the same process moments apart, so the
+comparison is stable across machines, unlike absolute wall-clock
+numbers. The gate fails when the idle-observability variant is more
+than ``--threshold`` (default 2%) slower.
 
 A recorded baseline (``bench/micro_baseline.json``, written with
 ``--record``) provides a second, advisory comparison of absolute
