@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.hpp"
 
@@ -38,19 +39,13 @@ transposeLatency(SimConfig cfg)
     return runExperiment(cfg).avgLatency();
 }
 
-void
-row(const std::string& label, const SimConfig& cfg)
-{
-    std::printf("%-32s %14.1f %16.1f\n", label.c_str(),
-                hotspotLatency(cfg), transposeLatency(cfg));
-}
-
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     setQuiet(true);
+    ExecContext ctx(benchJobs(argc, argv));
     header("Footprint ablations (8x8, 10 VCs; hotspot bg latency @ "
            "0.44, transpose latency @ 0.40)");
     std::printf("%-32s %14s %16s\n", "configuration", "hotspot_lat",
@@ -59,34 +54,46 @@ main()
     SimConfig base = benchBaseline();
     base.set("routing", "footprint");
 
-    {
-        SimConfig cfg = base;
-        row("default (converge, thr=V/2)", cfg);
-    }
+    std::vector<std::pair<std::string, SimConfig>> rows;
+    rows.emplace_back("default (converge, thr=V/2)", base);
     for (const char* variant : {"literal", "wait"}) {
         SimConfig cfg = base;
         cfg.set("fp_variant", variant);
-        row(std::string("variant=") + variant, cfg);
+        rows.emplace_back(std::string("variant=") + variant, cfg);
     }
     for (int thr : {2, 3, 7}) {
         SimConfig cfg = base;
         cfg.setInt("congestion_threshold", thr);
-        row("threshold=" + std::to_string(thr), cfg);
+        rows.emplace_back("threshold=" + std::to_string(thr), cfg);
     }
     for (int cap : {1, 2, 4}) {
         SimConfig cfg = base;
         cfg.setInt("fp_vc_cap", cap);
-        row("fp_vc_cap=" + std::to_string(cap), cfg);
+        rows.emplace_back("fp_vc_cap=" + std::to_string(cap), cfg);
     }
     for (int ct : {3, 4}) {
         SimConfig cfg = base;
         cfg.setInt("fp_converge_threshold", ct);
-        row("converge_threshold=" + std::to_string(ct), cfg);
+        rows.emplace_back("converge_threshold=" + std::to_string(ct),
+                          cfg);
     }
     {
         SimConfig cfg = base;
         cfg.set("routing", "dbar");
-        row("dbar (reference)", cfg);
+        rows.emplace_back("dbar (reference)", cfg);
+    }
+
+    // Every (row, workload) run is independent: execute them as one
+    // parallel batch, then print in row order.
+    std::vector<std::function<double()>> tasks;
+    for (const auto& [label, cfg] : rows) {
+        tasks.push_back([cfg]() { return hotspotLatency(cfg); });
+        tasks.push_back([cfg]() { return transposeLatency(cfg); });
+    }
+    const std::vector<double> lat = ctx.map(std::move(tasks));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::printf("%-32s %14.1f %16.1f\n", rows[i].first.c_str(),
+                    lat[2 * i], lat[2 * i + 1]);
     }
     return 0;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "traffic/trace_gen.hpp"
@@ -55,53 +56,77 @@ replay(const std::string& trace_path, const std::string& algo,
 } // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
     setQuiet(true);
+    ExecContext ctx(benchJobs(argc, argv));
     const Mesh mesh(8, 8);
     const auto length =
         static_cast<std::int64_t>(4000 * benchScale());
-
-    // (a) latency difference per co-running pair.
-    header("Figure 10(a): Footprint vs DBAR latency on co-running "
-           "PARSEC-like trace pairs");
     const std::pair<const char*, const char*> pairs[] = {
         {"fluidanimate", "ferret"},  {"fluidanimate", "canneal"},
         {"bodytrack", "freqmine"},   {"x264", "canneal"},
         {"dedup", "vips"},           {"blackscholes", "swaptions"},
     };
+    const std::vector<AppProfile> apps = parsecProfiles();
+
+    // Every pair and every application is an independent job writing
+    // its own trace file: one parallel batch, printed in order below.
+    // A pair job returns its DBAR then its Footprint replay; an
+    // application job returns its DBAR replay (the blocking the paper
+    // attributes to VC-oblivious allocation).
+    std::vector<std::function<std::vector<RunStats>()>> tasks;
+    for (const auto& [a, b] : pairs) {
+        tasks.push_back([&mesh, a, b, length]() {
+            const std::string path = buildPairTrace(mesh, a, b, length);
+            std::vector<RunStats> out{replay(path, "dbar", length),
+                                      replay(path, "footprint", length)};
+            std::remove(path.c_str());
+            return out;
+        });
+    }
+    for (const AppProfile& prof : apps) {
+        tasks.push_back([&mesh, &prof, length]() {
+            const auto dir = std::filesystem::temp_directory_path();
+            const std::string path =
+                (dir / ("fp_fig10_" + prof.name + ".trace")).string();
+            writeTraceFile(path, mesh, prof, length, 7);
+            std::vector<RunStats> out{replay(path, "dbar", length)};
+            std::remove(path.c_str());
+            return out;
+        });
+    }
+    const std::vector<std::vector<RunStats>> runs =
+        ctx.map(std::move(tasks));
+
+    // (a) latency difference per co-running pair.
+    header("Figure 10(a): Footprint vs DBAR latency on co-running "
+           "PARSEC-like trace pairs");
     std::printf("%-28s %12s %12s %10s\n", "pair", "dbar_lat",
                 "fp_lat", "fp_gain");
+    std::size_t job = 0;
     for (const auto& [a, b] : pairs) {
-        const std::string path = buildPairTrace(mesh, a, b, length);
-        const RunStats dbar = replay(path, "dbar", length);
-        const RunStats fp = replay(path, "footprint", length);
+        const RunStats& dbar = runs[job][0];
+        const RunStats& fp = runs[job][1];
+        ++job;
         std::printf("%-28s %12.2f %12.2f %+9.1f%%\n",
                     (std::string(a) + "+" + b).c_str(),
                     dbar.avgLatency(), fp.avgLatency(),
                     pctGain(dbar.avgLatency(), fp.avgLatency()));
-        std::remove(path.c_str());
     }
 
-    // (b, c) purity of blocking and HoL degree per application,
-    // measured under DBAR (the blocking the paper attributes to
-    // VC-oblivious allocation).
+    // (b, c) purity of blocking and HoL degree per application.
     header("Figure 10(b,c): purity of blocking and HoL degree per "
            "application (DBAR replay)");
     std::printf("%-16s %10s %14s %14s\n", "app", "purity",
                 "blocking_evts", "hol_degree");
-    for (const AppProfile& prof : parsecProfiles()) {
-        const auto dir = std::filesystem::temp_directory_path();
-        const std::string path =
-            (dir / ("fp_fig10_" + prof.name + ".trace")).string();
-        writeTraceFile(path, mesh, prof, length, 7);
-        const RunStats stats = replay(path, "dbar", length);
+    for (const AppProfile& prof : apps) {
+        const RunStats& stats = runs[job++][0];
         std::printf("%-16s %10.3f %14llu %14.0f\n", prof.name.c_str(),
                     stats.counters.purity(),
                     static_cast<unsigned long long>(
                         stats.counters.vcAllocFail),
                     stats.counters.holDegree());
-        std::remove(path.c_str());
     }
     std::printf("\nExpectation (paper): the heavy, destination-diverse"
                 " workloads (fluidanimate)\nshow low purity, many"

@@ -36,6 +36,9 @@ Endpoint::connect(FlitChannel* to_router,
                   FlitChannel* from_router,
                   CreditChannel* credit_to_router)
 {
+    FP_ASSERT(to_router && credit_from_router && from_router
+                  && credit_to_router,
+              "endpoint " << node_ << " needs all four local pipes");
     toRouter_ = to_router;
     creditFromRouter_ = credit_from_router;
     fromRouter_ = from_router;
@@ -56,30 +59,22 @@ Endpoint::enqueue(const Packet& packet)
 void
 Endpoint::receivePhase(std::int64_t cycle)
 {
-    bool in_flight = false;
     // Credits for the router's local-input VCs.
-    if (creditFromRouter_) {
-        while (auto c = creditFromRouter_->receive(cycle)) {
-            injectVcs_[static_cast<std::size_t>(c->vc)].returnCredit();
-        }
-        in_flight = !creditFromRouter_->empty();
-    }
+    while (auto c = creditFromRouter_->receive(cycle))
+        injectVcs_[static_cast<std::size_t>(c->vc)].returnCredit();
     // Flits arriving at the sink.
-    if (fromRouter_) {
-        while (auto f = fromRouter_->receive(cycle)) {
-            FP_ASSERT(f->dest == node_,
-                      "misrouted flit at endpoint " << node_ << ": "
-                                                    << f->toString());
-            auto& buf = sinkVcs_[static_cast<std::size_t>(f->vc)];
-            FP_ASSERT(static_cast<int>(buf.size()) < params_.vcBufSize,
-                      "sink VC buffer overflow");
-            buf.push_back(*f);
-            sinkOccMask_ |= VcMask{1} << f->vc;
-            ++sinkFlits_;
-        }
-        in_flight |= !fromRouter_->empty();
+    while (auto f = fromRouter_->receive(cycle)) {
+        FP_ASSERT(f->dest == node_,
+                  "misrouted flit at endpoint " << node_ << ": "
+                                                << f->toString());
+        auto& buf = sinkVcs_[static_cast<std::size_t>(f->vc)];
+        FP_ASSERT(static_cast<int>(buf.size()) < params_.vcBufSize,
+                  "sink VC buffer overflow");
+        buf.push_back(*f);
+        sinkOccMask_ |= VcMask{1} << f->vc;
+        ++sinkFlits_;
     }
-    inFlight_ = in_flight;
+    inFlight_ = !creditFromRouter_->empty() || !fromRouter_->empty();
 }
 
 bool
@@ -117,7 +112,7 @@ Endpoint::computePhase(std::int64_t cycle)
     if (injecting_) {
         OutVcState& state =
             injectVcs_[static_cast<std::size_t>(currentVc_)];
-        if (state.credits() > 0 && toRouter_) {
+        if (state.credits() > 0) {
             Flit f = makeFlit(current_, cursor_, currentDesc_);
             f.vc = static_cast<std::int16_t>(currentVc_);
             if (cursor_ == 0)
@@ -156,8 +151,7 @@ Endpoint::computePhase(std::int64_t cycle)
             sinkOccMask_ &= ~(VcMask{1} << picked);
         --sinkFlits_;
         ++flitsEjected_;
-        if (creditToRouter_)
-            creditToRouter_->send(Credit{picked}, cycle);
+        creditToRouter_->send(Credit{picked}, cycle);
         if (f.tail) {
             if (tracer_ && tracer_->traced(f.packetId))
                 tracer_->onEject(f, node_, cycle);
@@ -174,13 +168,9 @@ Endpoint::computePhase(std::int64_t cycle)
             p.measured = d.measured;
             ejected_.push_back(p);
             // The tail has left the network: the packet's descriptor
-            // slot can be recycled. The slot belongs to the *source*
-            // endpoint's segment, so under sharded stepping it must
-            // not be returned from here (see setDeferReleases).
-            if (deferReleases_)
-                pendingRelease_.push_back(f.desc);
-            else
-                pool_->release(f.desc);
+            // slot can be recycled, by flushReleases() (the slot
+            // belongs to the *source* endpoint's segment).
+            pendingRelease_.push_back(f.desc);
         }
     }
 }
@@ -229,13 +219,8 @@ Endpoint::sinkBufferedFlits() const
 bool
 Endpoint::hasPendingWork() const
 {
-    if (injecting_ || !sourceQueue_.empty() || sinkFlits_ > 0)
-        return true;
-    if (fromRouter_ && !fromRouter_->empty())
-        return true;
-    if (creditFromRouter_ && !creditFromRouter_->empty())
-        return true;
-    return false;
+    return injecting_ || !sourceQueue_.empty() || sinkFlits_ > 0
+        || !fromRouter_->empty() || !creditFromRouter_->empty();
 }
 
 } // namespace footprint

@@ -58,13 +58,15 @@ class Endpoint
     /**
      * @param pool descriptor pool shared by every endpoint of the
      *        network; holds the per-packet constants of in-flight
-     *        packets (allocated at injection, released at ejection).
+     *        packets (allocated at injection, released by
+     *        flushReleases() after ejection).
      */
     Endpoint(int node, const EndpointParams& params, std::uint64_t seed,
              PacketPool* pool);
 
     /**
-     * Wire the endpoint to its router's local port.
+     * Wire the endpoint to its router's local port; all four pipes
+     * are required.
      *
      * @param to_router flits source -> router local input.
      * @param credit_from_router credits router -> source.
@@ -94,18 +96,14 @@ class Endpoint
     }
 
     /**
-     * Defer descriptor releases until flushReleases() instead of
-     * returning them to the pool at ejection. The Network turns this
-     * on for every endpoint: an ejected packet's descriptor lives in
-     * its *source* endpoint's pool segment, so releasing it inline
-     * would race that segment's owner under sharded stepping — and
-     * flushing from a serial end-of-step epilogue in node order keeps
-     * free-list contents identical across step modes and thread
-     * counts. Off by default for standalone use.
+     * Return the descriptors of packets ejected since the last flush
+     * to the pool (serial contexts only). Ejection only queues them:
+     * an ejected packet's descriptor lives in its *source* endpoint's
+     * pool segment, so releasing it inline would race that segment's
+     * owner under sharded stepping — and flushing from the Network's
+     * serial end-of-step epilogue in node order keeps free-list
+     * contents identical across step modes and thread counts.
      */
-    void setDeferReleases(bool on) { deferReleases_ = on; }
-
-    /** Return deferred releases to the pool (serial contexts only). */
     void
     flushReleases()
     {
@@ -240,7 +238,6 @@ class Endpoint
     /** An incoming pipe held an item after the last receivePhase. */
     bool inFlight_ = false;
     std::vector<EjectedPacket> ejected_;
-    bool deferReleases_ = false;
     std::vector<std::uint32_t> pendingRelease_;
 
     std::uint64_t flitsInjected_ = 0;

@@ -1,5 +1,7 @@
 #include "network/link_fabric.hpp"
 
+#include <bit>
+
 #include "sim/log.hpp"
 
 namespace footprint {
@@ -29,9 +31,8 @@ ringCap(const LinkFabric::Spec& s)
 {
     FP_ASSERT(s.latency >= 1 && s.maxRate >= 1,
               "link spec needs latency and maxRate >= 1");
-    return FlitChannel::ceilPow2(
-        static_cast<std::size_t>(s.maxRate)
-        * (static_cast<std::size_t>(s.latency) + 1));
+    return std::bit_ceil(static_cast<std::size_t>(s.maxRate)
+                         * (static_cast<std::size_t>(s.latency) + 1));
 }
 
 /**
@@ -114,8 +115,8 @@ LinkFabric::build(const std::vector<Spec>& flit_specs,
         credit_specs, fl.laneEnd, alignUnits(sizeof(Credit)));
     flitLaneEnd_ = fl.laneEnd;
 
-    // Allocate every arena before binding anything: bound pipes hold
-    // raw pointers into these lanes, so they must never reallocate.
+    // Allocate every arena before creating any pipe: pipes hold raw
+    // pointers into these lanes, so they must never reallocate.
     const std::size_t ring_end =
         fl.ringReadyEnd > fl.ringPayloadEnd ? fl.ringReadyEnd
                                             : fl.ringPayloadEnd;
@@ -126,7 +127,6 @@ LinkFabric::build(const std::vector<Spec>& flit_specs,
     flitPayload_.assign(ring_end, Flit{});
     creditReady_.assign(cring_end, 0);
     creditPayload_.assign(cring_end, Credit{});
-    headReady_.assign(cl.laneEnd, FlitChannel::kNoArrival);
     sent_.assign(cl.laneEnd, 0);
 
     flitSlot_ = fl.laneSlot;
@@ -137,22 +137,18 @@ LinkFabric::build(const std::vector<Spec>& flit_specs,
     flit_.reserve(flit_specs.size());
     for (std::size_t i = 0; i < flit_specs.size(); ++i) {
         flitWriter_.push_back(flit_specs[i].writerNode);
-        flit_.emplace_back(flit_specs[i].latency);
-        flit_.back().bindLanes(flitReady_.data() + fl.ringOffset[i],
-                               flitPayload_.data() + fl.ringOffset[i],
-                               fl.cap[i],
-                               headReady_.data() + fl.laneSlot[i],
-                               sent_.data() + fl.laneSlot[i]);
+        flit_.emplace_back(flit_specs[i].latency,
+                           flitReady_.data() + fl.ringOffset[i],
+                           flitPayload_.data() + fl.ringOffset[i],
+                           fl.cap[i], sent_.data() + fl.laneSlot[i]);
     }
     credit_.reserve(credit_specs.size());
     for (std::size_t i = 0; i < credit_specs.size(); ++i) {
         creditWriter_.push_back(credit_specs[i].writerNode);
-        credit_.emplace_back(credit_specs[i].latency);
-        credit_.back().bindLanes(
-            creditReady_.data() + cl.ringOffset[i],
-            creditPayload_.data() + cl.ringOffset[i], cl.cap[i],
-            headReady_.data() + cl.laneSlot[i],
-            sent_.data() + cl.laneSlot[i]);
+        credit_.emplace_back(credit_specs[i].latency,
+                             creditReady_.data() + cl.ringOffset[i],
+                             creditPayload_.data() + cl.ringOffset[i],
+                             cl.cap[i], sent_.data() + cl.laneSlot[i]);
     }
 }
 

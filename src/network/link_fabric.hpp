@@ -4,17 +4,13 @@
  *
  * The fabric owns every flit and credit pipe of a Network plus the
  * flat arenas their state lives in: ring lanes (arrival timestamps and
- * payloads, structure-of-arrays), one head-arrival slot per channel,
- * and one sent counter per channel. Channels are laid out grouped by
- * *writer node* — the component that send()s into the pipe during its
- * compute/transmit phase — with each group padded to a 64-byte
- * boundary, so:
+ * payloads, structure-of-arrays) and one sent counter per channel.
+ * Channels are laid out grouped by *writer node* — the component that
+ * send()s into the pipe during its compute/transmit phase — with each
+ * group padded to a 64-byte boundary, so:
  *
  *  - a shard's transmit-phase writes land in a contiguous run of cache
  *    lines no other shard touches (no false sharing at seams);
- *  - the horizon's next-arrival query is one branch-light min over the
- *    contiguous head-arrival lane (padding slots hold kNoArrival, the
- *    identity of min);
  *  - recorder/heatmap sent-counter sweeps walk one flat array
  *    (padding slots hold 0, the identity of +).
  *
@@ -31,7 +27,6 @@
 #include <vector>
 
 #include "router/channel.hpp"
-#include "sim/horizon.hpp"
 
 namespace footprint {
 
@@ -73,8 +68,8 @@ using Lane = std::vector<T, LaneAlloc<T>>;
 /**
  * The flat link-state store for one Network. Build once (build()),
  * then the pipes are stable for the fabric's lifetime — every
- * Pipe::send/receive updates the flat lanes through its bound slot
- * pointers, so the batched queries below never poll channel objects.
+ * Pipe::send updates the flat sent lane through its slot pointer, so
+ * the batched sums below never poll channel objects.
  */
 class LinkFabric
 {
@@ -92,10 +87,10 @@ class LinkFabric
     LinkFabric& operator=(const LinkFabric&) = delete;
 
     /**
-     * Create every channel and bind it onto the flat lanes. Specs must
-     * arrive grouped by writerNode (all of a node's channels adjacent)
-     * — the Network enumerates links in node order, which guarantees
-     * it; FP_ASSERTed here. Call exactly once.
+     * Create every channel over the flat lanes. Specs must arrive
+     * grouped by writerNode (all of a node's channels adjacent) — the
+     * Network enumerates links in node order, which guarantees it;
+     * FP_ASSERTed here. Call exactly once.
      */
     void build(const std::vector<Spec>& flit_specs,
                const std::vector<Spec>& credit_specs);
@@ -111,17 +106,6 @@ class LinkFabric
 
     std::size_t flitCount() const { return flit_.size(); }
     std::size_t creditCount() const { return credit_.size(); }
-
-    /**
-     * Earliest arrival cycle over every flit and credit channel, or
-     * Pipe::kNoArrival: one pass over the contiguous head-arrival
-     * lane.
-     */
-    std::int64_t
-    minHeadReady() const
-    {
-        return minArrivalOver(headReady_.data(), headReady_.size());
-    }
 
     /** Flits ever sent across all flit channels: one partial sum. */
     std::uint64_t
@@ -159,8 +143,6 @@ class LinkFabric
         return creditWriter_[id];
     }
 
-    /** Combined head-arrival lane (tests: seam/padding checks). */
-    const Lane<std::int64_t>& headReadyLane() const { return headReady_; }
     /** Combined sent-counter lane (flit region then credit region). */
     const Lane<std::uint64_t>& sentLane() const { return sent_; }
     /** One past the last flit slot in the combined lanes. */
@@ -176,9 +158,8 @@ class LinkFabric
     Lane<std::int64_t> creditReady_;
     Lane<Credit> creditPayload_;
 
-    // Combined per-channel lanes: flit slots [0, flitLaneEnd_), credit
-    // slots after; writer-node groups 64B-padded within each region.
-    Lane<std::int64_t> headReady_;
+    // Combined sent lane: flit slots [0, flitLaneEnd_), credit slots
+    // after; writer-node groups 64B-padded within each region.
     Lane<std::uint64_t> sent_;
     std::size_t flitLaneEnd_ = 0;
 

@@ -118,11 +118,6 @@ Network::Network(const SimConfig& cfg)
         endpoints_.push_back(
             std::make_unique<Endpoint>(node, ep, seed, &pool_));
         endpoints_.back()->setWakeHook(&active_, endpointComp(node));
-        // Releases flush from the serial end-of-step epilogue in node
-        // order in *every* step mode, so descriptor free lists — and
-        // hence allocation sequences — are identical across modes and
-        // thread counts.
-        endpoints_.back()->setDeferReleases(true);
     }
 
     // --- Link enumeration (two-phase construction, DESIGN.md §17). ---
@@ -837,13 +832,6 @@ Network::skipTo(std::int64_t cycle)
     // untouched.
     lastCycle_ = cycle - 1;
     haveStepped_ = true;
-}
-
-std::int64_t
-Network::nextLinkArrivalCycle() const
-{
-    ProfileScope ps(profiler_, ProfPhase::Link);
-    return fabric_.minHeadReady();
 }
 
 std::int64_t

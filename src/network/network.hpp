@@ -115,15 +115,6 @@ class Network
      */
     void skipTo(std::int64_t cycle);
 
-    /**
-     * Earliest arrival cycle over every flit and credit channel, or
-     * Pipe::kNoArrival: one branch-light pass over the fabric's flat
-     * head-arrival lane. Diagnostic/test aid for the horizon
-     * invariant — the skip fast path itself only runs when idle()
-     * proves all channels empty.
-     */
-    std::int64_t nextLinkArrivalCycle() const;
-
     /** The flat link/credit fabric (DESIGN.md §17). */
     const LinkFabric& linkFabric() const { return fabric_; }
 

@@ -23,27 +23,10 @@
 #ifndef FOOTPRINT_SIM_HORIZON_HPP
 #define FOOTPRINT_SIM_HORIZON_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
 namespace footprint {
-
-/**
- * Fold a flat lane of arrival cycles (kNever = empty slot) into the
- * earliest one. This is the skip-ahead-facing view of the link
- * fabric's head-arrival lane (DESIGN.md §17): padding slots hold
- * kNever — the identity of min — so the scan is one branch-light pass
- * over contiguous memory with no per-channel indirection.
- */
-inline std::int64_t
-minArrivalOver(const std::int64_t* lane, std::size_t n)
-{
-    std::int64_t earliest = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < n; ++i)
-        earliest = lane[i] < earliest ? lane[i] : earliest;
-    return earliest;
-}
 
 class HorizonTracker
 {

@@ -8,15 +8,15 @@
  * at tens of thousands of simulated cycles per second that heap
  * traffic dominates the inner loop. A RingBuffer allocates once — its
  * capacity is fixed by a structural bound (VC buffer depth, output
- * FIFO depth, channel latency) — and push/pop are an index increment
- * behind a power-of-two mask.
+ * FIFO depth) — and push/pop are an index increment behind a
+ * power-of-two mask. (Channel pipes keep their rings in the link
+ * fabric's lanes instead; see router/channel.hpp.)
  *
  * Two overflow policies:
  *  - fixed (default): pushing into a full buffer is a simulator bug
  *    (the flow-control invariants bound every FIFO) and FP_ASSERTs.
  *  - growable: storage doubles when full. Used by the endpoint's
- *    source queue, whose open-loop backlog has no structural bound
- *    (Pipe<T> keeps its own growable rings).
+ *    source queue, whose open-loop backlog has no structural bound.
  */
 
 #ifndef FOOTPRINT_SIM_RING_BUFFER_HPP

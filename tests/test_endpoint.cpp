@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the endpoint model: source-side injection (credit
  * respect, VC rotation, one flit per cycle) and sink-side ejection
- * (drain rate, credit return, completion records).
+ * (drain rate, credit return, completion records, deferred descriptor
+ * release).
  */
 
 #include <gtest/gtest.h>
@@ -11,16 +12,24 @@
 
 #include "expect_panic.hpp"
 #include "network/endpoint.hpp"
+#include "test_pipes.hpp"
 
 namespace footprint {
 namespace {
 
+/**
+ * One endpoint (node 3) wired to four pipes the test drives directly.
+ * Pipes take 2 sends per cycle: tests deliver two flits at once.
+ */
 class EndpointHarness
 {
   public:
     explicit EndpointHarness(int num_vcs = 4, int buf_size = 4,
                              int ejection_rate = 1,
                              bool atomic = true)
+        : pipes(2, 2, /*latency=*/1, /*max_rate=*/2),
+          toRouter(&pipes.flit(0)), creditFromRouter(&pipes.credit(0)),
+          fromRouter(&pipes.flit(1)), creditToRouter(&pipes.credit(1))
     {
         EndpointParams params;
         params.numVcs = num_vcs;
@@ -28,20 +37,20 @@ class EndpointHarness
         params.ejectionRate = ejection_rate;
         params.atomicVcAlloc = atomic;
         ep = std::make_unique<Endpoint>(3, params, 1, &pool);
-        toRouter = std::make_unique<FlitChannel>(1);
-        creditFromRouter = std::make_unique<CreditChannel>(1);
-        fromRouter = std::make_unique<FlitChannel>(1);
-        creditToRouter = std::make_unique<CreditChannel>(1);
-        ep->connect(toRouter.get(), creditFromRouter.get(),
-                    fromRouter.get(), creditToRouter.get());
+        ep->connect(toRouter, creditFromRouter, fromRouter,
+                    creditToRouter);
     }
 
-    /** One endpoint cycle; @return flits the source emitted. */
+    /**
+     * One endpoint cycle, then the release flush the Network's
+     * epilogue runs; @return flits the source emitted.
+     */
     std::vector<Flit>
     step()
     {
         ep->receivePhase(cycle);
         ep->computePhase(cycle);
+        ep->flushReleases();
         ++cycle;
         std::vector<Flit> sent;
         while (auto f = toRouter->receive(cycle))
@@ -63,11 +72,12 @@ class EndpointHarness
     }
 
     PacketPool pool;
+    TestPipes pipes;
+    FlitChannel* toRouter;
+    CreditChannel* creditFromRouter;
+    FlitChannel* fromRouter;
+    CreditChannel* creditToRouter;
     std::unique_ptr<Endpoint> ep;
-    std::unique_ptr<FlitChannel> toRouter;
-    std::unique_ptr<CreditChannel> creditFromRouter;
-    std::unique_ptr<FlitChannel> fromRouter;
-    std::unique_ptr<CreditChannel> creditToRouter;
     std::int64_t cycle = 0;
 };
 
@@ -226,6 +236,35 @@ TEST(EndpointSink, RecordsCompletionOnTailWithLatency)
     EXPECT_GT(done[0].latency(), 0);
     // drainEjected consumes the records.
     EXPECT_TRUE(h.ep->drainEjected().empty());
+}
+
+TEST(EndpointSink, DescriptorReturnsAtFlushNotAtEjection)
+{
+    // Drive the phases by hand, without the harness's per-step flush:
+    // ejecting the tail only queues its descriptor, because the slot
+    // belongs to the source's pool segment; flushReleases() returns it.
+    EndpointHarness h;
+    Packet p = h.packet(5, 3, 1);
+    p.src = 0;
+    Flit f = makeFlit(p, 0, h.pool.alloc(p));
+    f.vc = 1;
+    ASSERT_EQ(h.pool.liveCount(), 1u);
+    h.fromRouter->send(f, 0);
+    h.ep->receivePhase(1);
+    h.ep->computePhase(1);
+    ASSERT_EQ(h.ep->ejectedCount(), 1u);
+    EXPECT_EQ(h.pool.liveCount(), 1u);
+    h.ep->flushReleases();
+    EXPECT_EQ(h.pool.liveCount(), 0u);
+}
+
+TEST(EndpointDeath, ConnectRequiresAllFourPipes)
+{
+    EndpointHarness h;
+    Endpoint ep(3, EndpointParams{}, 1, &h.pool);
+    EXPECT_PANIC(ep.connect(h.toRouter, h.creditFromRouter, h.fromRouter,
+                            nullptr),
+                 "needs all four local pipes");
 }
 
 TEST(EndpointDeath, MisroutedFlitPanics)

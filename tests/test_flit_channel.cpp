@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "expect_panic.hpp"
 #include "router/channel.hpp"
 #include "router/flit.hpp"
 #include "router/packet_pool.hpp"
+#include "test_pipes.hpp"
 
 namespace footprint {
 namespace {
@@ -80,7 +82,8 @@ TEST(Flit, ToStringMentionsEndpoints)
 
 TEST(FlitChannel, DeliversAfterLatency)
 {
-    FlitChannel ch(1);
+    TestPipes pipes(1, 0);
+    FlitChannel& ch = pipes.flit(0);
     Flit f = makeFlit(makePacket(1), 0);
     ch.send(f, 10);
     EXPECT_FALSE(ch.receive(10).has_value());
@@ -92,7 +95,8 @@ TEST(FlitChannel, DeliversAfterLatency)
 
 TEST(FlitChannel, MultiCycleLatency)
 {
-    FlitChannel ch(3);
+    TestPipes pipes(1, 0, /*latency=*/3);
+    FlitChannel& ch = pipes.flit(0);
     ch.send(makeFlit(makePacket(1), 0), 5);
     EXPECT_FALSE(ch.receive(7).has_value());
     EXPECT_TRUE(ch.receive(8).has_value());
@@ -100,7 +104,8 @@ TEST(FlitChannel, MultiCycleLatency)
 
 TEST(FlitChannel, PreservesOrder)
 {
-    FlitChannel ch(2);
+    TestPipes pipes(1, 0, /*latency=*/2);
+    FlitChannel& ch = pipes.flit(0);
     Packet p = makePacket(3);
     for (int i = 0; i < 3; ++i) {
         Flit f = makeFlit(p, i);
@@ -116,7 +121,8 @@ TEST(FlitChannel, PreservesOrder)
 
 TEST(FlitChannel, LateReceiveStillDelivers)
 {
-    FlitChannel ch(1);
+    TestPipes pipes(1, 0);
+    FlitChannel& ch = pipes.flit(0);
     ch.send(makeFlit(makePacket(1), 0), 0);
     // Receiver polls late; delivery happens at the first poll after
     // readiness.
@@ -125,7 +131,8 @@ TEST(FlitChannel, LateReceiveStillDelivers)
 
 TEST(FlitChannel, InFlightCount)
 {
-    FlitChannel ch(5);
+    TestPipes pipes(1, 0, /*latency=*/5);
+    FlitChannel& ch = pipes.flit(0);
     EXPECT_TRUE(ch.empty());
     ch.send(makeFlit(makePacket(1), 0), 0);
     ch.send(makeFlit(makePacket(1), 0), 1);
@@ -136,7 +143,8 @@ TEST(FlitChannel, InFlightCount)
 
 TEST(CreditChannel, CarriesVcIndex)
 {
-    CreditChannel ch(1);
+    TestPipes pipes(0, 1, /*latency=*/1, /*max_rate=*/2);
+    CreditChannel& ch = pipes.credit(0);
     ch.send(Credit{3}, 0);
     ch.send(Credit{7}, 0);
     const auto a = ch.receive(1);
@@ -146,6 +154,19 @@ TEST(CreditChannel, CarriesVcIndex)
     EXPECT_EQ(a->vc, 3);
     EXPECT_EQ(b->vc, 7);
     EXPECT_FALSE(ch.receive(1).has_value());
+}
+
+TEST(FlitChannelDeath, OverflowPanics)
+{
+    // Latency 1 at one send per cycle: capacity 2, the most a
+    // flow-controlled link can hold. A third item in flight is a bug.
+    TestPipes pipes(1, 0, /*latency=*/1, /*max_rate=*/1);
+    FlitChannel& ch = pipes.flit(0);
+    ch.send(makeFlit(makePacket(1), 0), 0);
+    ch.send(makeFlit(makePacket(1), 0), 1);
+    EXPECT_EQ(ch.inFlightCount(), 2u);
+    EXPECT_PANIC(ch.send(makeFlit(makePacket(1), 0), 1),
+                 "pipe overflow");
 }
 
 } // namespace

@@ -1,14 +1,12 @@
 /**
  * @file
  * Directed tests for the flat link/credit fabric (DESIGN.md §17):
- * credit round-trips through bound pipes, in-flight timestamp
- * ordering, the horizon next-arrival query across a shard seam, and
- * the identity-value padding contract of the combined lanes.
+ * credit round-trips through fabric pipes, in-flight timestamp
+ * ordering, and the identity-value padding contract of the sent lane.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -22,17 +20,13 @@ namespace footprint {
 namespace {
 
 SimConfig
-meshConfig(const std::string& routing, int threads = 1)
+meshConfig(const std::string& routing)
 {
     SimConfig cfg = defaultConfig();
     cfg.setInt("mesh_width", 4);
     cfg.setInt("mesh_height", 4);
     cfg.setInt("num_vcs", 4);
     cfg.set("routing", routing);
-    if (threads > 1) {
-        cfg.set("step_mode", "sharded");
-        cfg.setInt("threads", threads);
-    }
     return cfg;
 }
 
@@ -49,18 +43,6 @@ packet(std::uint64_t id, int src, int dest, int size,
     return p;
 }
 
-/** Earliest head arrival over every pipe, via the channel objects. */
-std::int64_t
-minHeadReadyViaChannels(const Network& net)
-{
-    std::int64_t earliest = FlitChannel::kNoArrival;
-    for (const auto& l : net.links()) {
-        earliest = std::min(earliest, l.flit->headReadyCycle());
-        earliest = std::min(earliest, l.credit->headReadyCycle());
-    }
-    return earliest;
-}
-
 TEST(LinkFabric, CreditRoundTripThroughBoundPipes)
 {
     LinkFabric fab;
@@ -73,23 +55,23 @@ TEST(LinkFabric, CreditRoundTripThroughBoundPipes)
     Flit f;
     f.vc = 3;
     flit.send(f, 0);  // sent at cycle 0, arrives at 0 + 2
-    EXPECT_EQ(flit.headReadyCycle(), 2);
+    EXPECT_EQ(flit.inFlightReadyCycle(0), 2);
     EXPECT_FALSE(flit.receive(1).has_value());
     auto got = flit.receive(2);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->vc, 3);
-    EXPECT_EQ(flit.headReadyCycle(), FlitChannel::kNoArrival);
+    EXPECT_TRUE(flit.empty());
 
     // Receiver returns the credit; it lands latency cycles later.
     credit.send(Credit{got->vc}, 2);
-    EXPECT_EQ(credit.headReadyCycle(), 4);
-    EXPECT_EQ(fab.minHeadReady(), 4);
+    EXPECT_EQ(credit.inFlightReadyCycle(0), 4);
+    EXPECT_FALSE(credit.receive(3).has_value());
     auto back = credit.receive(4);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(back->vc, 3);
     EXPECT_TRUE(credit.empty());
-    EXPECT_EQ(fab.minHeadReady(), FlitChannel::kNoArrival);
     EXPECT_EQ(fab.flitSent(0), 1u);
+    EXPECT_EQ(credit.sentCount(), 1u);
 }
 
 TEST(LinkFabric, InFlightTimestampsStayOrdered)
@@ -111,9 +93,9 @@ TEST(LinkFabric, InFlightTimestampsStayOrdered)
     for (std::size_t i = 1; i < ch.inFlightCount(); ++i)
         EXPECT_LE(ch.inFlightReadyCycle(i - 1),
                   ch.inFlightReadyCycle(i));
-    EXPECT_EQ(ch.headReadyCycle(), ch.inFlightReadyCycle(0));
+    EXPECT_EQ(ch.inFlightReadyCycle(0), 3);
 
-    // Draining pops in send order and re-publishes the next arrival.
+    // Draining pops in send order; the next head is the next arrival.
     int expect_vc = 0;
     for (std::int64_t cycle = 3; cycle <= 5; ++cycle) {
         for (int k = 0; k < 2; ++k) {
@@ -122,31 +104,11 @@ TEST(LinkFabric, InFlightTimestampsStayOrdered)
             EXPECT_EQ(f->vc, expect_vc++);
         }
         EXPECT_FALSE(ch.receive(cycle).has_value());
+        if (cycle < 5) {
+            EXPECT_EQ(ch.inFlightReadyCycle(0), cycle + 1);
+        }
     }
-    EXPECT_EQ(ch.headReadyCycle(), FlitChannel::kNoArrival);
-}
-
-TEST(LinkFabric, NextArrivalMatchesChannelsAcrossShardSeam)
-{
-    // Two shards on a 4x4 mesh: nodes 0..7 vs 8..15. A packet from
-    // node 0 to node 15 crosses the seam, so in-flight state straddles
-    // both shards' lane regions; the fabric's single-lane min must
-    // still equal the min over every channel object at every cycle.
-    Network net(meshConfig("dor", 2));
-    net.endpoint(0).enqueue(packet(1, 0, 15, 4, 0));
-    bool saw_inflight = false;
-    for (std::int64_t cycle = 0; cycle < 60; ++cycle) {
-        net.step(cycle);
-        EXPECT_EQ(net.nextLinkArrivalCycle(),
-                  minHeadReadyViaChannels(net))
-            << "cycle " << cycle;
-        if (net.totalFlitsInFlight() > 0)
-            saw_inflight = true;
-        for (int n = 0; n < net.mesh().numNodes(); ++n)
-            net.endpoint(n).drainEjected();
-    }
-    EXPECT_TRUE(saw_inflight);
-    EXPECT_EQ(net.totalFlitsEjected(), 4u);
+    EXPECT_TRUE(ch.empty());
 }
 
 TEST(LinkFabric, FabricAgreesWithLinkRecords)
@@ -173,27 +135,30 @@ TEST(LinkFabric, LanePaddingHoldsIdentityValues)
     const LinkFabric& fab = net.linkFabric();
 
     // Quiescent network: every real slot and every padding slot holds
-    // the respective identity, so the batched queries see "nothing".
-    EXPECT_EQ(fab.minHeadReady(), FlitChannel::kNoArrival);
+    // the identity of +, and no pipe holds anything.
     EXPECT_EQ(fab.totalFlitsSent(), 0u);
-    for (const std::int64_t v : fab.headReadyLane())
-        EXPECT_EQ(v, FlitChannel::kNoArrival);
     for (const std::uint64_t v : fab.sentLane())
         EXPECT_EQ(v, 0u);
-    EXPECT_LE(fab.flitLaneEnd(), fab.headReadyLane().size());
+    EXPECT_LE(fab.flitLaneEnd(), fab.sentLane().size());
+    for (const auto& l : net.links())
+        EXPECT_TRUE(l.flit->empty() && l.credit->empty());
 
     // After traffic, the batched sums still equal the per-channel
     // sums: padding slots stayed at their identities.
     net.endpoint(0).enqueue(packet(1, 0, 5, 3, 0));
     for (std::int64_t cycle = 0; cycle < 40; ++cycle) {
         net.step(cycle);
-        std::uint64_t sent = 0;
+        std::uint64_t flits = 0;
+        std::uint64_t credits = 0;
         for (const auto& l : net.links()) {
-            sent += l.flit->sentCount();
+            flits += l.flit->sentCount();
+            credits += l.credit->sentCount();
         }
-        EXPECT_EQ(fab.totalFlitsSent(), sent) << "cycle " << cycle;
-        EXPECT_EQ(fab.minHeadReady(), minHeadReadyViaChannels(net))
-            << "cycle " << cycle;
+        std::uint64_t lane = 0;
+        for (const std::uint64_t v : fab.sentLane())
+            lane += v;
+        EXPECT_EQ(fab.totalFlitsSent(), flits) << "cycle " << cycle;
+        EXPECT_EQ(lane, flits + credits) << "cycle " << cycle;
         for (int n = 0; n < net.mesh().numNodes(); ++n)
             net.endpoint(n).drainEjected();
     }

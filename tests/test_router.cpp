@@ -16,6 +16,7 @@
 #include "routing/dor.hpp"
 #include "routing/footprint.hpp"
 #include "sim/config.hpp"
+#include "test_pipes.hpp"
 
 namespace footprint {
 namespace {
@@ -23,14 +24,18 @@ namespace {
 /**
  * Harness: one router at node 5 of a 4x4 mesh (an interior node with
  * all four mesh neighbors), with every port wired to channels we can
- * drive and observe directly.
+ * drive and observe directly. Pipes are sized for 8 sends per cycle
+ * (16 in flight): tests return a burst of credits in one cycle and
+ * leave up to 12 upstream credits undrained.
  */
 class RouterHarness
 {
   public:
     RouterHarness(const RoutingAlgorithm* routing, int num_vcs = 4,
                   int buf_size = 4, int speedup = 2)
-        : topo(Topology::mesh(4, 4))
+        : topo(Topology::mesh(4, 4)),
+          pipes(2 * kNumPorts, 2 * kNumPorts, /*latency=*/1,
+                /*max_rate=*/8)
     {
         RouterParams params;
         params.numVcs = num_vcs;
@@ -39,12 +44,12 @@ class RouterHarness
         router = std::make_unique<Router>(topo, 5, params, routing,
                                           1, nullptr);
         for (int p = 0; p < kNumPorts; ++p) {
-            in[p] = std::make_unique<FlitChannel>(1);
-            inCredit[p] = std::make_unique<CreditChannel>(1);
-            out[p] = std::make_unique<FlitChannel>(1);
-            outCredit[p] = std::make_unique<CreditChannel>(1);
-            router->connectInput(p, in[p].get(), inCredit[p].get());
-            router->connectOutput(p, out[p].get(), outCredit[p].get());
+            in[p] = &pipes.flit(p);
+            inCredit[p] = &pipes.credit(p);
+            out[p] = &pipes.flit(kNumPorts + p);
+            outCredit[p] = &pipes.credit(kNumPorts + p);
+            router->connectInput(p, in[p], inCredit[p]);
+            router->connectOutput(p, out[p], outCredit[p]);
         }
     }
 
@@ -91,11 +96,12 @@ class RouterHarness
     }
 
     Topology topo;
+    TestPipes pipes;
     std::unique_ptr<Router> router;
-    std::unique_ptr<FlitChannel> in[kNumPorts];
-    std::unique_ptr<CreditChannel> inCredit[kNumPorts];
-    std::unique_ptr<FlitChannel> out[kNumPorts];
-    std::unique_ptr<CreditChannel> outCredit[kNumPorts];
+    FlitChannel* in[kNumPorts];
+    CreditChannel* inCredit[kNumPorts];
+    FlitChannel* out[kNumPorts];
+    CreditChannel* outCredit[kNumPorts];
     std::int64_t cycle = 0;
 };
 

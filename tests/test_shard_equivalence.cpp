@@ -61,21 +61,24 @@ foldNetwork(const Network& net, std::vector<std::uint64_t>& sig)
         sig.push_back(c.puritySamples);
         sig.push_back(c.puritySum);
     }
-    // Link-fabric lane state: per-link sent counters and in-flight
-    // occupancy live in the network-owned flat arenas (DESIGN.md §17),
-    // so fold them in directly — any divergence in transmit order or
-    // credit return between step modes shows up here even when the
-    // aggregate totals above happen to agree.
+    // Link-fabric lane state: per-link sent counters, in-flight
+    // occupancy and head arrival cycles live in the network-owned flat
+    // arenas (DESIGN.md §17), so fold them in directly — any
+    // divergence in transmit order or credit return between step
+    // modes shows up here even when the aggregate totals above happen
+    // to agree.
     const LinkFabric& fab = net.linkFabric();
+    auto fold_pipe = [&sig](const auto& pipe) {
+        sig.push_back(static_cast<std::uint64_t>(pipe.inFlightCount()));
+        if (!pipe.empty())
+            sig.push_back(
+                static_cast<std::uint64_t>(pipe.inFlightReadyCycle(0)));
+    };
     for (const Network::LinkRecord& l : net.links()) {
         sig.push_back(fab.flitSent(l.flitId));
-        sig.push_back(
-            static_cast<std::uint64_t>(l.flit->inFlightCount()));
-        sig.push_back(
-            static_cast<std::uint64_t>(l.credit->inFlightCount()));
+        fold_pipe(*l.flit);
+        fold_pipe(*l.credit);
     }
-    sig.push_back(
-        static_cast<std::uint64_t>(net.nextLinkArrivalCycle()));
 }
 
 /**

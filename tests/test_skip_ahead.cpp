@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -123,10 +122,11 @@ TEST(SkipAhead, IdleOnlyAfterEveryCreditIsHome)
             << "idle() reported true with credits missing at router "
             << n;
     }
-    // And a quiescent network must know its next link arrival is
-    // "never".
-    EXPECT_EQ(net.nextLinkArrivalCycle(),
-              std::numeric_limits<std::int64_t>::max());
+    // And a quiescent network has nothing in flight on any link.
+    for (const Network::LinkRecord& l : net.links()) {
+        EXPECT_TRUE(l.flit->empty()) << "flit pipe " << l.flitId;
+        EXPECT_TRUE(l.credit->empty()) << "credit pipe " << l.creditId;
+    }
 }
 
 TEST(SkipAhead, SkipToIsAnExactNoOpOverAnIdleGap)
