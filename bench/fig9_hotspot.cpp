@@ -48,37 +48,37 @@ main(int argc, char** argv)
     }
     const std::vector<RunStats> grid = ctx.map(std::move(tasks));
 
-    double collapse[2] = {0.0, 0.0};
-    std::vector<std::vector<double>> lat(
-        2, std::vector<double>(hotspot_rates.size(), 0.0));
     for (std::size_t r = 0; r < hotspot_rates.size(); ++r) {
         std::printf("%12.2f", hotspot_rates[r]);
         for (std::size_t i = 0; i < algos.size(); ++i) {
             const RunStats& stats = grid[r * algos.size() + i];
-            lat[i][r] = stats.avgLatency();
             std::printf(" %12.1f%s", stats.avgLatency(),
                         stats.saturated ? " [sat]" : "      ");
         }
         std::printf("\n");
     }
 
-    // Collapse point: first hotspot rate at which background latency
-    // exceeds 8x its value at the lowest hotspot rate (the sharp
-    // "performance collapse" the paper describes, as opposed to the
-    // moderate latency plateau Footprint exhibits).
-    for (int i = 0; i < 2; ++i) {
-        collapse[i] = hotspot_rates.back();
+    // Collapse point: the first hotspot rate whose run saturated (its
+    // background did not drain), the verdict the table marks [sat].
+    // A routing whose runs all drained has none in the swept range.
+    double collapse[2] = {-1.0, -1.0};
+    std::printf("\nbackground collapse point:");
+    for (std::size_t i = 0; i < algos.size(); ++i) {
         for (std::size_t r = 0; r < hotspot_rates.size(); ++r) {
-            if (lat[static_cast<std::size_t>(i)][r]
-                > 8.0 * lat[static_cast<std::size_t>(i)][0]) {
+            if (grid[r * algos.size() + i].saturated) {
                 collapse[i] = hotspot_rates[r];
                 break;
             }
         }
+        if (collapse[i] < 0.0)
+            std::printf(" %s=none through %.2f", algos[i],
+                        hotspot_rates.back());
+        else
+            std::printf(" %s=%.2f", algos[i], collapse[i]);
     }
-    std::printf("\nbackground collapse point: dbar=%.2f "
-                "footprint=%.2f (footprint %+.0f%%)\n",
-                collapse[0], collapse[1],
-                pctGain(collapse[1], collapse[0]));
+    if (collapse[0] >= 0.0 && collapse[1] >= 0.0)
+        std::printf(" (footprint %+.0f%%)",
+                    pctGain(collapse[1], collapse[0]));
+    std::printf("\n");
     return 0;
 }

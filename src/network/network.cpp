@@ -11,28 +11,8 @@
 
 namespace footprint {
 
-void
-StatusBoard::init(int num_nodes)
-{
-    counts_.assign(static_cast<std::size_t>(num_nodes), {});
-}
-
-void
-StatusBoard::publish(int node, int port, int count)
-{
-    counts_[static_cast<std::size_t>(node)]
-           [static_cast<std::size_t>(port)] = count;
-}
-
-int
-StatusBoard::idleCount(int node, int port) const
-{
-    return counts_[static_cast<std::size_t>(node)]
-                  [static_cast<std::size_t>(port)];
-}
-
 Network::Network(const SimConfig& cfg)
-    : topo_(Topology::fromConfig(cfg))
+    : mesh_(Mesh::fromConfig(cfg))
 {
     params_.numVcs = static_cast<int>(cfg.getInt("num_vcs"));
     params_.vcBufSize = static_cast<int>(cfg.getInt("vc_buf_size"));
@@ -44,14 +24,14 @@ Network::Network(const SimConfig& cfg)
     routing_ = makeRoutingAlgorithm(cfg.getStr("routing"), cfg);
     if (routing_->numEscapeVcs() >= params_.numVcs)
         fatal("routing algorithm needs more VCs than configured");
-    if (topo_.hasWrap()) {
+    if (mesh_.hasWrap()) {
         // Wrapped topologies break deadlock cycles with dateline VC
         // classes, which only plain dimension-order routing honours;
         // the adaptive algorithms' escape/turn arguments assume an
         // acyclic mesh channel graph.
         if (routing_->name() != "dor") {
             std::string msg = "topology '";
-            msg += topo_.kindName();
+            msg += mesh_.kindName();
             msg += "' supports routing=dor only (dateline VC "
                    "deadlock avoidance); got routing=";
             msg += routing_->name();
@@ -79,7 +59,7 @@ Network::Network(const SimConfig& cfg)
     }
 
     threads_ = static_cast<int>(cfg.getInt("threads"));
-    const int n = topo_.numNodes();
+    const int n = mesh_.numNodes();
     // A packet descriptor names its source's pool segment in
     // 32 - kIdxBits bits, and every node has its own segment.
     if (n > static_cast<int>(PacketPool::kMaxSegments)) {
@@ -114,7 +94,7 @@ Network::Network(const SimConfig& cfg)
     endpoints_.reserve(static_cast<std::size_t>(n));
     for (int node = 0; node < n; ++node) {
         routers_.push_back(std::make_unique<Router>(
-            topo_, node, params_, routing_.get(), seed, &status_));
+            mesh_, node, params_, routing_.get(), seed, &status_));
         endpoints_.push_back(
             std::make_unique<Endpoint>(node, ep, seed, &pool_));
         endpoints_.back()->setWakeHook(&active_, endpointComp(node));
@@ -139,9 +119,9 @@ Network::Network(const SimConfig& cfg)
     plans.reserve(static_cast<std::size_t>(6 * n));
     for (int node = 0; node < n; ++node) {
         for (Dir d : {Dir::East, Dir::North}) {
-            if (!topo_.hasNeighbor(node, d))
+            if (!mesh_.hasNeighbor(node, d))
                 continue;
-            const int nbr = topo_.neighbor(node, d);
+            const int nbr = mesh_.neighbor(node, d);
             const Dir rd = opposite(d);
             plans.push_back({LinkRecord::Kind::RouterToRouter, node,
                              portOf(d), nbr, portOf(rd)});
@@ -191,10 +171,10 @@ Network::Network(const SimConfig& cfg)
     std::vector<LinkFabric::Spec> credit_specs(nl);
     for (std::size_t i = 0; i < nl; ++i) {
         const LinkPlan& p = plans[i];
-        // Per-dimension latencies come from the topology: a link's
+        // Per-dimension latencies come from the mesh: a link's
         // dimension is its source-side direction (endpoint links are
         // Local). The credit channel shares its link's latency.
-        const int link_latency = topo_.linkLatency(
+        const int link_latency = mesh_.linkLatency(
             p.kind == LinkRecord::Kind::RouterToRouter
                 ? dirOf(p.srcPort)
                 : Dir::Local);
@@ -266,7 +246,7 @@ Network::~Network()
 void
 Network::buildShards(int threads, int shards)
 {
-    const int n = topo_.numNodes();
+    const int n = mesh_.numNodes();
     int num = shards == 0 ? threads : shards;
     if (num > n)
         num = n;
@@ -314,7 +294,7 @@ Network::buildShards(int threads, int shards)
 void
 Network::setBandStarts(std::span<const int> starts)
 {
-    const int n = topo_.numNodes();
+    const int n = mesh_.numNodes();
     FP_ASSERT(starts.size() == shards_.size() && !starts.empty()
                   && starts[0] == 0,
               "band starts need one entry per shard, starting at 0");
@@ -366,7 +346,7 @@ Network::recutBands()
     if (total > 0
         && static_cast<double>(max) * static_cast<double>(num)
             > total_d * (1.0 + kRecutTolerance)) {
-        const int n = topo_.numNodes();
+        const int n = mesh_.numNodes();
         bool moved = false;
         std::size_t s = 0;
         double before = 0.0;  ///< cost of bands [0, s)
@@ -402,7 +382,7 @@ Network::recutBands()
 void
 Network::buildWakeGraph()
 {
-    const int comps = 2 * topo_.numNodes();
+    const int comps = 2 * mesh_.numNodes();
     active_.init(comps);
     for (const LinkRecord& l : links_) {
         int flit_src = -1;

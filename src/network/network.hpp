@@ -24,36 +24,12 @@
 #include "router/packet_pool.hpp"
 #include "router/router.hpp"
 #include "sim/config.hpp"
-#include "topo/topology.hpp"
+#include "topo/mesh.hpp"
 
 namespace footprint {
 
 class PacketTracer;
 class Profiler;
-
-/**
- * Per-router status table: routers publish idle-VC counts during
- * their transmit phase; neighbors read during the compute phase.
- * Because every compute phase of a cycle completes before any
- * transmit phase begins, a read always observes the previous cycle's
- * publishes — the one-cycle-delayed side-band network DBAR assumes —
- * without double buffering. A router whose state did not change
- * (quiescent under activity-driven stepping) may skip publishing: its
- * stored counts are already current.
- */
-class StatusBoard : public StatusProvider
-{
-  public:
-    void init(int num_nodes);
-
-    /** Publish @p count for (node, port); call in the transmit phase. */
-    void publish(int node, int port, int count);
-
-    int idleCount(int node, int port) const override;
-
-  private:
-    std::vector<std::array<int, kNumPorts>> counts_;
-};
 
 /** How Network::step visits components each cycle. */
 enum class StepMode {
@@ -118,16 +94,12 @@ class Network
     /** The flat link/credit fabric (DESIGN.md §17). */
     const LinkFabric& linkFabric() const { return fabric_; }
 
-    StepMode stepMode() const { return stepMode_; }
-
     /** Descriptor pool backing Flit::desc for in-flight packets. */
     PacketPool& packetPool() { return pool_; }
     const PacketPool& packetPool() const { return pool_; }
 
-    /** The topology this network was built from (DESIGN.md §18). */
-    const Topology& topology() const { return topo_; }
-    /** The topology's coordinate grid (row-major node numbering). */
-    const Mesh& mesh() const { return topo_.grid(); }
+    /** The shape this network was built from (DESIGN.md §18). */
+    const Mesh& mesh() const { return mesh_; }
     const RoutingAlgorithm& routing() const { return *routing_; }
     const RouterParams& routerParams() const { return params_; }
 
@@ -260,7 +232,7 @@ class Network
     void barrierArrive(int chunk);
     void recutBands();
 
-    Topology topo_;
+    Mesh mesh_;
     RouterParams params_;
     std::unique_ptr<RoutingAlgorithm> routing_;
     StatusBoard status_;

@@ -124,13 +124,12 @@ RunStats
 runExperiment(const SimConfig& cfg)
 {
     Network net(cfg);
-    const Topology& topo = net.topology();
     const Mesh& mesh = net.mesh();
     const int n = mesh.numNodes();
     // Synthetic patterns inject per *terminal*: on mesh/torus/ring a
     // terminal is a node, on a cmesh each router hosts `concentration`
     // terminals sharing its endpoint.
-    const int num_terminals = topo.numTerminals();
+    const int num_terminals = mesh.numTerminals();
 
     const RunMetadata meta = RunMetadata::fromConfig(cfg);
 
@@ -298,15 +297,17 @@ runExperiment(const SimConfig& cfg)
                 background.emplace_back(node, -1);
         }
         add_stream(std::move(flows), nullptr, 1, FlowClass::Hotspot, rate);
+        // The background draws routers, not terminals, even on a
+        // cmesh: hence UniformPattern at concentration 1.
         add_stream(std::move(background),
-                   makeTrafficPattern("uniform", mesh), 1,
+                   std::make_unique<UniformPattern>(mesh), 1,
                    FlowClass::Background, bg_rate);
     } else {
         std::vector<std::pair<int, int>> terminals;
         for (int t = 0; t < num_terminals; ++t)
             terminals.emplace_back(t, -1);
-        add_stream(std::move(terminals), makeTrafficPattern(mode, topo),
-                   topo.concentration(), FlowClass::Background, rate);
+        add_stream(std::move(terminals), makeTrafficPattern(mode, mesh),
+                   mesh.concentration(), FlowClass::Background, rate);
     }
 
     RunStats stats;

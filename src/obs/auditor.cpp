@@ -275,8 +275,8 @@ InvariantAuditor::checkEscapeLegality(std::int64_t cycle)
 {
     if (net_->routing().numEscapeVcs() < 1)
         return;
-    const Topology& topo = net_->topology();
-    const int n = topo.numNodes();
+    const Mesh& mesh = net_->mesh();
+    const int n = mesh.numNodes();
 
     for (int node = 0; node < n; ++node) {
         const Router& r = net_->router(node);
@@ -286,7 +286,7 @@ InvariantAuditor::checkEscapeLegality(std::int64_t cycle)
             const int dest = r.outVcOwner(port, 0);
             if (dest < 0)
                 continue;
-            const int expected = portOf(dorDir(topo, node, dest));
+            const int expected = portOf(dorDir(mesh, node, dest));
             if (port == expected)
                 continue;
             std::ostringstream os;

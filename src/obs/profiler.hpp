@@ -47,7 +47,7 @@ enum class ProfPhase : int {
     Epilogue,     ///< reschedule, descriptor flush/refill, scratch merge
     Collect,      ///< ejected-packet collection (runExperiment)
     Skip,         ///< horizon computation + clock jumps (skip-ahead)
-    Link,         ///< batched fabric-lane passes (arrival min, sent sums)
+    Link,         ///< batched fabric sent-lane sums (totalFlitsSent)
     Count,
 };
 

@@ -135,7 +135,7 @@ FlightRecorder::FlightRecorder(const Network& net,
     nodes_ = net.mesh().numNodes();
     // Rates are per terminal, like RunStats (a cmesh router hosts
     // several); the grids stay per router.
-    terminals_ = net.topology().numTerminals();
+    terminals_ = net.mesh().numTerminals();
     metaJson_ = meta.toJson();
 
     ejectedBase_ = net.totalFlitsEjected();

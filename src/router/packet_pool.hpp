@@ -179,21 +179,6 @@ class PacketPool
         return live;
     }
 
-    /** Total slots ever created, including the reserved ones. */
-    std::size_t
-    slotCount() const
-    {
-        std::size_t total = 0;
-        for (const Segment& s : segments_)
-            total += s.slots.size();
-        return total;
-    }
-
-    int segmentCount() const
-    {
-        return static_cast<int>(segments_.size());
-    }
-
   private:
     // One cache line per segment header: under sharded stepping each
     // worker allocates/releases only from its own nodes' segments, so

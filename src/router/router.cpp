@@ -8,11 +8,11 @@
 
 namespace footprint {
 
-Router::Router(const Topology& topo, int node,
+Router::Router(const Mesh& mesh, int node,
                const RouterParams& params,
                const RoutingAlgorithm* routing, std::uint64_t seed,
-               const StatusProvider* status)
-    : topo_(&topo), node_(node), params_(params), routing_(routing),
+               const StatusBoard* status)
+    : mesh_(&mesh), node_(node), params_(params), routing_(routing),
       status_(status),
       rng_(seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(node))
 {
@@ -51,9 +51,9 @@ Router::Router(const Topology& topo, int node,
     vaBestReq_.assign(total_vcs, 0);
     vcRrPtr_.assign(total_vcs, 0);
     bestGrant_.resize(total_vcs);
-    destConvergence_.assign(static_cast<std::size_t>(topo.numNodes()),
+    destConvergence_.assign(static_cast<std::size_t>(mesh.numNodes()),
                             0);
-    destWaitTouched_.reserve(static_cast<std::size_t>(topo.numNodes()));
+    destWaitTouched_.reserve(static_cast<std::size_t>(mesh.numNodes()));
     publishDirty_ = (std::uint32_t{1} << kNumPorts) - 1;
 }
 

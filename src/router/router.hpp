@@ -20,24 +20,50 @@
 #include "routing/routing.hpp"
 #include "sim/log.hpp"
 #include "sim/rng.hpp"
-#include "topo/topology.hpp"
+#include "topo/mesh.hpp"
 
 namespace footprint {
 
 class PacketTracer;
 
 /**
- * One-cycle-delayed per-router status (idle-VC counts per output
- * port), modelling the side-band wires adaptive algorithms like DBAR
- * use to see one hop ahead.
+ * Per-router status table: the side-band wires adaptive algorithms
+ * like DBAR use to see one hop ahead. Routers publish idle-VC counts
+ * during their transmit phase; neighbors read during the compute
+ * phase. Because every compute phase of a cycle completes before any
+ * transmit phase begins, a read always observes the previous cycle's
+ * publishes — the one-cycle-delayed status network DBAR assumes —
+ * without double buffering. A router whose state did not change
+ * (quiescent under activity-driven stepping) may skip publishing: its
+ * stored counts are already current.
  */
-class StatusProvider
+class StatusBoard
 {
   public:
-    virtual ~StatusProvider() = default;
+    void
+    init(int num_nodes)
+    {
+        counts_.assign(static_cast<std::size_t>(num_nodes), {});
+    }
+
+    /** Publish @p count for (node, port); call in the transmit phase. */
+    void
+    publish(int node, int port, int count)
+    {
+        counts_[static_cast<std::size_t>(node)]
+               [static_cast<std::size_t>(port)] = count;
+    }
 
     /** Idle-VC count of @p port at @p node as of the previous cycle. */
-    virtual int idleCount(int node, int port) const = 0;
+    int
+    idleCount(int node, int port) const
+    {
+        return counts_[static_cast<std::size_t>(node)]
+                      [static_cast<std::size_t>(port)];
+    }
+
+  private:
+    std::vector<std::array<int, kNumPorts>> counts_;
 };
 
 /** Router microarchitecture parameters (Table 2). */
@@ -108,9 +134,9 @@ class Router : public RouterView
         void reset() { *this = Counters{}; }
     };
 
-    Router(const Topology& topo, int node, const RouterParams& params,
+    Router(const Mesh& mesh, int node, const RouterParams& params,
            const RoutingAlgorithm* routing, std::uint64_t seed,
-           const StatusProvider* status);
+           const StatusBoard* status);
 
     /** Wire the incoming-flit and outgoing-credit channels of a port. */
     void connectInput(int port, FlitChannel* flit_in,
@@ -154,7 +180,7 @@ class Router : public RouterView
 
     // RouterView interface.
     int nodeId() const override { return node_; }
-    const Topology& topo() const override { return *topo_; }
+    const Mesh& mesh() const override { return *mesh_; }
     int numVcs() const override { return params_.numVcs; }
     int vcBufSize() const override { return params_.vcBufSize; }
     VcMask idleVcMask(int port) const override;
@@ -378,11 +404,11 @@ class Router : public RouterView
                       : (vcAll_ & ~outBusy_[p]);
     }
 
-    const Topology* topo_;
+    const Mesh* mesh_;
     int node_;
     RouterParams params_;
     const RoutingAlgorithm* routing_;
-    const StatusProvider* status_;
+    const StatusBoard* status_;
     mutable Rng rng_;
 
     std::array<InputPort, kNumPorts> inputs_;

@@ -6,10 +6,10 @@ void
 DorRouting::route(const RouterView& view, const Flit& flit,
                   OutputSet& out) const
 {
-    const Topology& topo = view.topo();
-    const Dir d = dorDir(topo, view.nodeId(), flit.dest);
+    const Mesh& mesh = view.mesh();
+    const Dir d = dorDir(mesh, view.nodeId(), flit.dest);
     VcMask mask = maskOfFirst(view.numVcs());
-    if (topo.hasWrap() && d != Dir::Local) {
+    if (mesh.hasWrap() && d != Dir::Local) {
         // Dateline VC classes (DESIGN.md §18): within each wrapped
         // dimension's ring the VCs split into class 0 (before the
         // dateline) and class 1 (after). Movement along a DOR
@@ -18,8 +18,8 @@ DorRouting::route(const RouterView& view, const Flit& flit,
         // state — and the class resets when DOR switches dimension.
         const int vcs = view.numVcs();
         const int class0 = (vcs + 1) / 2;
-        const Coord cur = topo.coordOf(view.nodeId());
-        const Coord src = topo.coordOf(flit.src);
+        const Coord cur = mesh.coordOf(view.nodeId());
+        const Coord src = mesh.coordOf(flit.src);
         bool crossed = false;
         switch (d) {
           case Dir::East: crossed = cur.x < src.x; break;
@@ -30,7 +30,7 @@ DorRouting::route(const RouterView& view, const Flit& flit,
         }
         // The hop about to be taken may itself cross the dateline;
         // the downstream VC must already be class 1 then.
-        crossed = crossed || topo.datelineCrossing(view.nodeId(), d);
+        crossed = crossed || mesh.datelineCrossing(view.nodeId(), d);
         mask = crossed ? static_cast<VcMask>(mask & ~maskOfFirst(class0))
                        : maskOfFirst(class0);
     }

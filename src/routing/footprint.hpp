@@ -86,7 +86,6 @@ class FootprintRouting : public RoutingAlgorithm
     int numEscapeVcs() const override { return 1; }
 
     int congestionThreshold(int num_vcs) const;
-    int fpVcCap() const { return fpVcCap_; }
     Variant variant() const { return variant_; }
 
     /** Parse "literal" / "wait" / "converge"; fatal() otherwise. */

@@ -13,41 +13,9 @@ namespace footprint {
 Dir
 dorDir(const Mesh& mesh, int cur, int dest)
 {
-    const Coord cc = mesh.coordOf(cur);
-    const Coord cd = mesh.coordOf(dest);
-    if (cd.x > cc.x)
-        return Dir::East;
-    if (cd.x < cc.x)
-        return Dir::West;
-    if (cd.y > cc.y)
-        return Dir::North;
-    if (cd.y < cc.y)
-        return Dir::South;
-    return Dir::Local;
-}
-
-Dir
-dorDir(const Topology& topo, int cur, int dest)
-{
-    if (!topo.hasWrap())
-        return dorDir(topo.grid(), cur, dest);
-    const Coord cc = topo.coordOf(cur);
-    const Coord cd = topo.coordOf(dest);
-    if (cd.x != cc.x) {
-        if (!topo.wrapX())
-            return cd.x > cc.x ? Dir::East : Dir::West;
-        const int w = topo.width();
-        const int east = (cd.x - cc.x + w) % w;
-        return east <= w - east ? Dir::East : Dir::West;
-    }
-    if (cd.y != cc.y) {
-        if (!topo.wrapY())
-            return cd.y > cc.y ? Dir::North : Dir::South;
-        const int h = topo.height();
-        const int north = (cd.y - cc.y + h) % h;
-        return north <= h - north ? Dir::North : Dir::South;
-    }
-    return Dir::Local;
+    Dir dirs[2];
+    return mesh.minimalDirsInto(cur, dest, dirs) > 0 ? dirs[0]
+                                                     : Dir::Local;
 }
 
 namespace {

@@ -22,7 +22,7 @@
 #include "router/flit.hpp"
 #include "router/vc_state.hpp"
 #include "sim/log.hpp"
-#include "topo/topology.hpp"
+#include "topo/mesh.hpp"
 
 namespace footprint {
 
@@ -118,15 +118,9 @@ class RouterView
     virtual ~RouterView() = default;
 
     virtual int nodeId() const = 0;
-    virtual const Topology& topo() const = 0;
+    /** The network's shape (wrapped kinds admit DOR only). */
+    virtual const Mesh& mesh() const = 0;
     virtual int numVcs() const = 0;
-
-    /**
-     * The coordinate grid of the topology — the query surface of the
-     * mesh-only adaptive algorithms (odd-even, DBAR, Footprint),
-     * which are rejected at configuration time on wrapped topologies.
-     */
-    const Mesh& mesh() const { return topo().grid(); }
     virtual int vcBufSize() const = 0;
 
     /** Mask of fully idle output VCs on @p port. */
@@ -211,15 +205,12 @@ makeRoutingAlgorithm(const std::string& name, const SimConfig& cfg);
 /** All algorithm names the factory accepts (for sweeps and tests). */
 std::vector<std::string> allRoutingAlgorithmNames();
 
-/** Dimension-order (XY) output port from @p cur to @p dest. */
-Dir dorDir(const Mesh& mesh, int cur, int dest);
-
 /**
- * Dimension-order (XY) output port on an arbitrary topology: on
- * wrapped dimensions the shorter way around wins (ties go East /
- * North), matching Topology::minimalDirsInto.
+ * Dimension-order (XY) output port from @p cur to @p dest: the first
+ * of Mesh::minimalDirsInto, so on wrapped dimensions the shorter way
+ * around wins (ties go East / North); Local at the destination.
  */
-Dir dorDir(const Topology& topo, int cur, int dest);
+Dir dorDir(const Mesh& mesh, int cur, int dest);
 
 } // namespace footprint
 

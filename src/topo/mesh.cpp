@@ -1,11 +1,39 @@
 #include "topo/mesh.hpp"
 
-#include <cmath>
 #include <cstdlib>
 
+#include "sim/config.hpp"
 #include "sim/log.hpp"
 
 namespace footprint {
+
+namespace {
+
+/**
+ * Minimal step from coordinate @p from to @p to along a dimension of
+ * extent @p n: +1, -1, or 0 when they agree. A wrapped dimension goes
+ * the shorter way around; exact ties (even extent, half-way) go +1.
+ */
+int
+minimalStep(int from, int to, int n, bool wrap)
+{
+    if (from == to)
+        return 0;
+    if (!wrap)
+        return to > from ? 1 : -1;
+    const int up = (to - from + n) % n;
+    return up <= n - up ? 1 : -1;
+}
+
+/** Hops between two coordinates along one dimension of extent @p n. */
+int
+dimDistance(int a, int b, int n, bool wrap)
+{
+    const int d = std::abs(a - b);
+    return wrap && n - d < d ? n - d : d;
+}
+
+} // namespace
 
 Dir
 dirOf(int port)
@@ -40,12 +68,131 @@ dirName(Dir d)
     return "?";
 }
 
-Mesh::Mesh(int width, int height) : width_(width), height_(height)
+const char*
+topologyKindName(TopologyKind kind)
+{
+    switch (kind) {
+      case TopologyKind::Mesh: return "mesh";
+      case TopologyKind::Torus: return "torus";
+      case TopologyKind::CMesh: return "cmesh";
+      case TopologyKind::Ring: return "ring";
+    }
+    return "?";
+}
+
+Mesh::Mesh(int width, int height)
+    : Mesh(TopologyKind::Mesh, width, height, false, false, 1)
+{}
+
+Mesh::Mesh(TopologyKind kind, int width, int height, bool wrap_x,
+           bool wrap_y, int concentration)
+    : kind_(kind), width_(width), height_(height), wrapX_(wrap_x),
+      wrapY_(wrap_y), concentration_(concentration)
 {
     // 1-D grids (N x 1 / 1 x N) back the ring topology; anything with
     // fewer than two nodes has no links to route over.
     if (width < 1 || height < 1 || width * height < 2)
         fatal("mesh must have at least 2 nodes");
+
+    const int n = numNodes();
+    fwd_.assign(static_cast<std::size_t>(n) * kNumPorts, PortRef{});
+    rev_.assign(static_cast<std::size_t>(n) * kNumPorts, PortRef{});
+    for (int node = 0; node < n; ++node) {
+        const Coord c = coordOf(node);
+        for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South}) {
+            Coord nc = c;
+            switch (d) {
+              case Dir::East: ++nc.x; break;
+              case Dir::West: --nc.x; break;
+              case Dir::North: ++nc.y; break;
+              case Dir::South: --nc.y; break;
+              case Dir::Local: break;
+            }
+            if (wrapX_)
+                nc.x = (nc.x + width_) % width_;
+            if (wrapY_)
+                nc.y = (nc.y + height_) % height_;
+            if (nc.x < 0 || nc.x >= width_ || nc.y < 0 || nc.y >= height_)
+                continue; // mesh edge: no link through this port
+            const int nbr = nodeId(nc);
+            const int op = portOf(opposite(d));
+            fwd_[flat(node, portOf(d))] = PortRef{nbr, op};
+            rev_[flat(nbr, op)] = PortRef{node, portOf(d)};
+        }
+        // Local: a router's output Local feeds its own endpoint, whose
+        // injection link feeds the router's input Local back.
+        const PortRef local{node, portOf(Dir::Local)};
+        fwd_[flat(node, portOf(Dir::Local))] = local;
+        rev_[flat(node, portOf(Dir::Local))] = local;
+    }
+}
+
+Mesh
+Mesh::torus(int width, int height)
+{
+    // A wrapped dimension of extent 2 would alias the mesh link and
+    // the wrap link between the same node pair (two parallel East
+    // links); extent >= 3 keeps every (node, port) pair unique.
+    if (width < 3 || height < 3)
+        fatal("torus needs width >= 3 and height >= 3");
+    return Mesh(TopologyKind::Torus, width, height, true, true, 1);
+}
+
+Mesh
+Mesh::cmesh(int width, int height, int concentration)
+{
+    if (concentration < 1)
+        fatal("cmesh concentration must be >= 1");
+    return Mesh(TopologyKind::CMesh, width, height, false, false,
+                concentration);
+}
+
+Mesh
+Mesh::ring(int nodes)
+{
+    if (nodes < 3)
+        fatal("ring needs >= 3 nodes");
+    return Mesh(TopologyKind::Ring, nodes, 1, true, false, 1);
+}
+
+Mesh
+Mesh::fromConfig(const SimConfig& cfg)
+{
+    const std::string name = cfg.getStr("topology");
+    const int w = static_cast<int>(cfg.getInt("mesh_width"));
+    const int h = static_cast<int>(cfg.getInt("mesh_height"));
+    const int c = static_cast<int>(cfg.getInt("concentration"));
+    if (c != 1 && name != "cmesh")
+        fatal("concentration > 1 requires topology=cmesh");
+
+    Mesh mesh = [&]() -> Mesh {
+        if (name == "mesh")
+            return Mesh(w, h);
+        if (name == "torus")
+            return torus(w, h);
+        if (name == "cmesh")
+            return cmesh(w, h, c);
+        if (name == "ring") {
+            if (h != 1)
+                fatal("ring requires mesh_height=1 (got "
+                      + std::to_string(h) + ")");
+            return ring(w);
+        }
+        fatal("unknown topology '" + name
+              + "' (want mesh, torus, cmesh, or ring)");
+    }();
+
+    // Each per-dimension latency defaults to link_latency; the config
+    // table holds every latency key at >= 1 cycle.
+    const int base = static_cast<int>(cfg.getInt("link_latency"));
+    auto latency = [&](const char* key) {
+        return cfg.contains(key) ? static_cast<int>(cfg.getInt(key))
+                                 : base;
+    };
+    mesh.latencyX_ = latency("link_latency_x");
+    mesh.latencyY_ = latency("link_latency_y");
+    mesh.latencyLocal_ = latency("link_latency_local");
+    return mesh;
 }
 
 int
@@ -63,50 +210,13 @@ Mesh::coordOf(int node) const
     return Coord{node % width_, node / width_};
 }
 
-bool
-Mesh::hasNeighbor(int node, Dir d) const
-{
-    const Coord c = coordOf(node);
-    switch (d) {
-      case Dir::East: return c.x + 1 < width_;
-      case Dir::West: return c.x > 0;
-      case Dir::North: return c.y + 1 < height_;
-      case Dir::South: return c.y > 0;
-      case Dir::Local: return false;
-    }
-    return false;
-}
-
-int
-Mesh::neighbor(int node, Dir d) const
-{
-    FP_ASSERT(hasNeighbor(node, d),
-              "no neighbor in direction " << dirName(d));
-    Coord c = coordOf(node);
-    switch (d) {
-      case Dir::East: ++c.x; break;
-      case Dir::West: --c.x; break;
-      case Dir::North: ++c.y; break;
-      case Dir::South: --c.y; break;
-      case Dir::Local: break;
-    }
-    return nodeId(c);
-}
-
 int
 Mesh::hopDistance(int a, int b) const
 {
     const Coord ca = coordOf(a);
     const Coord cb = coordOf(b);
-    return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
-}
-
-std::vector<Dir>
-Mesh::minimalDirs(int cur, int dest) const
-{
-    Dir buf[2];
-    const int n = minimalDirsInto(cur, dest, buf);
-    return std::vector<Dir>(buf, buf + n);
+    return dimDistance(ca.x, cb.x, width_, wrapX_)
+        + dimDistance(ca.y, cb.y, height_, wrapY_);
 }
 
 int
@@ -115,15 +225,19 @@ Mesh::minimalDirsInto(int cur, int dest, Dir out[2]) const
     const Coord cc = coordOf(cur);
     const Coord cd = coordOf(dest);
     int n = 0;
-    if (cd.x > cc.x)
-        out[n++] = Dir::East;
-    else if (cd.x < cc.x)
-        out[n++] = Dir::West;
-    if (cd.y > cc.y)
-        out[n++] = Dir::North;
-    else if (cd.y < cc.y)
-        out[n++] = Dir::South;
+    if (const int sx = minimalStep(cc.x, cd.x, width_, wrapX_))
+        out[n++] = sx > 0 ? Dir::East : Dir::West;
+    if (const int sy = minimalStep(cc.y, cd.y, height_, wrapY_))
+        out[n++] = sy > 0 ? Dir::North : Dir::South;
     return n;
+}
+
+std::vector<Dir>
+Mesh::minimalDirs(int cur, int dest) const
+{
+    Dir buf[2];
+    const int n = minimalDirsInto(cur, dest, buf);
+    return std::vector<Dir>(buf, buf + n);
 }
 
 double
@@ -140,6 +254,20 @@ Mesh::numMinimalPaths(int a, int b) const
         result = result * static_cast<double>(dy + i)
             / static_cast<double>(i);
     return result;
+}
+
+bool
+Mesh::datelineCrossing(int node, Dir d) const
+{
+    const Coord c = coordOf(node);
+    switch (d) {
+      case Dir::East: return wrapX_ && c.x == width_ - 1;
+      case Dir::West: return wrapX_ && c.x == 0;
+      case Dir::North: return wrapY_ && c.y == height_ - 1;
+      case Dir::South: return wrapY_ && c.y == 0;
+      case Dir::Local: break;
+    }
+    return false;
 }
 
 } // namespace footprint

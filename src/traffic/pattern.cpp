@@ -2,7 +2,6 @@
 
 #include "sim/log.hpp"
 #include "sim/rng.hpp"
-#include "topo/topology.hpp"
 
 namespace footprint {
 
@@ -77,20 +76,7 @@ defaultHotspotFlows(const Mesh& mesh)
 std::unique_ptr<TrafficPattern>
 makeTrafficPattern(const std::string& name, const Mesh& mesh)
 {
-    if (name == "uniform")
-        return std::make_unique<UniformPattern>(mesh);
-    if (name == "transpose")
-        return std::make_unique<TransposePattern>(mesh);
-    if (name == "shuffle")
-        return std::make_unique<ShufflePattern>(mesh);
-    fatal("unknown traffic pattern: " + name);
-}
-
-std::unique_ptr<TrafficPattern>
-makeTrafficPattern(const std::string& name, const Topology& topo)
-{
-    const Mesh& mesh = topo.grid();
-    const int c = topo.concentration();
+    const int c = mesh.concentration();
     if (name == "uniform")
         return std::make_unique<UniformPattern>(mesh, c);
     if (name == "transpose")

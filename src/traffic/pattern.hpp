@@ -17,7 +17,6 @@
 namespace footprint {
 
 class Rng;
-class Topology;
 
 /**
  * Maps a source terminal to a destination terminal per generated
@@ -103,17 +102,11 @@ std::vector<std::pair<int, int>> defaultHotspotFlows(const Mesh& mesh);
 /**
  * Instantiate a pattern by name: "uniform", "transpose" or "shuffle".
  * ("hotspot" and "trace" are traffic-manager modes, not patterns.)
- * fatal() on unknown names.
+ * Patterns run in terminal space, so a cmesh with concentration c
+ * gets c independent streams per router. fatal() on unknown names.
  */
 std::unique_ptr<TrafficPattern>
 makeTrafficPattern(const std::string& name, const Mesh& mesh);
-
-/**
- * Topology-aware overload: patterns run in terminal space, so a cmesh
- * with concentration c gets c independent streams per router.
- */
-std::unique_ptr<TrafficPattern>
-makeTrafficPattern(const std::string& name, const Topology& topo);
 
 } // namespace footprint
 

@@ -14,29 +14,23 @@
 #include "routing/routing.hpp"
 #include "sim/rng.hpp"
 #include "topo/mesh.hpp"
-#include "topo/topology.hpp"
 
 namespace footprint {
 
 class FakeRouterView : public RouterView
 {
   public:
-    /** View over an explicit topology (torus/ring routing tests). */
-    FakeRouterView(const Topology& topo, int node, int num_vcs,
-                   int buf_size = 4)
-        : topo_(topo), node_(node), numVcs_(num_vcs),
-          bufSize_(buf_size), rng_(1)
-    {
-        initMasks(num_vcs);
-    }
-
-    /** Mesh convenience: builds a mesh Topology of the same shape. */
     FakeRouterView(const Mesh& mesh, int node, int num_vcs,
                    int buf_size = 4)
-        : topo_(Topology::mesh(mesh.width(), mesh.height())),
-          node_(node), numVcs_(num_vcs), bufSize_(buf_size), rng_(1)
+        : mesh_(mesh), node_(node), numVcs_(num_vcs),
+          bufSize_(buf_size), rng_(1)
     {
-        initMasks(num_vcs);
+        for (int p = 0; p < kNumPorts; ++p) {
+            // Default: everything idle.
+            idle_[static_cast<std::size_t>(p)] = maskOfFirst(num_vcs);
+            owners_[static_cast<std::size_t>(p)].assign(
+                static_cast<std::size_t>(num_vcs), -1);
+        }
     }
 
     // --- Scripting interface ---
@@ -78,7 +72,7 @@ class FakeRouterView : public RouterView
     // --- RouterView ---
 
     int nodeId() const override { return node_; }
-    const Topology& topo() const override { return topo_; }
+    const Mesh& mesh() const override { return mesh_; }
     int numVcs() const override { return numVcs_; }
     int vcBufSize() const override { return bufSize_; }
 
@@ -130,20 +124,7 @@ class FakeRouterView : public RouterView
     Rng& rng() const override { return rng_; }
 
   private:
-    void
-    initMasks(int num_vcs)
-    {
-        for (int p = 0; p < kNumPorts; ++p) {
-            // Default: everything idle.
-            idle_[static_cast<std::size_t>(p)] = maskOfFirst(num_vcs);
-            occupied_[static_cast<std::size_t>(p)] = 0;
-            zeroCredit_[static_cast<std::size_t>(p)] = 0;
-            owners_[static_cast<std::size_t>(p)].assign(
-                static_cast<std::size_t>(num_vcs), -1);
-        }
-    }
-
-    Topology topo_;
+    Mesh mesh_;
     int node_;
     int numVcs_;
     int bufSize_;

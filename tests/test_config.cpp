@@ -370,7 +370,7 @@ TEST(DefaultConfig, TopologyDefaultsToUnconcentratedMesh)
     EXPECT_EQ(cfg.getInt("threads"), 1);
     EXPECT_EQ(cfg.getInt("shards"), 0);
     // The per-dimension overrides are deliberately not defaulted:
-    // Topology::fromConfig falls back to link_latency when absent.
+    // Mesh::fromConfig falls back to link_latency when absent.
     EXPECT_FALSE(cfg.contains("link_latency_x"));
     EXPECT_FALSE(cfg.contains("link_latency_y"));
     EXPECT_FALSE(cfg.contains("link_latency_local"));

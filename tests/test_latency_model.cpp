@@ -9,8 +9,9 @@
  *
  * where hops counts the routers visited and L is the packet length in
  * flits. The router itself adds no cycle beyond the link (DESIGN.md
- * §7's single-stage router). The test pins that per-hop timing for
- * every (topology, routing) pair config validation accepts.
+ * §7's single-stage router). The tests pin that per-hop timing for
+ * every (topology, routing) pair config validation accepts, and the
+ * mean it implies for uniform traffic at vanishing load.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "network/network.hpp"
+#include "network/traffic_manager.hpp"
 #include "sim/config.hpp"
 
 namespace footprint {
@@ -104,12 +106,37 @@ TEST(LatencyModel, IsolatedPacketLatencyIsClosedForm)
                     const EjectedPacket& got = out.front();
                     // Every accepted algorithm routes minimally.
                     EXPECT_EQ(got.hops,
-                              net.topology().hopDistance(src, dest) + 1);
+                              net.mesh().hopDistance(src, dest) + 1);
                     EXPECT_EQ(got.latency(),
                               link_latency * (got.hops + 1) + size - 1);
                 }
             }
         }
+    }
+}
+
+TEST(LatencyModel, VanishingLoadMeanIsTwoThirdsKPlusTwo)
+{
+    // Uniform destinations on a k x k mesh lie 2k/3 hops away on
+    // average (k/3 per dimension over distinct pairs), so single-flit
+    // DOR packets at a load too light to queue read 2k/3 + 2 cycles:
+    // the injection and ejection links add one cycle each. The
+    // tolerance, 0.1 cycles, is about four standard errors of either
+    // mean over 20,000 measured cycles; one more cycle per hop or per
+    // packet misses it by ten times that.
+    for (const int k : {4, 8}) {
+        SimConfig cfg = defaultConfig();
+        cfg.setInt("mesh_width", k);
+        cfg.setInt("mesh_height", k);
+        cfg.set("routing", "dor");
+        cfg.set("traffic", "uniform");
+        cfg.setDouble("injection_rate", 0.01);
+        cfg.setInt("measure_cycles", 20000);
+        const RunStats stats = runExperiment(cfg);
+        ASSERT_TRUE(stats.drained) << k << "x" << k;
+        EXPECT_GT(stats.latency.count(), 2000u) << k << "x" << k;
+        EXPECT_NEAR(stats.latency.mean(), 2.0 * k / 3.0 + 2.0, 0.1)
+            << k << "x" << k;
     }
 }
 

@@ -33,7 +33,7 @@ class RouterHarness
   public:
     RouterHarness(const RoutingAlgorithm* routing, int num_vcs = 4,
                   int buf_size = 4, int speedup = 2)
-        : topo(Topology::mesh(4, 4)),
+        : mesh(4, 4),
           pipes(2 * kNumPorts, 2 * kNumPorts, /*latency=*/1,
                 /*max_rate=*/8)
     {
@@ -41,7 +41,7 @@ class RouterHarness
         params.numVcs = num_vcs;
         params.vcBufSize = buf_size;
         params.internalSpeedup = speedup;
-        router = std::make_unique<Router>(topo, 5, params, routing,
+        router = std::make_unique<Router>(mesh, 5, params, routing,
                                           1, nullptr);
         for (int p = 0; p < kNumPorts; ++p) {
             in[p] = &pipes.flit(p);
@@ -95,7 +95,7 @@ class RouterHarness
         return credits;
     }
 
-    Topology topo;
+    Mesh mesh;
     TestPipes pipes;
     std::unique_ptr<Router> router;
     FlitChannel* in[kNumPorts];

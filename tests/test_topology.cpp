@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the explicit topology layer (DESIGN.md §18): port-map
+ * Tests for the topology kinds of Mesh (DESIGN.md §18): port-map
  * consistency, wraparound and dateline legality, terminal mapping
  * under concentration, link-latency plumbing into delivered packets,
  * and torus-DOR deadlock freedom at saturation under the auditor.
@@ -8,31 +8,32 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "network/network.hpp"
 #include "network/traffic_manager.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
-#include "topo/topology.hpp"
+#include "topo/mesh.hpp"
 
 namespace footprint {
 namespace {
 
-std::vector<Topology>
+std::vector<Mesh>
 allTopologies()
 {
-    std::vector<Topology> topos;
-    topos.push_back(Topology::mesh(5, 3));
-    topos.push_back(Topology::torus(4, 4));
-    topos.push_back(Topology::cmesh(4, 4, 4));
-    topos.push_back(Topology::ring(6));
+    std::vector<Mesh> topos;
+    topos.push_back(Mesh(5, 3));
+    topos.push_back(Mesh::torus(4, 4));
+    topos.push_back(Mesh::cmesh(4, 4, 4));
+    topos.push_back(Mesh::ring(6));
     return topos;
 }
 
 TEST(Topology, ForwardAndReverseMapsAreInverses)
 {
-    for (const Topology& topo : allTopologies()) {
+    for (const Mesh& topo : allTopologies()) {
         for (int n = 0; n < topo.numNodes(); ++n) {
             for (int p = 0; p < kNumPorts; ++p) {
                 const PortRef f = topo.forward(n, p);
@@ -54,7 +55,7 @@ TEST(Topology, ForwardAndReverseMapsAreInverses)
 
 TEST(Topology, NeighborIsSymmetric)
 {
-    for (const Topology& topo : allTopologies()) {
+    for (const Mesh& topo : allTopologies()) {
         for (int n = 0; n < topo.numNodes(); ++n) {
             for (Dir d :
                  {Dir::East, Dir::West, Dir::North, Dir::South}) {
@@ -71,7 +72,7 @@ TEST(Topology, NeighborIsSymmetric)
 
 TEST(Topology, LocalPortLoopsBackToSelf)
 {
-    for (const Topology& topo : allTopologies()) {
+    for (const Mesh& topo : allTopologies()) {
         for (int n = 0; n < topo.numNodes(); ++n) {
             const PortRef f = topo.forward(n, portOf(Dir::Local));
             EXPECT_EQ(f, (PortRef{n, portOf(Dir::Local)}));
@@ -82,34 +83,52 @@ TEST(Topology, LocalPortLoopsBackToSelf)
 
 TEST(Topology, MeshTopologyMatchesMeshConnectivity)
 {
-    const Topology topo = Topology::mesh(5, 3);
+    // A plain mesh's port maps and minimal-path queries match
+    // coordinate arithmetic: a neighbor one step away inside the
+    // grid, Manhattan distance, and X-then-Y productive directions.
     const Mesh mesh(5, 3);
     for (int n = 0; n < mesh.numNodes(); ++n) {
+        const Coord c = mesh.coordOf(n);
         for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South}) {
-            ASSERT_EQ(topo.hasNeighbor(n, d), mesh.hasNeighbor(n, d));
-            if (mesh.hasNeighbor(n, d)) {
-                EXPECT_EQ(topo.neighbor(n, d), mesh.neighbor(n, d));
+            Coord nc = c;
+            switch (d) {
+              case Dir::East: ++nc.x; break;
+              case Dir::West: --nc.x; break;
+              case Dir::North: ++nc.y; break;
+              case Dir::South: --nc.y; break;
+              case Dir::Local: break;
             }
+            const bool inside = nc.x >= 0 && nc.x < 5 && nc.y >= 0
+                && nc.y < 3;
+            ASSERT_EQ(mesh.hasNeighbor(n, d), inside);
+            EXPECT_EQ(mesh.neighbor(n, d), inside ? mesh.nodeId(nc) : -1);
+            const PortRef link = inside
+                ? PortRef{mesh.nodeId(nc), portOf(opposite(d))}
+                : PortRef{};
+            EXPECT_EQ(mesh.forward(n, portOf(d)), link);
         }
     }
-    // Unwrapped routing queries delegate to the grid bit for bit.
-    Dir tbuf[2];
-    Dir mbuf[2];
+    Dir buf[2];
     for (int s = 0; s < mesh.numNodes(); ++s) {
         for (int d = 0; d < mesh.numNodes(); ++d) {
-            EXPECT_EQ(topo.hopDistance(s, d), mesh.hopDistance(s, d));
-            const int tn = topo.minimalDirsInto(s, d, tbuf);
-            const int mn = mesh.minimalDirsInto(s, d, mbuf);
-            ASSERT_EQ(tn, mn);
-            for (int i = 0; i < tn; ++i)
-                EXPECT_EQ(tbuf[i], mbuf[i]);
+            const Coord cs = mesh.coordOf(s);
+            const Coord cd = mesh.coordOf(d);
+            EXPECT_EQ(mesh.hopDistance(s, d),
+                      std::abs(cs.x - cd.x) + std::abs(cs.y - cd.y));
+            std::vector<Dir> expect;
+            if (cd.x != cs.x)
+                expect.push_back(cd.x > cs.x ? Dir::East : Dir::West);
+            if (cd.y != cs.y)
+                expect.push_back(cd.y > cs.y ? Dir::North : Dir::South);
+            const int n = mesh.minimalDirsInto(s, d, buf);
+            EXPECT_EQ(std::vector<Dir>(buf, buf + n), expect);
         }
     }
 }
 
 TEST(Topology, TorusWrapsBothDimensions)
 {
-    const Topology topo = Topology::torus(4, 4);
+    const Mesh topo = Mesh::torus(4, 4);
     for (int n = 0; n < topo.numNodes(); ++n) {
         // Every torus router has all four neighbors.
         for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
@@ -128,7 +147,7 @@ TEST(Topology, TorusWrapsBothDimensions)
 
 TEST(Topology, DatelineCrossesOnlyOnWrapLinks)
 {
-    const Topology torus = Topology::torus(4, 4);
+    const Mesh torus = Mesh::torus(4, 4);
     for (int n = 0; n < torus.numNodes(); ++n) {
         const Coord c = torus.coordOf(n);
         EXPECT_EQ(torus.datelineCrossing(n, Dir::East), c.x == 3);
@@ -137,7 +156,7 @@ TEST(Topology, DatelineCrossesOnlyOnWrapLinks)
         EXPECT_EQ(torus.datelineCrossing(n, Dir::South), c.y == 0);
     }
     // Unwrapped topologies never cross a dateline.
-    const Topology mesh = Topology::mesh(4, 4);
+    const Mesh mesh(4, 4);
     for (int n = 0; n < mesh.numNodes(); ++n) {
         for (Dir d : {Dir::East, Dir::West, Dir::North, Dir::South})
             EXPECT_FALSE(mesh.datelineCrossing(n, d));
@@ -146,18 +165,18 @@ TEST(Topology, DatelineCrossesOnlyOnWrapLinks)
 
 TEST(Topology, WrapAwareHopDistanceTakesShortWayAround)
 {
-    const Topology torus = Topology::torus(8, 8);
+    const Mesh torus = Mesh::torus(8, 8);
     EXPECT_EQ(torus.hopDistance(0, 7), 1);   // wrap West
     EXPECT_EQ(torus.hopDistance(0, 4), 4);   // exact tie
     EXPECT_EQ(torus.hopDistance(0, 63), 2);  // wrap both dims
-    const Topology ring = Topology::ring(8);
+    const Mesh ring = Mesh::ring(8);
     EXPECT_EQ(ring.hopDistance(0, 7), 1);
     EXPECT_EQ(ring.hopDistance(0, 3), 3);
 }
 
 TEST(Topology, MinimalDirsWrapAndBreakTiesEast)
 {
-    const Topology torus = Topology::torus(8, 8);
+    const Mesh torus = Mesh::torus(8, 8);
     Dir buf[2];
     // 0 -> 7: one hop West around the wrap.
     ASSERT_EQ(torus.minimalDirsInto(0, 7, buf), 1);
@@ -180,7 +199,7 @@ TEST(Topology, MinimalDirsWrapAndBreakTiesEast)
 
 TEST(Topology, TorusDorWalksAreMinimalAndTerminate)
 {
-    const Topology torus = Topology::torus(5, 5);
+    const Mesh torus = Mesh::torus(5, 5);
     for (int s = 0; s < torus.numNodes(); ++s) {
         for (int d = 0; d < torus.numNodes(); ++d) {
             int cur = s;
@@ -201,7 +220,7 @@ TEST(Topology, TorusDorWalksAreMinimalAndTerminate)
 
 TEST(Topology, CmeshTerminalMapping)
 {
-    const Topology topo = Topology::cmesh(4, 4, 4);
+    const Mesh topo = Mesh::cmesh(4, 4, 4);
     EXPECT_EQ(topo.concentration(), 4);
     EXPECT_EQ(topo.numNodes(), 16);
     EXPECT_EQ(topo.numTerminals(), 64);
@@ -218,36 +237,36 @@ TEST(Topology, CmeshTerminalMapping)
 TEST(Topology, FromConfigBuildsEachKind)
 {
     SimConfig cfg = defaultConfig();
-    EXPECT_EQ(Topology::fromConfig(cfg).kind(), TopologyKind::Mesh);
+    EXPECT_EQ(Mesh::fromConfig(cfg).kind(), TopologyKind::Mesh);
     cfg.set("topology", "torus");
-    EXPECT_EQ(Topology::fromConfig(cfg).kind(), TopologyKind::Torus);
+    EXPECT_EQ(Mesh::fromConfig(cfg).kind(), TopologyKind::Torus);
     cfg.set("topology", "cmesh");
     cfg.setInt("concentration", 2);
-    EXPECT_EQ(Topology::fromConfig(cfg).kind(), TopologyKind::CMesh);
+    EXPECT_EQ(Mesh::fromConfig(cfg).kind(), TopologyKind::CMesh);
     cfg = defaultConfig();
     cfg.set("topology", "ring");
     cfg.setInt("mesh_width", 8);
     cfg.setInt("mesh_height", 1);
-    EXPECT_EQ(Topology::fromConfig(cfg).kind(), TopologyKind::Ring);
+    EXPECT_EQ(Mesh::fromConfig(cfg).kind(), TopologyKind::Ring);
 }
 
 TEST(TopologyDeath, InvalidShapesAreFatal)
 {
-    EXPECT_EXIT(Topology::torus(2, 4), testing::ExitedWithCode(1),
+    EXPECT_EXIT(Mesh::torus(2, 4), testing::ExitedWithCode(1),
                 "torus needs width >= 3 and height >= 3");
-    EXPECT_EXIT(Topology::ring(2), testing::ExitedWithCode(1),
+    EXPECT_EXIT(Mesh::ring(2), testing::ExitedWithCode(1),
                 "ring needs >= 3 nodes");
     SimConfig cfg = defaultConfig();
     cfg.set("topology", "hypercube");
-    EXPECT_EXIT(Topology::fromConfig(cfg), testing::ExitedWithCode(1),
+    EXPECT_EXIT(Mesh::fromConfig(cfg), testing::ExitedWithCode(1),
                 "unknown topology");
     cfg = defaultConfig();
     cfg.setInt("concentration", 4);
-    EXPECT_EXIT(Topology::fromConfig(cfg), testing::ExitedWithCode(1),
+    EXPECT_EXIT(Mesh::fromConfig(cfg), testing::ExitedWithCode(1),
                 "requires topology=cmesh");
     cfg = defaultConfig();
     cfg.set("topology", "ring");  // keeps mesh_height = 8
-    EXPECT_EXIT(Topology::fromConfig(cfg), testing::ExitedWithCode(1),
+    EXPECT_EXIT(Mesh::fromConfig(cfg), testing::ExitedWithCode(1),
                 "ring requires mesh_height=1");
 }
 

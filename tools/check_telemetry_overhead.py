@@ -14,7 +14,10 @@ The two benchmarks run in one process with
 ``--benchmark_enable_random_interleaving``, so their repetitions are
 shuffled together and host drift during the run lands on both sides
 alike; the gate compares medians over at least 20 repetitions each,
-so a single stalled repetition cannot decide the verdict.
+so a single stalled repetition cannot decide the verdict. Both warm
+the network up untimed and then time the same fixed number of cycles
+of the same trajectory (google-benchmark names them with an
+``/iterations:N`` suffix, which the gate strips).
 
 A recorded baseline (``bench/micro_baseline.json``, written with
 ``--record``) provides a second, advisory comparison of absolute
@@ -29,6 +32,7 @@ Usage:
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -52,7 +56,8 @@ def run_benchmarks(bench, repetitions):
     try:
         cmd = [
             bench,
-            "--benchmark_filter=^(%s|%s)$" % (BARE, IDLE),
+            "--benchmark_filter=^(%s|%s)(/iterations:[0-9]+)?$"
+            % (BARE, IDLE),
             "--benchmark_repetitions=%d" % repetitions,
             "--benchmark_enable_random_interleaving=true",
             "--benchmark_report_aggregates_only=false",
@@ -70,6 +75,7 @@ def run_benchmarks(bench, repetitions):
         if b.get("run_type") == "aggregate":
             continue
         name = b["run_name"] if "run_name" in b else b["name"]
+        name = re.sub(r"/iterations:[0-9]+$", "", name)
         samples.setdefault(name, []).append(float(b["real_time"]))
     medians = {n: statistics.median(v) for n, v in samples.items()}
     counts = {n: len(v) for n, v in samples.items()}
