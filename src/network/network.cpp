@@ -42,19 +42,19 @@ Network::Network(const SimConfig& cfg)
                   "dateline VC classes");
     }
 
+    // "sharded" stays accepted as the old name of "activity": the
+    // frozen benchmark harness and micro_cycle's thread rows pass it.
     const std::string mode = cfg.getStr("step_mode");
-    if (mode == "activity")
+    if (mode == "activity" || mode == "sharded")
         stepMode_ = StepMode::Activity;
     else if (mode == "full")
         stepMode_ = StepMode::Full;
     else if (mode == "verify")
         stepMode_ = StepMode::Verify;
-    else if (mode == "sharded")
-        stepMode_ = StepMode::Sharded;
     else {
         std::string msg = "unknown step_mode '";
         msg += mode;
-        msg += "' (want activity, full, verify, or sharded)";
+        msg += "' (want activity, full, or verify)";
         fatal(msg);
     }
 
@@ -67,12 +67,6 @@ Network::Network(const SimConfig& cfg)
               + " nodes; at most "
               + std::to_string(PacketPool::kMaxSegments)
               + " are supported (one packet-pool segment per node)");
-    }
-    const int shard_cfg = static_cast<int>(cfg.getInt("shards"));
-    if (shard_cfg > n) {
-        fatal("shards must be at most the node count ("
-              + std::to_string(n) + "), got "
-              + std::to_string(shard_cfg));
     }
     const int ejection_rate =
         static_cast<int>(cfg.getInt("ejection_rate"));
@@ -227,8 +221,7 @@ Network::Network(const SimConfig& cfg)
     }
 
     buildWakeGraph();
-    if (stepMode_ == StepMode::Sharded)
-        buildShards(threads_, shard_cfg);
+    buildShards(threads_);
 }
 
 Network::~Network()
@@ -244,17 +237,15 @@ Network::~Network()
 }
 
 void
-Network::buildShards(int threads, int shards)
+Network::buildShards(int threads)
 {
     const int n = mesh_.numNodes();
-    int num = shards == 0 ? threads : shards;
-    if (num > n)
-        num = n;
+    const int num = std::min(threads, n);
     // Partition the row-major node space into contiguous bands. Row-
     // major ids make a band a set of adjacent rows (plus partial rows
-    // at the seams), so most links stay shard-internal. A shard owns
-    // both the routers and the endpoints of its band: component ids
-    // 2k/2k+1 keep each node's pair in one shard. The first cut is
+    // at the seams), so most links stay band-internal. A band owns
+    // both the routers and the endpoints of its nodes: component ids
+    // 2k/2k+1 keep each node's pair in one band. The first cut is
     // equal node counts; recutBands() then moves the boundaries
     // toward equal measured time.
     shards_.resize(static_cast<std::size_t>(num));
@@ -265,19 +256,20 @@ Network::buildShards(int threads, int shards)
         recutStarts_[static_cast<std::size_t>(s)] = static_cast<int>(
             static_cast<std::int64_t>(s) * n / num);
         // A band may grow to every node but one per other band, so a
-        // re-cut never reallocates an active list.
+        // re-cut never reallocates a component list.
         shards_[static_cast<std::size_t>(s)].active.reserve(
             static_cast<std::size_t>(2 * (n - num + 1)));
     }
     setBandStarts(recutStarts_);
-    shardChunks_ = threads < num ? threads : num;
-    barrier_.reset(shardChunks_);
+    if (num == 1)
+        return;
+    barrier_.reset(num);
     // The calling thread is crew member 0; the others live as long as
     // the network. They hold back from the barrier until all of them
     // exist, so a failed start can still stop and join the rest.
-    crew_.reserve(static_cast<std::size_t>(shardChunks_ - 1));
+    crew_.reserve(static_cast<std::size_t>(num - 1));
     try {
-        for (int c = 1; c < shardChunks_; ++c)
+        for (int c = 1; c < num; ++c)
             crew_.emplace_back([this, c] { crewLoop(c); });
     } catch (...) {
         crewState_.store(CrewState::FailedStart,
@@ -289,6 +281,7 @@ Network::buildShards(int threads, int shards)
     }
     crewState_.store(CrewState::Running, std::memory_order_release);
     crewState_.notify_all();
+    crewSteps_ = true;
 }
 
 void
@@ -297,7 +290,7 @@ Network::setBandStarts(std::span<const int> starts)
     const int n = mesh_.numNodes();
     FP_ASSERT(starts.size() == shards_.size() && !starts.empty()
                   && starts[0] == 0,
-              "band starts need one entry per shard, starting at 0");
+              "band starts need one entry per band, starting at 0");
     for (std::size_t s = 0; s < starts.size(); ++s) {
         const int end = s + 1 < starts.size() ? starts[s + 1] : n;
         FP_ASSERT(starts[s] < end,
@@ -307,10 +300,18 @@ Network::setBandStarts(std::span<const int> starts)
     }
     for (std::size_t s = 0; s < starts.size(); ++s) {
         const int end = s + 1 < starts.size() ? starts[s + 1] : n;
-        shards_[s].compBegin = 2 * starts[s];
-        shards_[s].compEnd = 2 * end;
+        Shard& sh = shards_[s];
+        sh.compBegin = 2 * starts[s];
+        sh.compEnd = 2 * end;
+        // Full and verify bands list every component they own; within
+        // the capacity reserved at build, so this never allocates.
+        if (stepMode_ != StepMode::Activity) {
+            sh.active.clear();
+            for (int c = sh.compBegin; c < sh.compEnd; ++c)
+                sh.active.push_back(c);
+        }
     }
-    if (profiler_)
+    if (profiler_ && shards_.size() > 1)
         profiler_->setShardBands(starts, recuts_);
 }
 
@@ -407,11 +408,7 @@ Network::buildWakeGraph()
         l.flit->setWakeHook(&active_, flit_dst);
         l.credit->setWakeHook(&active_, flit_src);
     }
-
-    fullOrder_.resize(static_cast<std::size_t>(comps));
-    for (int c = 0; c < comps; ++c)
-        fullOrder_[static_cast<std::size_t>(c)] = c;
-    verifyMark_.assign(static_cast<std::size_t>(comps), 0);
+    verifyWoken_.reserve(static_cast<std::size_t>(comps));
 }
 
 bool
@@ -479,27 +476,6 @@ Network::phaseTransmit(const std::vector<int>& comps,
 }
 
 void
-Network::stepPhases(const std::vector<int>& comps, std::int64_t cycle)
-{
-    // Each phase is a barrier over the whole list, exactly as full
-    // stepping runs them; comps is sorted, so the visit order within a
-    // phase matches full stepping's node order too. Each scope is one
-    // never-taken branch when no profiler is attached.
-    {
-        ProfileScope ps(profiler_, ProfPhase::Drain);
-        phaseReceive(comps, cycle);
-    }
-    {
-        ProfileScope ps(profiler_, ProfPhase::Compute);
-        phaseCompute(comps, cycle);
-    }
-    {
-        ProfileScope ps(profiler_, ProfPhase::Transmit);
-        phaseTransmit(comps, cycle);
-    }
-}
-
-void
 Network::rescheduleAfterStep(const std::vector<int>& comps)
 {
     // Wakes from sends were raised by the channel hooks as they
@@ -507,7 +483,7 @@ Network::rescheduleAfterStep(const std::vector<int>& comps)
     // buffered flits, pending injection, or an item still in flight
     // after its own receive must run again next cycle. Anything sent
     // into its pipes later this cycle already woke it, so this reads
-    // only the component's own state — never a pipe another shard may
+    // only the component's own state — never a pipe another band may
     // be writing (DESIGN.md §12).
     for (const int c : comps) {
         if (componentSelfSustains(c))
@@ -516,70 +492,80 @@ Network::rescheduleAfterStep(const std::vector<int>& comps)
 }
 
 void
-Network::stepActivity(std::int64_t cycle, bool contiguous)
+Network::verifyWakes(std::int64_t cycle)
 {
-    // The first step (and any cycle jump) is a full step: it seeds the
-    // status board and the wake graph from the complete state.
-    if (!contiguous)
-        active_.wakeAll();
-    const std::vector<int>& act = active_.beginCycle();
-    stepPhases(act, cycle);
-    epilogue(act);
-}
-
-void
-Network::epilogue(const std::vector<int>& comps)
-{
-    // Reschedule + descriptor flush/refill, attributed to the
-    // epilogue phase when a profiler is attached.
-    ProfileScope ps(profiler_, ProfPhase::Epilogue);
-    rescheduleAfterStep(comps);
-    finishComps(comps);
+    // Drain the whole wake set, as activity stepping would, and prove
+    // that every component it leaves out is quiescent.
+    verifyWoken_.clear();
+    active_.drainRange(0, active_.size(), verifyWoken_);
+    auto woken = verifyWoken_.begin();
+    for (int c = 0; c < active_.size(); ++c) {
+        if (woken != verifyWoken_.end() && *woken == c) {
+            ++woken;
+            continue;
+        }
+        FP_ASSERT(!componentHasPendingWork(c),
+                  "activity stepping would skip "
+                      << ((c & 1) ? "endpoint " : "router ") << (c >> 1)
+                      << " with pending work at cycle " << cycle
+                      << " (missed wakeup)");
+    }
 }
 
 template <typename Fn>
 void
-Network::runShardPhase(std::size_t sBegin, std::size_t sEnd, Fn&& body)
+Network::runPhase(ProfPhase phase, std::size_t sBegin, std::size_t sEnd,
+                  Fn&& body)
 {
     // Phase bodies run inside try/catch so a panicking invariant
     // (FP_ASSERT -> InvariantError) cannot strand the other crew
     // members at a barrier: the throwing worker records the error,
     // everyone keeps arriving at the remaining barriers as no-ops, and
-    // stepSharded rethrows after the end round. Each shard's body is
-    // timed (one clock read per shard plus one) into its busy slot:
-    // the band re-cut runs on these times, profiled or not.
-    if (shardFailed_.load(std::memory_order_relaxed))
+    // step() rethrows after the phases. With several bands each body
+    // is timed (one clock read per band plus one) into its busy slot,
+    // profiled or not: the band re-cut runs on these times. A lone
+    // band is timed only for a profiler, as this phase's time.
+    if (stepFailed_.load(std::memory_order_relaxed))
         return;
     try {
+        if (shards_.size() == 1 && !profiler_) {
+            body(shards_[0]);
+            return;
+        }
         std::uint64_t t0 = Profiler::nowNs();
         for (std::size_t s = sBegin; s < sEnd; ++s) {
             body(shards_[s]);
             const std::uint64_t t1 = Profiler::nowNs();
-            shards_[s].busyNs += t1 - t0;
+            if (shards_.size() == 1)
+                profiler_->addPhaseNs(phase, t1 - t0);
+            else
+                shards_[s].busyNs += t1 - t0;
             t0 = t1;
         }
     } catch (...) {
-        std::lock_guard<std::mutex> lock(shardErrMutex_);
-        if (!shardError_)
-            shardError_ = std::current_exception();
-        shardFailed_.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(stepErrMutex_);
+        if (!stepError_)
+            stepError_ = std::current_exception();
+        stepFailed_.store(true, std::memory_order_relaxed);
     }
 }
 
 void
-Network::barrierArrive(int chunk)
+Network::barrierArrive(int member)
 {
+    if (!crewSteps_)
+        return;
     if (!profiler_) {
         barrier_.arriveAndWait();
         return;
     }
     const std::uint64_t t0 = Profiler::nowNs();
     barrier_.arriveAndWait();
-    profiler_->recordBarrierWaitNs(chunk, Profiler::nowNs() - t0);
+    profiler_->recordBarrierWaitNs(member, Profiler::nowNs() - t0);
 }
 
 void
-Network::crewLoop(int chunk)
+Network::crewLoop(int member)
 {
     // A member that passes this gate late still arrives at the start
     // round, even if ~Network already set Stopping and waits there.
@@ -592,69 +578,63 @@ Network::crewLoop(int chunk)
         if (crewState_.load(std::memory_order_relaxed)
             == CrewState::Stopping)
             return;
-        shardWorker(chunk, crewCycle_);
+        stepBands(member, crewCycle_);
         barrier_.arriveAndWait();  // end round
     }
 }
 
 void
-Network::shardWorker(int chunk, std::int64_t cycle)
+Network::stepBands(int member, std::int64_t cycle)
 {
-    const std::size_t n = shards_.size();
-    const auto chunks = static_cast<std::size_t>(shardChunks_);
-    const auto c = static_cast<std::size_t>(chunk);
-    const std::size_t sBegin = c * n / chunks;
-    const std::size_t sEnd = (c + 1) * n / chunks;
+    // Crew member c steps band c; without a stepping crew the caller
+    // steps every band, one phase at a time. Each phase is a barrier
+    // over all bands, exactly as a single list would run them, and
+    // each list is sorted, so the visit order within a phase matches
+    // full stepping's node order too.
+    const auto sBegin = static_cast<std::size_t>(member);
+    const std::size_t sEnd = crewSteps_ ? sBegin + 1 : shards_.size();
     // Drain + receive share one barrier window: receivePhase only pops
     // channels (it never send()s), so the first wake of this cycle is
     // raised in a compute phase — strictly after the barrier below —
     // and no drain can swallow a cycle-N wake into cycle N's list.
-    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
-        sh.active.clear();
-        active_.drainRange(sh.compBegin, sh.compEnd, sh.active);
+    runPhase(ProfPhase::Drain, sBegin, sEnd, [&](Shard& sh) {
+        if (stepMode_ == StepMode::Activity) {
+            sh.active.clear();
+            active_.drainRange(sh.compBegin, sh.compEnd, sh.active);
+        }
         phaseReceive(sh.active, cycle);
     });
-    barrierArrive(chunk);
+    barrierArrive(member);
     // Compute reads cycle-N channel/status state and commits sends for
     // cycle N+latency; the barrier above guarantees every receive (and
     // drain) finished first, the one below orders it before transmit's
     // status publishes.
-    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
+    runPhase(ProfPhase::Compute, sBegin, sEnd, [&](Shard& sh) {
         phaseCompute(sh.active, cycle);
     });
-    barrierArrive(chunk);
+    barrierArrive(member);
     // The self-sustain rule reads only a component's own state, which
-    // its own transmit has just settled, so each shard reschedules
+    // its own transmit has just settled, so each band reschedules
     // right after its transmit with no barrier in between. Wakes
     // target cycle N+1's bitmap, which nobody drains before the next
-    // start round.
-    runShardPhase(sBegin, sEnd, [&](Shard& sh) {
+    // start round. Full stepping keeps no wake set.
+    runPhase(ProfPhase::Transmit, sBegin, sEnd, [&](Shard& sh) {
         phaseTransmit(sh.active, cycle);
-        rescheduleAfterStep(sh.active);
+        if (stepMode_ != StepMode::Full)
+            rescheduleAfterStep(sh.active);
     });
 }
 
 void
-Network::stepSharded(std::int64_t cycle, bool contiguous)
+Network::epilogue()
 {
-    if (!contiguous)
-        active_.wakeAll();
-    shardFailed_.store(false, std::memory_order_relaxed);
-    shardError_ = nullptr;
-    // The start round publishes the cycle (and any new bands) to the
-    // crew; the end round collects every chunk's phases.
-    crewCycle_ = cycle;
-    if (!crew_.empty())
-        barrier_.arriveAndWait();
-    shardWorker(0, cycle);
-    if (!crew_.empty())
-        barrier_.arriveAndWait();
-    if (shardError_)
-        std::rethrow_exception(shardError_);
-    // Serial epilogue, identical to the serial modes' finishComps over
-    // the concatenated (ascending) shard lists: all flushes strictly
-    // before all refills, so free-list contents match serial stepping
-    // slot for slot.
+    // Serial end-of-step epilogue: return this cycle's deferred
+    // descriptor releases in node order, then top every touched
+    // segment back up to >= 1 free slot so the next cycle's
+    // allocations cannot grow a slot array mid-phase. All flushes
+    // come strictly before all refills, and components that were not
+    // stepped have nothing to flush and a non-empty free list, so
+    // free-list contents are the same for any mode and band count.
     ProfileScope ps(profiler_, ProfPhase::Epilogue);
     for (const Shard& sh : shards_) {
         for (const int c : sh.active) {
@@ -668,6 +648,8 @@ Network::stepSharded(std::int64_t cycle, bool contiguous)
                 pool_.refill(c >> 1);
         }
     }
+    if (shards_.size() == 1)
+        return;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         Shard& sh = shards_[s];
         if (profiler_)
@@ -677,62 +659,16 @@ Network::stepSharded(std::int64_t cycle, bool contiguous)
             sh.busyNs;
         sh.busyNs = 0;
     }
-    // Re-cut the bands from measured time every kRecutWindow cycles;
-    // with one chunk there is nothing to balance.
+    // Re-cut the bands from measured time every kRecutWindow cycles.
     if (++recutClock_ == kRecutWindow) {
         recutClock_ = 0;
-        if (shardChunks_ > 1)
-            recutBands();
+        recutBands();
     }
-    // Workers recorded barrier waits into per-chunk scratch; fold them
-    // into the histogram here, after the end round, where no worker
-    // races.
+    // Workers recorded barrier waits into per-member scratch; fold
+    // them into the histogram here, after the end round, where no
+    // worker races.
     if (profiler_)
         profiler_->mergeCycleScratch();
-}
-
-void
-Network::finishComps(const std::vector<int>& comps)
-{
-    // Serial end-of-step epilogue: return this cycle's deferred
-    // descriptor releases in node order, then top every touched
-    // segment back up to >= 1 free slot so the next cycle's
-    // allocations cannot grow a slot array mid-phase. Components that
-    // were not stepped have nothing to flush and a non-empty free
-    // list, so iterating only the stepped list is mode-independent.
-    for (const int c : comps) {
-        if (c & 1)
-            endpoints_[idx(c >> 1)]->flushReleases();
-    }
-    for (const int c : comps) {
-        if (c & 1)
-            pool_.refill(c >> 1);
-    }
-}
-
-void
-Network::stepVerify(std::int64_t cycle, bool contiguous)
-{
-    if (!contiguous)
-        active_.wakeAll();
-    const std::vector<int>& act = active_.beginCycle();
-    for (const int c : act)
-        verifyMark_[static_cast<std::size_t>(c)] = 1;
-    for (const int c : fullOrder_) {
-        if (verifyMark_[static_cast<std::size_t>(c)]) {
-            verifyMark_[static_cast<std::size_t>(c)] = 0;
-            continue;
-        }
-        FP_ASSERT(!componentHasPendingWork(c),
-                  "activity stepping would skip "
-                      << ((c & 1) ? "endpoint " : "router ") << (c >> 1)
-                      << " with pending work at cycle " << cycle
-                      << " (missed wakeup)");
-    }
-    // Step everything; quiescent components are no-ops, so this is
-    // the same cycle the active list would have produced.
-    stepPhases(fullOrder_, cycle);
-    epilogue(fullOrder_);
 }
 
 void
@@ -741,36 +677,27 @@ Network::step(std::int64_t cycle)
     const bool contiguous = haveStepped_ && cycle == lastCycle_ + 1;
     lastCycle_ = cycle;
     haveStepped_ = true;
-    switch (stepMode_) {
-    case StepMode::Full: {
-        stepPhases(fullOrder_, cycle);
-        ProfileScope ps(profiler_, ProfPhase::Epilogue);
-        finishComps(fullOrder_);
-        break;
+    // The first step (and any cycle jump) wakes everything: it seeds
+    // the status board and the wake graph from the complete state.
+    if (!contiguous)
+        active_.wakeAll();
+    if (stepMode_ == StepMode::Verify)
+        verifyWakes(cycle);
+    if (crewSteps_) {
+        // The start round publishes the cycle (and any new bands) to
+        // the crew; the end round collects every band's phases.
+        crewCycle_ = cycle;
+        barrier_.arriveAndWait();
+        stepBands(0, cycle);
+        barrier_.arriveAndWait();
+    } else {
+        stepBands(0, cycle);
     }
-    case StepMode::Activity:
-        stepActivity(cycle, contiguous);
-        break;
-    case StepMode::Verify:
-        stepVerify(cycle, contiguous);
-        break;
-    case StepMode::Sharded:
-        if (tracerAttached_) {
-            // The packet tracer mutates shared trace state from
-            // router/endpoint hooks *during* phases; keep its event
-            // ordering exact by stepping serially (results are
-            // bit-identical either way).
-            if (!warnedTracerFallback_) {
-                warn("packet tracer attached: sharded stepping falls "
-                     "back to serial activity stepping");
-                warnedTracerFallback_ = true;
-            }
-            stepActivity(cycle, contiguous);
-        } else {
-            stepSharded(cycle, contiguous);
-        }
-        break;
+    if (stepError_) {
+        stepFailed_.store(false, std::memory_order_relaxed);
+        std::rethrow_exception(std::exchange(stepError_, nullptr));
     }
+    epilogue();
 }
 
 bool
@@ -789,7 +716,7 @@ Network::idle() const
     // the hot path (it only runs when the driver suspects idleness).
     if (stepMode_ != StepMode::Full)
         return active_.pendingEmpty();
-    for (const int c : fullOrder_) {
+    for (int c = 0; c < active_.size(); ++c) {
         if (componentHasPendingWork(c))
             return false;
     }
@@ -878,9 +805,9 @@ void
 Network::attachProfiler(Profiler* profiler)
 {
     profiler_ = profiler;
-    if (profiler_ && stepMode_ == StepMode::Sharded) {
+    if (profiler_ && shards_.size() > 1) {
         profiler_->configureSharded(static_cast<int>(shards_.size()),
-                                    shardChunks_, threads_);
+                                    threads_);
         for (std::size_t s = 0; s < shards_.size(); ++s)
             recutStarts_[s] = shards_[s].compBegin / 2;
         profiler_->setShardBands(recutStarts_, recuts_);
@@ -895,7 +822,14 @@ Network::attachTracer(PacketTracer* tracer)
         r->setTracer(tracer);
     for (auto& e : endpoints_)
         e->setTracer(tracer);
-    tracerAttached_ = true;
+    // The tracer mutates shared trace state from router/endpoint hooks
+    // *during* phases; keep its event order exact by stepping every
+    // band on this thread (results are bit-identical either way).
+    if (crewSteps_) {
+        warn("packet tracer attached: every band steps on the calling "
+             "thread");
+        crewSteps_ = false;
+    }
 }
 
 } // namespace footprint

@@ -30,13 +30,13 @@ namespace footprint {
 
 class PacketTracer;
 class Profiler;
+enum class ProfPhase : int;
 
-/** How Network::step visits components each cycle. */
+/** Which components each band lists for Network::step. */
 enum class StepMode {
-    Full,      ///< step every router and endpoint every cycle
-    Activity,  ///< step only components on the active list
-    Verify,    ///< full stepping, cross-checking the active list
-    Sharded,   ///< activity stepping, shards in parallel (bit-identical)
+    Full,      ///< every router and endpoint, every cycle
+    Activity,  ///< only components woken for this cycle
+    Verify,    ///< every component, after cross-checking the wakes
 };
 
 /**
@@ -47,25 +47,28 @@ enum class StepMode {
  * phase structure makes the simulation independent of iteration order
  * and hence deterministic.
  *
- * Under the default "activity" step mode only components that can do
- * work are visited: a component is woken for cycle t+1 when it still
- * has pending work after cycle t (buffered flits, queued packets, or
- * in-flight pipe entries) or when an active neighbor's outgoing pipe
- * is non-empty. Stepping a quiescent component is observationally a
- * no-op, so results are bit-identical to "full" stepping; the
- * "verify" mode proves it per run by stepping everything while
- * panicking if a component the active list would have skipped reports
- * pending work (see DESIGN.md §12).
+ * The mesh is cut into min(threads, nodes) bands, and every step runs
+ * the three phases over each band's component list, one band per
+ * thread (DESIGN.md §13). The step mode only chooses what the lists
+ * hold. Under the default "activity" mode a band lists the components
+ * woken for this cycle: a component is woken for cycle t+1 when it
+ * still has pending work after cycle t (buffered flits, queued
+ * packets, or in-flight pipe entries) or when a neighbor sends into
+ * one of its pipes. Stepping a quiescent component is observationally
+ * a no-op, so results are bit-identical to "full" stepping, which
+ * lists everything; "verify" lists everything too, after panicking if
+ * a component the wakes would have skipped reports pending work (see
+ * DESIGN.md §12).
  */
 class Network
 {
   public:
     explicit Network(const SimConfig& cfg);
 
-    /** Stops and joins the shard crew (sharded stepping only). */
+    /** Stops and joins the band crew, if there is one. */
     ~Network();
 
-    // The shard crew holds `this`.
+    // The band crew holds `this`.
     Network(const Network&) = delete;
     Network& operator=(const Network&) = delete;
 
@@ -123,8 +126,8 @@ class Network
     /**
      * Wire a packet-lifecycle tracer (borrowed; must outlive the
      * network's stepping) into every router and endpoint. The tracer
-     * records from hooks inside the step phases, so sharded stepping
-     * falls back to serial activity stepping while one is attached.
+     * records from hooks inside the step phases, so from then on the
+     * calling thread steps every band, one phase at a time.
      */
     void attachTracer(PacketTracer* tracer);
 
@@ -133,22 +136,21 @@ class Network
 
     /**
      * Attach a self-profiler: subsequent step() calls attribute wall
-     * time to the drain/compute/transmit/epilogue phases and, under
-     * sharded stepping, to per-shard busy time and barrier waits (see
-     * DESIGN.md §14). A null profiler detaches — the hot path then
-     * pays exactly one never-taken branch per phase.
+     * time to the epilogue and, with one band, to the drain/compute/
+     * transmit phases or, with several, to per-band busy time and
+     * barrier waits (see DESIGN.md §14). A null profiler detaches.
      * Profiling reads the clock but never simulation state, so results
      * are bit-identical with or without it, in every step mode.
      */
     void attachProfiler(Profiler* profiler);
 
-    /** Shards built for sharded stepping (0 outside that mode). */
+    /** Bands the mesh is cut into: min(threads, nodes). */
     int shardCount() const
     {
         return static_cast<int>(shards_.size());
     }
 
-    /** First node of shard @p shard's band (sharded stepping). */
+    /** First node of band @p shard. */
     int bandStart(int shard) const
     {
         return shards_[static_cast<std::size_t>(shard)].compBegin / 2;
@@ -156,7 +158,7 @@ class Network
 
     /**
      * Install band boundaries between steps: @p starts holds each
-     * shard's first node, one entry per shard, starting at 0 and
+     * band's first node, one entry per band, starting at 0 and
      * strictly increasing (FP_ASSERTed). The periodic re-cut installs
      * its boundaries through here; results never depend on them, only
      * wall time does (DESIGN.md §13).
@@ -209,7 +211,7 @@ class Network
     static int endpointComp(int node) { return 2 * node + 1; }
 
     void buildWakeGraph();
-    void buildShards(int threads, int shards);
+    void buildShards(int threads);
     bool componentHasPendingWork(int comp) const;
     bool componentSelfSustains(int comp) const;
     void phaseReceive(const std::vector<int>& comps,
@@ -218,18 +220,15 @@ class Network
                       std::int64_t cycle);
     void phaseTransmit(const std::vector<int>& comps,
                        std::int64_t cycle);
-    void stepPhases(const std::vector<int>& comps, std::int64_t cycle);
     void rescheduleAfterStep(const std::vector<int>& comps);
-    void stepActivity(std::int64_t cycle, bool contiguous);
-    void stepVerify(std::int64_t cycle, bool contiguous);
-    void stepSharded(std::int64_t cycle, bool contiguous);
-    void crewLoop(int chunk);
-    void shardWorker(int chunk, std::int64_t cycle);
+    void verifyWakes(std::int64_t cycle);
+    void crewLoop(int member);
+    void stepBands(int member, std::int64_t cycle);
     template <typename Fn>
-    void runShardPhase(std::size_t sBegin, std::size_t sEnd, Fn&& body);
-    void finishComps(const std::vector<int>& comps);
-    void epilogue(const std::vector<int>& comps);
-    void barrierArrive(int chunk);
+    void runPhase(ProfPhase phase, std::size_t sBegin, std::size_t sEnd,
+                  Fn&& body);
+    void epilogue();
+    void barrierArrive(int member);
     void recutBands();
 
     Mesh mesh_;
@@ -252,21 +251,20 @@ class Network
     ActiveSet active_;
     std::int64_t lastCycle_ = 0;
     bool haveStepped_ = false;
-    std::vector<int> fullOrder_;       ///< all component ids, sorted
-    std::vector<std::uint8_t> verifyMark_;  ///< scratch (verify mode)
+    std::vector<int> verifyWoken_;  ///< drained wake set (verify mode)
 
-    // Sharded stepping state (step_mode=sharded; see DESIGN.md §13).
-    // The mesh is partitioned into spatially contiguous node bands;
-    // each shard owns the routers *and* endpoints of its band, so a
-    // shard id range is a contiguous component id range. Chunk c of
-    // the shards is stepped by crew member c through barrier-aligned
-    // phases; the calling thread is member 0 and crew_ holds the
-    // other threads-1 for the network's whole lifetime.
+    // Band stepping state (DESIGN.md §13). The mesh is partitioned
+    // into spatially contiguous node bands; each band owns the routers
+    // *and* endpoints of its nodes, so a band is a contiguous
+    // component id range. Band c is stepped by crew member c through
+    // barrier-aligned phases; the calling thread is member 0 and crew_
+    // holds the other bands-1 for the network's whole lifetime.
     struct alignas(64) Shard
     {
         int compBegin = 0;         ///< first component id (inclusive)
         int compEnd = 0;           ///< one past the last component id
-        std::vector<int> active;   ///< this cycle's drained wake list
+        /** This cycle's components: drained wakes, or the whole band. */
+        std::vector<int> active;
         /** Phase-body wall time this cycle (owning worker writes). */
         std::uint64_t busyNs = 0;
     };
@@ -274,27 +272,26 @@ class Network
     /** Stepped cycles per band re-cut window. */
     static constexpr int kRecutWindow = 32;
 
-    int threads_ = 1;              ///< worker count (config "threads")
-    int shardChunks_ = 1;          ///< min(threads, shards) = parties
+    int threads_ = 1;              ///< config "threads"
     std::vector<Shard> shards_;
+    /** The crew steps (false without one, or once a tracer attaches). */
+    bool crewSteps_ = false;
     std::int64_t crewCycle_ = 0;   ///< cycle the crew steps next
     SpinBarrier barrier_;
-    std::exception_ptr shardError_;
-    std::mutex shardErrMutex_;
-    std::atomic<bool> shardFailed_{false};
+    std::exception_ptr stepError_;
+    std::mutex stepErrMutex_;
+    std::atomic<bool> stepFailed_{false};
     int recutClock_ = 0;           ///< cycles into the re-cut window
     std::uint64_t recuts_ = 0;
     // Re-cut scratch, sized at build: new band starts, and each
-    // shard's busy time for every cycle of the window (shard-major).
+    // band's busy time for every cycle of the window (band-major).
     std::vector<int> recutStarts_;
     std::vector<std::uint64_t> recutSamples_;
-    bool tracerAttached_ = false;
-    bool warnedTracerFallback_ = false;
 
     /** Self-profiler; null (the common case) skips all timing. */
     Profiler* profiler_ = nullptr;
 
-    // The resident shard crew, declared last because its threads use
+    // The resident band crew, declared last because its threads use
     // the members above; ~Network joins them before any is destroyed.
     enum class CrewState { Starting, Running, FailedStart, Stopping };
     std::atomic<CrewState> crewState_{CrewState::Starting};

@@ -36,11 +36,10 @@ profPhaseName(ProfPhase p)
 }
 
 void
-Profiler::configureSharded(int shards, int chunks, int threads)
+Profiler::configureSharded(int shards, int threads)
 {
     shardBusyNs_.assign(static_cast<std::size_t>(shards), 0);
-    chunkWaitNs_.assign(static_cast<std::size_t>(chunks), 0);
-    scratch_.assign(static_cast<std::size_t>(chunks), ChunkScratch{});
+    scratch_.assign(static_cast<std::size_t>(shards), MemberScratch{});
     // Sized here; the Network reports its bands right after.
     bandStarts_.assign(static_cast<std::size_t>(shards), 0);
     recuts_ = 0;
@@ -59,12 +58,9 @@ Profiler::setShardBands(std::span<const int> starts,
 void
 Profiler::mergeCycleScratch()
 {
-    for (std::size_t c = 0; c < scratch_.size(); ++c) {
-        ChunkScratch& s = scratch_[c];
-        for (int i = 0; i < s.count; ++i) {
+    for (MemberScratch& s : scratch_) {
+        for (int i = 0; i < s.count; ++i)
             barrierHist_.add(s.waitNs[i]);
-            chunkWaitNs_[c] += s.waitNs[i];
-        }
         s.count = 0;
     }
 }
@@ -139,9 +135,10 @@ Profiler::toJsonRow(const std::string& name, const std::string& mode,
     out += ']';
 
     if (sharded()) {
-        out += ",\"sharded\":{\"shards\":"
-            + std::to_string(shardBusyNs_.size()) + ",\"chunks\":"
-            + std::to_string(chunkWaitNs_.size()) + ",\"threads\":"
+        // One crew member steps each band: "chunks" equals "shards".
+        const std::string shards = std::to_string(shardBusyNs_.size());
+        out += ",\"sharded\":{\"shards\":" + shards + ",\"chunks\":"
+            + shards + ",\"threads\":"
             + std::to_string(threads_) + ",\"shard_busy_seconds\":[";
         for (std::size_t s = 0; s < shardBusyNs_.size(); ++s) {
             if (s > 0)

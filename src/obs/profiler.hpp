@@ -2,24 +2,25 @@
  * @file
  * Simulator self-profiler: attributes wall-clock time to the phases of
  * a simulation cycle (inject / drain / compute / transmit / epilogue /
- * collect) and, under sharded stepping, to individual shards and
- * barrier waits, so performance work starts from measurements instead
- * of guesses.
+ * collect) and, when the network steps several bands, to individual
+ * bands and barrier waits, so performance work starts from
+ * measurements instead of guesses.
  *
- * Threading contract (mirrors the sharded-stepping determinism design,
- * DESIGN.md §13/§14): workers write only the per-chunk barrier-wait
- * scratch slots they own during a cycle; the Network folds that
- * scratch into the shared HDR histogram, and adds each shard's busy
- * time, from its *serial* end-of-step epilogue. Nothing the profiler
- * does touches simulation state, so checksums and sharded-vs-serial
- * equality are untouched — the profiled run is bit-identical to the
- * unprofiled one.
+ * Threading contract (mirrors the parallel-stepping determinism
+ * design, DESIGN.md §13/§14): workers write only the per-member
+ * barrier-wait scratch slots they own during a cycle; the Network
+ * folds that scratch into the shared HDR histogram, and adds each
+ * band's busy time, from its *serial* end-of-step epilogue. Nothing
+ * the profiler does touches simulation state, so checksums and
+ * parallel-vs-serial equality are untouched — the profiled run is
+ * bit-identical to the unprofiled one.
  *
- * Overhead contract: a Network with no profiler attached pays one
- * never-taken branch per phase; runExperiment pays one null check per
- * cycle section. The CI gate (check_telemetry_overhead.py) holds a
- * cycle with every observer off, as runExperiment runs it, within 2%
- * of the bare cycle loop.
+ * Overhead contract: a one-band Network with no profiler attached
+ * reads no clock (several bands time their phase bodies for the band
+ * re-cut either way); runExperiment pays one null check per cycle
+ * section. The CI gate (check_telemetry_overhead.py) holds a cycle
+ * with every observer off, as runExperiment runs it, within 2% of the
+ * bare cycle loop.
  */
 
 #ifndef FOOTPRINT_OBS_PROFILER_HPP
@@ -41,10 +42,10 @@ struct RunMetadata;
 /** Wall-time attribution buckets of one simulation cycle. */
 enum class ProfPhase : int {
     Inject = 0,   ///< traffic generation (runExperiment)
-    Drain,        ///< active-list drain + receive phase
-    Compute,      ///< routing + VA + SA + crossbar traversal
-    Transmit,     ///< output FIFOs into links + status publish
-    Epilogue,     ///< reschedule, descriptor flush/refill, scratch merge
+    Drain,        ///< active-list drain + receive phase (one band)
+    Compute,      ///< routing + VA + SA + crossbar traversal (one band)
+    Transmit,     ///< links + status publish + reschedule (one band)
+    Epilogue,     ///< descriptor flush/refill, band-time fold, re-cut
     Collect,      ///< ejected-packet collection (runExperiment)
     Skip,         ///< horizon computation + clock jumps (skip-ahead)
     Link,         ///< batched fabric sent-lane sums (totalFlitsSent)
@@ -84,14 +85,14 @@ class Profiler
         ++phaseCalls_[static_cast<std::size_t>(p)];
     }
 
-    // --- Sharded-stepping instrumentation. ---
+    // --- Band-stepping instrumentation (several bands). ---
 
     /**
-     * Size the per-shard and per-chunk accumulators. Called by
-     * Network::attachProfiler when step_mode=sharded; @p chunks is the
-     * worker-crew size (each chunk of shards runs on one thread).
+     * Size the per-band accumulators, one per band and crew member.
+     * Called by Network::attachProfiler when the network steps more
+     * than one band.
      */
-    void configureSharded(int shards, int chunks, int threads);
+    void configureSharded(int shards, int threads);
 
     bool sharded() const { return !shardBusyNs_.empty(); }
     int shardCount() const
@@ -122,21 +123,21 @@ class Profiler
     const std::vector<int>& bandStarts() const { return bandStarts_; }
 
     /**
-     * Record one barrier wait of worker chunk @p chunk into its
+     * Record one barrier wait of crew member @p member into its
      * private scratch slot; folded into the shared histogram by
      * mergeCycleScratch() from the serial epilogue.
      */
     void
-    recordBarrierWaitNs(int chunk, std::uint64_t ns)
+    recordBarrierWaitNs(int member, std::uint64_t ns)
     {
-        ChunkScratch& s = scratch_[static_cast<std::size_t>(chunk)];
+        MemberScratch& s = scratch_[static_cast<std::size_t>(member)];
         if (s.count < kMaxWaitsPerCycle)
             s.waitNs[s.count++] = ns;
     }
 
     /**
-     * Serial end-of-step merge: fold every chunk's barrier-wait
-     * scratch into the shared HDR histogram and per-chunk totals.
+     * Serial end-of-step merge: fold every member's barrier-wait
+     * scratch into the shared HDR histogram.
      * Must only be called while no worker is inside a phase.
      */
     void mergeCycleScratch();
@@ -181,10 +182,10 @@ class Profiler
                           const std::string& mode, int threads) const;
 
   private:
-    // 2 in-cycle barriers per cycle per chunk, with headroom.
+    // 2 in-cycle barriers per cycle per member, with headroom.
     static constexpr int kMaxWaitsPerCycle = 8;
 
-    struct ChunkScratch
+    struct MemberScratch
     {
         std::array<std::uint64_t, kMaxWaitsPerCycle> waitNs{};
         int count = 0;
@@ -197,8 +198,7 @@ class Profiler
                static_cast<std::size_t>(ProfPhase::Count)>
         phaseCalls_{};
     std::vector<std::uint64_t> shardBusyNs_;
-    std::vector<std::uint64_t> chunkWaitNs_;
-    std::vector<ChunkScratch> scratch_;
+    std::vector<MemberScratch> scratch_;
     std::vector<int> bandStarts_;
     std::uint64_t recuts_ = 0;
     HdrHistogram barrierHist_{1ULL << 34};  ///< up to ~17 s waits

@@ -8,7 +8,7 @@
  * injection and released when the tail flit is ejected. The pool is
  * owned by the Network.
  *
- * The pool is *segmented* so sharded stepping never contends on it:
+ * The pool is *segmented* so parallel bands never contend on it:
  * each source endpoint allocates exclusively from its own segment (a
  * private LIFO free list plus slot array), and a descriptor handle
  * encodes (segment, slot index). Cross-segment get() during parallel
@@ -16,10 +16,12 @@
  * allocator writes; cross-segment release at ejection is deferred by
  * the endpoints and flushed in a serial end-of-step epilogue, in node
  * order, so free-list contents — and hence allocation sequences — are
- * identical for every step mode and thread count. refillAll() (also
- * called from the serial epilogue) keeps at least one free slot per
- * segment, and since an endpoint allocates at most one descriptor per
- * cycle, an in-network alloc never grows a slot array mid-phase.
+ * identical for every step mode and thread count. The same epilogue
+ * then calls refill() on every stepped endpoint's segment, keeping at
+ * least one free slot there (an endpoint that was not stepped has
+ * allocated nothing since its last refill), and since an endpoint
+ * allocates at most one descriptor per cycle, an in-network alloc
+ * never grows a slot array mid-phase.
  *
  * Slots recycle LIFO, so a steady-state run touches the same few
  * cache lines. Descriptor 0 (segment 0, slot 0) is a reserved null
@@ -93,7 +95,7 @@ class PacketPool
         std::uint32_t idx;
         if (s.freeIdx.empty()) {
             // Standalone growth path; in-network use never reaches it
-            // because refillAll() runs between cycles and an endpoint
+            // because refill() runs between cycles and an endpoint
             // allocates at most one descriptor per cycle.
             idx = static_cast<std::uint32_t>(s.slots.size());
             FP_ASSERT(idx <= kIdxMask, "packet pool segment overflow");
@@ -131,20 +133,10 @@ class PacketPool
     }
 
     /**
-     * Top up every segment to at least one free slot. Serial-only
+     * Top up segment @p seg to at least one free slot. Serial-only
      * (Network's end-of-step epilogue); this is what lets in-network
      * alloc stay growth-free during parallel phases.
      */
-    void
-    refillAll()
-    {
-        for (Segment& s : segments_) {
-            if (s.freeIdx.empty())
-                addSpare(s);
-        }
-    }
-
-    /** refillAll() for a single segment. */
     void
     refill(int seg)
     {

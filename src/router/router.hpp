@@ -170,7 +170,7 @@ class Router : public RouterView
      * Items sent into those pipes later in the cycle woke the router
      * through the send hook, so waking on this rule plus the send
      * hooks schedules exactly the routers hasPendingWork() would —
-     * without reading pipes other shards write (DESIGN.md §12).
+     * without reading pipes other bands write (DESIGN.md §12).
      */
     bool
     selfSustains() const

@@ -4,29 +4,29 @@
  *
  * Components (routers and endpoints) are identified by a dense integer
  * id. During cycle t anyone may wake() a component for cycle t+1; at
- * the start of cycle t+1 beginCycle() drains the pending set into the
- * cycle's active list, ascending by component id, so activity-driven
- * stepping visits components in exactly the order full stepping does.
- * (Within a phase the order is observationally irrelevant — phases are
- * global barriers and channels are latency-gated — but keeping the
- * order identical makes per-component RNG and pool-allocation
- * sequences trivially bit-identical too.)
+ * the start of cycle t+1 each band drains its id range of the pending
+ * set into the cycle's active list, ascending by component id, so
+ * activity-driven stepping visits components in exactly the order full
+ * stepping does. (Within a phase the order is observationally
+ * irrelevant — phases are global barriers and channels are
+ * latency-gated — but keeping the order identical makes per-component
+ * RNG and pool-allocation sequences trivially bit-identical too.)
  *
  * The pending set is a bitmap of atomic words, so wake() is safe from
- * concurrent shard workers: setting a bit is an idempotent,
+ * concurrent band workers: setting a bit is an idempotent,
  * commutative OR, which makes the drained bitmap independent of the
- * order wakes land in — the cornerstone of sharded stepping's
+ * order wakes land in — the cornerstone of parallel stepping's
  * determinism. Relaxed ordering suffices because every drain is
  * separated from the wakes it collects by a phase barrier or the
  * crew's end/start rounds. On the serial hot path wake() stays cheap
  * via test-and-test-and-set: most wakes re-set an already-set bit and
  * skip the RMW entirely.
  *
- * Sharded stepping drains disjoint id ranges concurrently with
- * drainRange(). Band boundaries follow measured shard time and may
- * fall anywhere, so a word is often shared by two shards; it is split
- * with per-range bit masks and fetch_and, so each shard extracts
- * exactly its own components.
+ * Bands drain disjoint id ranges concurrently with drainRange(). Band
+ * boundaries follow measured band time and may fall anywhere, so a
+ * word is often shared by two bands; it is split with per-range bit
+ * masks and fetch_and, so each band extracts exactly its own
+ * components.
  */
 
 #ifndef FOOTPRINT_SIM_ACTIVE_SET_HPP
@@ -52,14 +52,12 @@ class ActiveSet
         nwords_ = static_cast<std::size_t>((num_components + 63) / 64);
         // Cache-line-aligned so the bitmap shares no line with
         // unrelated data. One line covers 256 nodes, so neighbouring
-        // shard bands often share a line, or a word (drainRange splits
-        // that word).
+        // bands often share a line, or a word (drainRange splits that
+        // word).
         words_.reset(new (std::align_val_t{64})
                          std::atomic<std::uint64_t>[nwords_]);
         for (std::size_t i = 0; i < nwords_; ++i)
             words_[i].store(0, std::memory_order_relaxed);
-        active_.clear();
-        active_.reserve(static_cast<std::size_t>(num_components));
     }
 
     int size() const { return n_; }
@@ -91,25 +89,9 @@ class ActiveSet
     }
 
     /**
-     * Promote the pending set to this cycle's active list (ascending
-     * by id) and start collecting wakes for the next cycle. The
-     * returned reference is valid until the next beginCycle().
-     */
-    const std::vector<int>&
-    beginCycle()
-    {
-        active_.clear();
-        drainRange(0, n_, active_);
-        return active_;
-    }
-
-    /** The list the last beginCycle() produced (unchanged since). */
-    const std::vector<int>& active() const { return active_; }
-
-    /**
      * @return true if no component is scheduled for the next cycle.
      * Relaxed loads are sufficient: callers only consult this from
-     * the serial section between steps, after the shard crew's end
+     * the serial section between steps, after the band crew's end
      * round.
      */
     bool
@@ -172,7 +154,6 @@ class ActiveSet
     std::size_t nwords_ = 0;
     /** Pending bitmap, 64-byte aligned. */
     std::unique_ptr<std::atomic<std::uint64_t>[], AlignedDelete> words_;
-    std::vector<int> active_;  ///< this cycle's list (beginCycle)
 };
 
 } // namespace footprint

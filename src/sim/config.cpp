@@ -68,14 +68,13 @@ constexpr ConfigKey kConfigKeys[] = {
     {"measure_cycles", Int, "10000", 0},
     {"drain_cycles", Int, "50000", 0},
     {"seed", Int, "1"},
-    // "activity" steps only components with pending work (bit-identical
-    // to "full"); "verify" runs both and panics on any divergence;
-    // "sharded" steps activity lists in parallel across "threads"
-    // workers over "shards" mesh bands (0 = one shard per thread),
+    // "activity" ("sharded" is its old name) steps only components
+    // with pending work (bit-identical to "full"); "verify" steps
+    // everything and panics on any component activity would skip.
+    // Every mode steps min(threads, nodes) mesh bands, one per thread,
     // still bit-identical (DESIGN.md §13).
     {"step_mode", Str, "activity"},
     {"threads", Int, "1", 1, kIntMax},
-    {"shards", Int, "0", 0, kIntMax},
     // Event-horizon fast path: jump the clock over quiescent spans
     // (bit-identical results; skip_ahead=false forces per-cycle
     // ticking, mainly for equivalence tests and benchmarks).

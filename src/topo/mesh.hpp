@@ -136,8 +136,6 @@ class Mesh
     /** @return the coordinate of @p node. */
     Coord coordOf(int node) const;
 
-    bool wrapX() const { return wrapX_; }
-    bool wrapY() const { return wrapY_; }
     /** True when any dimension wraps (torus / ring). */
     bool hasWrap() const { return wrapX_ || wrapY_; }
 

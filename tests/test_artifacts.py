@@ -121,6 +121,9 @@ MUTATIONS = [
      lambda r: put(first(r, "rows"), ["sharded", "barrier_wait", "p999_ns"],
                    lambda _, bw: bw["max_ns"] + 1),
      "capped by max"),
+    ("footprint.profile/1", "multi-thread row without its sharded block",
+     lambda r: put(first(r, "rows"), ["sharded"], lambda old, _: None),
+     "sharded: must be an object"),
     ("footprint.heatmap/1", "window that breaks tiling",
      lambda r: put(r[0], ["windows", 1, "start"], lambda old, _: old + 1),
      "tile the run"),

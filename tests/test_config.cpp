@@ -322,28 +322,35 @@ TEST(UnknownKeys, IsKnownKeyCoversNewAuditKeys)
 
 TEST(UnknownKeys, RemovedShardPartitionWarns)
 {
-    // Shard bands follow measured time now (DESIGN.md §13), so the
-    // static partition policy key is gone: setting it must warn
-    // rather than be silently ignored.
-    EXPECT_FALSE(SimConfig::isKnownKey("shard_partition"));
+    // Bands follow measured time (DESIGN.md §13) and number one per
+    // thread, so the static partition policy key and the band count
+    // key are gone: setting either must warn rather than be silently
+    // ignored.
     SimConfig cfg = defaultConfig();
-    EXPECT_FALSE(cfg.contains("shard_partition"));
+    for (const char* key : {"shard_partition", "shards"}) {
+        EXPECT_FALSE(SimConfig::isKnownKey(key)) << key;
+        EXPECT_FALSE(cfg.contains(key)) << key;
+    }
     cfg.set("shard_partition", "weighted");
+    cfg.set("shards", "8");
     std::ostringstream sink;
     setLogSink(&sink);
-    EXPECT_EQ(cfg.warnUnknownKeys(), 1u);
+    EXPECT_EQ(cfg.warnUnknownKeys(), 2u);
     setLogSink(nullptr);
-    EXPECT_NE(sink.str().find("unrecognized config key "
-                              "'shard_partition'"),
-              std::string::npos);
+    for (const char* key : {"shard_partition", "shards"}) {
+        EXPECT_NE(sink.str().find(std::string("unrecognized config key '")
+                                  + key + "'"),
+                  std::string::npos)
+            << key;
+    }
 }
 
 TEST(UnknownKeys, AcceptsTopologyAndShardKeys)
 {
-    // The topology-layer keys (DESIGN.md §18) and the shard keys must
-    // be registered: selecting a topology, concentration,
-    // per-dimension link latencies, or thread and shard counts may
-    // not trip the unknown-key warning.
+    // The topology-layer keys (DESIGN.md §18) and the thread count
+    // must be registered: selecting a topology, concentration,
+    // per-dimension link latencies, or a thread count may not trip
+    // the unknown-key warning.
     SimConfig cfg = defaultConfig();
     cfg.set("topology", "torus");
     cfg.set("concentration", "4");
@@ -351,7 +358,6 @@ TEST(UnknownKeys, AcceptsTopologyAndShardKeys)
     cfg.set("link_latency_y", "3");
     cfg.set("link_latency_local", "1");
     cfg.set("threads", "4");
-    cfg.set("shards", "8");
     std::ostringstream sink;
     setLogSink(&sink);
     EXPECT_EQ(cfg.warnUnknownKeys(), 0u);
@@ -368,7 +374,6 @@ TEST(DefaultConfig, TopologyDefaultsToUnconcentratedMesh)
     EXPECT_EQ(cfg.getStr("topology"), "mesh");
     EXPECT_EQ(cfg.getInt("concentration"), 1);
     EXPECT_EQ(cfg.getInt("threads"), 1);
-    EXPECT_EQ(cfg.getInt("shards"), 0);
     // The per-dimension overrides are deliberately not defaulted:
     // Mesh::fromConfig falls back to link_latency when absent.
     EXPECT_FALSE(cfg.contains("link_latency_x"));
@@ -447,7 +452,7 @@ TEST(ConfigTable, HoldsEachKnownKeyOnce)
         if (!row.identity)
             execution.insert(row.key);
     }
-    EXPECT_EQ(keys.size(), 67u);
+    EXPECT_EQ(keys.size(), 66u);
     EXPECT_EQ(findConfigKey("num_vc"), nullptr);
     // Absence means something for these: another key's value, a
     // trace to name, or a sweep axis that is the single run's value.
@@ -542,7 +547,7 @@ TEST(ConfigTable, IntRowsNarrowedToIntStopAtIntMax)
           "link_latency", "link_latency_x", "link_latency_y",
           "link_latency_local", "output_fifo_size", "ejection_rate",
           "fp_vc_cap", "fp_converge_threshold", "congestion_threshold",
-          "threads", "shards", "steady_windows", "console_interval_ms",
+          "threads", "steady_windows", "console_interval_ms",
           "watchdog_max_hops", "sweep_seeds"}) {
         SimConfig cfg;
         cfg.set(key, "4294967298");

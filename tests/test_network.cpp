@@ -255,18 +255,6 @@ TEST(Network, MoreThan4096NodesIsFatal)
     EXPECT_EQ(net.mesh().numNodes(), 4096);
 }
 
-TEST(Network, MoreShardsThanNodesIsFatal)
-{
-    SimConfig cfg = smallConfig("dor");
-    cfg.setInt("shards", 17);
-    EXPECT_EXIT(Network{cfg}, testing::ExitedWithCode(1),
-                "fatal: shards must be at most the node count \\(16\\)");
-    cfg.setInt("shards", 16);
-    cfg.set("step_mode", "sharded");
-    const Network net(cfg);
-    EXPECT_EQ(net.shardCount(), 16);
-}
-
 TEST(Network, RoutersSeeNeighborStatus)
 {
     SimConfig cfg = smallConfig("dbar");

@@ -75,7 +75,7 @@ TEST(Profiler, RunClockAnchorsCycles)
 TEST(Profiler, ShardedAccumulatorsAndImbalance)
 {
     Profiler prof;
-    prof.configureSharded(4, 2, 2);
+    prof.configureSharded(4, 2);
     ASSERT_TRUE(prof.sharded());
     ASSERT_EQ(prof.shardCount(), 4);
     // Shard busy: 1ms, 2ms, 3ms, 2ms -> mean 2ms, max 3ms.
@@ -90,7 +90,7 @@ TEST(Profiler, ShardedAccumulatorsAndImbalance)
 TEST(Profiler, BalancedShardsReportRatioOne)
 {
     Profiler prof;
-    prof.configureSharded(2, 2, 2);
+    prof.configureSharded(2, 2);
     prof.addShardBusyNs(0, 5000);
     prof.addShardBusyNs(1, 5000);
     EXPECT_DOUBLE_EQ(prof.imbalanceRatio(), 1.0);
@@ -106,7 +106,7 @@ TEST(Profiler, UnshardedImbalanceIsZero)
 TEST(Profiler, BarrierWaitsMergeFromScratch)
 {
     Profiler prof;
-    prof.configureSharded(4, 2, 2);
+    prof.configureSharded(4, 2);
     // One simulated cycle: both chunks wait at three barriers.
     for (int chunk = 0; chunk < 2; ++chunk) {
         prof.recordBarrierWaitNs(chunk, 100);
@@ -126,7 +126,7 @@ TEST(Profiler, BarrierWaitsMergeFromScratch)
 TEST(Profiler, BarrierScratchBoundsWaitsPerCycle)
 {
     Profiler prof;
-    prof.configureSharded(1, 1, 1);
+    prof.configureSharded(1, 1);
     // Pathological cycle recording more waits than the scratch holds:
     // the excess is dropped, never written out of bounds.
     for (int i = 0; i < 100; ++i)
@@ -139,7 +139,7 @@ TEST(Profiler, BarrierScratchBoundsWaitsPerCycle)
 TEST(Profiler, JsonRowHasPhaseTableAndShardedBlock)
 {
     Profiler prof;
-    prof.configureSharded(2, 2, 2);
+    prof.configureSharded(2, 2);
     const std::vector<int> bands = {0, 120};
     prof.setShardBands(bands, 7);
     prof.beginRun();

@@ -1,15 +1,20 @@
 /**
  * @file
- * Sharded-stepping equivalence tests: step_mode=sharded must be
- * observationally identical to full and activity stepping — same
- * injected/ejected totals, same per-packet hop and latency sums, same
- * per-router event counters — for every routing algorithm, any thread
- * count, and any shard count, including shard counts that do not
- * divide the mesh and thread counts above the machine's core count.
- * Also checks the shard-boundary mechanics directly: a credit loop
- * that crosses shards must round-trip every credit home, bands may be
- * re-cut anywhere between any two steps, and a panic inside a sharded
- * phase must surface from step() without stranding the crew.
+ * Step-engine equivalence tests. Every step mode at every thread count
+ * must be observationally identical to full stepping on one thread —
+ * same injected/ejected totals, same per-packet hop and latency sums,
+ * same per-router event counters and link state — for every routing
+ * algorithm. Activity stepping must match full stepping idle, at low
+ * load and past saturation; verify mode (full stepping that
+ * cross-checks the wake set) must never trip its under-wake
+ * invariant; and bands stepped in parallel must match for any thread
+ * count, including band seams that do not divide the mesh and thread
+ * counts above the machine's core count. Also checks the band-boundary
+ * mechanics directly: a credit loop that crosses bands must round-trip
+ * every credit home, bands may be re-cut anywhere between any two
+ * steps, a panic inside a parallel phase must surface from step()
+ * without stranding the crew, and a traced run, whose bands all step
+ * on the calling thread, must match a one-band run.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +22,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,12 +33,14 @@
 #include "expect_panic.hpp"
 #include "heatmap_doc.hpp"
 #include "network/network.hpp"
+#include "network/traffic_manager.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_metadata.hpp"
 #include "obs/timeseries.hpp"
 #include "routing/routing.hpp"
 #include "sim/config.hpp"
 #include "sim/horizon.hpp"
+#include "sim/log.hpp"
 #include "sim/rng.hpp"
 #include "traffic/injection.hpp"
 
@@ -83,24 +92,22 @@ foldNetwork(const Network& net, std::vector<std::uint64_t>& sig)
 
 /**
  * Drive an 8x8 mesh with a deterministic schedule-driven workload and
- * fold everything observable into a flat signature (the same workload
- * and signature as test_step_equivalence, so all modes are
- * cross-checked against one reference behavior). With @p skip_ahead
- * the driver jumps idle spans via the event-horizon fast path
- * (DESIGN.md §16); the signature must not change.
+ * fold everything observable into a flat signature, so every mode and
+ * thread count is cross-checked against one reference behavior. Two
+ * runs are behaviorally identical iff their signatures match. With
+ * @p skip_ahead the driver jumps idle spans via the event-horizon fast
+ * path (DESIGN.md §16); the signature must not change.
  */
 std::vector<std::uint64_t>
 runSignature(const std::string& routing, double load,
              const char* step_mode, std::int64_t cycles,
-             int threads = 1, int shards = 0,
-             Profiler* prof = nullptr, bool heatmap = false,
-             bool skip_ahead = false)
+             int threads = 1, Profiler* prof = nullptr,
+             bool heatmap = false, bool skip_ahead = false)
 {
     SimConfig cfg = defaultConfig();
     cfg.set("routing", routing);
     cfg.set("step_mode", step_mode);
     cfg.setInt("threads", threads);
-    cfg.setInt("shards", shards);
     Network net(cfg);
     const int nodes = net.mesh().numNodes();
     if (prof) {
@@ -181,14 +188,51 @@ runSignature(const std::string& routing, double load,
 
 /** Base config for the lockstep tests: 8x8 mesh, one step mode. */
 SimConfig
-lockstepConfig(const char* step_mode, int threads = 1, int shards = 0)
+lockstepConfig(const char* step_mode, int threads = 1)
 {
     SimConfig cfg = defaultConfig();
     cfg.set("routing", "footprint");
     cfg.set("step_mode", step_mode);
     cfg.setInt("threads", threads);
-    cfg.setInt("shards", shards);
     return cfg;
+}
+
+/**
+ * One 2-flit packet across the 8x8 mesh, stepped with a cycle gap
+ * (drivers may skip cycles, e.g. a warmup loop); a gap forces a full
+ * sweep to re-seed the wake set. Returns the network totals.
+ */
+std::vector<std::uint64_t>
+nonContiguousTotals(const char* mode, int threads)
+{
+    SimConfig cfg = defaultConfig();
+    cfg.set("step_mode", mode);
+    cfg.setInt("threads", threads);
+    Network net(cfg);
+    Packet p;
+    p.id = 1;
+    p.src = 0;
+    p.dest = 63;
+    p.size = 2;
+    p.createTime = 0;
+    net.endpoint(0).enqueue(p);
+    for (std::int64_t c = 0; c < 40; ++c)
+        net.step(c);
+    net.step(100); // jump
+    for (std::int64_t c = 101; c < 140; ++c)
+        net.step(c);
+    return {net.totalFlitsInjected(), net.totalFlitsEjected(),
+            static_cast<std::uint64_t>(net.totalFlitsInFlight()),
+            net.totalFlitsSent()};
+}
+
+/** Test-name suffix for a routing name ("dor+xordet" -> "dor_xordet"). */
+std::string
+routingTestName(const testing::TestParamInfo<std::string>& info)
+{
+    std::string name = info.param;
+    std::replace(name.begin(), name.end(), '+', '_');
+    return name;
 }
 
 /**
@@ -284,6 +328,55 @@ randomBandStarts(Rng& rng, int nodes, int shards, bool one_node_bands)
     return starts;
 }
 
+class StepEquivalence : public testing::TestWithParam<std::string>
+{};
+
+TEST_P(StepEquivalence, ActivityMatchesFullAtLowLoad)
+{
+    const auto full = runSignature(GetParam(), 0.05, "full", 400);
+    const auto act = runSignature(GetParam(), 0.05, "activity", 400);
+    EXPECT_EQ(full, act);
+}
+
+TEST_P(StepEquivalence, ActivityMatchesFullPastSaturation)
+{
+    const auto full = runSignature(GetParam(), 0.6, "full", 400);
+    const auto act = runSignature(GetParam(), 0.6, "activity", 400);
+    EXPECT_EQ(full, act);
+}
+
+TEST_P(StepEquivalence, ActivityMatchesFullOnIdleNetwork)
+{
+    // Nothing ever injected: the active list should go (and stay)
+    // empty, and the totals must agree with stepping everything.
+    const auto full = runSignature(GetParam(), 0.0, "full", 200);
+    const auto act = runSignature(GetParam(), 0.0, "activity", 200);
+    EXPECT_EQ(full, act);
+}
+
+TEST_P(StepEquivalence, VerifyModeFindsNoUnderWake)
+{
+    // Verify mode steps every component after FP_ASSERTing that each
+    // one the wake set would have skipped is genuinely quiescent; any
+    // under-wake bug panics with an InvariantError here. Full and
+    // verify bands list every component they own and step them in
+    // parallel like activity bands; the cycle must not change.
+    const auto full = runSignature(GetParam(), 0.15, "full", 300);
+    EXPECT_EQ(runSignature(GetParam(), 0.15, "verify", 300), full);
+    EXPECT_EQ(runSignature(GetParam(), 0.15, "full", 300, 4), full);
+    EXPECT_EQ(runSignature(GetParam(), 0.15, "verify", 300, 4), full);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, StepEquivalence,
+                         testing::ValuesIn(allRoutingAlgorithmNames()),
+                         routingTestName);
+
+TEST(StepEquivalence, NonContiguousCyclesStillMatch)
+{
+    EXPECT_EQ(nonContiguousTotals("full", 1),
+              nonContiguousTotals("activity", 1));
+}
+
 class ShardEquivalence : public testing::TestWithParam<std::string>
 {};
 
@@ -311,11 +404,9 @@ TEST_P(ShardEquivalence, SkipAheadMatchesPerCycleAcrossModes)
     // must still agree bit for bit — serially and across shard seams.
     const auto full = runSignature(GetParam(), 0.01, "full", 600);
     const auto act_skip = runSignature(GetParam(), 0.01, "activity",
-                                       600, 1, 0, nullptr, false,
-                                       true);
+                                       600, 1, nullptr, false, true);
     const auto sharded_skip = runSignature(GetParam(), 0.01, "sharded",
-                                           600, 4, 0, nullptr, false,
-                                           true);
+                                           600, 4, nullptr, false, true);
     EXPECT_EQ(full, act_skip);
     EXPECT_EQ(full, sharded_skip);
 }
@@ -331,23 +422,14 @@ TEST_P(ShardEquivalence, ThreadCountsAgreeNearSaturation)
     EXPECT_EQ(full, t4);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllAlgorithms, ShardEquivalence,
-    testing::ValuesIn(allRoutingAlgorithmNames()),
-    [](const testing::TestParamInfo<std::string>& info) {
-        std::string name = info.param;
-        for (char& c : name) {
-            if (c == '+')
-                c = '_';
-        }
-        return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ShardEquivalence,
+                         testing::ValuesIn(allRoutingAlgorithmNames()),
+                         routingTestName);
 
 TEST(ShardEquivalence, OneThreadMatchesActivityExactly)
 {
-    // threads=1 sharded takes the same phase path as the parallel
-    // runs (per-shard drains, barrier epilogue), just on one thread;
-    // it must match serial activity stepping, not merely full.
+    // "sharded" is the old name of "activity": at one thread both
+    // step one band on the calling thread, identically.
     const auto act =
         runSignature("footprint", 0.30, "activity", 400);
     const auto sharded =
@@ -355,30 +437,98 @@ TEST(ShardEquivalence, OneThreadMatchesActivityExactly)
     EXPECT_EQ(act, sharded);
 }
 
-TEST(ShardEquivalence, MoreShardsThanThreads)
+/** The RunStats fields perfbench's run digest hashes, flattened. */
+std::vector<double>
+digestFields(const RunStats& s)
 {
-    // shards=8 on 2 threads: each worker owns several bands and the
-    // barrier has fewer parties than shards.
-    const auto full = runSignature("footprint", 0.20, "full", 300);
-    const auto sharded =
-        runSignature("footprint", 0.20, "sharded", 300, 2, 8);
-    EXPECT_EQ(full, sharded);
+    std::vector<double> f = {
+        static_cast<double>(s.cyclesRun),
+        static_cast<double>(s.measuredCreated),
+        static_cast<double>(s.measuredEjected),
+        static_cast<double>(s.latency.count()),
+        s.latency.mean(),
+        s.latencyHdr.percentile(0.50),
+        s.latencyHdr.percentile(0.99),
+        static_cast<double>(s.hotspotLatency.count()),
+        s.hops.mean(),
+        s.acceptedFlitsPerNodeCycle,
+        s.drained ? 1.0 : 0.0,
+        static_cast<double>(s.counters.vcAllocSuccess),
+        static_cast<double>(s.counters.vcAllocFail),
+        s.counters.puritySum,
+        static_cast<double>(s.counters.puritySamples),
+        static_cast<double>(s.counters.flitsTraversed)};
+    for (const std::uint64_t g : s.counters.vaGrantsByPriority)
+        f.push_back(static_cast<double>(g));
+    return f;
+}
+
+TEST(ShardEquivalence, TracedRunStepsEveryBandOnTheCaller)
+{
+    // The packet tracer records from hooks inside the phases, so a
+    // traced network steps all its bands on the calling thread, one
+    // phase at a time: the one path where a thread steps several
+    // bands. Its results and its packet trace must match one band's.
+    struct Traced
+    {
+        RunStats stats;
+        std::string traceBody;  ///< without the header line
+        std::string log;
+    };
+    auto run = [](int threads) {
+        SimConfig cfg = defaultConfig();
+        cfg.set("routing", "dbar");
+        cfg.setDouble("injection_rate", 0.25);
+        cfg.setInt("warmup_cycles", 200);
+        cfg.setInt("measure_cycles", 400);
+        cfg.setInt("drain_cycles", 2000);
+        cfg.setInt("threads", threads);
+        const std::string tag = "fp_traced_t" + std::to_string(threads);
+        cfg.setInt("trace_packets", 400);
+        cfg.set("trace_out", tag + ".jsonl");
+        cfg.setBool("chrome_trace", true);
+        cfg.set("chrome_trace_out", tag + ".json");
+        std::ostringstream sink;
+        setLogSink(&sink);
+        Traced t{runExperiment(cfg), "", ""};
+        setLogSink(nullptr);
+        t.log = sink.str();
+        std::ifstream in(tag + ".jsonl");
+        std::string header;
+        std::getline(in, header);
+        std::ostringstream body;
+        body << in.rdbuf();
+        t.traceBody = body.str();
+        std::remove((tag + ".jsonl").c_str());
+        std::remove((tag + ".json").c_str());
+        return t;
+    };
+    const Traced one = run(1);
+    const Traced four = run(4);
+    ASSERT_FALSE(one.traceBody.empty());
+    EXPECT_GT(one.stats.measuredEjected, 0u);
+    EXPECT_EQ(digestFields(one.stats), digestFields(four.stats));
+    EXPECT_EQ(one.stats.stallClass, four.stats.stallClass);
+    EXPECT_EQ(one.traceBody, four.traceBody);
+    // Only the four-band network had a crew to set aside.
+    EXPECT_EQ(one.log.find("calling thread"), std::string::npos);
+    EXPECT_NE(four.log.find("calling thread"), std::string::npos);
 }
 
 TEST(ShardEquivalence, OddShardCountThatDoesNotDivideTheMesh)
 {
     // 64 nodes into 7 bands: band sizes differ and band seams fall
-    // mid-row, so shard-crossing links appear in both directions.
+    // mid-row, so band-crossing links appear in both directions.
     const auto full = runSignature("dbar", 0.20, "full", 300);
     const auto sharded =
-        runSignature("dbar", 0.20, "sharded", 300, 7, 7);
+        runSignature("dbar", 0.20, "sharded", 300, 7);
     EXPECT_EQ(full, sharded);
 }
 
 TEST(ShardEquivalence, ThreadsClampToNodeCount)
 {
-    // More threads than the mesh has nodes: shard count clamps to the
-    // node count and the extra threads never materialize.
+    // More threads than the mesh has nodes: the band count clamps to
+    // the node count and the extra threads never materialize.
     SimConfig cfg = defaultConfig();
     cfg.setInt("mesh_width", 2);
     cfg.setInt("mesh_height", 2);
@@ -400,43 +550,22 @@ TEST(ShardEquivalence, ThreadsClampToNodeCount)
 
 TEST(ShardEquivalence, NonContiguousCyclesStillMatch)
 {
-    // A cycle jump forces a full re-seed of the wake bitmap; sharded
-    // mode must handle it the same way activity mode does.
-    auto run = [](const char* mode, int threads) {
-        SimConfig cfg = defaultConfig();
-        cfg.set("step_mode", mode);
-        cfg.setInt("threads", threads);
-        Network net(cfg);
-        Packet p;
-        p.id = 1;
-        p.src = 0;
-        p.dest = 63;
-        p.size = 2;
-        p.createTime = 0;
-        net.endpoint(0).enqueue(p);
-        for (std::int64_t c = 0; c < 40; ++c)
-            net.step(c);
-        net.step(100); // jump
-        for (std::int64_t c = 101; c < 140; ++c)
-            net.step(c);
-        return std::vector<std::uint64_t>{
-            net.totalFlitsInjected(), net.totalFlitsEjected(),
-            static_cast<std::uint64_t>(net.totalFlitsInFlight()),
-            net.totalFlitsSent()};
-    };
-    EXPECT_EQ(run("full", 1), run("sharded", 4));
+    // A cycle jump re-seeds the wake bitmap; four parallel bands must
+    // handle it the same way one does.
+    EXPECT_EQ(nonContiguousTotals("full", 1),
+              nonContiguousTotals("sharded", 4));
 }
 
 TEST(ShardEquivalence, ProfiledShardedRunIsBitIdentical)
 {
-    // Observability determinism satellite: a sharded run with the
-    // self-profiler attached and the recorder's heatmap sampling every
-    // 4 cycles must produce the exact signature of an unprofiled full
-    // run — profiling reads clocks and network state, never writes.
+    // A four-band run with the self-profiler attached and the
+    // recorder's heatmap sampling every 4 cycles must produce the
+    // exact signature of an unprofiled full run — profiling reads
+    // clocks and network state, never writes.
     const auto full = runSignature("footprint", 0.30, "full", 300);
     Profiler prof;
     const auto profiled = runSignature("footprint", 0.30, "sharded",
-                                       300, 4, 0, &prof, true);
+                                       300, 4, &prof, true);
     EXPECT_EQ(full, profiled);
 
     // The profiler must actually have measured the run it rode along.
@@ -450,7 +579,9 @@ TEST(ShardEquivalence, ProfiledShardedRunIsBitIdentical)
         busy += prof.shardBusySeconds(s);
     EXPECT_GT(busy, 0.0);
     EXPECT_GE(prof.imbalanceRatio(), 1.0);
-    // The network reported its bands: one start per shard, from 0 up.
+    // Several bands carry no per-phase split.
+    EXPECT_EQ(prof.phaseCalls(ProfPhase::Compute), 0u);
+    // The network reported its bands: one start per band, from 0 up.
     const std::vector<int>& bands = prof.bandStarts();
     ASSERT_EQ(static_cast<int>(bands.size()), prof.shardCount());
     EXPECT_EQ(bands[0], 0);
@@ -461,7 +592,7 @@ TEST(ShardEquivalence, ProfiledSerialModesAreBitIdentical)
 {
     const auto full = runSignature("dbar", 0.20, "full", 300);
     Profiler act_prof;
-    const auto act = runSignature("dbar", 0.20, "activity", 300, 1, 0,
+    const auto act = runSignature("dbar", 0.20, "activity", 300, 1,
                                   &act_prof, true);
     EXPECT_EQ(full, act);
     EXPECT_GT(act_prof.phaseSeconds(ProfPhase::Compute), 0.0);
@@ -470,15 +601,15 @@ TEST(ShardEquivalence, ProfiledSerialModesAreBitIdentical)
 
     Profiler full_prof;
     const auto full_profiled = runSignature("dbar", 0.20, "full", 300,
-                                            1, 0, &full_prof, false);
+                                            1, &full_prof, false);
     EXPECT_EQ(full, full_profiled);
     EXPECT_EQ(full_prof.phaseCalls(ProfPhase::Transmit), 300u);
 }
 
 TEST(ShardEquivalence, DisabledProfilerDetaches)
 {
-    // attachProfiler(nullptr) detaches a sharded network's profiler:
-    // the hot path records nothing more.
+    // attachProfiler(nullptr) detaches a multi-band network's
+    // profiler: the hot path records nothing more.
     Network net(lockstepConfig("sharded", 2));
     Profiler prof;
     net.attachProfiler(&prof);
@@ -491,9 +622,9 @@ TEST(ShardEquivalence, DisabledProfilerDetaches)
 
 TEST(ShardEquivalence, CreditRoundTripAcrossShardBoundary)
 {
-    // 2x2 mesh split into two shards of one row each: node 0 -> 3
-    // crosses the shard seam, so its flits, the ejection credits, and
-    // the descriptor release all traverse shard-boundary machinery.
+    // 2x2 mesh split into two bands of one row each: node 0 -> 3
+    // crosses the band seam, so its flits, the ejection credits, and
+    // the descriptor release all traverse band-boundary machinery.
     // After the packet drains, every credit must be back home: each
     // router's output-credit total equals a never-used network's.
     SimConfig cfg = defaultConfig();
@@ -501,7 +632,6 @@ TEST(ShardEquivalence, CreditRoundTripAcrossShardBoundary)
     cfg.setInt("mesh_height", 2);
     cfg.set("step_mode", "sharded");
     cfg.setInt("threads", 2);
-    cfg.setInt("shards", 2);
     Network net(cfg);
     Network fresh(cfg);
 
@@ -530,18 +660,16 @@ TEST(ShardEquivalence, ForcedRecutsMatchActivityEveryCycle)
 {
     // Bands re-cut between steps — every few cycles, to random
     // boundaries that split ActiveSet words, and to runs of 1-node
-    // bands — must leave every cycle's state identical to activity
-    // stepping, at 2, 3 and 4 threads and with more shards than
-    // threads. The measured re-cut keeps running on top.
-    const int cases[][2] = {{2, 0}, {3, 0}, {4, 0}, {2, 6}, {3, 8}};
-    for (const auto& [threads, shards] : cases) {
-        SCOPED_TRACE("threads=" + std::to_string(threads)
-                     + " shards=" + std::to_string(shards));
-        Rng rng(1234 + static_cast<std::uint64_t>(threads * 16 + shards));
+    // bands — must leave every cycle's state identical to one-band
+    // activity stepping, at 2, 3, 4, 6 and 8 threads. The measured
+    // re-cut keeps running on top.
+    for (const int threads : {2, 3, 4, 6, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        Rng rng(1234 + static_cast<std::uint64_t>(threads * 16));
         int draws = 0;
         expectLockstep(
             lockstepConfig("activity"),
-            lockstepConfig("sharded", threads, shards), 0.30, 300,
+            lockstepConfig("sharded", threads), 0.30, 300,
             [&](Network& net, std::int64_t cycle) {
                 if (cycle % 5 != 0)
                     return;
@@ -558,7 +686,7 @@ TEST(ShardEquivalence, ForcedRecutsMatchActivityEveryCycle)
 
 TEST(ShardEquivalence, BandStartsMustTileTheMesh)
 {
-    Network net(lockstepConfig("sharded", 2, 4));
+    Network net(lockstepConfig("sharded", 4));
     ASSERT_EQ(net.shardCount(), 4);
     // The first cut is equal node counts.
     EXPECT_EQ(net.bandStart(1), 16);
@@ -569,7 +697,7 @@ TEST(ShardEquivalence, BandStartsMustTileTheMesh)
     const std::vector<int> past_end = {0, 8, 16, 64};
     EXPECT_PANIC(net.setBandStarts(empty_band), "strictly increase");
     EXPECT_PANIC(net.setBandStarts(late_start), "starting at 0");
-    EXPECT_PANIC(net.setBandStarts(too_few), "one entry per shard");
+    EXPECT_PANIC(net.setBandStarts(too_few), "one entry per band");
     EXPECT_PANIC(net.setBandStarts(past_end), "strictly increase");
     // A rejected install leaves the bands untouched.
     EXPECT_EQ(net.bandStart(1), 16);
@@ -618,9 +746,9 @@ TEST(ShardEquivalence, InFlightItemsSelfSustainWithSlowLinks)
     // Multi-cycle links keep items in flight across several receive
     // phases, so the receive-time in-flight flag carries the wake
     // chain there. step_mode=verify panics on any component the rule
-    // would have left asleep with pending work; sharded stepping
-    // (which reschedules right after each shard's transmit) must
-    // match activity stepping on every cycle.
+    // would have left asleep with pending work; parallel bands (each
+    // rescheduling right after its own transmit) must match one-band
+    // activity stepping on every cycle.
     auto slow = [](SimConfig cfg) {
         cfg.setInt("link_latency_x", 3);
         cfg.setInt("link_latency_y", 2);
@@ -633,7 +761,7 @@ TEST(ShardEquivalence, InFlightItemsSelfSustainWithSlowLinks)
     // A light load drains between bursts, so wakes start from quiet
     // components too.
     expectLockstep(slow(lockstepConfig("activity")),
-                   slow(lockstepConfig("sharded", 3, 5)), 0.02, 400);
+                   slow(lockstepConfig("sharded", 5)), 0.02, 400);
 }
 
 } // namespace

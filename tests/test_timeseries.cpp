@@ -548,19 +548,18 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
         std::int64_t steadyCycle = -1;
         std::string heatmap;  ///< without its meta header
     };
-    auto run = [](const std::string& mode, unsigned shards) {
+    auto run = [](const std::string& mode, int threads) {
         SimConfig cfg = runConfig(0.25);
         cfg.setBool("timeseries", true);
         const std::string path = "ts_mode_" + mode
-            + std::to_string(shards) + ".jsonl";
+            + std::to_string(threads) + ".jsonl";
         const std::string hm_path = "hm_mode_" + mode
-            + std::to_string(shards) + ".json";
+            + std::to_string(threads) + ".json";
         cfg.set("timeseries_out", path);
         cfg.setBool("heatmap", true);
         cfg.set("heatmap_out", hm_path);
         cfg.set("step_mode", mode);
-        if (shards > 0)
-            cfg.setInt("shards", static_cast<std::int64_t>(shards));
+        cfg.setInt("threads", threads);
         const RunStats stats = runExperiment(cfg);
         std::ifstream in(path);
         std::vector<std::string> lines;
@@ -592,8 +591,8 @@ TEST(TimeseriesRun, WindowRecordsAreIdenticalAcrossStepModes)
         return r;
     };
 
-    const ModeRun full = run("full", 0);
-    const ModeRun act = run("activity", 0);
+    const ModeRun full = run("full", 1);
+    const ModeRun act = run("activity", 1);
     const ModeRun shard2 = run("sharded", 2);
     const ModeRun shard4 = run("sharded", 4);
     ASSERT_GT(full.records.size(), 5u);

@@ -119,7 +119,6 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
          "background_rate must be in"},
         {"background_rate", "-1", "traffic=hotspot",
          "background_rate must be in"},
-        {"shards", "100000", nullptr, "shards must be at most"},
         {"injection_rate", "2", nullptr, "injection_rate must be in"},
         // Router credits are int16_t: a deeper buffer never counts as
         // holding all its credits again.
@@ -138,7 +137,6 @@ TEST(RunInput, OutOfRangeRunValuesAreFatal)
         {"threads", "4294967296", nullptr, "threads must be in"},
         {"output_fifo_size", "4294967296", nullptr,
          "output_fifo_size must be in"},
-        {"shards", "4294967295", nullptr, "shards must be in"},
         {"fp_vc_cap", "4294967295", nullptr, "fp_vc_cap must be in"},
         {"congestion_threshold", "4294967291", nullptr,
          "congestion_threshold must be in"},

@@ -7,17 +7,19 @@ loop carrying what runExperiment runs every cycle with every observer
 off (``BM_NetworkCycleObsIdle``, DESIGN.md §9): the invariant auditor
 and watchdog built with interval 0 as with ``audit`` off, their ticks,
 the deadlock test and the flight-recorder null check, with no profiler
-attached. The gate fails when the idle-observability variant's median
-is more than ``--threshold`` (default 2%) above the bare loop's.
+attached. The gate fails when the median idle/bare time ratio is more
+than ``--threshold`` (default 2%) above 1.
 
-The two benchmarks run in one process with
-``--benchmark_enable_random_interleaving``, so their repetitions are
-shuffled together and host drift during the run lands on both sides
-alike; the gate compares medians over at least 20 repetitions each,
-so a single stalled repetition cannot decide the verdict. Both warm
-the network up untimed and then time the same fixed number of cycles
-of the same trajectory (google-benchmark names them with an
-``/iterations:N`` suffix, which the gate strips).
+The samples are paired: each pair runs the two benchmarks back to
+back, one single-repetition process each, and alternates which goes
+first, so host drift lands on both halves of a pair alike and the
+ratio cancels it. (One google-benchmark process cannot pair them: its
+JSON groups repetitions by benchmark, losing the run order.) The gate
+takes the median over at least 20 pairs, so a single stalled run
+cannot decide the verdict. Both benchmarks warm the network up untimed
+and then time the same fixed number of cycles of the same trajectory
+(google-benchmark names them with an ``/iterations:N`` suffix, which
+the gate strips).
 
 A recorded baseline (``bench/micro_baseline.json``, written with
 ``--record``) provides a second, advisory comparison of absolute
@@ -36,7 +38,6 @@ import re
 import statistics
 import subprocess
 import sys
-import tempfile
 
 BARE = "BM_NetworkCycle/30"
 IDLE = "BM_NetworkCycleObsIdle"
@@ -46,40 +47,40 @@ DEFAULT_BASELINE = os.path.join(
     "bench", "micro_baseline.json")
 
 
-def run_benchmarks(bench, repetitions):
-    """Run the two gated benchmarks interleaved.
+def run_one(bench, name):
+    """Run benchmark @name once; returns (report, real_time ns)."""
+    cmd = [
+        bench,
+        "--benchmark_filter=^%s(/iterations:[0-9]+)?$" % name,
+        "--benchmark_repetitions=1",
+        "--benchmark_format=json",
+    ]
+    out = subprocess.run(cmd, check=True, capture_output=True,
+                         text=True).stdout
+    report = json.loads(out)
+    runs = [b for b in report.get("benchmarks", [])
+            if b.get("run_type") != "aggregate"
+            and re.sub(r"/iterations:[0-9]+$", "",
+                       b.get("run_name", b["name"])) == name]
+    if len(runs) != 1:
+        raise SystemExit("error: expected one %s run, got %d"
+                         % (name, len(runs)))
+    return report, float(runs[0]["real_time"])
 
-    Returns (report, {name: median real_time ns}, {name: repetitions}).
+
+def run_pairs(bench, pairs):
+    """Time BARE and IDLE back to back @pairs times, alternating order.
+
+    Returns (report of the first run, {name: [ns per pair]}).
     """
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as f:
-        out_path = f.name
-    try:
-        cmd = [
-            bench,
-            "--benchmark_filter=^(%s|%s)(/iterations:[0-9]+)?$"
-            % (BARE, IDLE),
-            "--benchmark_repetitions=%d" % repetitions,
-            "--benchmark_enable_random_interleaving=true",
-            "--benchmark_report_aggregates_only=false",
-            "--benchmark_out_format=json",
-            "--benchmark_out=%s" % out_path,
-        ]
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        with open(out_path) as f:
-            report = json.load(f)
-    finally:
-        os.unlink(out_path)
-
-    samples = {}
-    for b in report.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        name = b["run_name"] if "run_name" in b else b["name"]
-        name = re.sub(r"/iterations:[0-9]+$", "", name)
-        samples.setdefault(name, []).append(float(b["real_time"]))
-    medians = {n: statistics.median(v) for n, v in samples.items()}
-    counts = {n: len(v) for n, v in samples.items()}
-    return report, medians, counts
+    report = None
+    times = {BARE: [], IDLE: []}
+    for i in range(pairs):
+        for name in (BARE, IDLE) if i % 2 == 0 else (IDLE, BARE):
+            rep, ns = run_one(bench, name)
+            report = report or rep
+            times[name].append(ns)
+    return report, times
 
 
 def main():
@@ -89,8 +90,9 @@ def main():
     ap.add_argument("--threshold", type=float, default=2.0,
                     help="max idle-observability overhead in percent")
     ap.add_argument("--repetitions", type=int, default=MIN_REPETITIONS,
-                    help="benchmark repetitions (medians are compared; "
-                         "at least %d)" % MIN_REPETITIONS)
+                    help="bare/idle pairs (the median of the per-pair "
+                         "ratios is gated; at least %d)"
+                         % MIN_REPETITIONS)
     ap.add_argument("--baseline", default=DEFAULT_BASELINE,
                     help="recorded-baseline JSON path")
     ap.add_argument("--record", action="store_true",
@@ -103,18 +105,16 @@ def main():
     if args.repetitions < MIN_REPETITIONS:
         ap.error("--repetitions must be at least %d" % MIN_REPETITIONS)
 
-    report, times, counts = run_benchmarks(args.bench, args.repetitions)
-    missing = [n for n in (BARE, IDLE)
-               if counts.get(n, 0) < args.repetitions]
-    if missing:
-        print("error: benchmarks missing repetitions in report: %s"
-              % missing)
-        return 2
-
-    bare, idle = times[BARE], times[IDLE]
-    overhead = 100.0 * (idle - bare) / bare
-    print("%-32s %12.0f ns (median of %d)" % (BARE, bare, counts[BARE]))
-    print("%-32s %12.0f ns (median of %d)" % (IDLE, idle, counts[IDLE]))
+    report, samples = run_pairs(args.bench, args.repetitions)
+    times = {n: statistics.median(v) for n, v in samples.items()}
+    ratios = sorted(i / b for b, i in zip(samples[BARE], samples[IDLE]))
+    q1, _, q3 = statistics.quantiles(ratios, n=4)
+    overhead = 100.0 * (statistics.median(ratios) - 1.0)
+    for name in (BARE, IDLE):
+        print("%-32s %12.0f ns (median of %d)"
+              % (name, times[name], args.repetitions))
+    print("idle/bare ratio per pair: median %.4f, quartiles %.4f-%.4f"
+          % (statistics.median(ratios), q1, q3))
     print("idle-observability overhead: %+.2f%% (threshold %.1f%%)"
           % (overhead, args.threshold))
 
@@ -127,8 +127,8 @@ def main():
                 payload = json.load(f)
         payload["context"] = report.get("context", {})
         payload.setdefault("times_ns", {})
-        payload["times_ns"][BARE] = bare
-        payload["times_ns"][IDLE] = idle
+        payload["times_ns"][BARE] = times[BARE]
+        payload["times_ns"][IDLE] = times[IDLE]
         with open(args.baseline, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
