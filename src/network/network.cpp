@@ -510,6 +510,11 @@ Network::verifyWakes(std::int64_t cycle)
                       << " with pending work at cycle " << cycle
                       << " (missed wakeup)");
     }
+    // The receive and routing state every mode keeps incrementally
+    // (arrival flags, convergence counters) must match a recount: a
+    // missed arrival flag would delay a flit alike in every mode.
+    for (const auto& r : routers_)
+        r->verifyIncrementalState(cycle);
 }
 
 template <typename Fn>

@@ -7,4 +7,7 @@ namespace footprint {
 template class Pipe<Flit>;
 template class Pipe<Credit>;
 
+static_assert(sizeof(FlitChannel) == 64 && sizeof(CreditChannel) == 64,
+              "a pipe fills one cache line");
+
 } // namespace footprint

@@ -54,11 +54,12 @@ class Pipe
      */
     Pipe(int latency, std::int64_t* ready, T* payload, std::size_t cap,
          std::uint64_t* sent)
-        : ready_(ready), payload_(payload), mask_(cap - 1), sent_(sent),
-          latency_(latency)
+        : ready_(ready), payload_(payload), sent_(sent),
+          mask_(static_cast<std::uint32_t>(cap - 1)), latency_(latency)
     {
-        FP_ASSERT(cap > 0 && (cap & (cap - 1)) == 0,
-                  "pipe capacity must be a power of two");
+        FP_ASSERT(cap > 0 && (cap & (cap - 1)) == 0
+                      && cap <= std::size_t{1} << 31,
+                  "pipe capacity must be a power of two below 2^32");
     }
 
     Pipe(const Pipe&) = delete;
@@ -78,19 +79,29 @@ class Pipe
         wakeComp_ = comp;
     }
 
+    /**
+     * Raise the receiving router's @p flag on every send, so its
+     * receive phase polls only pipes holding items. The flag has one
+     * writer at a time — this pipe's sender during compute and
+     * transmit, the receiver during drain — so a plain store suffices.
+     */
+    void setArrivalFlag(bool* flag) { arrived_ = flag; }
+
     /** Send @p item at @p cycle. */
     void
     send(const T& item, std::int64_t cycle)
     {
         FP_ASSERT(size_ <= mask_,
                   "pipe overflow (capacity " << (mask_ + 1) << ")");
-        const std::size_t slot = (head_ + size_) & mask_;
+        const std::uint32_t slot = (head_ + size_) & mask_;
         ready_[slot] = cycle + latency_;
         payload_[slot] = item;
         ++size_;
         ++*sent_;
         if (wakeSet_)
             wakeSet_->wake(wakeComp_);
+        if (arrived_ && !*arrived_)
+            *arrived_ = true;
     }
 
     /**
@@ -122,7 +133,7 @@ class Pipe
     void
     forEachInFlight(Fn&& fn) const
     {
-        for (std::size_t i = 0; i < size_; ++i)
+        for (std::uint32_t i = 0; i < size_; ++i)
             fn(payload_[(head_ + i) & mask_]);
     }
 
@@ -131,17 +142,20 @@ class Pipe
     inFlightReadyCycle(std::size_t i) const
     {
         FP_ASSERT(i < size_, "inFlightReadyCycle out of range");
-        return ready_[(head_ + i) & mask_];
+        return ready_[(head_ + static_cast<std::uint32_t>(i)) & mask_];
     }
 
   private:
+    // Pointers first, then 32-bit fields: one pipe fills one 64-byte
+    // cache line (channel.cpp asserts it).
     std::int64_t* ready_;  ///< arrival-cycle ring lane
     T* payload_;           ///< payload ring lane
-    std::size_t mask_;     ///< ring capacity - 1
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
     std::uint64_t* sent_;  ///< sent-counter lane slot
     ActiveSet* wakeSet_ = nullptr;
+    bool* arrived_ = nullptr;  ///< the receiver's arrival flag
+    std::uint32_t mask_;  ///< ring capacity - 1
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
     int latency_;
     int wakeComp_ = -1;
 };

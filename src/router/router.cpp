@@ -12,9 +12,12 @@ Router::Router(const Mesh& mesh, int node,
                const RouterParams& params,
                const RoutingAlgorithm* routing, std::uint64_t seed,
                const StatusBoard* status)
-    : mesh_(&mesh), node_(node), params_(params), routing_(routing),
-      status_(status),
-      rng_(seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(node))
+    : RouterView(mesh, node, params.numVcs,
+                 seed * 0x9e3779b97f4a7c15ULL
+                     + static_cast<std::uint64_t>(node),
+                 status),
+      routing_(routing), speedup_(params.internalSpeedup),
+      fifoSize_(params.outputFifoSize), vcBufSize_(params.vcBufSize)
 {
     FP_ASSERT(params.numVcs >= 1 && params.numVcs <= 64,
               "numVcs must be in [1, 64]");
@@ -31,17 +34,11 @@ Router::Router(const Mesh& mesh, int node,
         out.saArbiter.resize(kNumPorts);
         out.fifo.reset(static_cast<std::size_t>(params.outputFifoSize));
     }
-    neighborNode_.fill(-1);
 
-    vcAll_ = maskOfFirst(params.numVcs);
     const auto total_vcs =
         static_cast<std::size_t>(kNumPorts * params.numVcs);
     outCredits_.assign(total_vcs,
                        static_cast<std::int16_t>(params.vcBufSize));
-    outOwner_.assign(total_vcs, -1);
-    outFullCredit_.fill(vcAll_);
-    if (params.vcBufSize == 0)
-        outZeroCredit_.fill(vcAll_);
 
     // VA scratch: fixed flat tables, never resized after this.
     waiting_.reserve(total_vcs);
@@ -51,9 +48,6 @@ Router::Router(const Mesh& mesh, int node,
     vaBestReq_.assign(total_vcs, 0);
     vcRrPtr_.assign(total_vcs, 0);
     bestGrant_.resize(total_vcs);
-    destConvergence_.assign(static_cast<std::size_t>(mesh.numNodes()),
-                            0);
-    destWaitTouched_.reserve(static_cast<std::size_t>(mesh.numNodes()));
     publishDirty_ = (std::uint32_t{1} << kNumPorts) - 1;
 }
 
@@ -63,6 +57,8 @@ Router::connectInput(int port, FlitChannel* flit_in,
 {
     inputs_.at(static_cast<std::size_t>(port)).flitIn = flit_in;
     inputs_.at(static_cast<std::size_t>(port)).creditOut = credit_out;
+    if (flit_in)
+        flit_in->setArrivalFlag(&arrived_.at(static_cast<std::size_t>(port)));
 }
 
 void
@@ -71,47 +67,55 @@ Router::connectOutput(int port, FlitChannel* flit_out,
 {
     outputs_.at(static_cast<std::size_t>(port)).flitOut = flit_out;
     outputs_.at(static_cast<std::size_t>(port)).creditIn = credit_in;
-}
-
-void
-Router::setNeighbor(int port, int node)
-{
-    neighborNode_.at(static_cast<std::size_t>(port)) = node;
+    if (credit_in)
+        credit_in->setArrivalFlag(
+            &arrived_.at(static_cast<std::size_t>(kNumPorts + port)));
 }
 
 void
 Router::receivePhase(std::int64_t cycle)
 {
+    // Poll only the pipes whose arrival flag is raised — the others
+    // are empty — flit ports first, then credit ports, as a scan of
+    // every pipe would. Nothing sends during drain+receive.
     bool in_flight = false;
-    for (auto& in : inputs_) {
-        if (!in.flitIn)
+    for (int ip = 0; ip < kNumPorts; ++ip) {
+        bool& arrived = arrived_[static_cast<std::size_t>(ip)];
+        if (!arrived)
             continue;
+        InputPort& in = inputs_[static_cast<std::size_t>(ip)];
         while (auto f = in.flitIn->receive(cycle)) {
-            FP_ASSERT(f->vc >= 0 && f->vc < params_.numVcs,
+            FP_ASSERT(f->vc >= 0 && f->vc < numVcs_,
                       "flit arrived with bad VC " << f->vc);
             InputVc& ivc = in.vcs[static_cast<std::size_t>(f->vc)];
-            FP_ASSERT(static_cast<int>(ivc.occupancy())
-                          < params_.vcBufSize,
+            FP_ASSERT(static_cast<int>(ivc.occupancy()) < vcBufSize_,
                       "input VC buffer overflow (credit protocol bug)");
             if (tracer_ && f->head && tracer_->traced(f->packetId))
                 tracer_->onHopArrive(*f, node_, cycle);
+            // A flit landing in an empty VC becomes its front.
+            if (ivc.empty())
+                ++convergence_[static_cast<std::size_t>(f->dest)];
             ivc.buffer.push_back(*f);
             in.occMask |= VcMask{1} << f->vc;
             ++bufferedFlits_;
         }
-        in_flight |= !in.flitIn->empty();
+        arrived = !in.flitIn->empty();
+        in_flight |= arrived;
     }
     for (int op = 0; op < kNumPorts; ++op) {
-        OutputPort& out = outputs_[static_cast<std::size_t>(op)];
-        if (!out.creditIn)
+        bool& arrived = arrived_[static_cast<std::size_t>(kNumPorts + op)];
+        if (!arrived)
             continue;
-        while (auto c = out.creditIn->receive(cycle)) {
-            FP_ASSERT(c->vc >= 0 && c->vc < params_.numVcs,
+        CreditChannel* credit_in =
+            outputs_[static_cast<std::size_t>(op)].creditIn;
+        while (auto c = credit_in->receive(cycle)) {
+            FP_ASSERT(c->vc >= 0 && c->vc < numVcs_,
                       "credit arrived with bad VC " << c->vc);
             ovReturnCredit(op, c->vc);
             publishDirty_ |= std::uint32_t{1} << op;
         }
-        in_flight |= !out.creditIn->empty();
+        arrived = !credit_in->empty();
+        in_flight |= arrived;
     }
     inFlight_ = in_flight;
 }
@@ -128,40 +132,20 @@ void
 Router::runVcAllocation()
 {
     const bool atomic = routing_->atomicVcAlloc();
-    const int num_vcs = params_.numVcs;
+    const int num_vcs = numVcs_;
     const int total_ids = kNumPorts * num_vcs;
 
-    // Early out: with no buffered flits there are no requests to
-    // gather, and with no touched convergence counters there is
-    // nothing stale to refresh either.
-    if (bufferedFlits_ == 0 && destWaitTouched_.empty())
-        return;
-
-    // Refresh the per-destination convergence counters: the number of
-    // input VCs holding flits to each destination. Two or more means
-    // traffic to that destination is accumulating at this router —
-    // either converging flows or a backlogged (blocked-downstream)
-    // stream, both of which Footprint confines to footprint lanes.
-    // Then gather requests from every input VC whose head flit waits
-    // for an output VC. The routing function is re-evaluated every
-    // cycle so adaptive decisions (and Footprint's priorities) track
-    // the live occupancy state.
-    for (const int dest : destWaitTouched_)
-        destConvergence_[static_cast<std::size_t>(dest)] = 0;
-    destWaitTouched_.clear();
+    // With no buffered flits there are no requests to gather.
     if (bufferedFlits_ == 0)
         return;
-    for (int ip = 0; ip < kNumPorts; ++ip) {
-        const InputPort& in = inputs_[static_cast<std::size_t>(ip)];
-        for (VcMask m = in.occMask; m != 0; m &= m - 1) {
-            const int v = std::countr_zero(m);
-            const auto dest = static_cast<std::size_t>(
-                in.vcs[static_cast<std::size_t>(v)].front().dest);
-            if (destConvergence_[dest]++ == 0)
-                destWaitTouched_.push_back(static_cast<int>(dest));
-        }
-    }
 
+    // Gather requests from every input VC whose head flit waits for an
+    // output VC. The routing function is re-evaluated every cycle so
+    // adaptive decisions (and Footprint's priorities) track the live
+    // occupancy state; the convergence counters it reads are kept live
+    // by receivePhase and moveFlit, and no input VC's front changes
+    // between receive and here.
+    //
     // Route each waiting input VC and scatter its requests onto the
     // allocatable output VCs they target in the same step, keeping a
     // per-output-VC running best instead of materialising requester
@@ -177,17 +161,17 @@ Router::runVcAllocation()
     for (int ip = 0; ip < kNumPorts; ++ip) {
         InputPort& in = inputs_[static_cast<std::size_t>(ip)];
         // A VC in VcAlloc state always holds its head flit, so the
-        // occupancy mask covers every allocation candidate.
-        for (VcMask occ = in.occMask; occ != 0; occ &= occ - 1) {
-            const int v = std::countr_zero(occ);
+        // occupancy mask less the Active VCs covers every allocation
+        // candidate.
+        for (VcMask cand = in.occMask & ~in.activeMask; cand != 0;
+             cand &= cand - 1) {
+            const int v = std::countr_zero(cand);
             InputVc& ivc = in.vcs[static_cast<std::size_t>(v)];
             if (ivc.state == InputVc::State::Idle) {
                 FP_ASSERT(ivc.front().head,
                           "non-head flit at front of idle VC");
                 ivc.state = InputVc::State::VcAlloc;
             }
-            if (ivc.state != InputVc::State::VcAlloc)
-                continue;
             vaSet_.clear();
             routing_->route(*this, ivc.front(), vaSet_);
             if (vaSet_.empty())
@@ -296,7 +280,7 @@ Router::runSwitchAllocation()
 
     std::array<int, kNumPorts> winner_vc{};
 
-    for (int pass = 0; pass < params_.internalSpeedup; ++pass) {
+    for (int pass = 0; pass < speedup_; ++pass) {
         // Input-side: each input port nominates one eligible VC. Only
         // non-empty Active VCs (occupancy & active masks) qualify.
         std::array<std::uint64_t, kNumPorts> port_req{};
@@ -313,7 +297,7 @@ Router::runSwitchAllocation()
                     static_cast<std::size_t>(ivc.outPort);
                 if (!((outZeroCredit_[op] >> ivc.outVc) & VcMask{1})
                     && static_cast<int>(outputs_[op].fifo.size())
-                        < params_.outputFifoSize) {
+                        < fifoSize_) {
                     elig |= VcMask{1} << v;
                 }
             }
@@ -360,8 +344,16 @@ Router::moveFlit(int in_port, int in_vc)
 
     Flit f = ivc.buffer.front();
     ivc.buffer.pop_front();
-    if (ivc.buffer.empty())
+    // Keep the convergence counters on the VC's front flit: it empties,
+    // or (non-atomic reallocation) a queued head of another
+    // destination moves up behind this tail.
+    if (ivc.buffer.empty()) {
         in.occMask &= ~(VcMask{1} << in_vc);
+        --convergence_[static_cast<std::size_t>(f.dest)];
+    } else if (ivc.front().dest != f.dest) {
+        --convergence_[static_cast<std::size_t>(f.dest)];
+        ++convergence_[static_cast<std::size_t>(ivc.front().dest)];
+    }
     --bufferedFlits_;
 
     const int out_port = ivc.outPort;
@@ -415,90 +407,41 @@ Router::hasPendingWork() const
     return false;
 }
 
-VcMask
-Router::idleVcMask(int port) const
+void
+Router::verifyIncrementalState(std::int64_t cycle) const
 {
-    return idleMaskOf(port);
-}
-
-VcMask
-Router::footprintVcMask(int port, int dest) const
-{
-    // Owner registers persist after a VC drains (they are only
-    // overwritten on reallocation, as the Sec. 4.4 hardware does), so a
-    // freshly drained VC remains a footprint VC for its destination
-    // until another packet claims it. Contiguous int16 compare over
-    // the port's slice of the owner lane; vectorisable.
-    const std::int16_t* owner = outOwner_.data()
-        + static_cast<std::size_t>(port * params_.numVcs);
-    const auto d = static_cast<std::int16_t>(dest);
-    VcMask m = 0;
-    for (int v = 0; v < params_.numVcs; ++v)
-        m |= static_cast<VcMask>(owner[v] == d) << v;
-    return m;
-}
-
-VcMask
-Router::occupiedVcMask(int port) const
-{
-    return occupiedMaskOf(port);
-}
-
-VcMask
-Router::zeroCreditVcMask(int port) const
-{
-    return outZeroCredit_[static_cast<std::size_t>(port)];
-}
-
-int
-Router::convergingInputs(int dest) const
-{
-    return destConvergence_[static_cast<std::size_t>(dest)];
-}
-
-int
-Router::remoteIdleCount(int through_port, int port) const
-{
-    const int nbr = neighborNode_[static_cast<std::size_t>(through_port)];
-    if (nbr < 0 || !status_)
-        return -1;
-    return status_->idleCount(nbr, port);
-}
-
-std::uint32_t
-Router::takePublishMask()
-{
-    const std::uint32_t m = publishDirty_;
-    publishDirty_ = 0;
-    return m;
-}
-
-int
-Router::idleVcCount(int port) const
-{
-    return popcount(idleMaskOf(port));
+    for (std::size_t p = 0; p < kNumPorts; ++p) {
+        const FlitChannel* f = inputs_[p].flitIn;
+        const CreditChannel* c = outputs_[p].creditIn;
+        FP_ASSERT(arrived_[p] == (f && !f->empty())
+                      && arrived_[kNumPorts + p] == (c && !c->empty()),
+                  "router " << node_ << " port " << p
+                            << ": arrival flags disagree with its pipes"
+                            << " at cycle " << cycle);
+    }
+    std::vector<std::uint8_t> fronts(convergence_.size(), 0);
+    for (const InputPort& in : inputs_) {
+        for (VcMask m = in.occMask; m != 0; m &= m - 1)
+            ++fronts[static_cast<std::size_t>(
+                in.vcs[static_cast<std::size_t>(std::countr_zero(m))]
+                    .front()
+                    .dest)];
+    }
+    const auto [want, got] = std::mismatch(fronts.begin(), fronts.end(),
+                                           convergence_.begin());
+    FP_ASSERT(want == fronts.end(),
+              "router " << node_ << " convergence counter of destination "
+                        << (want - fronts.begin()) << " reads " << int{*got}
+                        << ", recount " << int{*want} << " at cycle "
+                        << cycle);
 }
 
 int
 Router::outVcOwner(int port, int vc) const
 {
-    return ((occupiedMaskOf(port) >> vc) & VcMask{1})
-        ? outOwner_[ovIdx(port, vc)]
+    return ((occupiedVcMask(port) >> vc) & VcMask{1})
+        ? outOwner_[ownerIdx(port, vc)]
         : -1;
-}
-
-bool
-Router::outVcOccupied(int port, int vc) const
-{
-    return ((occupiedMaskOf(port) >> vc) & VcMask{1}) != 0;
-}
-
-int
-Router::inputOccupancy(int port, int vc) const
-{
-    return static_cast<int>(inputs_[static_cast<std::size_t>(port)]
-                                .vcs[static_cast<std::size_t>(vc)]
-                                .occupancy());
 }
 
 int
@@ -522,18 +465,6 @@ Router::inputHoldsDest(int port, int vc, int dest) const
 }
 
 int
-Router::totalBufferedFlits() const
-{
-    return inputBufferedFlits() + outputFifoFlits();
-}
-
-int
-Router::inputBufferedFlits() const
-{
-    return bufferedFlits_;
-}
-
-int
 Router::totalOutputCredits() const
 {
     int total = 0;
@@ -547,7 +478,7 @@ Router::occupiedOutVcs() const
 {
     int total = 0;
     for (int port = 0; port < kNumPorts; ++port)
-        total += popcount(occupiedMaskOf(port));
+        total += popcount(occupiedVcMask(port));
     return total;
 }
 
@@ -556,46 +487,14 @@ Router::occupiedOutVcsBelow(int vc_limit) const
 {
     if (vc_limit <= 0)
         return 0;
-    const VcMask low = vc_limit >= params_.numVcs
+    const VcMask low = vc_limit >= numVcs_
         ? ~VcMask{0}
         : static_cast<VcMask>((VcMask{1} << vc_limit) - 1);
     int total = 0;
     for (int port = 0; port < kNumPorts; ++port)
         total += popcount(
-            static_cast<VcMask>(occupiedMaskOf(port) & low));
+            static_cast<VcMask>(occupiedVcMask(port) & low));
     return total;
-}
-
-int
-Router::outputFifoFlits() const
-{
-    return fifoFlits_;
-}
-
-int
-Router::outVcCredits(int port, int vc) const
-{
-    return outCredits_[ovIdx(port, vc)];
-}
-
-bool
-Router::outVcBusy(int port, int vc) const
-{
-    return ((outBusy_[static_cast<std::size_t>(port)] >> vc) & VcMask{1})
-        != 0;
-}
-
-const InputVc&
-Router::inputVc(int port, int vc) const
-{
-    return inputs_[static_cast<std::size_t>(port)]
-        .vcs[static_cast<std::size_t>(vc)];
-}
-
-const RingBuffer<Flit>&
-Router::outputFifo(int port) const
-{
-    return outputs_[static_cast<std::size_t>(port)].fifo;
 }
 
 int

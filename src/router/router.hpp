@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "router/allocators.hpp"
@@ -25,46 +26,6 @@
 namespace footprint {
 
 class PacketTracer;
-
-/**
- * Per-router status table: the side-band wires adaptive algorithms
- * like DBAR use to see one hop ahead. Routers publish idle-VC counts
- * during their transmit phase; neighbors read during the compute
- * phase. Because every compute phase of a cycle completes before any
- * transmit phase begins, a read always observes the previous cycle's
- * publishes — the one-cycle-delayed status network DBAR assumes —
- * without double buffering. A router whose state did not change
- * (quiescent under activity-driven stepping) may skip publishing: its
- * stored counts are already current.
- */
-class StatusBoard
-{
-  public:
-    void
-    init(int num_nodes)
-    {
-        counts_.assign(static_cast<std::size_t>(num_nodes), {});
-    }
-
-    /** Publish @p count for (node, port); call in the transmit phase. */
-    void
-    publish(int node, int port, int count)
-    {
-        counts_[static_cast<std::size_t>(node)]
-               [static_cast<std::size_t>(port)] = count;
-    }
-
-    /** Idle-VC count of @p port at @p node as of the previous cycle. */
-    int
-    idleCount(int node, int port) const
-    {
-        return counts_[static_cast<std::size_t>(node)]
-                      [static_cast<std::size_t>(port)];
-    }
-
-  private:
-    std::vector<std::array<int, kNumPorts>> counts_;
-};
 
 /** Router microarchitecture parameters (Table 2). */
 struct RouterParams
@@ -84,13 +45,14 @@ struct RouterParams
  *    (internalSpeedup passes) + crossbar traversal into output FIFOs,
  *  - transmitPhase: each output FIFO pushes one flit into its link.
  *
- * Output-VC bookkeeping is stored structure-of-arrays (DESIGN.md §17):
- * per-port busy / zero-credit / full-credit bitmasks maintained
- * incrementally on every state transition, plus flat credit and
- * owner-destination lanes. The RouterView mask queries adaptive
- * routing hammers every cycle (idle / occupied / zero-credit /
- * footprint) reduce to one or two bitwise ops or a short contiguous
- * scan instead of per-VC object walks, and a saturated compute phase
+ * Output-VC bookkeeping is stored structure-of-arrays (DESIGN.md §17)
+ * in the RouterView lanes this class derives from and alone writes:
+ * per-port busy / full-credit bitmasks maintained incrementally on
+ * every state transition, the padded owner lane and the
+ * per-destination convergence counters, plus a flat credit lane and
+ * zero-credit masks here. The queries adaptive routing hammers every
+ * cycle (idle / occupied / footprint) reduce to one or two bitwise
+ * ops or a short fixed-width compare, and a saturated compute phase
  * performs zero heap allocations: all VA/SA scratch lives in
  * fixed-capacity flat tables sized once at construction.
  */
@@ -138,16 +100,20 @@ class Router : public RouterView
            const RoutingAlgorithm* routing, std::uint64_t seed,
            const StatusBoard* status);
 
-    /** Wire the incoming-flit and outgoing-credit channels of a port. */
+    /** Wire a port's incoming-flit and outgoing-credit channels. */
     void connectInput(int port, FlitChannel* flit_in,
                       CreditChannel* credit_out);
 
-    /** Wire the outgoing-flit and incoming-credit channels of a port. */
+    /** Wire a port's outgoing-flit and incoming-credit channels. */
     void connectOutput(int port, FlitChannel* flit_out,
                        CreditChannel* credit_in);
 
     /** Record the neighbor node reachable through @p port (status). */
-    void setNeighbor(int port, int node);
+    void
+    setNeighbor(int port, int node)
+    {
+        neighborNode_.at(static_cast<std::size_t>(port)) = node;
+    }
 
     void receivePhase(std::int64_t cycle);
     void computePhase(std::int64_t cycle);
@@ -178,21 +144,17 @@ class Router : public RouterView
         return bufferedFlits_ > 0 || fifoFlits_ > 0 || inFlight_;
     }
 
-    // RouterView interface.
-    int nodeId() const override { return node_; }
-    const Mesh& mesh() const override { return *mesh_; }
-    int numVcs() const override { return params_.numVcs; }
-    int vcBufSize() const override { return params_.vcBufSize; }
-    VcMask idleVcMask(int port) const override;
-    VcMask footprintVcMask(int port, int dest) const override;
-    VcMask occupiedVcMask(int port) const override;
-    VcMask zeroCreditVcMask(int port) const override;
-    int convergingInputs(int dest) const override;
-    int remoteIdleCount(int through_port, int port) const override;
-    Rng& rng() const override { return rng_; }
+    /**
+     * step_mode=verify's check of the incrementally kept state, valid
+     * between steps: each incoming pipe's arrival flag is set exactly
+     * when the pipe holds an item, and the convergence counters equal
+     * a recount over the front flits of the occupied input VCs (so
+     * they sum to the number of those VCs). FP_ASSERTs on a mismatch.
+     */
+    void verifyIncrementalState(std::int64_t cycle) const;
 
     /** Idle-VC count of an output port (published to the status net). */
-    int idleVcCount(int port) const;
+    int idleVcCount(int port) const { return popcount(idleVcMask(port)); }
 
     /**
      * Bitmask of output ports whose idle-VC count may have changed
@@ -200,16 +162,28 @@ class Router : public RouterView
      * publishes only these ports to the status board — an unchanged
      * count is already current there (the board is never reset).
      */
-    std::uint32_t takePublishMask();
+    std::uint32_t
+    takePublishMask()
+    {
+        return std::exchange(publishDirty_, 0);
+    }
 
     /** Owner destination of output VC (port, vc); -1 when idle. */
     int outVcOwner(int port, int vc) const;
 
     /** True if output VC (port, vc) is occupied. */
-    bool outVcOccupied(int port, int vc) const;
+    bool
+    outVcOccupied(int port, int vc) const
+    {
+        return (occupiedVcMask(port) >> vc) & VcMask{1};
+    }
 
     /** Number of buffered flits in input VC (port, vc). */
-    int inputOccupancy(int port, int vc) const;
+    int
+    inputOccupancy(int port, int vc) const
+    {
+        return static_cast<int>(inputVc(port, vc).occupancy());
+    }
 
     /** Destination of a flit buffered in input VC, -1 if empty. */
     int inputFrontDest(int port, int vc) const;
@@ -221,12 +195,12 @@ class Router : public RouterView
     void resetCounters() { counters_.reset(); }
 
     /** Total flits buffered in the router (for drain checks). */
-    int totalBufferedFlits() const;
+    int totalBufferedFlits() const { return bufferedFlits_ + fifoFlits_; }
 
     // Occupancy gauges (read by observers off the critical path).
 
     /** Flits buffered in input VCs only (the "VC occupancy" probe). */
-    int inputBufferedFlits() const;
+    int inputBufferedFlits() const { return bufferedFlits_; }
 
     /** Sum of available credits over all output VCs. */
     int totalOutputCredits() const;
@@ -241,9 +215,6 @@ class Router : public RouterView
      */
     int occupiedOutVcsBelow(int vc_limit) const;
 
-    /** Flits waiting in output FIFOs. */
-    int outputFifoFlits() const;
-
     /**
      * Attach (or detach with nullptr) a packet-lifecycle tracer. The
      * per-flit hooks cost one branch while @p tracer is nullptr.
@@ -254,16 +225,33 @@ class Router : public RouterView
     // the per-cycle hot path).
 
     /** Available credits of output VC (port, vc). */
-    int outVcCredits(int port, int vc) const;
+    int
+    outVcCredits(int port, int vc) const
+    {
+        return outCredits_[ovIdx(port, vc)];
+    }
 
     /** True if output VC (port, vc) is allocated to a packet. */
-    bool outVcBusy(int port, int vc) const;
+    bool
+    outVcBusy(int port, int vc) const
+    {
+        return (outBusy_[static_cast<std::size_t>(port)] >> vc) & 1;
+    }
 
     /** Full input-VC state (stage, granted route, buffered flits). */
-    const InputVc& inputVc(int port, int vc) const;
+    const InputVc&
+    inputVc(int port, int vc) const
+    {
+        return inputs_[static_cast<std::size_t>(port)]
+            .vcs[static_cast<std::size_t>(vc)];
+    }
 
     /** Flits waiting in the output FIFO of @p port, head first. */
-    const RingBuffer<Flit>& outputFifo(int port) const;
+    const RingBuffer<Flit>&
+    outputFifo(int port) const
+    {
+        return outputs_[static_cast<std::size_t>(port)].fifo;
+    }
 
     /** Flits of output FIFO @p port destined for downstream VC @p vc. */
     int outputFifoFlitsForVc(int port, int vc) const;
@@ -320,18 +308,15 @@ class Router : public RouterView
         int firstPort = -1;  ///< port of its first request (purity)
     };
 
-    // --- Output-VC state, structure-of-arrays. ---
+    // --- Output-VC state transitions. ---
     //
-    // The per-port masks are the primary representation of the boolean
-    // VC states (busy / zero credits / full credits); the flat credit
-    // and owner lanes carry the counts routing and forensics read.
-    // Every transition goes through the ov*() helpers below so masks
-    // and lanes never disagree.
+    // Every transition goes through the ov*() helpers below, so the
+    // RouterView masks and the credit and owner lanes never disagree.
 
     std::size_t
     ovIdx(int port, int vc) const
     {
-        return static_cast<std::size_t>(port * params_.numVcs + vc);
+        return static_cast<std::size_t>(port * numVcs_ + vc);
     }
 
     void
@@ -341,7 +326,7 @@ class Router : public RouterView
                     & VcMask{1}),
                   "allocating a busy output VC");
         outBusy_[static_cast<std::size_t>(port)] |= VcMask{1} << vc;
-        outOwner_[ovIdx(port, vc)] = static_cast<std::int16_t>(dest);
+        outOwner_[ownerIdx(port, vc)] = static_cast<std::int16_t>(dest);
     }
 
     void
@@ -371,28 +356,11 @@ class Router : public RouterView
     ovReturnCredit(int port, int vc)
     {
         const std::int16_t c = ++outCredits_[ovIdx(port, vc)];
-        FP_ASSERT(c <= params_.vcBufSize,
-                  "credit overflow on output VC");
+        FP_ASSERT(c <= vcBufSize_, "credit overflow on output VC");
         const auto p = static_cast<std::size_t>(port);
         outZeroCredit_[p] &= ~(VcMask{1} << vc);
-        if (c == params_.vcBufSize)
+        if (c == vcBufSize_)
             outFullCredit_[p] |= VcMask{1} << vc;
-    }
-
-    /** Idle = unallocated with a full downstream buffer. */
-    VcMask
-    idleMaskOf(int port) const
-    {
-        const auto p = static_cast<std::size_t>(port);
-        return outFullCredit_[p] & ~outBusy_[p];
-    }
-
-    /** Occupied = busy or any flit still draining downstream. */
-    VcMask
-    occupiedMaskOf(int port) const
-    {
-        const auto p = static_cast<std::size_t>(port);
-        return outBusy_[p] | (vcAll_ & ~outFullCredit_[p]);
     }
 
     /** Which VCs a new packet may claim (VC-reallocation policy). */
@@ -404,31 +372,23 @@ class Router : public RouterView
                       : (vcAll_ & ~outBusy_[p]);
     }
 
-    const Mesh* mesh_;
-    int node_;
-    RouterParams params_;
     const RoutingAlgorithm* routing_;
-    const StatusBoard* status_;
-    mutable Rng rng_;
+    int speedup_;    ///< switch-allocation passes per cycle
+    int fifoSize_;   ///< output FIFO capacity
+    int vcBufSize_;  ///< input-VC depth = full credits per output VC
 
     std::array<InputPort, kNumPorts> inputs_;
     std::array<OutputPort, kNumPorts> outputs_;
-    std::array<int, kNumPorts> neighborNode_;
     std::int64_t cycle_ = 0;
 
-    VcMask vcAll_ = 0;  ///< maskOfFirst(numVcs)
-
-    // Output-VC SoA lanes (kNumPorts * numVcs, port-major).
-    std::array<VcMask, kNumPorts> outBusy_{};
-    std::array<VcMask, kNumPorts> outZeroCredit_{};
-    std::array<VcMask, kNumPorts> outFullCredit_{};
+    /** Credits per output VC (kNumPorts * numVcs, port-major). */
     std::vector<std::int16_t> outCredits_;
-    std::vector<std::int16_t> outOwner_;
+    std::array<VcMask, kNumPorts> outZeroCredit_{};  ///< no credits
 
     // Per-cycle scratch state: fixed-capacity flat tables sized at
     // construction, so the per-cycle hot path performs no heap
-    // allocation (waiting_ / touchedOutVcs_ / destWaitTouched_ are
-    // reserved to their structural maxima up front).
+    // allocation (waiting_ / touchedOutVcs_ are reserved to their
+    // structural maxima up front).
     std::vector<VaWaiter> waiting_;
     /** Request set of the input VC being routed; reused per route(). */
     OutputSet vaSet_;
@@ -443,9 +403,6 @@ class Router : public RouterView
     std::vector<std::int16_t> vaBestReq_;   ///< input-VC id of best
     std::vector<std::int16_t> vcRrPtr_;  ///< per-out-VC tie-break ptr
     std::vector<VaGrant> bestGrant_;  ///< per flattened input VC id
-    std::vector<std::uint8_t>
-        destConvergence_;  ///< input VCs holding flits per destination
-    std::vector<int> destWaitTouched_;  ///< dests to clear next cycle
 
     // Incrementally maintained totals backing the occupancy gauges and
     // hasPendingWork() without walking every VC each cycle.
@@ -459,6 +416,13 @@ class Router : public RouterView
 
     Counters counters_;
     PacketTracer* tracer_ = nullptr;
+
+    /**
+     * Arrival flags, set while a pipe holds items: input port p's flit
+     * pipe at p, output port p's credit pipe at kNumPorts + p. Pipes
+     * in other bands set them too, so they get their own cache line.
+     */
+    alignas(64) std::array<bool, 2 * kNumPorts> arrived_{};
 };
 
 } // namespace footprint

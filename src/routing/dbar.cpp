@@ -13,6 +13,7 @@ DbarRouting::continuationDir(const Mesh& mesh, int node, Dir d, int dest)
         return Dir::Local;
     Dir dirs[2];
     const int n = mesh.minimalDirsInto(nbr, dest, dirs);
+    FP_ASSERT(n > 0, "no minimal direction but not at dest");
     // Prefer staying in the same dimension — that is the link whose
     // occupancy DBAR's dimension-aware status network reports.
     for (int i = 0; i < n; ++i) {

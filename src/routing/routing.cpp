@@ -10,14 +10,6 @@
 
 namespace footprint {
 
-Dir
-dorDir(const Mesh& mesh, int cur, int dest)
-{
-    Dir dirs[2];
-    return mesh.minimalDirsInto(cur, dest, dirs) > 0 ? dirs[0]
-                                                     : Dir::Local;
-}
-
 namespace {
 
 std::unique_ptr<RoutingAlgorithm>

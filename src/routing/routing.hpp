@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,11 +23,11 @@
 #include "router/flit.hpp"
 #include "router/vc_state.hpp"
 #include "sim/log.hpp"
+#include "sim/rng.hpp"
 #include "topo/mesh.hpp"
 
 namespace footprint {
 
-class Rng;
 class SimConfig;
 
 /** Request priorities used by Algorithm 1. Larger value wins. */
@@ -107,55 +108,175 @@ class OutputSet
 };
 
 /**
- * Read-only view of the router state a routing algorithm may consult.
+ * Per-router status table: the side-band wires adaptive algorithms
+ * like DBAR use to see one hop ahead. Routers publish idle-VC counts
+ * during their transmit phase; neighbors read during the compute
+ * phase. Because every compute phase of a cycle completes before any
+ * transmit phase begins, a read always observes the previous cycle's
+ * publishes — the one-cycle-delayed status network DBAR assumes —
+ * without double buffering. A router whose state did not change
+ * (quiescent under activity-driven stepping) may skip publishing: its
+ * stored counts are already current.
+ */
+class StatusBoard
+{
+  public:
+    void
+    init(int num_nodes)
+    {
+        counts_.assign(static_cast<std::size_t>(num_nodes), {});
+    }
+
+    /** Publish @p count for (node, port); call in the transmit phase. */
+    void
+    publish(int node, int port, int count)
+    {
+        counts_[static_cast<std::size_t>(node)]
+               [static_cast<std::size_t>(port)] = count;
+    }
+
+    /** Idle-VC count of @p port at @p node as of the previous cycle. */
+    int
+    idleCount(int node, int port) const
+    {
+        return counts_[static_cast<std::size_t>(node)]
+                      [static_cast<std::size_t>(port)];
+    }
+
+  private:
+    std::vector<std::array<int, kNumPorts>> counts_;
+};
+
+/**
+ * The router state a routing algorithm may consult, as plain lanes
+ * answered inline: a query is a load or two, never a virtual call.
  * All of it is *local* information (Footprint's key cost property),
- * except remoteIdleCount which models DBAR's one-hop side-band status
- * exchange.
+ * except remoteIdleCount, which models DBAR's one-hop side-band status
+ * exchange. Router derives from it and is the only writer of these
+ * lanes; the unit tests' FakeRouterView scripts them directly.
  */
 class RouterView
 {
   public:
-    virtual ~RouterView() = default;
+    /** Each port's owner-lane slice is padded to whole blocks. */
+    static constexpr int kOwnerBlock = 16;
+    static constexpr std::array<std::uint16_t, kOwnerBlock> kLaneBit{
+        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192,
+        16384, 32768};
 
-    virtual int nodeId() const = 0;
+    int nodeId() const { return node_; }
     /** The network's shape (wrapped kinds admit DOR only). */
-    virtual const Mesh& mesh() const = 0;
-    virtual int numVcs() const = 0;
-    virtual int vcBufSize() const = 0;
+    const Mesh& mesh() const { return *mesh_; }
+    int numVcs() const { return numVcs_; }
 
-    /** Mask of fully idle output VCs on @p port. */
-    virtual VcMask idleVcMask(int port) const = 0;
+    /** Fully idle output VCs on @p port: unallocated, buffer empty. */
+    VcMask
+    idleVcMask(int port) const
+    {
+        const auto p = static_cast<std::size_t>(port);
+        return outFullCredit_[p] & ~outBusy_[p];
+    }
 
-    /** Mask of occupied output VCs on @p port owned by @p dest. */
-    virtual VcMask footprintVcMask(int port, int dest) const = 0;
-
-    /** Mask of occupied output VCs on @p port (any owner). */
-    virtual VcMask occupiedVcMask(int port) const = 0;
+    /** Occupied output VCs on @p port: allocated, or still draining. */
+    VcMask
+    occupiedVcMask(int port) const
+    {
+        const auto p = static_cast<std::size_t>(port);
+        return outBusy_[p] | (vcAll_ & ~outFullCredit_[p]);
+    }
 
     /**
-     * Mask of output VCs on @p port with zero credits — fully
-     * backpressured VCs, the local signature of a congestion tree.
+     * Output VCs on @p port whose owner register holds @p dest. Owners
+     * persist after a VC drains (only reallocation overwrites them, as
+     * in the Sec. 4.4 hardware), so a drained VC stays a footprint VC
+     * until another packet claims it. The -1 padding makes the scan a
+     * fixed-width int16 compare the compiler vectorises (a compare,
+     * a mask with kLaneBit and an OR reduction per 16 VCs).
      */
-    virtual VcMask zeroCreditVcMask(int port) const = 0;
+    VcMask
+    footprintVcMask(int port, int dest) const
+    {
+        const std::int16_t* owner =
+            outOwner_.data() + ownerIdx(port, 0);
+        const auto d = static_cast<std::int16_t>(dest);
+        VcMask m = 0;
+        for (int b = 0; b < ownerStride_; b += kOwnerBlock) {
+            std::uint16_t bits = 0;
+            // Unrolled whole, the block would not vectorise.
+#pragma GCC unroll 1
+            for (int i = 0; i < kOwnerBlock; ++i)
+                bits |= static_cast<std::uint16_t>(-(owner[b + i] == d))
+                    & kLaneBit[static_cast<std::size_t>(i)];
+            m |= VcMask{bits} << b;
+        }
+        return m;
+    }
 
     /**
-     * Number of input VCs at this router holding flits destined to
-     * @p dest. Two or more means traffic to @p dest is accumulating
-     * here — converging flows or a backlogged stream, the local
-     * signature of congestion forming around that destination
-     * (Sec. 2).
+     * Input VCs here whose front flit goes to @p dest. Two or more
+     * means traffic to @p dest is accumulating here — converging
+     * flows or a backlogged stream, the local signature of congestion
+     * forming around that destination (Sec. 2).
      */
-    virtual int convergingInputs(int dest) const = 0;
+    int
+    convergingInputs(int dest) const
+    {
+        return convergence_[static_cast<std::size_t>(dest)];
+    }
 
     /**
      * Idle-VC count of output @p port at the neighbor reached through
-     * @p through_port, as of the previous cycle (DBAR side-band).
-     * Returns -1 when no status is available.
+     * @p through_port, as of the previous cycle (DBAR side-band);
+     * -1 when no status is available.
      */
-    virtual int remoteIdleCount(int through_port, int port) const = 0;
+    int
+    remoteIdleCount(int through_port, int port) const
+    {
+        const int nbr =
+            neighborNode_[static_cast<std::size_t>(through_port)];
+        return nbr < 0 || !status_ ? -1 : status_->idleCount(nbr, port);
+    }
 
     /** RNG for tie-breaking (deterministic per router). */
-    virtual Rng& rng() const = 0;
+    Rng& rng() const { return rng_; }
+
+  protected:
+    /** Every output VC idle with full credits, no owners/neighbors. */
+    RouterView(const Mesh& mesh, int node, int num_vcs,
+               std::uint64_t rng_seed, const StatusBoard* status)
+        : mesh_(&mesh), status_(status), rng_(rng_seed), node_(node),
+          numVcs_(num_vcs),
+          ownerStride_((num_vcs + kOwnerBlock - 1) / kOwnerBlock
+                       * kOwnerBlock),
+          vcAll_(maskOfFirst(num_vcs)),
+          outOwner_(static_cast<std::size_t>(kNumPorts * ownerStride_),
+                    -1),
+          convergence_(static_cast<std::size_t>(mesh.numNodes()), 0)
+    {
+        outFullCredit_.fill(vcAll_);
+        neighborNode_.fill(-1);
+    }
+
+    std::size_t
+    ownerIdx(int port, int vc) const
+    {
+        return static_cast<std::size_t>(port * ownerStride_ + vc);
+    }
+
+    const Mesh* mesh_;
+    const StatusBoard* status_;
+    mutable Rng rng_;
+    int node_;
+    int numVcs_;
+    int ownerStride_;  ///< numVcs rounded up to whole kOwnerBlocks
+    VcMask vcAll_;     ///< maskOfFirst(numVcs)
+    // Per-port output-VC states: busy (allocated), full credits
+    // (downstream buffer empty).
+    std::array<VcMask, kNumPorts> outBusy_{};
+    std::array<VcMask, kNumPorts> outFullCredit_{};
+    std::array<int, kNumPorts> neighborNode_{};
+    std::vector<std::int16_t> outOwner_;  ///< port-major, -1 = none
+    std::vector<std::uint8_t> convergence_;  ///< per dest, mod 256
 };
 
 /**
@@ -210,7 +331,13 @@ std::vector<std::string> allRoutingAlgorithmNames();
  * of Mesh::minimalDirsInto, so on wrapped dimensions the shorter way
  * around wins (ties go East / North); Local at the destination.
  */
-Dir dorDir(const Mesh& mesh, int cur, int dest);
+inline Dir
+dorDir(const Mesh& mesh, int cur, int dest)
+{
+    Dir dirs[2];
+    return mesh.minimalDirsInto(cur, dest, dirs) > 0 ? dirs[0]
+                                                     : Dir::Local;
+}
 
 } // namespace footprint
 

@@ -4,16 +4,6 @@
 
 namespace footprint {
 
-namespace {
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 splitmix64Step(std::uint64_t& x)
 {
@@ -44,20 +34,6 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-std::uint64_t
 Rng::nextBounded(std::uint64_t bound)
 {
     FP_ASSERT(bound > 0, "nextBounded bound must be positive");
@@ -76,18 +52,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     FP_ASSERT(lo <= hi, "nextRange requires lo <= hi");
     return lo + static_cast<std::int64_t>(
         nextBounded(static_cast<std::uint64_t>(hi - lo + 1)));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 } // namespace footprint

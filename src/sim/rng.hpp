@@ -46,8 +46,20 @@ class Rng
     /** Seed with SplitMix64 expansion of @p seed (any value is fine). */
     explicit Rng(std::uint64_t seed = 1);
 
-    /** @return next raw 64-bit value. */
-    std::uint64_t next();
+    /** @return next raw 64-bit value (one xoshiro256** step). */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return uniform integer in [0, bound), bound > 0. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -55,13 +67,23 @@ class Rng
     /** @return uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
-    /** @return uniform double in [0, 1). */
-    double nextDouble();
+    /** @return uniform double in [0, 1): the top 53 bits of next(). */
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return true with probability @p p. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

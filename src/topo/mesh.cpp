@@ -9,22 +9,6 @@ namespace footprint {
 
 namespace {
 
-/**
- * Minimal step from coordinate @p from to @p to along a dimension of
- * extent @p n: +1, -1, or 0 when they agree. A wrapped dimension goes
- * the shorter way around; exact ties (even extent, half-way) go +1.
- */
-int
-minimalStep(int from, int to, int n, bool wrap)
-{
-    if (from == to)
-        return 0;
-    if (!wrap)
-        return to > from ? 1 : -1;
-    const int up = (to - from + n) % n;
-    return up <= n - up ? 1 : -1;
-}
-
 /** Hops between two coordinates along one dimension of extent @p n. */
 int
 dimDistance(int a, int b, int n, bool wrap)
@@ -95,6 +79,9 @@ Mesh::Mesh(TopologyKind kind, int width, int height, bool wrap_x,
         fatal("mesh must have at least 2 nodes");
 
     const int n = numNodes();
+    coords_.reserve(static_cast<std::size_t>(n));
+    for (int node = 0; node < n; ++node)
+        coords_.push_back(Coord{node % width_, node / width_});
     fwd_.assign(static_cast<std::size_t>(n) * kNumPorts, PortRef{});
     rev_.assign(static_cast<std::size_t>(n) * kNumPorts, PortRef{});
     for (int node = 0; node < n; ++node) {
@@ -203,13 +190,6 @@ Mesh::nodeId(Coord c) const
     return c.y * width_ + c.x;
 }
 
-Coord
-Mesh::coordOf(int node) const
-{
-    FP_ASSERT(node >= 0 && node < numNodes(), "node id out of mesh");
-    return Coord{node % width_, node / width_};
-}
-
 int
 Mesh::hopDistance(int a, int b) const
 {
@@ -217,19 +197,6 @@ Mesh::hopDistance(int a, int b) const
     const Coord cb = coordOf(b);
     return dimDistance(ca.x, cb.x, width_, wrapX_)
         + dimDistance(ca.y, cb.y, height_, wrapY_);
-}
-
-int
-Mesh::minimalDirsInto(int cur, int dest, Dir out[2]) const
-{
-    const Coord cc = coordOf(cur);
-    const Coord cd = coordOf(dest);
-    int n = 0;
-    if (const int sx = minimalStep(cc.x, cd.x, width_, wrapX_))
-        out[n++] = sx > 0 ? Dir::East : Dir::West;
-    if (const int sy = minimalStep(cc.y, cd.y, height_, wrapY_))
-        out[n++] = sy > 0 ? Dir::North : Dir::South;
-    return n;
 }
 
 std::vector<Dir>

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/log.hpp"
+
 namespace footprint {
 
 class SimConfig;
@@ -133,8 +135,13 @@ class Mesh
     /** @return the node id at @p c. */
     int nodeId(Coord c) const;
 
-    /** @return the coordinate of @p node. */
-    Coord coordOf(int node) const;
+    /** @return the coordinate of @p node (a table load). */
+    Coord
+    coordOf(int node) const
+    {
+        FP_ASSERT(node >= 0 && node < numNodes(), "node id out of mesh");
+        return coords_[static_cast<std::size_t>(node)];
+    }
 
     /** True when any dimension wraps (torus / ring). */
     bool hasWrap() const { return wrapX_ || wrapY_; }
@@ -202,9 +209,21 @@ class Mesh
      * Minimal productive directions from @p cur towards @p dest, E/W
      * before N/S (0, 1, or 2 entries; 0 when cur == dest). On wrapped
      * dimensions the shorter way around is chosen; exact ties break
-     * East/North. Allocation-free: the router critical path calls it.
+     * East/North. Inline, with no divide or modulo: the router
+     * critical path calls it for every route().
      */
-    int minimalDirsInto(int cur, int dest, Dir out[2]) const;
+    int
+    minimalDirsInto(int cur, int dest, Dir out[2]) const
+    {
+        const Coord cc = coordOf(cur);
+        const Coord cd = coordOf(dest);
+        int n = 0;
+        if (const int sx = minimalStep(cc.x, cd.x, width_, wrapX_))
+            out[n++] = sx > 0 ? Dir::East : Dir::West;
+        if (const int sy = minimalStep(cc.y, cd.y, height_, wrapY_))
+            out[n++] = sy > 0 ? Dir::North : Dir::South;
+        return n;
+    }
 
     /** Vector form of minimalDirsInto, for the adaptiveness metrics. */
     std::vector<Dir> minimalDirs(int cur, int dest) const;
@@ -228,6 +247,23 @@ class Mesh
     Mesh(TopologyKind kind, int width, int height, bool wrap_x,
          bool wrap_y, int concentration);
 
+    /**
+     * Minimal step from coordinate @p from to @p to along a dimension
+     * of extent @p n: +1, -1, or 0 when they agree. A wrapped
+     * dimension goes the shorter way around; exact ties (even extent,
+     * half-way) go +1.
+     */
+    static int
+    minimalStep(int from, int to, int n, bool wrap)
+    {
+        if (from == to)
+            return 0;
+        if (!wrap)
+            return to > from ? 1 : -1;
+        const int up = to > from ? to - from : to - from + n;
+        return up <= n - up ? 1 : -1;
+    }
+
     std::size_t flat(int node, int port) const
     {
         return static_cast<std::size_t>(node) * kNumPorts
@@ -243,6 +279,7 @@ class Mesh
     int latencyX_ = 1;
     int latencyY_ = 1;
     int latencyLocal_ = 1;
+    std::vector<Coord> coords_;  ///< node id -> (x, y)
     std::vector<PortRef> fwd_;
     std::vector<PortRef> rev_;
 };

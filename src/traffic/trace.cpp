@@ -1,10 +1,35 @@
 #include "traffic/trace.hpp"
 
-#include <sstream>
+#include <cctype>
+#include <charconv>
 
 #include "sim/log.hpp"
 
 namespace footprint {
+
+namespace {
+
+/**
+ * Parse the next integer field at @p p as operator>> does: skip
+ * whitespace, then an optional sign and at least one digit. Advances
+ * @p p past it; false when there is none or it overflows.
+ */
+template <typename Int>
+bool
+parseField(const char*& p, const char* end, Int& out)
+{
+    while (p != end && std::isspace(static_cast<unsigned char>(*p)))
+        ++p;
+    // from_chars takes '-' but not '+', which must precede a digit.
+    if (end - p > 1 && *p == '+'
+        && std::isdigit(static_cast<unsigned char>(p[1])))
+        ++p;
+    const auto [next, ec] = std::from_chars(p, end, out);
+    p = next;
+    return ec == std::errc{};
+}
+
+} // namespace
 
 TraceWriter::TraceWriter(const std::string& path)
     : out_(path), lastCycle_(-1), count_(0)
@@ -27,8 +52,19 @@ TraceWriter::append(const TraceEvent& event)
     FP_ASSERT(event.size >= 1, "trace event with empty packet");
     lastCycle_ = event.cycle;
     ++count_;
-    out_ << event.cycle << " " << event.src << " " << event.dest << " "
-         << event.size << "\n";
+    // Four decimal fields, space-separated, newline-terminated; each
+    // takes at most 20 characters and its separator.
+    char buf[4 * 21];
+    char* p = buf;
+    auto field = [&](auto value, char sep) {
+        p = std::to_chars(p, buf + sizeof buf - 1, value).ptr;
+        *p++ = sep;
+    };
+    field(event.cycle, ' ');
+    field(event.src, ' ');
+    field(event.dest, ' ');
+    field(event.size, '\n');
+    out_.write(buf, p - buf);
 }
 
 TraceReader::TraceReader(const std::string& path, int num_nodes)
@@ -42,31 +78,35 @@ TraceReader::TraceReader(const std::string& path, int num_nodes)
 std::optional<TraceEvent>
 TraceReader::next()
 {
-    std::string line;
-    while (std::getline(in_, line)) {
+    while (std::getline(in_, line_)) {
         ++lineNo_;
-        if (line.empty() || line[0] == '#')
+        if (line_.empty() || line_[0] == '#')
             continue;
-        std::istringstream iss(line);
+        // Four integer fields; any text after the fourth is ignored.
+        const char* p = line_.data();
+        const char* end = p + line_.size();
         TraceEvent ev;
-        if (!(iss >> ev.cycle >> ev.src >> ev.dest >> ev.size)) {
+        if (!parseField(p, end, ev.cycle) || !parseField(p, end, ev.src)
+            || !parseField(p, end, ev.dest)
+            || !parseField(p, end, ev.size)) {
             fatal("malformed trace line " + std::to_string(lineNo_)
                   + " in " + path_);
         }
-        const std::string where =
-            " at line " + std::to_string(lineNo_) + " in " + path_;
+        auto where = [&] {
+            return " at line " + std::to_string(lineNo_) + " in " + path_;
+        };
         if (ev.cycle < lastCycle_)
-            fatal("trace not sorted by cycle" + where);
+            fatal("trace not sorted by cycle" + where());
         for (const int node : {ev.src, ev.dest}) {
             if (numNodes_ > 0 && (node < 0 || node >= numNodes_)) {
                 fatal("trace node id " + std::to_string(node)
                       + " outside [0, " + std::to_string(numNodes_)
-                      + ")" + where);
+                      + ")" + where());
             }
         }
         if (ev.size < 1) {
             fatal("trace packet size " + std::to_string(ev.size)
-                  + " below 1" + where);
+                  + " below 1" + where());
         }
         lastCycle_ = ev.cycle;
         return ev;

@@ -70,6 +70,7 @@ class TraceReader
   private:
     std::ifstream in_;
     std::string path_;
+    std::string line_;  ///< reused line buffer
     int numNodes_;
     std::int64_t lastCycle_;
     std::uint64_t lineNo_;

@@ -2,9 +2,10 @@
 """The artifact contract end to end: every writer's output passes
 tools/check_artifact.py, and every broken copy of it fails.
 
-Runs simulate and micro_cycle in a temporary directory to write all
-eight artifact kinds, validates them through the tool, then builds
-mutants: for each kind, every required field of the top-level table,
+Runs simulate and micro_cycle in a temporary directory to write the
+eight artifact kinds the simulator writes, and tools/ab.py's recorder
+to write an A/B trajectory file, validates them through the tool, then
+builds mutants: for each kind, every required field of the top-level table,
 of the first record and of the run-metadata header is deleted in turn,
 and the semantic mutations in MUTATIONS are applied one at a time. The
 tool must exit 1 on every mutant, for the reason the mutation names.
@@ -29,6 +30,7 @@ import tempfile
 TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      os.pardir, "tools")
 sys.path.insert(0, TOOLS)
+import ab  # noqa: E402
 import check_artifact  # noqa: E402
 
 FLAGS = ["--min-windows", "3", "--expect-packets", "--expect-phases",
@@ -44,6 +46,7 @@ FILES = {
     "footprint.state_dump/1": "state_dump.json",
     "footprint.packet_trace/1": "trace.jsonl",
     "chrome trace": "trace.json",
+    "footprint.bench_e2e/1": "bench_e2e.json",
 }
 
 
@@ -77,6 +80,24 @@ def generate(simulate, micro_cycle, tmp):
     for argv in runs:
         subprocess.run(argv, check=True, cwd=tmp,
                        stdout=subprocess.DEVNULL)
+    write_bench_e2e(os.path.join(tmp, FILES["footprint.bench_e2e/1"]))
+
+
+def write_bench_e2e(path):
+    """A one-entry A/B trajectory file, through tools/ab.py's recorder."""
+    def row(metric, ref, chg, wins, verdict):
+        return {"workload": "trace_light", "metric": metric,
+                "ref": {"median": ref, "q1": ref * 0.98, "q3": ref * 1.02},
+                "change": {"median": chg, "q1": chg * 0.98,
+                           "q3": chg * 1.02},
+                "ratio": chg / ref, "wins": wins, "verdict": verdict}
+    ab.record(ab.Path(path), {
+        "label": "example", "ref": "a" * 40, "change": "b" * 40,
+        "num_cpus": 4, "build_type": "Release", "pairs": 10,
+        "seconds": 6.0,
+        "results": [row("wall_s", 0.45, 0.37, 10, "gain"),
+                    row("peak_rss_mb", 16.4, 16.4, 0, "within bound")],
+    }, 1)
 
 
 def changed_by_execution_knobs(simulate, tmp):
@@ -166,6 +187,24 @@ MUTATIONS = [
     ("chrome trace", "unknown event phase",
      lambda r: put(r[0], ["traceEvents", 0, "ph"], lambda old, _: "Q"),
      "unknown phase type"),
+    ("footprint.bench_e2e/1", "ratio that is not change / ref",
+     lambda r: put(first(r, "entries"), ["results", 0, "ratio"],
+                   lambda old, _: old * 2), "must equal change median"),
+    ("footprint.bench_e2e/1", "median above its third quartile",
+     lambda r: put(first(r, "entries"), ["results", 0, "change", "median"],
+                   lambda _, s: s["q3"] + 1), "q1 <= median <= q3"),
+    ("footprint.bench_e2e/1", "more wins than pairs",
+     lambda r: put(first(r, "entries"), ["results", 0, "wins"],
+                   lambda old, _: 11), "exceeds pairs"),
+    ("footprint.bench_e2e/1", "unknown verdict",
+     lambda r: put(first(r, "entries"), ["results", 0, "verdict"],
+                   lambda old, _: "faster"), "unknown verdict"),
+    ("footprint.bench_e2e/1", "duplicate workload/metric row",
+     lambda r: first(r, "entries")["results"].append(
+         dict(first(r, "entries")["results"][0])), "appears twice"),
+    ("footprint.bench_e2e/1", "meta header of another run",
+     lambda r: put(r[0], ["meta", "git"], lambda old, _: "c" * 40),
+     "must describe the newest entry"),
 ]
 
 

@@ -309,16 +309,30 @@ TEST(RouterMicro, ConvergenceCounterSeesMultipleInputVcs)
 {
     FootprintRouting fp;
     RouterHarness h(&fp, 4, 4);
-    // Saturate east so flits stay buffered: no credits ever returned
-    // after the initial 4 per VC are consumed... simpler: inject two
-    // heads to the same dest on different input VCs and check the
-    // counter before they drain.
+    // Two heads to the same dest on different input VCs. The counter
+    // is live, so read it once they land, before compute sends them on.
     h.inject(portOf(Dir::West), 0, flitTo(7, 1, true, true, 4));
     h.inject(portOf(Dir::South), 0, flitTo(7, 2, true, true, 1));
     h.router->receivePhase(h.cycle);
-    h.router->computePhase(h.cycle);
     EXPECT_EQ(h.router->convergingInputs(7), 2);
     EXPECT_EQ(h.router->convergingInputs(9), 0);
+
+    // Non-atomic reallocation (DOR) queues packet B's head behind
+    // packet A's tail in one input VC. The counters follow the VC's
+    // front flit: once A's tail leaves, A's destination loses the VC
+    // and B's gains it.
+    DorRouting dor;
+    RouterHarness d(&dor, 4, 4, /*speedup=*/1);
+    const int west = portOf(Dir::West);
+    d.inject(west, 0, flitTo(7, 1, true, false, 4));   // A head, East
+    d.inject(west, 0, flitTo(7, 1, false, true, 4));   // A tail
+    d.inject(west, 0, flitTo(13, 2, true, true, 4));   // B, North
+    d.step();  // A's head leaves
+    EXPECT_EQ(d.router->convergingInputs(7), 1);
+    EXPECT_EQ(d.router->convergingInputs(13), 0);
+    d.step();  // A's tail leaves
+    EXPECT_EQ(d.router->convergingInputs(7), 0);
+    EXPECT_EQ(d.router->convergingInputs(13), 1);
 }
 
 TEST(RouterMicro, EscapeVcZeroIsUsedWhenAdaptiveVcsAreBlocked)

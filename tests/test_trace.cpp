@@ -68,14 +68,20 @@ TEST_F(TraceFileTest, CommentsAndBlankLinesAreSkipped)
 {
     const std::string path = makePath("comments");
     {
+        // Fields may be tab-separated and '+'-signed; a CR before the
+        // newline, like any text after the fourth field, is ignored.
         std::ofstream out(path);
-        out << "# header\n\n10 1 2 1\n# middle\n11 3 4 2\n";
+        out << "# header\n\n10 1 2 1\n# middle\n11 3 4 2\n"
+            << "12\t5\t6\t3\n13 7 8 4\r\n+14 +9 +10 +5 tail\n";
     }
     TraceReader r(path);
     const auto events = r.readAll();
-    ASSERT_EQ(events.size(), 2u);
+    ASSERT_EQ(events.size(), 5u);
     EXPECT_EQ(events[0].cycle, 10);
     EXPECT_EQ(events[1].size, 2);
+    EXPECT_EQ(events[2], (TraceEvent{12, 5, 6, 3}));
+    EXPECT_EQ(events[3], (TraceEvent{13, 7, 8, 4}));
+    EXPECT_EQ(events[4], (TraceEvent{14, 9, 10, 5}));
 }
 
 TEST_F(TraceFileTest, StreamingNextMatchesReadAll)

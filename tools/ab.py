@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Same-session A/B benchmark: the working tree against a git ref.
 
-Checks REF out in a temporary git worktree and runs perfbench/run.py
-in both trees in alternating pairs, REF first on odd pairs, so host
-drift lands on both sides alike. REF defaults to HEAD while tracked
-files have uncommitted changes (the change is the working tree) and to
-HEAD~1 otherwise (the change is the last commit). Then prints, per
-workload and end-to-end metric of BENCHMARK.json, each side's median
-and quartiles, the change/REF ratio of the medians, how many pairs the
-change won (ties count for neither side) and a verdict:
+Exports REF's committed tree (git archive) into a temporary directory
+and runs perfbench/run.py there and in the working tree in alternating
+pairs, REF first on odd pairs, so host drift lands on both sides
+alike. REF defaults to HEAD while tracked files have uncommitted
+changes (the change is the working tree) and to HEAD~1 otherwise (the
+change is the last commit). Then prints, per workload and end-to-end
+metric of BENCHMARK.json, each side's median and quartiles, the
+change/REF ratio of the medians, how many pairs the change won (ties
+count for neither side) and a verdict:
 
   gain          the change won at least nine tenths of the pairs and
                 the medians differ by more than REF's quartile spread
@@ -20,14 +21,24 @@ change won (ties count for neither side) and a verdict:
   within bound  otherwise
 
 It also prints num_cpus, the build type, both SHAs and each side's
-correct / attempted / failed job counts, and removes the worktree on
-exit. Both sides build their own harness in Release.
+correct / attempted / failed job counts, and removes the exported
+tree on exit. Both sides build their own harness in Release. REF runs
+exactly the tree of the commit whose SHA is printed and recorded.
+
+--record FILE appends the A/B as one entry to a trajectory file
+(footprint.bench_e2e/1, e.g. BENCH_e2e.json; created when missing):
+label, both SHAs, num_cpus, build type, pairs, seconds per run, and
+per workload and end-to-end metric both medians and quartiles, the
+ratio, the change's wins and the verdict. Its meta header is rewritten
+to describe the newest entry; tools/check_artifact.py validates it.
 
 Usage:
   tools/ab.py [REF] [--workload W] [--pairs N] [--seconds S]
+              [--workdir DIR] [--record FILE --label TEXT]
 """
 
 import argparse
+import hashlib
 import json
 import shutil
 import signal
@@ -40,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("fig5_sweep", "sat16", "trace_light")
 WIN_SHARE = 0.9
+E2E_SCHEMA = "footprint.bench_e2e/1"
 
 
 def git(*args):
@@ -71,10 +83,15 @@ def split_metrics(final, workload):
     return out
 
 
+def spread(xs):
+    """{"median", "q1", "q3"} of @xs."""
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": statistics.median(xs), "q1": q1, "q3": q3}
+
+
 def summary(xs):
     """"median [q1, q3]" of @xs."""
-    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return "%.4g [%.4g, %.4g]" % (statistics.median(xs), q1, q3)
+    return "%(median).4g [%(q1).4g, %(q3).4g]" % spread(xs)
 
 
 def verdict(ref, chg, better, bound):
@@ -108,8 +125,14 @@ def main():
     ap.add_argument("--seconds", type=float, default=10,
                     help="perfbench --seconds per workload run")
     ap.add_argument("--workdir", default=None,
-                    help="where to put the temporary worktree "
+                    help="where to put REF's exported tree "
                          "(default: the system temp directory)")
+    ap.add_argument("--record", default=None, metavar="FILE",
+                    help="append the A/B as an entry to this "
+                         "trajectory file (e.g. BENCH_e2e.json)")
+    ap.add_argument("--label", default=None,
+                    help="the recorded entry's label (default: the "
+                         "change's SHA)")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -130,7 +153,10 @@ def main():
     counts = {side: [0, 0, 0] for side in values}
     contexts = {}
     try:
-        git("worktree", "add", "--detach", str(tree), ref_sha)
+        tree.mkdir()
+        git("archive", "--output", str(tmp / "ref.tar"), ref_sha)
+        subprocess.run(["tar", "-xf", str(tmp / "ref.tar"), "-C",
+                        str(tree)], check=True)
         sides = {"ref": tree, "chg": ROOT}
         for i in range(args.pairs):
             order = ("ref", "chg") if i % 2 == 0 else ("chg", "ref")
@@ -149,10 +175,6 @@ def main():
                                                  order[0]),
                   file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(tree)], cwd=ROOT, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     for side, label in (("ref", "REF   "), ("chg", "change")):
@@ -166,6 +188,7 @@ def main():
           % ("workload", "metric", "REF median [q1, q3]",
              "change median [q1, q3]", "chg/REF", "wins", "verdict"))
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    rows = []
     for w in workloads:
         for m in spec["end_to_end"]:
             key = (w, m["name"])
@@ -179,7 +202,36 @@ def main():
             print("%-12s %-17s %-34s %-34s %7.3f %2d/%-2d  %s"
                   % (w, m["name"], summary(ref), summary(chg), ratio,
                      wins, len(ref), v))
+            rows.append({"workload": w, "metric": m["name"],
+                         "ref": spread(ref), "change": spread(chg),
+                         "ratio": ratio, "wins": wins, "verdict": v})
+    if args.record:
+        ctx = contexts["chg"][0]
+        record(Path(args.record), {
+            "label": args.label or chg_sha, "ref": ref_sha,
+            "change": chg_sha, "num_cpus": ctx["num_cpus"],
+            "build_type": ctx["build_type"], "pairs": args.pairs,
+            "seconds": args.seconds, "results": rows,
+        }, ctx["seed"])
     return 0
+
+
+def record(path, entry, seed):
+    """Append @entry to the trajectory file @path; its meta header
+    describes the newest entry."""
+    doc = (json.loads(path.read_text()) if path.exists()
+           else {"schema": E2E_SCHEMA, "meta": {}, "entries": []})
+    doc["meta"] = {
+        "seed": seed,
+        "config_hash": hashlib.sha256(
+            (ROOT / "BENCHMARK.json").read_bytes()).hexdigest()[:16],
+        "git": entry["change"], "build_type": entry["build_type"],
+        "num_cpus": entry["num_cpus"],
+    }
+    doc["entries"].append(entry)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    print("recorded entry %d in %s" % (len(doc["entries"]), path),
+          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import sys
 
 BENCH_SCHEMA = "footprint.bench/1"
 MICRO_CYCLE = "footprint.bench/1 micro_cycle"
+BENCH_E2E = "footprint.bench_e2e/1"
 CHROME_TRACE = "chrome trace"
 
 PHASE_NAMES = ["inject", "drain", "compute", "transmit", "epilogue",
@@ -66,6 +67,17 @@ MICRO_RESULT = {
     "cycles_per_sec": float, "full_cycles_per_sec": float,
     "speedup": float, "checksum": str, "topology": str,
 }
+
+# The A/B trajectory file tools/ab.py --record appends to.
+E2E_TOP = {"meta": dict, "entries": list}
+E2E_ENTRY = {"label": str, "ref": str, "change": str,
+             "num_cpus": (int, 1), "build_type": str, "pairs": (int, 2),
+             "seconds": (float, 0), "results": list}
+E2E_RESULT = {"workload": str, "metric": str, "ref": dict,
+              "change": dict, "ratio": (float, 0), "wins": (int, 0),
+              "verdict": str}
+E2E_SPREAD = {"median": float, "q1": float, "q3": float}
+E2E_VERDICTS = ("gain", "regression", "unresolved", "within bound")
 
 PROFILE_TOP = {"meta": dict, "rows": list}
 PROFILE_ROW = {"name": str, "mode": str, "threads": (int, 1),
@@ -236,6 +248,39 @@ def check_micro(doc, results, where, path, opts):
            "result names are not unique")
 
 
+def check_bench_e2e(doc, entries, where, path, opts):
+    expect(entries, path + ".entries", "must not be empty")
+    for i, entry in enumerate(entries):
+        rows = entry["results"]
+        expect(rows, where(i) + ".results", "must not be empty")
+        check_each(rows, E2E_RESULT, where(i) + ".results")
+        keys = [(r["workload"], r["metric"]) for r in rows]
+        expect(len(set(keys)) == len(keys), where(i) + ".results",
+               "a workload/metric pair appears twice")
+        for j, row in enumerate(rows):
+            rpath = "%s.results[%d]" % (where(i), j)
+            for side in ("ref", "change"):
+                s = check_fields(row[side], E2E_SPREAD,
+                                 "%s.%s" % (rpath, side))
+                expect(s["q1"] <= s["median"] <= s["q3"], rpath + "."
+                       + side, "needs q1 <= median <= q3")
+            med_r = row["ref"]["median"]
+            ratio = row["change"]["median"] / med_r if med_r else 0.0
+            expect(abs(row["ratio"] - ratio) <= 1e-9 * max(1.0, ratio),
+                   rpath + ".ratio", "must equal change median / ref "
+                   "median (%s)" % ratio)
+            expect(row["wins"] <= entry["pairs"], rpath + ".wins",
+                   "exceeds pairs (%d)" % entry["pairs"])
+            expect(row["verdict"] in E2E_VERDICTS, rpath + ".verdict",
+                   "unknown verdict %r" % row["verdict"])
+    newest = entries[-1]
+    meta = doc["meta"]
+    expect((meta["git"], meta["build_type"], meta["num_cpus"])
+           == (newest["change"], newest["build_type"],
+               newest["num_cpus"]),
+           path + ".meta", "must describe the newest entry")
+
+
 def check_profile(doc, rows, where, path, opts):
     expect(rows, path + ".rows", "must not be empty")
     for i, row in enumerate(rows):
@@ -385,6 +430,7 @@ def check_chrome(doc, events, where, path, opts):
 KINDS = {
     BENCH_SCHEMA: (BENCH_TOP, "results", BENCH_RESULT, check_bench),
     MICRO_CYCLE: (MICRO_TOP, "results", MICRO_RESULT, check_micro),
+    BENCH_E2E: (E2E_TOP, "entries", E2E_ENTRY, check_bench_e2e),
     "footprint.profile/1": (PROFILE_TOP, "rows", PROFILE_ROW,
                             check_profile),
     "footprint.heatmap/1": (HEATMAP_TOP, "windows", HEATMAP_WINDOW,
