@@ -63,6 +63,7 @@ runScenario(const std::string& label, const std::string& algo,
                           {12, kHotspot}};
     std::vector<Reading> readings;
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> drained;
     for (std::int64_t cycle = 0; cycle < kCycles; ++cycle) {
         // Persistent flows: keep every source backlogged.
         for (const Flow& f : flows) {
@@ -82,8 +83,9 @@ runScenario(const std::string& label, const std::string& algo,
             readings.push_back(
                 {cycle, r.occupiedOutVcs(), r.inputBufferedFlits()});
         }
+        drained.clear();
         for (int n = 0; n < 16; ++n)
-            (void)net.endpoint(n).drainEjected();
+            net.endpoint(n).drainEjectedInto(drained);
     }
 
     const CongestionTree hotspot = extractCongestionTree(net, kHotspot);

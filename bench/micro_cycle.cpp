@@ -445,12 +445,57 @@ writeJson(std::ostream& os, const std::vector<ResultRow>& rows,
     os << "]}\n";
 }
 
-ResultRow
-makeRow(const OperatingPoint& pt, const char* routing,
-        const std::string& name, const char* mode, int threads,
-        std::int64_t cycles, const RunOutcome& run,
-        const RunOutcome& full)
+/**
+ * @return whether @p run reproduced the full-stepping checksum of
+ * @p full; if not, name row @p name on stderr.
+ */
+bool
+matchesFull(const std::string& name, const RunOutcome& run,
+            const RunOutcome& full)
 {
+    if (run.checksum == full.checksum)
+        return true;
+    std::fprintf(stderr,
+                 "FAIL: %s: diverged from full stepping (checksum %s vs "
+                 "%s)\n",
+                 name.c_str(), hex64(run.checksum).c_str(),
+                 hex64(full.checksum).c_str());
+    return false;
+}
+
+/**
+ * Run @p routing at @p pt in @p mode and add and print its row, named
+ * "<point>/<routing><suffix>". The run's checksum must equal the
+ * full-stepping reference @p full, and a saturated row, serial or
+ * sharded, must not heap-allocate in its steady-state window.
+ * @return false (after naming the row on stderr) on a violation.
+ */
+bool
+addRow(std::vector<ResultRow>& rows, const OperatingPoint& pt,
+       const char* routing, std::int64_t cycles, const RunOutcome& full,
+       const std::string& suffix, const char* mode, int threads,
+       bool skip_ahead)
+{
+    const RunOutcome run =
+        runOne(routing, pt, cycles, mode, threads, skip_ahead);
+    const std::string name = std::string(pt.name) + "/" + routing + suffix;
+    if (!matchesFull(name, run, full))
+        return false;
+    if (pt.saturated && run.steadyAllocs != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s: %llu heap allocations in the "
+                     "steady-state window (%lld cycles) — the saturated "
+                     "hot path must be allocation-free\n",
+                     name.c_str(),
+                     static_cast<unsigned long long>(run.steadyAllocs),
+                     static_cast<long long>(run.steadyCycles));
+        return false;
+    }
+    const auto per_sec = [cycles](const RunOutcome& r) {
+        return r.wallSeconds > 0.0
+            ? static_cast<double>(cycles) / r.wallSeconds
+            : 0.0;
+    };
     ResultRow row;
     row.name = name;
     row.routing = routing;
@@ -459,49 +504,21 @@ makeRow(const OperatingPoint& pt, const char* routing,
     row.load = pt.load;
     row.cycles = cycles;
     row.wallSeconds = run.wallSeconds;
-    row.cyclesPerSec = run.wallSeconds > 0.0
-        ? static_cast<double>(cycles) / run.wallSeconds
-        : 0.0;
-    row.fullCyclesPerSec = full.wallSeconds > 0.0
-        ? static_cast<double>(cycles) / full.wallSeconds
-        : 0.0;
+    row.cyclesPerSec = per_sec(run);
+    row.fullCyclesPerSec = per_sec(full);
     row.allocsPerCycle = run.steadyCycles > 0
         ? static_cast<double>(run.steadyAllocs)
             / static_cast<double>(run.steadyCycles)
         : 0.0;
     row.checksum = run.checksum;
-    return row;
-}
-
-/**
- * Enforce the zero-allocation invariant: a saturated row, serial or
- * sharded, must not heap-allocate during its steady-state window.
- */
-bool
-checkZeroAllocs(const OperatingPoint& pt, const char* routing,
-                const char* variant, const RunOutcome& run)
-{
-    if (!pt.saturated || run.steadyAllocs == 0)
-        return true;
-    std::fprintf(stderr,
-                 "FAIL: %s/%s%s: %llu heap allocations in the "
-                 "steady-state window (%lld cycles) — the saturated "
-                 "hot path must be allocation-free\n",
-                 pt.name, routing, variant,
-                 static_cast<unsigned long long>(run.steadyAllocs),
-                 static_cast<long long>(run.steadyCycles));
-    return false;
-}
-
-void
-printRow(const ResultRow& row)
-{
-    std::printf("%-20s %12.0f %12.0f %7.2fx  %s\n", row.name.c_str(),
+    std::printf("%-20s %12.0f %12.0f %7.2fx  %s\n", name.c_str(),
                 row.fullCyclesPerSec, row.cyclesPerSec,
                 row.fullCyclesPerSec > 0.0
                     ? row.cyclesPerSec / row.fullCyclesPerSec
                     : 0.0,
                 hex64(row.checksum).c_str());
+    rows.push_back(std::move(row));
+    return true;
 }
 
 /** One profiled row's terminal summary: phase shares + barrier tail. */
@@ -548,49 +565,28 @@ runProfileMode(std::int64_t cycles, const std::string& out_path)
         for (const char* routing : kRoutings) {
             const RunOutcome full =
                 runOne(routing, pt, pt_cycles, "full", 1);
-            const std::string base =
-                std::string(pt.name) + "/" + routing;
             meta_cfg = pointConfig(routing, pt, "sharded", 1);
-
-            Profiler act_prof;
-            const RunOutcome act = runOne(routing, pt, pt_cycles,
-                                          "activity", 1, false,
-                                          &act_prof);
-            if (act.checksum != full.checksum) {
-                std::fprintf(stderr,
-                             "FAIL: %s: profiled activity run "
-                             "diverged from unprofiled full stepping "
-                             "(checksum %s vs %s)\n",
-                             base.c_str(), hex64(act.checksum).c_str(),
-                             hex64(full.checksum).c_str());
-                return 1;
-            }
-            rows.push_back(act_prof.toJsonRow(base, "activity", 1));
-            printProfileRow(base, act_prof);
-
-            for (const int threads : kThreadCounts) {
-                if (threads > pt.maxThreads)
-                    continue;
+            // A profiled run must reproduce the unprofiled checksum.
+            const auto profiled = [&](const std::string& suffix,
+                                      const char* mode, int threads) {
                 Profiler prof;
-                const RunOutcome sharded =
-                    runOne(routing, pt, pt_cycles, "sharded", threads,
-                           false, &prof);
-                if (sharded.checksum != full.checksum) {
-                    std::fprintf(
-                        stderr,
-                        "FAIL: %s@t%d: profiled sharded run diverged "
-                        "from unprofiled full stepping (checksum %s "
-                        "vs %s)\n",
-                        base.c_str(), threads,
-                        hex64(sharded.checksum).c_str(),
-                        hex64(full.checksum).c_str());
-                    return 1;
-                }
+                const RunOutcome run = runOne(routing, pt, pt_cycles,
+                                              mode, threads, false, &prof);
                 const std::string name =
-                    base + "@t" + std::to_string(threads);
-                rows.push_back(
-                    prof.toJsonRow(name, "sharded", threads));
+                    std::string(pt.name) + "/" + routing + suffix;
+                if (!matchesFull(name, run, full))
+                    return false;
+                rows.push_back(prof.toJsonRow(name, mode, threads));
                 printProfileRow(name, prof);
+                return true;
+            };
+            if (!profiled("", "activity", 1))
+                return 1;
+            for (const int threads : kThreadCounts) {
+                if (threads <= pt.maxThreads
+                    && !profiled("@t" + std::to_string(threads),
+                                 "sharded", threads))
+                    return 1;
             }
         }
     }
@@ -653,93 +649,26 @@ run(int argc, char** argv)
         for (const char* routing : kRoutings) {
             const RunOutcome full =
                 runOne(routing, pt, pt_cycles, "full", 1);
-            const RunOutcome act =
-                runOne(routing, pt, pt_cycles, "activity", 1);
-            if (full.checksum != act.checksum) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: %s/%s: activity stepping diverged from "
-                    "full stepping (checksum %s vs %s)\n",
-                    pt.name, routing,
-                    hex64(act.checksum).c_str(),
-                    hex64(full.checksum).c_str());
+            const auto add = [&](const std::string& suffix,
+                                 const char* mode, int threads,
+                                 bool skip_ahead) {
+                return addRow(rows, pt, routing, pt_cycles, full,
+                              suffix, mode, threads, skip_ahead);
+            };
+            if (!add("", "activity", 1, false)
+                || !add("@skip", "activity", 1, true))
                 return 1;
-            }
-            if (!checkZeroAllocs(pt, routing, "", act))
-                return 1;
-            const std::string base =
-                std::string(pt.name) + "/" + routing;
-            rows.push_back(makeRow(pt, routing, base, "activity", 1,
-                                   pt_cycles, act, full));
-            printRow(rows.back());
-            const RunOutcome skip = runOne(routing, pt, pt_cycles,
-                                           "activity", 1, true);
-            if (skip.checksum != full.checksum) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: %s/%s: skip-ahead stepping diverged from "
-                    "full stepping (checksum %s vs %s)\n",
-                    pt.name, routing, hex64(skip.checksum).c_str(),
-                    hex64(full.checksum).c_str());
-                return 1;
-            }
-            if (!checkZeroAllocs(pt, routing, "@skip", skip))
-                return 1;
-            rows.push_back(makeRow(pt, routing, base + "@skip",
-                                   "activity", 1, pt_cycles, skip,
-                                   full));
-            printRow(rows.back());
             if (!pt.threadAxis)
                 continue;
             for (const int threads : kThreadCounts) {
-                if (threads > pt.maxThreads)
-                    continue;
-                const RunOutcome sharded = runOne(
-                    routing, pt, pt_cycles, "sharded", threads);
-                if (sharded.checksum != full.checksum) {
-                    std::fprintf(
-                        stderr,
-                        "FAIL: %s/%s: sharded stepping with "
-                        "threads=%d diverged from full stepping "
-                        "(checksum %s vs %s)\n",
-                        pt.name, routing, threads,
-                        hex64(sharded.checksum).c_str(),
-                        hex64(full.checksum).c_str());
+                if (threads <= pt.maxThreads
+                    && !add("@t" + std::to_string(threads), "sharded",
+                            threads, false))
                     return 1;
-                }
-                const std::string suffix =
-                    "@t" + std::to_string(threads);
-                if (!checkZeroAllocs(pt, routing, suffix.c_str(),
-                                     sharded))
-                    return 1;
-                rows.push_back(makeRow(pt, routing, base + suffix,
-                                       "sharded", threads, pt_cycles,
-                                       sharded, full));
-                printRow(rows.back());
             }
-            const RunOutcome sharded_skip =
-                runOne(routing, pt, pt_cycles, "sharded",
-                       pt.maxThreads, true);
-            if (sharded_skip.checksum != full.checksum) {
-                std::fprintf(
-                    stderr,
-                    "FAIL: %s/%s: sharded skip-ahead stepping "
-                    "diverged from full stepping (checksum %s vs "
-                    "%s)\n",
-                    pt.name, routing,
-                    hex64(sharded_skip.checksum).c_str(),
-                    hex64(full.checksum).c_str());
+            if (!add("@t" + std::to_string(pt.maxThreads) + "skip",
+                     "sharded", pt.maxThreads, true))
                 return 1;
-            }
-            const std::string skip_suffix =
-                "@t" + std::to_string(pt.maxThreads) + "skip";
-            if (!checkZeroAllocs(pt, routing, skip_suffix.c_str(),
-                                 sharded_skip))
-                return 1;
-            rows.push_back(makeRow(pt, routing, base + skip_suffix,
-                                   "sharded", pt.maxThreads, pt_cycles,
-                                   sharded_skip, full));
-            printRow(rows.back());
         }
     }
 

@@ -38,6 +38,7 @@ inspectTrees(const SimConfig& base)
     const double rate = base.getDouble("injection_rate");
 
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> drained;
     for (std::int64_t cycle = 0; cycle < 3000; ++cycle) {
         for (const auto& [src, dest] : flows) {
             if (gen.nextBool(rate)) {
@@ -52,8 +53,9 @@ inspectTrees(const SimConfig& base)
             }
         }
         net.step(cycle);
+        drained.clear();
         for (int n = 0; n < mesh.numNodes(); ++n)
-            (void)net.endpoint(n).drainEjected();
+            net.endpoint(n).drainEjectedInto(drained);
     }
 
     std::set<int> seen;

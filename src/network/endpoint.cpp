@@ -175,14 +175,6 @@ Endpoint::computePhase(std::int64_t cycle)
     }
 }
 
-std::vector<EjectedPacket>
-Endpoint::drainEjected()
-{
-    std::vector<EjectedPacket> out;
-    out.swap(ejected_);
-    return out;
-}
-
 void
 Endpoint::drainEjectedInto(std::vector<EjectedPacket>& out)
 {

@@ -133,23 +133,18 @@ class Endpoint
             || inFlight_;
     }
 
-    /** Packets fully ejected since the last call (caller consumes). */
-    std::vector<EjectedPacket> drainEjected();
-
     /**
-     * Append the ejected packets to @p out and clear the internal
-     * list. Allocation-free once @p out's capacity has warmed up —
-     * the per-cycle collect loops use this instead of the by-value
-     * drainEjected() so a steady-state cycle performs no heap
-     * allocation (DESIGN.md §17).
+     * Append the packets fully ejected since the last call to @p out
+     * and clear the internal list. Allocation-free once @p out's
+     * capacity has warmed up, so a steady-state collect loop that
+     * reuses @p out performs no heap allocation (DESIGN.md §17).
      */
     void drainEjectedInto(std::vector<EjectedPacket>& out);
 
     /**
-     * Ejected packets waiting for drainEjected(). Drivers check this
-     * before calling drainEjected() so the per-node collect loop
-     * costs one inlined load on quiet nodes instead of a by-value
-     * vector round trip.
+     * Ejected packets waiting for drainEjectedInto(). Drivers check
+     * this first, so the per-node collect loop costs one inlined load
+     * on quiet nodes.
      */
     std::size_t ejectedCount() const { return ejected_.size(); }
 

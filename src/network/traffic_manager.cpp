@@ -362,6 +362,8 @@ runExperiment(const SimConfig& cfg)
     if (prof)
         prof->beginRun();
     try {
+    // bench/observer_overhead replays this loop's branches with every
+    // observer off to gate their cost: edit one, edit the other.
     for (; cycle < hard_limit; ++cycle) {
         measuring = cycle >= warmup && cycle < warmup + measure;
         if (chrome) {
@@ -411,10 +413,7 @@ runExperiment(const SimConfig& cfg)
             net.resetCounters();
             if (recorder)
                 recorder->onCountersReset();
-            for (int node = 0; node < n; ++node) {
-                flits_at_measure_start +=
-                    net.endpoint(node).flitsEjected();
-            }
+            flits_at_measure_start = net.totalFlitsEjected();
         }
 
         net.step(cycle);
@@ -493,11 +492,7 @@ runExperiment(const SimConfig& cfg)
 
         if (cycle == warmup + measure - 1) {
             stats.counters = net.aggregateCounters();
-            flits_at_measure_end = 0;
-            for (int node = 0; node < n; ++node) {
-                flits_at_measure_end +=
-                    net.endpoint(node).flitsEjected();
-            }
+            flits_at_measure_end = net.totalFlitsEjected();
             // Deeply saturated (most measured packets still stuck in
             // source queues): draining would take unbounded time, so
             // report saturation right away. A replay measures every

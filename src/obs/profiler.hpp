@@ -18,9 +18,9 @@
  * Overhead contract: a one-band Network with no profiler attached
  * reads no clock (several bands time their phase bodies for the band
  * re-cut either way); runExperiment pays one null check per cycle
- * section. The CI gate (check_telemetry_overhead.py) holds a cycle
- * with every observer off, as runExperiment runs it, within 2% of the
- * bare cycle loop.
+ * section. The CI gate (bench/observer_overhead) holds a cycle with
+ * every observer off, as runExperiment runs it, within 2% of the bare
+ * cycle loop.
  */
 
 #ifndef FOOTPRINT_OBS_PROFILER_HPP

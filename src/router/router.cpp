@@ -419,7 +419,7 @@ Router::verifyIncrementalState(std::int64_t cycle) const
                             << ": arrival flags disagree with its pipes"
                             << " at cycle " << cycle);
     }
-    std::vector<std::uint8_t> fronts(convergence_.size(), 0);
+    std::vector<std::uint16_t> fronts(convergence_.size(), 0);
     for (const InputPort& in : inputs_) {
         for (VcMask m = in.occMask; m != 0; m &= m - 1)
             ++fronts[static_cast<std::size_t>(

@@ -276,7 +276,7 @@ class RouterView
     std::array<VcMask, kNumPorts> outFullCredit_{};
     std::array<int, kNumPorts> neighborNode_{};
     std::vector<std::int16_t> outOwner_;  ///< port-major, -1 = none
-    std::vector<std::uint8_t> convergence_;  ///< per dest, mod 256
+    std::vector<std::uint16_t> convergence_;  ///< per dest, <= 320
 };
 
 /**

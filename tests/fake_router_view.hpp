@@ -59,7 +59,7 @@ class FakeRouterView : public RouterView
     setConvergence(int dest, int count)
     {
         convergence_[static_cast<std::size_t>(dest)] =
-            static_cast<std::uint8_t>(count);
+            static_cast<std::uint16_t>(count);
     }
 
   private:

@@ -225,17 +225,21 @@ TEST(EndpointSink, RecordsCompletionOnTailWithLatency)
     tail.tail = true;
     h.fromRouter->send(head, h.cycle - 1);
     h.step();
-    EXPECT_TRUE(h.ep->drainEjected().empty()); // only the head so far
+    std::vector<EjectedPacket> done;
+    h.ep->drainEjectedInto(done);
+    EXPECT_TRUE(done.empty()); // only the head so far
     h.fromRouter->send(tail, h.cycle - 1);
     h.step();
-    const auto done = h.ep->drainEjected();
+    h.ep->drainEjectedInto(done);
     ASSERT_EQ(done.size(), 1u);
     EXPECT_EQ(done[0].packetId, 4u);
     EXPECT_EQ(done[0].size, 2);
     EXPECT_EQ(done[0].hops, 5);
     EXPECT_GT(done[0].latency(), 0);
-    // drainEjected consumes the records.
-    EXPECT_TRUE(h.ep->drainEjected().empty());
+    // Draining consumes the records.
+    done.clear();
+    h.ep->drainEjectedInto(done);
+    EXPECT_TRUE(done.empty());
 }
 
 TEST(EndpointSink, DescriptorReturnsAtFlushNotAtEjection)

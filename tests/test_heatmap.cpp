@@ -81,6 +81,7 @@ driveUniform(Network& net, FlightRecorder& rec, std::int64_t cycles,
     const int nodes = net.mesh().numNodes();
     Rng gen(17);
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
         for (int n = 0; n < nodes; ++n) {
             if (gen.nextBool(load)) {
@@ -97,8 +98,9 @@ driveUniform(Network& net, FlightRecorder& rec, std::int64_t cycles,
         }
         net.step(cycle);
         rec.tick(cycle);
+        done.clear();
         for (int n = 0; n < nodes; ++n)
-            net.endpoint(n).drainEjected();
+            net.endpoint(n).drainEjectedInto(done);
     }
     rec.finish(cycles);
 }
@@ -176,15 +178,15 @@ TEST(HeatmapCollector, EastboundPacketLandsOnEastLinkGrid)
     p.size = 2;
     p.createTime = 0;
     net.endpoint(0).enqueue(p);
-    std::uint64_t drained = 0;
+    std::vector<EjectedPacket> drained;
     for (std::int64_t cycle = 0; cycle < 60; ++cycle) {
         net.step(cycle);
         rec.tick(cycle);
-        drained += net.endpoint(1).drainEjected().size();
+        net.endpoint(1).drainEjectedInto(drained);
     }
     rec.finish(60);
     std::remove(tc.heatmapOut.c_str());
-    ASSERT_EQ(drained, 1u);
+    ASSERT_EQ(drained.size(), 1u);
 
     ASSERT_EQ(rec.heatmapWindows().size(), 1u);
     const HeatmapWindow& w = rec.heatmapWindows()[0];

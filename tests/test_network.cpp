@@ -50,10 +50,8 @@ runUntilEjected(Network& net, std::size_t count, std::int64_t limit)
     std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < limit; ++cycle) {
         net.step(cycle);
-        for (int n = 0; n < net.mesh().numNodes(); ++n) {
-            for (const auto& p : net.endpoint(n).drainEjected())
-                done.push_back(p);
-        }
+        for (int n = 0; n < net.mesh().numNodes(); ++n)
+            net.endpoint(n).drainEjectedInto(done);
         if (done.size() >= count)
             break;
     }

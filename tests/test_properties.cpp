@@ -57,6 +57,7 @@ TEST_P(RandomTrafficProperty, AllPacketsDeliveredMinimallyAndDrained)
     std::map<std::uint64_t, std::pair<int, int>> outstanding;
     std::uint64_t id = 0;
     std::int64_t flits_in = 0;
+    std::vector<EjectedPacket> done;
 
     // 600 cycles of random moderate-load traffic, then drain.
     std::int64_t cycle = 0;
@@ -79,14 +80,15 @@ TEST_P(RandomTrafficProperty, AllPacketsDeliveredMinimallyAndDrained)
         }
         net.step(cycle);
         for (int n = 0; n < 16; ++n) {
-            for (const auto& done : net.endpoint(n).drainEjected()) {
-                auto it = outstanding.find(done.packetId);
+            done.clear();
+            net.endpoint(n).drainEjectedInto(done);
+            for (const EjectedPacket& e : done) {
+                auto it = outstanding.find(e.packetId);
                 ASSERT_NE(it, outstanding.end()) << "duplicate eject";
-                EXPECT_EQ(it->second.second, done.dest);
-                EXPECT_EQ(n, done.dest);
+                EXPECT_EQ(it->second.second, e.dest);
+                EXPECT_EQ(n, e.dest);
                 // Minimal routing: hops == distance + 1.
-                EXPECT_EQ(done.hops,
-                          mesh.hopDistance(done.src, done.dest) + 1);
+                EXPECT_EQ(e.hops, mesh.hopDistance(e.src, e.dest) + 1);
                 outstanding.erase(it);
             }
         }
@@ -94,10 +96,11 @@ TEST_P(RandomTrafficProperty, AllPacketsDeliveredMinimallyAndDrained)
     // Drain phase: everything must complete (deadlock freedom).
     for (; cycle < 20000 && !outstanding.empty(); ++cycle) {
         net.step(cycle);
-        for (int n = 0; n < 16; ++n) {
-            for (const auto& done : net.endpoint(n).drainEjected())
-                outstanding.erase(done.packetId);
-        }
+        done.clear();
+        for (int n = 0; n < 16; ++n)
+            net.endpoint(n).drainEjectedInto(done);
+        for (const EjectedPacket& e : done)
+            outstanding.erase(e.packetId);
     }
     EXPECT_TRUE(outstanding.empty())
         << outstanding.size() << " packets stuck (deadlock?) with "

@@ -333,6 +333,19 @@ TEST(RouterMicro, ConvergenceCounterSeesMultipleInputVcs)
     d.step();  // A's tail leaves
     EXPECT_EQ(d.router->convergingInputs(7), 0);
     EXPECT_EQ(d.router->convergingInputs(13), 1);
+
+    // Every input VC of a 64-VC router fronts one destination: 320
+    // inputs, past what an 8-bit counter holds. The pipes take 8
+    // sends per cycle, so the heads land over 8 receive phases.
+    RouterHarness wide(&fp, 64, 4);
+    for (int first = 0; first < 64; first += 8, ++wide.cycle) {
+        for (int port = 0; port < kNumPorts; ++port) {
+            for (int vc = first; vc < first + 8; ++vc)
+                wide.inject(port, vc, flitTo(7, 3, true, true, 1));
+        }
+        wide.router->receivePhase(wide.cycle);
+    }
+    EXPECT_EQ(wide.router->convergingInputs(7), 320);
 }
 
 TEST(RouterMicro, EscapeVcZeroIsUsedWhenAdaptiveVcsAreBlocked)

@@ -132,6 +132,7 @@ runSignature(const std::string& routing, double load,
     std::uint64_t drained = 0;
     std::uint64_t hops_sum = 0;
     std::uint64_t latency_sum = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
         if (sched) {
             for (int slot; (slot = sched->popDue(cycle)) >= 0;) {
@@ -155,14 +156,13 @@ runSignature(const std::string& routing, double load,
         net.step(cycle);
         if (rec)
             rec->tick(cycle);
-        for (int n = 0; n < nodes; ++n) {
-            for (const EjectedPacket& p :
-                 net.endpoint(n).drainEjected()) {
-                ++drained;
-                hops_sum += static_cast<std::uint64_t>(p.hops);
-                latency_sum +=
-                    static_cast<std::uint64_t>(p.latency());
-            }
+        done.clear();
+        for (int n = 0; n < nodes; ++n)
+            net.endpoint(n).drainEjectedInto(done);
+        for (const EjectedPacket& p : done) {
+            ++drained;
+            hops_sum += static_cast<std::uint64_t>(p.hops);
+            latency_sum += static_cast<std::uint64_t>(p.latency());
         }
         if (skip_ahead && net.idle()) {
             HorizonTracker hz(cycle + 1, cycles);
@@ -254,6 +254,7 @@ expectLockstep(const SimConfig& ref_cfg, const SimConfig& cand_cfg,
     Rng gen(99);
     InjectionSchedule sched(nodes, load, gen);
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
         for (int slot; (slot = sched.popDue(cycle)) >= 0;) {
             const int dest = static_cast<int>(gen.nextBounded(nodes));
@@ -279,14 +280,13 @@ expectLockstep(const SimConfig& ref_cfg, const SimConfig& cand_cfg,
         std::vector<std::uint64_t> cand_sig;
         for (auto [net, sig] : {std::pair{&ref, &ref_sig},
                                 std::pair{&cand, &cand_sig}}) {
-            for (int n = 0; n < nodes; ++n) {
-                for (const EjectedPacket& p :
-                     net->endpoint(n).drainEjected()) {
-                    sig->push_back(p.packetId);
-                    sig->push_back(static_cast<std::uint64_t>(p.hops));
-                    sig->push_back(
-                        static_cast<std::uint64_t>(p.latency()));
-                }
+            done.clear();
+            for (int n = 0; n < nodes; ++n)
+                net->endpoint(n).drainEjectedInto(done);
+            for (const EjectedPacket& p : done) {
+                sig->push_back(p.packetId);
+                sig->push_back(static_cast<std::uint64_t>(p.hops));
+                sig->push_back(static_cast<std::uint64_t>(p.latency()));
             }
             foldNetwork(*net, *sig);
         }

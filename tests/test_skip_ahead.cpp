@@ -191,6 +191,7 @@ TEST(SkipAhead, PacketInjectedExactlyAtTheHorizonIsNotLost)
         std::uint64_t id = 0;
         std::uint64_t drained = 0;
         std::uint64_t hops = 0;
+        std::vector<EjectedPacket> done;
         for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
             for (int slot; (slot = sched.popDue(cycle)) >= 0;) {
                 const int dest =
@@ -207,12 +208,12 @@ TEST(SkipAhead, PacketInjectedExactlyAtTheHorizonIsNotLost)
                 net.endpoint(slot).enqueue(p);
             }
             net.step(cycle);
-            for (int n = 0; n < nodes; ++n) {
-                for (const EjectedPacket& e :
-                     net.endpoint(n).drainEjected()) {
-                    ++drained;
-                    hops += static_cast<std::uint64_t>(e.hops);
-                }
+            done.clear();
+            for (int n = 0; n < nodes; ++n)
+                net.endpoint(n).drainEjectedInto(done);
+            for (const EjectedPacket& e : done) {
+                ++drained;
+                hops += static_cast<std::uint64_t>(e.hops);
             }
             if (skip && net.idle()) {
                 HorizonTracker hz(cycle + 1, cycles);

@@ -199,6 +199,7 @@ driveUniform(Network& net, FlightRecorder& rec, std::int64_t cycles,
     const int nodes = net.mesh().numNodes();
     Rng gen(seed);
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < cycles; ++cycle) {
         for (int n = 0; n < nodes; ++n) {
             if (gen.nextBool(load)) {
@@ -215,10 +216,11 @@ driveUniform(Network& net, FlightRecorder& rec, std::int64_t cycles,
             }
         }
         net.step(cycle);
+        done.clear();
         for (int n = 0; n < nodes; ++n)
-            for (const EjectedPacket& e :
-                 net.endpoint(n).drainEjected())
-                rec.onEjected(e.latency());
+            net.endpoint(n).drainEjectedInto(done);
+        for (const EjectedPacket& e : done)
+            rec.onEjected(e.latency());
         rec.tick(cycle);
     }
     rec.finish(cycles);
@@ -296,6 +298,7 @@ TEST(FlightRecorder, MergedWindowHistogramEqualsRunWideHistogram)
     const int nodes = net.mesh().numNodes();
     Rng gen(31);
     std::uint64_t id = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < 300; ++cycle) {
         for (int n = 0; n < nodes; ++n) {
             if (gen.nextBool(0.1)) {
@@ -312,13 +315,12 @@ TEST(FlightRecorder, MergedWindowHistogramEqualsRunWideHistogram)
             }
         }
         net.step(cycle);
-        for (int n = 0; n < nodes; ++n) {
-            for (const EjectedPacket& e :
-                 net.endpoint(n).drainEjected()) {
-                rec.onEjected(e.latency());
-                direct.add(
-                    static_cast<std::uint64_t>(e.latency()));
-            }
+        done.clear();
+        for (int n = 0; n < nodes; ++n)
+            net.endpoint(n).drainEjectedInto(done);
+        for (const EjectedPacket& e : done) {
+            rec.onEjected(e.latency());
+            direct.add(static_cast<std::uint64_t>(e.latency()));
         }
         rec.tick(cycle);
     }
@@ -385,6 +387,7 @@ TEST(FlightRecorder, OccupancyGaugesMatchNetworkAtWindowClose)
     std::uint64_t sent_base = net.totalFlitsSent();
     std::int64_t backlog_seen = 0;
     std::int64_t fp_seen = 0;
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < 500; ++cycle) {
         for (int n = 0; n < nodes; ++n) {
             if (gen.nextBool(0.3)) {
@@ -400,8 +403,9 @@ TEST(FlightRecorder, OccupancyGaugesMatchNetworkAtWindowClose)
             }
         }
         net.step(cycle);
+        done.clear();
         for (int n = 0; n < nodes; ++n)
-            (void)net.endpoint(n).drainEjected();
+            net.endpoint(n).drainEjectedInto(done);
         rec.tick(cycle);
         if ((cycle + 1) % 100 != 0)
             continue;

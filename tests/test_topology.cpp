@@ -314,9 +314,10 @@ deliveryLatency(const std::string& topology, int latency_x, int dest)
     p.createTime = 0;
     p.measured = true;
     net.endpoint(0).enqueue(p);
+    std::vector<EjectedPacket> done;
     for (std::int64_t cycle = 0; cycle < 300; ++cycle) {
         net.step(cycle);
-        auto done = net.endpoint(dest).drainEjected();
+        net.endpoint(dest).drainEjectedInto(done);
         if (!done.empty())
             return done[0].latency();
     }

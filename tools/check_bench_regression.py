@@ -12,14 +12,14 @@ Every mode first validates its artifacts through tools/check_artifact.py
            --baseline bench/micro_baseline.json
 
    The baseline file holds the reference under a "sweep_baseline" key
-   (so the same file can carry the micro-benchmark baseline used by
-   check_telemetry_overhead.py). Saturation throughput drifting more
-   than --max-sat-drift percent from the baseline in either direction
-   fails the gate: simulation results are deterministic, so any drift
-   is a behavioural change, not noise. jobs/sec is machine-dependent
-   and only gates on *regression* beyond --max-speed-regress percent.
-   When the document carries a timing.schedule, the sweep's makespan
-   over ideal is printed (never gated).
+   (the same file carries mode 3's micro_cycle pins). Saturation
+   throughput drifting more than --max-sat-drift percent from the
+   baseline in either direction fails the gate: simulation results are
+   deterministic, so any drift is a behavioural change, not noise.
+   jobs/sec is machine-dependent and only gates on *regression* beyond
+   --max-speed-regress percent. When the document carries a
+   timing.schedule, the sweep's makespan over ideal is printed (never
+   gated).
 
 2. Determinism compare (--compare) — require two or more artifacts to
    be byte-identical after removing the "timing" object (the only
@@ -119,31 +119,19 @@ def compare_mode(paths: list[str]) -> None:
     )
 
 
-def warn_build_type(path: str, doc: dict, base_path: str | None,
-                    base_doc: dict | None) -> None:
-    """Warn when either side of a comparison was built non-Release.
+def warn_build_type(path: str, build_type: str, what: str) -> None:
+    """Warn when @what (candidate or baseline) was built non-Release.
 
     Checksums are build-type independent, so the gate itself still
     runs; but cycles/sec from a Debug/RelWithDebInfo build is not
-    comparable to a Release baseline, so flag it loudly instead of
-    letting a bogus speed regression (or a masked real one) through.
+    comparable to a Release one, so flag it loudly instead of letting
+    a bogus speed regression (or a masked real one) through.
     """
-    cand = doc["meta"]["build_type"]
-    if cand.lower() != "release":
+    if build_type.lower() != "release":
         print(
-            f"WARNING: {path}: candidate built as '{cand}' (not "
-            f"Release) — cycles/sec is not comparable to a Release "
-            f"baseline",
-            file=sys.stderr,
-        )
-    if base_doc is None:
-        return
-    ctx = base_doc.get("context", {})
-    base = ctx.get("library_build_type")
-    if base is not None and base.lower() != "release":
-        print(
-            f"WARNING: {base_path}: baseline recorded from a '{base}' "
-            f"build — re-pin it from a Release build",
+            f"WARNING: {path}: {what} built as '{build_type}' (not "
+            f"Release) — cycles/sec is not comparable across build "
+            f"types",
             file=sys.stderr,
         )
 
@@ -302,19 +290,19 @@ def micro_mode(args: argparse.Namespace) -> None:
     check_thread_determinism(args.micro, doc)
     print_thread_scaling(doc)
     scaling_failures = thread_efficiency(doc, dict(args.min_speedup))
+    warn_build_type(args.micro, doc["meta"]["build_type"], "candidate")
     if args.baseline is None:
-        warn_build_type(args.micro, doc, None, None)
         if scaling_failures:
             for msg in scaling_failures:
                 print(f"FAIL: {msg}", file=sys.stderr)
             sys.exit(1)
         return
 
-    base_doc = load(args.baseline)
-    warn_build_type(args.micro, doc, args.baseline, base_doc)
-    baseline = base_doc.get("micro_cycle_baseline")
+    baseline = load(args.baseline).get("micro_cycle_baseline")
     if baseline is None:
         fail(f"{args.baseline}: missing key 'micro_cycle_baseline'")
+    warn_build_type(args.baseline, baseline.get("build_type", "Release"),
+                    "baseline")
 
     base = {e["name"]: e for e in baseline.get("results", [])}
     cur = {e["name"]: e for e in doc["results"]}
